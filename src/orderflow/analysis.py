@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 
 from .caps import LIFT_ENUM_MAX, SUBDIVISION_MAX
 from .digraph import Subgraph
-from .drift import ProfileSaturation, ZERO as SIGN_ZERO
+from .drift import IndexReach, ZERO as SIGN_ZERO
 from .errors import CapExceeded, DegenerateTie, NotPiecewiseAffine
 from .exactnum import Exact
 from .maps import IntervalMap
@@ -201,19 +201,21 @@ def pattern_graph(f: IntervalMap, n: int, mode: Mode = "exact", samples: int = 1
 def partially_driftless_in(H: Subgraph) -> DiPath | None:
     """Some loop in H with a zero diagonal drift entry, or None.
 
-    Scans the loop-profile saturation of each strongly connected piece; the
-    representative path attached to the first free profile is the witness.
+    Searches the index states of each strongly connected piece; the witness
+    is the shortest, then least in edge order, such loop at the least vertex
+    that has one.
     """
     from .digraph import strongly_connected_components
 
     for comp in strongly_connected_components(H):
         if not comp.edges:
             continue
-        sat = ProfileSaturation(comp)
+        reach = IndexReach(H.n, comp.edges)
         for v in sorted(comp.vertices):
-            for prof, rep in sat.loop_profiles(v).items():
-                if any(prof.diagonal(j) == SIGN_ZERO for j in range(1, H.n + 1)):
-                    return DiPath(H.n, rep)
+            found = [reach.first_loop(v, j, {SIGN_ZERO}) for j in range(1, H.n + 1)]
+            found = [loop for loop in found if loop is not None]
+            if found:
+                return min(found, key=lambda loop: (loop.length, loop.edges))
     return None
 
 

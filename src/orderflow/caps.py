@@ -21,9 +21,6 @@ EXTENSION_COUNT_MAX = 14
 # Embedded-loop DFS refuses subgraphs with more vertices than this.
 LOOP_ENUM_VERTEX_MAX = 24
 
-# Distinct drift profiles tolerated per ordered vertex pair during saturation.
-SATURATION_PROFILE_MAX = 20_000
-
 # Cyclic ranking construction is polynomial, so this cap is generous; it
 # mostly bounds the closure matrix memory.
 CYCLIC_LIFT_MAX = 4096
@@ -35,6 +32,9 @@ SEPARATOR_DEPTH_MAX = 6
 SCALE_DEPTH_MAX = 24
 POLYTOPE_DIM_MAX = 6
 
+# The drift decision itself needs no cap: its reachability search visits at
+# most |V| (n+2)^2 index states per (vertex, index).  Only the loops that
+# synthesis concatenates from the search's shortest loops are bounded.
 SYNTHESIS_LENGTH_MAX = 100_000
 
 

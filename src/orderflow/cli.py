@@ -3,7 +3,8 @@
 One subcommand per workflow; every run prints a single machine-readable JSON
 line to stdout and writes any artifacts to the requested paths.  Numeric
 output is exact rational strings unless ``--float`` is given.  Exit codes:
-0 ok, 1 domain error, 2 usage error.
+0 ok, 1 domain error, 2 usage error; an error prints one JSON line
+``{"error": ..., "detail": ...}`` to stderr instead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,37 @@ def _write(path: str | None, text: str) -> None:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _error(kind: str, detail: str) -> None:
+    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as the one-line JSON error, exit code 2."""
+
+    def error(self, message):
+        _error("UsageError", f"{self.prog}: {message}")
+        raise SystemExit(2)
+
+
+# argparse reports a ValueError raised by these as an invalid value (exit 2).
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A positive decimal or 'p/q' tolerance."""
+    try:
+        value = float(Fraction(text))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _load_map(spec: str) -> maps.IntervalMap:
@@ -111,11 +143,7 @@ def cmd_drift(args) -> dict:
         verdict = drift.subgraph_drifts(H)
         if args.out:
             _write(args.out, drift.verdict_to_json(verdict) + "\n")
-        out = {"command": "drift", "action": "subgraph", "verdict": "drifts" if verdict.drifts else "driftless"}
-        if verdict.witness:
-            v, j, sign = verdict.witness
-            out["witness"] = {"vertex": str(v), "index": j, "sign": sign}
-        return out
+        return {"command": "drift", "action": "subgraph", **drift.verdict_payload(verdict)}
     gamma = drift.synthesize_totally_driftless_loop(H)
     if args.out:
         _write(args.out, paths.path_to_json(gamma) + "\n")
@@ -140,10 +168,9 @@ def cmd_census(args) -> dict:
 
 def cmd_realize(args) -> dict:
     mu = flows.flow_from_json(Path(args.flow).read_text())
-    tol = float(Fraction(args.tol)) if "/" in args.tol else float(args.tol)
-    f = maps.realize_flow(mu, tol)
+    f = maps.realize_flow(mu, args.tol)
     _write(args.out, maps.map_to_json(f) + "\n")
-    return {"command": "realize", "n": mu.n, "pieces": len(f.pieces), "tol": tol}
+    return {"command": "realize", "n": mu.n, "pieces": len(f.pieces), "tol": args.tol}
 
 
 def cmd_simulate(args) -> dict:
@@ -254,14 +281,14 @@ def cmd_validate(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="orderflow",
         description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("digraph", help="build or export a permutation digraph / subgraph")
-    p.add_argument("--n", type=int, default=2, help="ambient level (vertices are length-n patterns)")
+    p.add_argument("--n", type=_positive_int, default=2, help="ambient level (vertices are length-n patterns)")
     p.add_argument("--edges", help="subgraph JSON file; omit for the full digraph")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--out", help="output file (default stdout)")
@@ -290,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("census", help="face census of the flow polytope")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dimensions", help="comma-separated dimensions to restrict to (n=4)")
     p.add_argument("--samples", type=int, help="random subsets for the sampled n=4 census")
     p.add_argument("--seed", type=int)
@@ -299,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="measure-preserving map realizing a flow within tolerance")
     p.add_argument("--flow", required=True, help="flow JSON file")
-    p.add_argument("--tol", default="0.05")
+    p.add_argument("--tol", type=_tolerance, default="0.05")
     p.add_argument("--out", required=True, help="map JSON path")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("simulate", help="empirical pattern distribution of a map")
     p.add_argument("--map", required=True, help="builtin name, 'rotation:3/10', or map JSON file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="distribution CSV path")
@@ -313,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact pattern distribution of a piecewise-affine map")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--float", action="store_true", help="emit decimal masses instead of rationals")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_exact)
@@ -329,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forbidden", help="forbidden patterns and the basic subset")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int)
@@ -338,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exclusion", help="compare realized patterns against level-n path lifts")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
     p.add_argument("--samples", type=int, default=100_000)
@@ -366,23 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) in {"simulate"} and args.seed is None:
-        parser.error("--seed is required for randomized commands")
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         parser.error("--seed is required for cantor verify")
-    if args.command == "entropy" and args.mode == "empirical" and args.seed is None:
-        parser.error("--seed is required for empirical mode")
-    if args.command in {"forbidden", "exclusion"} and getattr(args, "mode", "exact") == "empirical" and args.seed is None:
+    if getattr(args, "mode", "exact") == "empirical" and args.seed is None:
         parser.error("--seed is required for empirical mode")
     if args.command == "cantor" and not args.uniform and not args.dists:
         parser.error("cantor needs --uniform N or --dists files")
     try:
         payload = args.func(args)
     except OrderflowError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        _error(type(exc).__name__, str(exc))
         return 1
     except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "detail": str(exc)}), file=sys.stderr)
+        _error("FileNotFound", str(exc))
         return 1
     _emit(payload)
     return 0

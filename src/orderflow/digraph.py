@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
 from .caps import LOOP_ENUM_VERTEX_MAX, perm_cap
-from .errors import CapExceeded, FormatError, NotFaceSubgraph
-from .perms import HEAD, TAIL, Perm, all_perms, restrict
+from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
+from .perms import HEAD, TAIL, Perm, all_perms, load_json, restrict
 
 
 def head(e: Perm) -> Perm:
@@ -173,17 +174,49 @@ def strongly_connected_components(H: Subgraph) -> list[Component]:
     return out
 
 
+def face_components(H: Subgraph) -> list[Component]:
+    """The strongly connected components of a face subgraph.
+
+    Raises NotFaceSubgraph, naming the least such edge, when some edge joins
+    two components, i.e. lies on no loop of H.
+    """
+    comps = strongly_connected_components(H)
+    loose = H.edges.difference(*(c.edges for c in comps))
+    if loose:
+        raise NotFaceSubgraph(f"edge {min(loose)} lies on no loop of the subgraph")
+    return comps
+
+
 def is_face_subgraph(H: Subgraph) -> bool:
     """Every edge lies on a directed loop inside H.
 
     Equivalent to: both endpoints of every edge sit in the same strongly
     connected component, i.e. each connected component is strongly connected.
     """
-    comp_of: dict[Perm, int] = {}
-    for i, comp in enumerate(strongly_connected_components(H)):
-        for v in comp.vertices:
-            comp_of[v] = i
-    return all(comp_of[head(e)] == comp_of[tail(e)] for e in H.edges)
+    try:
+        face_components(H)
+    except NotFaceSubgraph:
+        return False
+    return True
+
+
+def shortest_path(H: Subgraph, src: Perm, dst: Perm) -> tuple[Perm, ...]:
+    """Edges of a shortest path from src to dst in H, breadth first over sorted out-edges."""
+    if src == dst:
+        return ()
+    adj = adjacency(H)
+    seen = {src: ()}
+    frontier = deque([src])
+    while frontier:
+        v = frontier.popleft()
+        for e in adj[v]:
+            w = tail(e)
+            if w not in seen:
+                seen[w] = seen[v] + (e,)
+                if w == dst:
+                    return seen[w]
+                frontier.append(w)
+    raise NotStronglyConnected(f"no path from {src} to {dst}")
 
 
 def embedded_loops(H: Subgraph, vertex_cap: int = LOOP_ENUM_VERTEX_MAX) -> list[tuple[Perm, ...]]:
@@ -232,10 +265,7 @@ def face_dimension(H: Subgraph) -> int:
     One less than the rank of the first homology of H, i.e.
     |E| - |V| + #components - 1.
     """
-    if not is_face_subgraph(H):
-        raise NotFaceSubgraph("face dimension is defined for face subgraphs only")
-    comps = strongly_connected_components(H)
-    return len(H.edges) - len(H.vertices()) + len(comps) - 1
+    return len(H.edges) - len(H.vertices()) + len(face_components(H)) - 1
 
 
 # -- serialization ----------------------------------------------------------
@@ -259,11 +289,11 @@ def subgraph_to_json(H: Subgraph) -> str:
 
 
 def subgraph_from_json(text: str) -> Subgraph:
+    payload = load_json(text, "subgraph", {"n", "edges"})
+    n, edges = payload["n"], payload["edges"]
+    if type(n) is not int or n < 1:
+        raise FormatError(f"subgraph JSON 'n' must be a positive integer, got {n!r}")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    missing = {"n", "edges"} - set(payload)
-    if missing:
-        raise FormatError(f"subgraph JSON missing keys {sorted(missing)}")
-    return subgraph(payload["n"], payload["edges"])
+        return subgraph(n, edges)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"subgraph JSON: {exc}") from exc

@@ -5,27 +5,30 @@ start and the n values seen one period later.  ``DriftProfile`` condenses a
 path's poset into two monotone maps: ``maxmap[i]`` names the least final
 value forced above initial value i (sentinel n+1 = "none, unbounded above")
 and ``minmap[i]`` the greatest final value forced below it (sentinel 0).
-Profiles compose along concatenation, which turns the quantification "over
-all loops at a vertex" into a finite saturation and makes the realizability
-criterion for polytope faces decidable.
+Profiles compose along concatenation one index at a time: the bounds on
+initial value i after a path depend only on its bounds before the last edge
+and on that edge.  So the diagonal sign at (v, j) over *all* loops at v is
+fixed by the index states (vertex, max-index, min-index) reachable from
+(v, j, j), of which there are at most |V| (n+2)^2, and a breadth-first search
+over them decides the realizability criterion for polytope faces in
+polynomial time.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import json
 from dataclasses import dataclass
 
-from .caps import SATURATION_PROFILE_MAX, SYNTHESIS_LENGTH_MAX
+from .caps import SYNTHESIS_LENGTH_MAX
+from .digraph import Subgraph, face_components, head, shortest_path, tail
 from .errors import (
     CapExceeded,
     DimensionMismatch,
     DriftObstruction,
     EndpointMismatch,
-    NotFaceSubgraph,
+    InvariantViolation,
     NotStronglyConnected,
-    SaturationCapExceeded,
 )
-from .digraph import Component, Subgraph, adjacency, head, strongly_connected_components, tail
 from .paths import DiPath, build_poset
 from .perms import Perm
 
@@ -38,6 +41,21 @@ TOTALLY_DRIFTLESS = "totally_driftless"
 PLUS = "+"
 MINUS = "-"
 ZERO = "0"
+
+
+def _sign(end: Perm, above: int, below: int, j: int) -> str:
+    """Sign of an initial value bounded by final indices (above, below) against final value j.
+
+    Both relations holding at once means the two poset elements coincide
+    (possible only when the loop is shorter than its window); the inclusive
+    definition then reads the entry as +.
+    """
+    v = end.word
+    if above <= len(v) and v[above - 1] <= v[j - 1]:
+        return PLUS
+    if below >= 1 and v[below - 1] >= v[j - 1]:
+        return MINUS
+    return ZERO
 
 
 @dataclass(frozen=True)
@@ -60,20 +78,8 @@ class DriftProfile:
         return self.entry(j, j)
 
     def entry(self, i: int, j: int) -> str:
-        """Sign of the forced relation between initial value i and final value j.
-
-        Both relations holding at once means the two poset elements coincide
-        (possible only when the loop is shorter than its window); the
-        inclusive definition then reads the entry as +.
-        """
-        v = self.end.word
-        plus = self.maxmap[i - 1] <= self.n and v[self.maxmap[i - 1] - 1] <= v[j - 1]
-        minus = self.minmap[i - 1] >= 1 and v[self.minmap[i - 1] - 1] >= v[j - 1]
-        if plus:
-            return PLUS
-        if minus:
-            return MINUS
-        return ZERO
+        """Sign of the forced relation between initial value i and final value j."""
+        return _sign(self.end, self.maxmap[i - 1], self.minmap[i - 1], j)
 
 
 def identity_profile(v: Perm) -> DriftProfile:
@@ -93,9 +99,7 @@ def edge_profile(e: Perm) -> DriftProfile:
         below = [j for j in range(1, n + 1) if word[j] <= word[i - 1]]
         maxmap.append(min(above, key=lambda j: word[j]) if above else n + 1)
         minmap.append(max(below, key=lambda j: word[j]) if below else 0)
-    from .perms import HEAD, TAIL, restrict
-
-    return DriftProfile(n, restrict(e, HEAD), restrict(e, TAIL), tuple(maxmap), tuple(minmap))
+    return DriftProfile(n, head(e), tail(e), tuple(maxmap), tuple(minmap))
 
 
 def compose(a: DriftProfile, b: DriftProfile) -> DriftProfile:
@@ -183,70 +187,7 @@ def classify_loop(gamma: DiPath, method: str = "profile") -> str:
     return DRIFTS
 
 
-# -- saturation over a strongly connected component ---------------------------
-
-
-class ProfileSaturation:
-    """Closure of path profiles over one strongly connected edge set.
-
-    For every ordered vertex pair (u, w) this collects the (finite) set of
-    profiles of paths from u to w, each with one representative edge word,
-    found breadth-first so representatives stay short.  Loop profiles at v
-    are then the set at (v, v), and the drift quantifier over infinitely many
-    loops becomes a scan of that set.
-    """
-
-    def __init__(self, comp: Component, profile_cap: int = SATURATION_PROFILE_MAX):
-        self.vertices = comp.vertices
-        self.edges = comp.edges
-        self.profiles: dict[tuple[Perm, Perm], dict[DriftProfile, tuple[Perm, ...]]] = {}
-        out_edges: dict[Perm, list[Perm]] = {v: [] for v in comp.vertices}
-        for e in sorted(comp.edges):
-            out_edges[head(e)].append(e)
-        edge_profiles = {e: edge_profile(e) for e in comp.edges}
-
-        queue: deque[tuple[Perm, Perm, DriftProfile]] = deque()
-
-        def add(u: Perm, w: Perm, prof: DriftProfile, rep: tuple[Perm, ...]) -> None:
-            bucket = self.profiles.setdefault((u, w), {})
-            if prof in bucket:
-                return
-            if len(bucket) >= profile_cap:
-                raise SaturationCapExceeded(
-                    f"more than {profile_cap} profiles for vertex pair ({u}, {w})"
-                )
-            bucket[prof] = rep
-            queue.append((u, w, prof))
-
-        for e in sorted(comp.edges):
-            add(head(e), tail(e), edge_profiles[e], (e,))
-        while queue:
-            u, w, prof = queue.popleft()
-            rep = self.profiles[(u, w)][prof]
-            for e in out_edges[w]:
-                add(u, tail(e), compose(prof, edge_profiles[e]), rep + (e,))
-
-    def loop_profiles(self, v: Perm) -> dict[DriftProfile, tuple[Perm, ...]]:
-        return self.profiles.get((v, v), {})
-
-    def forced_sign(self, v: Perm, j: int) -> str | None:
-        """The sign every loop at v is forced to at index j, if any."""
-        signs = {prof.diagonal(j) for prof in self.loop_profiles(v)}
-        if signs == {PLUS}:
-            return PLUS
-        if signs == {MINUS}:
-            return MINUS
-        return None
-
-    def loop_avoiding(self, v: Perm, j: int, sign: str) -> DiPath:
-        """A loop at v whose diagonal drift at j is not ``sign``."""
-        best: tuple[Perm, ...] | None = None
-        for prof, rep in self.loop_profiles(v).items():
-            if prof.diagonal(j) != sign and (best is None or len(rep) < len(best)):
-                best = rep
-        if best is None:
-            raise DriftObstruction(f"every loop at {v} has drift {sign} at index {j}")
-        return DiPath(v.n, best)
+# -- index-state reachability over a strongly connected edge set ----------------
 
 
 @dataclass(frozen=True)
@@ -255,53 +196,96 @@ class DriftVerdict:
     witness: tuple[Perm, int, str] | None = None
 
 
-def _component_verdict(sat: ProfileSaturation, n: int) -> DriftVerdict:
-    for v in sorted(sat.vertices):
-        for j in range(1, n + 1):
-            for sign in (PLUS, MINUS):
-                if sat.forced_sign(v, j) == sign:
-                    return DriftVerdict(True, (v, j, sign))
-    return DriftVerdict(False)
+class IndexReach:
+    """Which (vertex, max-index, min-index) states paths from v reach, tracking index j.
+
+    Along an edge e a state (w, a, b) moves to (tail(e), maxmap_e[a],
+    minmap_e[b]), so the loops at v realize exactly the diagonal signs at j
+    read off the reachable states at vertex v.  Each edge's step is computed
+    once, and each (v, j) is one breadth-first pass.  States name vertices by
+    their rank in sorted order, which keeps hashing them cheap.
+    """
+
+    def __init__(self, n: int, edges):
+        self.n = n
+        profiles = [(e, edge_profile(e)) for e in sorted(edges)]
+        self.vertices = sorted({p.start for _, p in profiles} | {p.end for _, p in profiles})
+        self._rank = {v: k for k, v in enumerate(self.vertices)}
+        self.steps: list[list[tuple[Perm, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in self.vertices]
+        for e, p in profiles:
+            # Padded so index 0 and n+1 (the sentinels) map to themselves.
+            up = (0,) + p.maxmap + (n + 1,)
+            down = (0,) + p.minmap + (n + 1,)
+            self.steps[self._rank[p.start]].append((e, self._rank[p.end], up, down))
+
+    def search(self, v: Perm, j: int) -> dict:
+        """States reached from (v, j, j) by nonempty paths, in breadth-first order.
+
+        Each state maps to (previous state, edge).  Out-edges are tried in
+        sorted order, so the pointers trace the shortest path to the state
+        that comes first in edge order, and discovery order sorts those paths
+        by (length, edge word).
+        """
+        parent: dict = {}
+        order = [(self._rank[v], j, j)]
+        for state in order:  # grows while it is walked: a FIFO queue
+            w, a, b = state
+            for e, x, up, down in self.steps[w]:
+                nxt = (x, up[a], down[b])
+                if nxt not in parent:
+                    parent[nxt] = (state, e)
+                    order.append(nxt)
+        return parent
+
+    def first_loop(self, v: Perm, j: int, signs) -> DiPath | None:
+        """The shortest, then least in edge order, loop at v whose diagonal sign at j is in ``signs``."""
+        parent = self.search(v, j)
+        start = (self._rank[v], j, j)
+        for state in parent:
+            w, a, b = state
+            if w == start[0] and _sign(v, a, b, j) in signs:
+                edges = [parent[state][1]]
+                # The start state's out-steps were all recorded when it was
+                # expanded first, so a pointer to it always means depth 0.
+                while (state := parent[state][0]) != start:
+                    edges.append(parent[state][1])
+                return DiPath(self.n, tuple(reversed(edges)))
+        return None
+
+    def verdict(self) -> DriftVerdict:
+        """The first (vertex, index), in sorted order, where every loop has the same nonzero sign."""
+        for k, v in enumerate(self.vertices):
+            for j in range(1, self.n + 1):
+                signs = {_sign(v, a, b, j) for w, a, b in self.search(v, j) if w == k}
+                if len(signs) == 1 and ZERO not in signs:
+                    return DriftVerdict(True, (v, j, signs.pop()))
+        return DriftVerdict(False)
 
 
-def _face_components(H: Subgraph) -> list[Component]:
-    comps = strongly_connected_components(H)
-    comp_of: dict[Perm, int] = {}
-    for i, c in enumerate(comps):
-        for v in c.vertices:
-            comp_of[v] = i
-    for e in H.edges:
-        if comp_of[head(e)] != comp_of[tail(e)]:
-            raise NotFaceSubgraph(f"edge {e} lies on no loop of the subgraph")
-    return comps
-
-
-def subgraph_drifts(H: Subgraph, profile_cap: int = SATURATION_PROFILE_MAX) -> DriftVerdict:
+def subgraph_drifts(H: Subgraph) -> DriftVerdict:
     """Decide drift for a face subgraph, component by component.
 
     A strongly connected piece drifts when some vertex v, index j and sign
-    force every loop at v to that sign; the profile saturation makes the
+    force every loop at v to that sign; index-state reachability makes the
     check finite.  The first witness in (vertex, index, sign) order is
     reported.
     """
-    for comp in _face_components(H):
-        sat = ProfileSaturation(comp, profile_cap=profile_cap)
-        verdict = _component_verdict(sat, H.n)
+    for comp in face_components(H):
+        verdict = IndexReach(H.n, comp.edges).verdict()
         if verdict.drifts:
             return verdict
     return DriftVerdict(False)
 
 
-def verdict_to_json(verdict: DriftVerdict) -> str:
-    import json
-
+def verdict_payload(verdict: DriftVerdict) -> dict:
     if not verdict.drifts:
-        return json.dumps({"verdict": "driftless"})
+        return {"verdict": "driftless"}
     v, j, sign = verdict.witness
-    return json.dumps(
-        {"verdict": "drifts", "witness": {"vertex": str(v), "index": j, "sign": sign}},
-        sort_keys=True,
-    )
+    return {"verdict": "drifts", "witness": {"vertex": str(v), "index": j, "sign": sign}}
+
+
+def verdict_to_json(verdict: DriftVerdict) -> str:
+    return json.dumps(verdict_payload(verdict), sort_keys=True)
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -309,39 +293,17 @@ def verdict_to_json(verdict: DriftVerdict) -> str:
 
 def _cover_walk(H: Subgraph, base: Perm) -> DiPath:
     """A loop at ``base`` using every edge of H at least once."""
-    adj = adjacency(H)
-
-    def shortest_path(src: Perm, dst: Perm) -> tuple[Perm, ...]:
-        if src == dst:
-            return ()
-        seen = {src: ()}
-        frontier = deque([src])
-        while frontier:
-            v = frontier.popleft()
-            for e in adj[v]:
-                w = tail(e)
-                if w not in seen:
-                    seen[w] = seen[v] + (e,)
-                    if w == dst:
-                        return seen[w]
-                    frontier.append(w)
-        raise NotStronglyConnected(f"no path from {src} to {dst}")
-
     walk: list[Perm] = []
     at = base
     for e in sorted(H.edges):
-        walk.extend(shortest_path(at, head(e)))
+        walk.extend(shortest_path(H, at, head(e)))
         walk.append(e)
         at = tail(e)
-    walk.extend(shortest_path(at, base))
+    walk.extend(shortest_path(H, at, base))
     return DiPath(H.n, tuple(walk))
 
 
-def synthesize_totally_driftless_loop(
-    H: Subgraph,
-    profile_cap: int = SATURATION_PROFILE_MAX,
-    length_cap: int = SYNTHESIS_LENGTH_MAX,
-) -> DiPath:
+def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_LENGTH_MAX) -> DiPath:
     """A totally driftless loop whose support is exactly H.
 
     Requires H strongly connected and driftless.  Starting from an
@@ -351,12 +313,12 @@ def synthesize_totally_driftless_loop(
     bound in the base-vertex order, so both phases finish within n steps,
     after which monotonicity of the profile maps forces every entry free.
     """
-    comps = _face_components(H)
+    comps = face_components(H)
     if len(comps) != 1:
         raise NotStronglyConnected("synthesis needs one strongly connected piece")
-    sat = ProfileSaturation(comps[0], profile_cap=profile_cap)
+    reach = IndexReach(H.n, comps[0].edges)
     n = H.n
-    verdict = _component_verdict(sat, n)
+    verdict = reach.verdict()
     if verdict.drifts:
         raise DriftObstruction(f"subgraph drifts with witness {verdict.witness}")
 
@@ -368,18 +330,23 @@ def synthesize_totally_driftless_loop(
     i = base.position_of(1)
     j = base.position_of(n)
 
-    def append(loop: DiPath):
+    def append_avoiding(k: int, sign: str):
         nonlocal gamma, prof
+        loop = reach.first_loop(base, k, {PLUS, MINUS, ZERO} - {sign})
+        if loop is None:  # a driftless verdict leaves one at every (vertex, index)
+            raise InvariantViolation(f"every loop at {base} has drift {sign} at index {k}")
         gamma = DiPath(n, gamma.edges + loop.edges)
         if gamma.length > length_cap:
             raise CapExceeded(f"synthesized loop exceeds {length_cap} edges")
         prof = compose(prof, path_profile(loop))
 
     while prof.maxmap[i - 1] <= n:
-        append(sat.loop_avoiding(base, prof.maxmap[i - 1], PLUS))
+        append_avoiding(prof.maxmap[i - 1], PLUS)
     while prof.minmap[j - 1] >= 1:
-        append(sat.loop_avoiding(base, prof.minmap[j - 1], MINUS))
+        append_avoiding(prof.minmap[j - 1], MINUS)
 
-    assert classify_loop(gamma, method="profile") == TOTALLY_DRIFTLESS
-    assert frozenset(gamma.edges) == H.edges
+    if classify_loop(gamma) != TOTALLY_DRIFTLESS:
+        raise InvariantViolation(f"synthesized loop at {base} is not totally driftless")
+    if frozenset(gamma.edges) != H.edges:
+        raise InvariantViolation(f"synthesized loop at {base} does not cover the subgraph")
     return gamma

@@ -61,8 +61,8 @@ class CyclicObstruction(OrderflowError):
     """No cyclic ranking is consistent with the loop's pattern windows."""
 
 
-class SaturationCapExceeded(OrderflowError):
-    """Profile saturation grew past the configured size cap."""
+class InvariantViolation(OrderflowError):
+    """A construction produced a result that fails its own guarantee."""
 
 
 class IncompatibleSequence(OrderflowError):

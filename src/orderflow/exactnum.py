@@ -156,10 +156,6 @@ class Sqrt2:
         return f"Sqrt2({self.a!r}, {self.b!r})"
 
 
-def to_float(x: Exact) -> float:
-    return float(x)
-
-
 def exact_str(x: Exact) -> str:
     """Canonical text form: 'p/q' or 'a+b*sqrt2' / 'a-b*sqrt2'."""
     if isinstance(x, Sqrt2):

@@ -21,17 +21,18 @@ from fractions import Fraction
 from .caps import POLYTOPE_DIM_MAX
 from .digraph import (
     Subgraph,
-    adjacency,
     embedded_loops,
+    face_components,
     face_dimension,
     head,
     is_face_subgraph,
+    shortest_path,
     tail,
 )
 from .drift import subgraph_drifts
-from .errors import CapExceeded, FormatError, NotAFlow, NotFaceSubgraph
+from .errors import CapExceeded, FormatError, NotAFlow
 from .paths import DiPath
-from .perms import HEAD, TAIL, PatternDistribution, Perm, all_perms, perm, pushforward
+from .perms import HEAD, TAIL, PatternDistribution, Perm, all_perms, load_json, perm, pushforward
 
 # Distributions double as flows; ``as_flow`` is the gatekeeper.
 Flow = PatternDistribution
@@ -102,10 +103,9 @@ def support_face(mu: PatternDistribution) -> Subgraph:
 def face_realizable(H: Subgraph) -> bool:
     """Whether the open face of H contains distributions of measure-preserving maps.
 
-    True exactly when no connected component of H drifts.
+    True exactly when no connected component of H drifts; NotFaceSubgraph
+    if H is not a face subgraph.
     """
-    if not is_face_subgraph(H):
-        raise NotFaceSubgraph("realizability is a question about face subgraphs")
     return not subgraph_drifts(H).drifts
 
 
@@ -220,31 +220,10 @@ def interior_flow(H: Subgraph) -> PatternDistribution:
     each edge; which interior point comes back is arbitrary but
     deterministic.
     """
-    if not is_face_subgraph(H):
-        raise NotFaceSubgraph("interior points exist only for face subgraphs")
-    adj = adjacency(H)
+    face_components(H)  # raises NotFaceSubgraph when an edge lies on no loop
     counts: dict[Perm, int] = {}
-
-    def shortest_path(src: Perm, dst: Perm) -> tuple[Perm, ...]:
-        from collections import deque
-
-        if src == dst:
-            return ()
-        seen = {src: ()}
-        frontier = deque([src])
-        while frontier:
-            v = frontier.popleft()
-            for e in adj[v]:
-                w = tail(e)
-                if w not in seen:
-                    seen[w] = seen[v] + (e,)
-                    if w == dst:
-                        return seen[w]
-                    frontier.append(w)
-        raise NotFaceSubgraph(f"no return path from {src} to {dst}")
-
     for e in sorted(H.edges):
-        loop = (e,) + shortest_path(tail(e), head(e))
+        loop = (e,) + shortest_path(H, tail(e), head(e))
         for f in loop:
             counts[f] = counts.get(f, 0) + 1
     total = sum(counts.values())
@@ -307,13 +286,7 @@ def flow_to_json(mu: PatternDistribution) -> str:
 
 
 def flow_from_json(text: str) -> PatternDistribution:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    missing = {"n", "weights"} - set(payload)
-    if missing:
-        raise FormatError(f"flow JSON missing keys {sorted(missing)}")
+    payload = load_json(text, "flow", {"n", "weights"})
     mass: dict[Perm, object] = {}
     exact_mode = True
     for key, raw in payload["weights"].items():

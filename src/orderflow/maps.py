@@ -20,24 +20,20 @@ from fractions import Fraction
 
 from .caps import CYCLIC_LIFT_MAX
 from .digraph import Subgraph, strongly_connected_components, head, tail
-from .drift import (
-    DRIFTLESS,
-    TOTALLY_DRIFTLESS,
-    classify_loop,
-    subgraph_drifts,
-    synthesize_totally_driftless_loop,
-)
+from .drift import DRIFTLESS, TOTALLY_DRIFTLESS, classify_loop, synthesize_totally_driftless_loop
 from .errors import (
     CapExceeded,
     CyclicObstruction,
+    DriftObstruction,
     FormatError,
+    InvariantViolation,
     NotRealizable,
     UnknownBuiltin,
 )
 from .exactnum import Exact, Sqrt2, exact, exact_str, parse_exact
 from .flows import as_flow, support_face
 from .paths import DiPath
-from .perms import PatternDistribution, Perm, order_pattern
+from .perms import PatternDistribution, Perm, load_json, order_pattern
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,10 +190,11 @@ def builtin(name: str, param=None) -> IntervalMap:
 
 def parse_map_spec(spec: str) -> IntervalMap:
     """CLI-facing map reference: 'doubling', 'rotation:3/10', 'logistic', ..."""
-    if ":" in spec:
-        name, raw = spec.split(":", 1)
-        return builtin(name, parse_exact(raw))
-    return builtin(spec)
+    name, colon, raw = spec.partition(":")
+    try:
+        return builtin(name, parse_exact(raw)) if colon else builtin(name)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"map spec {spec!r}: {exc}") from exc
 
 
 # -- block sums ---------------------------------------------------------------
@@ -309,7 +306,8 @@ def cyclic_lift(gamma: DiPath, cap: int = CYCLIC_LIFT_MAX) -> CyclicRanking:
     for position_rank, pos in enumerate(order, start=1):
         rank[pos] = position_rank
     ranking = CyclicRanking(ell, tuple(rank))
-    assert ranking_realizes(ranking, gamma), "ranking must reproduce the loop's windows"
+    if not ranking_realizes(ranking, gamma):
+        raise InvariantViolation("cyclic ranking does not reproduce the loop's windows")
     return ranking
 
 
@@ -346,7 +344,8 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
         almost_aperiodic=True,
         rotated_piece=r.rank[ell - 1] - 1,
     )
-    assert preserves_measure(result.pieces) is True
+    if preserves_measure(result.pieces) is not True:
+        raise InvariantViolation(f"permutation map of {ell} pieces does not preserve measure")
     return result
 
 
@@ -382,7 +381,8 @@ def _euler_circuit(edges_mult: dict[Perm, int], base: Perm, n: int) -> DiPath:
             if e_stack:
                 circuit.append(e_stack.pop())
     circuit.reverse()
-    assert all(m == 0 for m in remaining.values()), "component not connected for Euler walk"
+    if any(remaining.values()):
+        raise InvariantViolation(f"Euler walk from {base} leaves edges unused: component not connected")
     return DiPath(n, tuple(circuit))
 
 
@@ -397,14 +397,18 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     totally driftless, hence cyclically rankable).  Components are then glued
     by block sums weighted by their flow masses.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     flow = as_flow(mu)
     n = flow.n
     H = support_face(flow)
     comps = strongly_connected_components(H)
     built: list[tuple[Fraction, IntervalMap]] = []
     for comp in comps:
-        if subgraph_drifts(Subgraph(H.n, comp.edges)).drifts:
-            raise NotRealizable(f"component at {min(comp.vertices)} drifts")
+        try:
+            delta = synthesize_totally_driftless_loop(Subgraph(H.n, comp.edges))
+        except DriftObstruction as exc:
+            raise NotRealizable(f"component at {min(comp.vertices)} drifts") from exc
         mass = sum((flow(e) for e in comp.edges), ZERO)
         weights = {e: flow(e) / mass for e in comp.edges}
         denom = math.lcm(*(w.denominator for w in weights.values()))
@@ -412,7 +416,6 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
         total = sum(mult.values())
         base = min(comp.vertices)
         beta = _euler_circuit(mult, base, H.n)
-        delta = synthesize_totally_driftless_loop(Subgraph(H.n, comp.edges))
         delta_counts = {e: delta.edges.count(e) for e in comp.edges}
 
         def error_at(k: int) -> Fraction:
@@ -451,7 +454,8 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
 
     achieved = exact_distribution(result, n).distribution
     gap = max(abs(achieved(s) - flow(s)) for s in set(achieved.mass) | set(flow.mass))
-    assert gap <= tol, f"realization missed tolerance: {float(gap)} > {tol}"
+    if gap > tol:
+        raise InvariantViolation(f"realization missed tolerance: {float(gap)} > {tol}")
     return result
 
 
@@ -477,12 +481,7 @@ def map_to_json(f: IntervalMap) -> str:
 
 
 def map_from_json(text: str) -> IntervalMap:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if "pieces" not in payload:
-        raise FormatError("map JSON missing key 'pieces'")
+    payload = load_json(text, "map", {"pieces"})
     pieces = []
     for i, rec in enumerate(payload["pieces"]):
         missing = {"lo", "hi", "a", "b"} - set(rec)

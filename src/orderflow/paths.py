@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 
 from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_ENUM_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, NotALoop
-from .perms import HEAD, TAIL, Perm, perm, restrict
+from .perms import HEAD, TAIL, Perm, load_json, perm, restrict
 
 
 @dataclass(frozen=True)
@@ -387,13 +387,7 @@ def path_to_json(p: DiPath) -> str:
 
 
 def path_from_json(text: str) -> DiPath:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    missing = {"n", "edges"} - set(payload)
-    if missing:
-        raise FormatError(f"path JSON missing keys {sorted(missing)}")
+    payload = load_json(text, "path", {"n", "edges"})
     start = payload.get("start")
     try:
         return path(payload["n"], payload["edges"], start)

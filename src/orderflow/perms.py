@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .caps import perm_cap
-from .errors import CapExceeded, DuplicateValue, LengthMismatch, LengthTooSmall
+from .errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
 from .exactnum import Exact
 
 HEAD = "head"
@@ -239,6 +240,20 @@ def distribution_to_csv(mu: PatternDistribution) -> str:
         m = mu.mass[sigma]
         w.writerow([str(sigma), str(m) if mu.exact else repr(float(m))])
     return buf.getvalue()
+
+
+def load_json(text: str, what: str, required: set[str]) -> dict:
+    """The JSON object in ``text``, which must carry the required keys; else FormatError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{what} JSON must be an object")
+    missing = required - set(payload)
+    if missing:
+        raise FormatError(f"{what} JSON missing keys {sorted(missing)}")
+    return payload
 
 
 def distribution_from_csv(text: str) -> PatternDistribution:

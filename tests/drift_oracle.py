@@ -1,0 +1,151 @@
+"""Profile saturation: the exponential drift decision, kept as a test oracle.
+
+For every ordered vertex pair (u, w) of one strongly connected edge set this
+collects the finite set of whole drift profiles of paths from u to w, each
+with the first path found breadth-first as its representative.  Loop
+profiles at v are the set at (v, v), so the drift quantifier over infinitely
+many loops becomes a scan of that set.  The set can grow exponentially with
+the component (full G_4 holds 548,314 profiles), so tests run it at n <= 3
+only, against the package's index-state reachability.
+"""
+
+from __future__ import annotations
+
+import functools
+from collections import deque
+
+from orderflow.digraph import Subgraph, face_components, head, strongly_connected_components, tail
+from orderflow.drift import (
+    MINUS,
+    PLUS,
+    ZERO,
+    DriftVerdict,
+    _cover_walk,
+    compose,
+    edge_profile,
+    path_profile,
+)
+from orderflow.errors import DriftObstruction, NotStronglyConnected
+from orderflow.paths import DiPath
+from orderflow.perms import Perm
+
+
+def _diagonal(v: Perm, maxmap: tuple[int, ...], minmap: tuple[int, ...], j: int) -> str:
+    """Diagonal sign at j of a loop profile at v (+ wins when both hold)."""
+    word, n = v.word, v.n
+    above, below = maxmap[j - 1], minmap[j - 1]
+    if above <= n and word[above - 1] <= word[j - 1]:
+        return PLUS
+    if below >= 1 and word[below - 1] >= word[j - 1]:
+        return MINUS
+    return ZERO
+
+
+class ProfileSaturation:
+    """Closure of path profiles over one strongly connected edge set.
+
+    A profile is kept as its (maxmap, minmap) pair under its (start, end)
+    vertex pair, and composed here directly rather than through
+    ``orderflow.drift.compose``.
+    """
+
+    def __init__(self, edges: frozenset[Perm]):
+        self.vertices = sorted({head(e) for e in edges} | {tail(e) for e in edges})
+        rank = {v: k for k, v in enumerate(self.vertices)}
+        self.profiles: dict[tuple[int, int], dict[tuple, tuple[Perm, ...]]] = {}
+        self._rank = rank
+        out_edges: list[list[tuple]] = [[] for _ in self.vertices]
+        queue: deque[tuple[int, int, tuple]] = deque()
+
+        def add(u: int, w: int, prof: tuple, rep: tuple[Perm, ...]) -> None:
+            bucket = self.profiles.setdefault((u, w), {})
+            if prof not in bucket:
+                bucket[prof] = rep
+                queue.append((u, w, prof))
+
+        for e in sorted(edges):
+            prof = edge_profile(e)
+            n = prof.n
+            # Padded so the sentinels 0 and n+1 map to themselves.
+            up = (0,) + prof.maxmap + (n + 1,)
+            down = (0,) + prof.minmap + (n + 1,)
+            out_edges[rank[head(e)]].append((e, rank[tail(e)], up.__getitem__, down.__getitem__))
+            add(rank[head(e)], rank[tail(e)], (prof.maxmap, prof.minmap), (e,))
+        while queue:
+            u, w, (maxmap, minmap) = queue.popleft()
+            rep = self.profiles[(u, w)][(maxmap, minmap)]
+            for e, x, up, down in out_edges[w]:
+                add(u, x, (tuple(map(up, maxmap)), tuple(map(down, minmap))), rep + (e,))
+
+    def loop_profiles(self, v: Perm) -> dict[tuple, tuple[Perm, ...]]:
+        k = self._rank[v]
+        return self.profiles.get((k, k), {})
+
+    def forced_sign(self, v: Perm, j: int) -> str | None:
+        signs = {_diagonal(v, *prof, j) for prof in self.loop_profiles(v)}
+        return signs.pop() if signs in ({PLUS}, {MINUS}) else None
+
+    def loop_avoiding(self, v: Perm, j: int, sign: str) -> DiPath:
+        """The shortest representative loop at v whose diagonal at j is not ``sign``."""
+        best = None
+        for prof, rep in self.loop_profiles(v).items():
+            if _diagonal(v, *prof, j) != sign and (best is None or len(rep) < len(best)):
+                best = rep
+        if best is None:
+            raise DriftObstruction(f"every loop at {v} has drift {sign} at index {j}")
+        return DiPath(v.n, best)
+
+    def verdict(self, n: int) -> DriftVerdict:
+        for v in self.vertices:
+            for j in range(1, n + 1):
+                sign = self.forced_sign(v, j)
+                if sign is not None:
+                    return DriftVerdict(True, (v, j, sign))
+        return DriftVerdict(False)
+
+
+@functools.lru_cache(maxsize=None)
+def saturation(edges: frozenset[Perm]) -> ProfileSaturation:
+    return ProfileSaturation(edges)
+
+
+def subgraph_drifts(H: Subgraph) -> DriftVerdict:
+    for comp in face_components(H):
+        verdict = saturation(comp.edges).verdict(H.n)
+        if verdict.drifts:
+            return verdict
+    return DriftVerdict(False)
+
+
+def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:
+    """The seed's synthesis: cover walk, then saturation loops breaking each bound."""
+    comps = face_components(H)
+    if len(comps) != 1:
+        raise NotStronglyConnected("synthesis needs one strongly connected piece")
+    sat = saturation(comps[0].edges)
+    n = H.n
+    if sat.verdict(n).drifts:
+        raise DriftObstruction("subgraph drifts")
+    base = min(H.vertices())
+    gamma = _cover_walk(H, base)
+    prof = path_profile(gamma)
+    i, j = base.position_of(1), base.position_of(n)
+    while prof.maxmap[i - 1] <= n:
+        loop = sat.loop_avoiding(base, prof.maxmap[i - 1], PLUS)
+        gamma, prof = DiPath(n, gamma.edges + loop.edges), compose(prof, path_profile(loop))
+    while prof.minmap[j - 1] >= 1:
+        loop = sat.loop_avoiding(base, prof.minmap[j - 1], MINUS)
+        gamma, prof = DiPath(n, gamma.edges + loop.edges), compose(prof, path_profile(loop))
+    return gamma
+
+
+def partially_driftless_in(H: Subgraph) -> DiPath | None:
+    for comp in strongly_connected_components(H):
+        if not comp.edges:
+            continue
+        sat = saturation(comp.edges)
+        for v in sorted(comp.vertices):
+            for prof, rep in sat.loop_profiles(v).items():
+                if any(_diagonal(v, *prof, j) == ZERO for j in range(1, H.n + 1)):
+                    return DiPath(H.n, rep)
+    return None

@@ -7,7 +7,7 @@ from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
 from orderflow.maps import map_from_json
 from orderflow.paths import path, path_to_json
-from orderflow.perms import distribution_from_csv
+from orderflow.perms import PatternDistribution, distribution_from_csv
 
 
 def run(capsys, *argv):
@@ -193,3 +193,40 @@ class TestValidate:
         code, stdout, _ = run(capsys, "exclusion", "--map", "doubling", "--n", "2", "--m-max", "4")
         rows = json.loads(stdout)["rows"]
         assert rows[0]["equal"] and not rows[1]["equal"]
+
+
+def run_error(capsys, *argv):
+    """Run a command that must fail; return its exit code and its one JSON error line."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+class TestBoundary:
+    """Malformed input ends in one JSON error line: exit 2 for usage, 1 for domain."""
+
+    def test_realize_zero_tolerance(self, tmp_path, capsys):
+        flow = tmp_path / "flow.json"
+        flow.write_text(flow_to_json(PatternDistribution.uniform(3)))
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--tol", "0", "--out", str(tmp_path / "m.json"))
+        assert code == 2 and err["error"] == "UsageError" and "--tol" in err["detail"]
+
+    def test_exact_zero_length(self, tmp_path, capsys):
+        code, err = run_error(capsys, "exact", "--map", "doubling", "--n", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err["error"] == "UsageError" and "--n" in err["detail"]
+
+    def test_exact_malformed_rotation(self, tmp_path, capsys):
+        code, err = run_error(capsys, "exact", "--map", "rotation:abc", "--n", "3", "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and err["error"] == "FormatError" and "rotation:abc" in err["detail"]
+
+    def test_subgraph_string_length(self, tmp_path, capsys):
+        sub = tmp_path / "sub.json"
+        sub.write_text('{"n": "3", "edges": ["1234"]}')
+        code, err = run_error(capsys, "drift", "subgraph", "--edges", str(sub))
+        assert code == 1 and err["error"] == "FormatError" and "'n'" in err["detail"]

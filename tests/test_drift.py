@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import drift_oracle
 from conftest import all_paths, random_path
-from orderflow.digraph import Subgraph, is_face_subgraph
+from orderflow.analysis import partially_driftless_in
+from orderflow.digraph import PermDigraph, Subgraph, is_face_subgraph, strongly_connected_components
 from orderflow.drift import (
     DRIFTLESS,
     DRIFTS,
@@ -19,13 +23,7 @@ from orderflow.drift import (
     synthesize_totally_driftless_loop,
     verdict_to_json,
 )
-from orderflow.errors import (
-    CapExceeded,
-    DimensionMismatch,
-    DriftObstruction,
-    NotALoop,
-    SaturationCapExceeded,
-)
+from orderflow.errors import CapExceeded, DimensionMismatch, DriftObstruction, NotALoop
 from orderflow.paths import DiPath, build_poset, concat, path
 from orderflow.perms import all_perms, perm
 
@@ -207,9 +205,11 @@ class TestSubgraphDrift:
     def test_full_graph_is_driftless(self, G2_full):
         assert not subgraph_drifts(G2_full).drifts
 
-    def test_saturation_cap(self, G2_full):
-        with pytest.raises(SaturationCapExceeded):
-            subgraph_drifts(G2_full, profile_cap=2)
+    def test_full_g4_is_driftless(self):
+        # Whole-profile saturation needs 548,314 profiles here; the
+        # index-state search visits at most |V| (n+2)^2 = 864 states per
+        # (vertex, index).
+        assert not subgraph_drifts(PermDigraph(4).full_subgraph()).drifts
 
     def test_enlarging_preserves_driftlessness(self, G2_full):
         # Exhaustive over face-subgraph pairs of the full level-2 graph.
@@ -281,3 +281,74 @@ class TestSynthesis:
                 gamma = synthesize_totally_driftless_loop(H)
                 assert frozenset(gamma.edges) == H.edges
                 assert classify_loop(gamma) == TOTALLY_DRIFTLESS
+
+
+def _face_subgraphs_g2():
+    edges = sorted(PermDigraph(2).edges())
+    for mask in range(1, 1 << len(edges)):
+        H = Subgraph(2, frozenset(e for k, e in enumerate(edges) if mask >> k & 1))
+        if is_face_subgraph(H):
+            yield H
+
+
+def _random_face_subgraph(rng: random.Random, n: int, p: float) -> Subgraph:
+    """Keep each edge of G_n with probability p, then the edges lying on loops."""
+    kept = Subgraph(n, frozenset(e for e in PermDigraph(n).edges() if rng.random() < p))
+    comps = strongly_connected_components(kept)
+    return Subgraph(n, frozenset().union(*(c.edges for c in comps)))
+
+
+def _assert_matches_saturation(H: Subgraph) -> None:
+    assert subgraph_drifts(H) == drift_oracle.subgraph_drifts(H)
+    assert partially_driftless_in(H) == drift_oracle.partially_driftless_in(H)
+    for comp in strongly_connected_components(H):
+        K = Subgraph(H.n, comp.edges)
+        if comp.edges and not drift_oracle.subgraph_drifts(K).drifts:
+            assert synthesize_totally_driftless_loop(K) == drift_oracle.synthesize_totally_driftless_loop(K)
+
+
+class TestReachabilityAgainstSaturation:
+    """Index-state reachability against whole-profile saturation (n <= 3).
+
+    Verdict, witness, partially driftless loop and synthesized loop must all
+    be identical, not merely equally valid.
+    """
+
+    def test_every_face_subgraph_of_g2(self):
+        faces = list(_face_subgraphs_g2())
+        assert len(faces) == 39
+        for H in faces:
+            _assert_matches_saturation(H)
+
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
+    def test_random_face_subgraphs_of_g3(self, p):
+        rng = random.Random(f"g3-faces-{p}")
+        checked = 0
+        while checked < 100:
+            H = _random_face_subgraph(rng, 3, p)
+            if H.edges:
+                _assert_matches_saturation(H)
+                checked += 1
+
+
+@st.composite
+def driftless_components(draw):
+    """A strongly connected, driftless face subgraph of G_2 or G_3."""
+    n = draw(st.sampled_from([2, 3]))
+    edges = sorted(PermDigraph(n).edges())
+    kept = Subgraph(n, frozenset(draw(st.sets(st.sampled_from(edges), min_size=1))))
+    comps = [Subgraph(n, c.edges) for c in strongly_connected_components(kept) if c.edges]
+    comps = [K for K in comps if not subgraph_drifts(K).drifts]
+    if not comps:
+        reject()
+    return draw(st.sampled_from(comps))
+
+
+class TestSynthesisProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(driftless_components())
+    def test_synthesized_loop_is_totally_driftless_and_covers(self, H):
+        gamma = synthesize_totally_driftless_loop(H)
+        assert gamma.is_loop
+        assert frozenset(gamma.edges) == H.edges
+        assert classify_loop(gamma, method="poset") == TOTALLY_DRIFTLESS

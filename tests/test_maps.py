@@ -6,6 +6,7 @@ from orderflow.errors import (
     CapExceeded,
     CyclicObstruction,
     FormatError,
+    InvariantViolation,
     NotRealizable,
     UnknownBuiltin,
 )
@@ -13,6 +14,7 @@ from orderflow.exactnum import Sqrt2, exact, exact_str, parse_exact
 from orderflow.flows import flow_residual, interior_flow
 from orderflow.maps import (
     CyclicRanking,
+    _euler_circuit,
     IntervalMap,
     Piece,
     block_sum,
@@ -228,6 +230,16 @@ class TestRealizeFlow:
     def test_unreachable_tolerance_refused(self):
         with pytest.raises(CapExceeded):
             realize_flow(PatternDistribution.uniform(3), 1e-6)
+
+    @pytest.mark.parametrize("tol", [0, -0.1, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            realize_flow(PatternDistribution.uniform(3), tol)
+
+    def test_euler_walk_checks_it_used_every_edge(self):
+        # 321 is a self-loop at 21, unreachable from the base vertex 12.
+        with pytest.raises(InvariantViolation):
+            _euler_circuit({perm("123"): 1, perm("321"): 1}, perm("12"), 2)
 
     def test_interior_of_an_edge_face(self, driftless_triple):
         mu = interior_flow(driftless_triple)
