@@ -1,10 +1,13 @@
 """Pattern statistics of interval maps.
 
-The exact route subdivides [0,1) into maximal intervals where the first n
-iterates are simultaneously affine (pulling piece boundaries back through
-the orbit), splits once more at pairwise equality crossings, and reads one
-order pattern off each open cell; masses are exact interval lengths and this
-is the oracle the rest of the package is checked against.  The empirical
+The exact route subdivides [0,1) into open cells on which the first n
+iterates are affine and keep one order, adding one iterate per pass: each
+cell is cut where its last iterate crosses a piece bound (bisection over the
+sorted bounds), and the next iterate is inserted into the cell's order by
+binary search for its rank just inside both ends, so only the iterates
+ranked between those two ranks cross it, at sorted points.  A final cell's
+order is its pattern; masses are exact interval lengths and this is the
+oracle the rest of the package is checked against.  The empirical
 route samples a counter-based deterministic stream, so runs are reproducible
 per seed and parallelizable by index range.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
@@ -21,7 +24,7 @@ from typing import Iterable, Literal
 from .caps import LIFT_ENUM_MAX, SUBDIVISION_MAX
 from .digraph import Subgraph
 from .drift import IndexReach, ZERO as SIGN_ZERO
-from .errors import CapExceeded, DegenerateTie, NotPiecewiseAffine
+from .errors import CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine
 from .exactnum import Exact
 from .maps import IntervalMap
 from .paths import DiPath, build_poset, lifts, linear_extensions
@@ -47,9 +50,100 @@ class PatternReport:
 
 # -- exact subdivision --------------------------------------------------------
 
+# A cell is an open interval (lo, hi) of [0, 1) with the affine maps (a, b)
+# of iterates 0..k on it and ``order``, the iterate indices sorted by their
+# values there; no two iterates meet inside a cell.  Cells stream through
+# one generator per iterate, in x order, so no level is ever held whole.
 
-def _compose_affine(outer_a, outer_b, inner_a, inner_b):
-    return outer_a * inner_a, outer_a * inner_b + outer_b
+
+def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int):
+    """Split (lo, hi) where iterate k, x -> a x + b, crosses a piece bound.
+
+    Yields (left, right, piece index) in x order; the iterate's values on
+    (lo, hi) must stay in [0, 1), where the map is defined.
+    """
+    if a == 0:
+        if not 0 <= b < 1:
+            raise EscapesInterval(f"iterate {k} takes the value {b} outside [0, 1) on ({lo}, {hi})")
+        yield lo, hi, bisect_right(bounds, b) - 1
+        return
+    ylo, yhi = a * lo + b, a * hi + b
+    if a < 0:
+        ylo, yhi = yhi, ylo
+    if ylo < 0 or yhi > 1:
+        raise EscapesInterval(f"iterate {k} maps ({lo}, {hi}) onto ({ylo}, {yhi}), outside [0, 1)")
+    first = bisect_right(bounds, ylo) - 1
+    last = bisect_left(bounds, yhi)
+    xs = [(c - b) / a for c in bounds[first + 1 : last]]
+    indices = range(first, last)
+    if a < 0:
+        xs.reverse()
+        indices = indices[::-1]
+    points = [lo, *xs, hi]
+    yield from zip(points, points[1:], indices)
+
+
+def _rank(comps, order: tuple[int, ...], a: Exact, b: Exact, x: Exact, right: bool) -> int:
+    """How many iterates of ``order`` lie below x -> a x + b just right (or left) of x.
+
+    Values at x decide first and slopes break ties; parallel iterates keep
+    the order of their intercepts.
+    """
+    y = a * x + b
+    lo, hi = 0, len(order)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ai, bi = comps[order[mid]]
+        if ai == a:
+            below = bi < b
+        else:
+            yi = ai * x + bi
+            # At a shared value the steeper iterate is above just right of x.
+            below = yi < y or (yi == y and (ai < a) == right)
+        if below:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Exact):
+    """Split (lo, hi) where x -> a x + b crosses the iterates of ``order``.
+
+    Yields (left, right, rank of the new iterate) in x order.  Only the
+    iterates ranked between its ranks at the two ends cross it, each once,
+    and consecutive ranks cross in x order.  An old iterate identical to the
+    new one would sit just above it at either end.
+    """
+    start = _rank(comps, order, a, b, lo, right=True)
+    end = _rank(comps, order, a, b, hi, right=False)
+    for rank in (start, end):
+        if rank < len(order) and comps[order[rank]] == (a, b):
+            raise DegenerateTie(f"iterates {order[rank]} and {len(comps)} coincide on ({lo}, {hi})")
+    step = 1 if end > start else -1
+    left = lo
+    for rank in range(start, end, step):
+        ai, bi = comps[order[rank if step > 0 else rank - 1]]
+        cross = (bi - b) / (a - ai)
+        yield left, cross, rank
+        left = cross
+    yield left, hi, end
+
+
+def _add_iterate(cells, pieces, bounds: list[Exact], k: int, cap: int):
+    """The cells of ``cells`` refined so that iterate k, too, keeps its order."""
+    count = 0
+    for lo, hi, comps, order in cells:
+        a, b = comps[-1]
+        for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1):
+            p = pieces[j]
+            new = (p.a * a, p.a * b + p.b)
+            grown = comps + (new,)
+            for x0, x1, rank in _insert(comps, order, *new, left, right):
+                count += 1
+                yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
+        if count > cap:
+            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {cap}")
 
 
 def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> PatternReport:
@@ -64,65 +158,18 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
-    lo_bounds = [p.lo for p in f.pieces]
-
-    def locate(value) -> int:
-        idx = bisect_right(lo_bounds, value) - 1
-        if idx < 0 or not f.pieces[idx].lo <= value < f.pieces[idx].hi:
-            raise ValueError(f"iterate value {value} escapes [0, 1)")
-        return idx
-
-    # Segments are open intervals (lo, hi) with the list of affine maps for
-    # iterates 0..k so far; iterate 0 is the identity.
-    segments: list[tuple[Exact, Exact, list[tuple[Exact, Exact]]]] = [
-        (Fraction(0), Fraction(1), [(Fraction(1), Fraction(0))])
-    ]
-    for _ in range(n - 1):
-        refined: list[tuple[Exact, Exact, list[tuple[Exact, Exact]]]] = []
-        for lo, hi, comps in segments:
-            a, b = comps[-1]
-            cuts: list[Exact] = []
-            if a != 0:
-                vlo, vhi = a * lo + b, a * hi + b
-                if vlo > vhi:
-                    vlo, vhi = vhi, vlo
-                for bound in lo_bounds:
-                    if vlo < bound < vhi:
-                        cuts.append((bound - b) / a)
-            points = [lo] + sorted(cuts) + [hi]
-            for left, right in zip(points, points[1:]):
-                mid = (left + right) / 2
-                piece = f.pieces[locate(a * mid + b)]
-                refined.append((left, right, comps + [_compose_affine(piece.a, piece.b, a, b)]))
-            if len(refined) > cap:
-                raise CapExceeded(f"subdivision grew past {cap} intervals")
-        segments = refined
-
-    masses: dict[Perm, Exact] = {}
-    for lo, hi, comps in segments:
-        cuts = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                ai, bi = comps[i]
-                aj, bj = comps[j]
-                if ai == aj:
-                    if bi == bj:
-                        raise DegenerateTie(
-                            f"iterates {i} and {j} coincide on ({lo}, {hi})"
-                        )
-                    continue
-                x = (bj - bi) / (ai - aj)
-                if lo < x < hi:
-                    cuts.append(x)
-        points = [lo] + sorted(set(cuts)) + [hi]
-        for left, right in zip(points, points[1:]):
-            mid = (left + right) / 2
-            values = [a * mid + b for a, b in comps]
-            sigma = order_pattern(values)
-            masses[sigma] = masses.get(sigma, Fraction(0)) + (right - left)
-
-    total = sum(masses.values(), Fraction(0))
-    assert total == 1, f"subdivision lost mass: total {total}"
+    bounds = [p.lo for p in f.pieces]
+    cells = [(Fraction(0), Fraction(1), ((Fraction(1), Fraction(0)),), (0,))]
+    for k in range(1, n):
+        cells = _add_iterate(cells, f.pieces, bounds, k, cap)
+    by_order: dict[tuple[int, ...], Exact] = {}
+    for lo, hi, _, order in cells:
+        by_order[order] = by_order.get(order, Fraction(0)) + (hi - lo)
+    total = sum(by_order.values(), Fraction(0))
+    if total != 1:
+        raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {total}, not 1")
+    # Iterate i's rank is one more than its position in the order.
+    masses = {Perm(tuple(order.index(i) + 1 for i in range(n))): m for order, m in by_order.items()}
     dist = PatternDistribution(n, masses)
     return PatternReport(n, dist, frozenset(dist.mass), samples=None)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import SCALE_DEPTH_MAX, SEPARATOR_DEPTH_MAX
-from .errors import CapExceeded, DepthMismatch, IncompatibleSequence
+from .errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
 from .maps import IntervalMap, Piece
 from .perms import (
     HEAD,
@@ -120,26 +120,30 @@ def build_interval_tree(mu_list: list[PatternDistribution]) -> IntervalTree:
     # Drop empty intervals: zero-mass patterns own no points.
     intervals = {s: r for s, r in intervals.items() if r.length > 0}
     tree = IntervalTree(depth, intervals)
-    _assert_interval_invariants(tree, mu_list)
+    _check_interval_invariants(tree, mu_list)
     return tree
 
 
-def _assert_interval_invariants(tree: IntervalTree, mu_list: list[PatternDistribution]) -> None:
+def _check_interval_invariants(tree: IntervalTree, mu_list: list[PatternDistribution]) -> None:
     for n, mu in enumerate(mu_list, start=1):
         level = sorted(
             (rec for s, rec in tree.intervals.items() if s.n == n), key=lambda r: r.lo
         )
         total = sum((rec.length for rec in level), ZERO)
-        assert total == Fraction(1, 2), f"level {n} covers {total}, not 1/2"
+        if total != Fraction(1, 2):
+            raise InvariantViolation(f"level {n} covers {total}, not 1/2")
         for left, right in zip(level, level[1:]):
-            assert left.hi == right.lo, "level must tile (1/4, 3/4]"
+            if left.hi != right.lo:
+                raise InvariantViolation(f"level {n} does not tile (1/4, 3/4] at {left.hi}")
         for s, rec in tree.intervals.items():
             if s.n != n:
                 continue
-            assert rec.length == mu(s) / 2, f"|I_{s}| != mass/2"
+            if rec.length != mu(s) / 2:
+                raise InvariantViolation(f"|I_{s}| = {rec.length} is not half its mass {mu(s)}")
             if n > 1:
                 parent = tree.intervals[restrict(s, HEAD)]
-                assert parent.lo <= rec.lo and rec.hi <= parent.hi, "nesting violated"
+                if not (parent.lo <= rec.lo and rec.hi <= parent.hi):
+                    raise InvariantViolation(f"I_{s} is not nested in its parent's interval")
 
 
 def build_separator_tree(depth: int) -> SeparatorTree:

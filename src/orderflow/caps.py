@@ -25,7 +25,8 @@ LOOP_ENUM_VERTEX_MAX = 24
 # mostly bounds the closure matrix memory.
 CYCLIC_LIFT_MAX = 4096
 
-# Maximal-interval count during exact subdivision.
+# Cells of [0,1) (intervals where the iterates keep one order) in one exact
+# subdivision, checked after each iterate is added.
 SUBDIVISION_MAX = 500_000
 
 SEPARATOR_DEPTH_MAX = 6

@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="face census of the flow polytope")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dimensions", help="comma-separated dimensions to restrict to (n=4)")
-    p.add_argument("--samples", type=int, help="random subsets for the sampled n=4 census")
+    p.add_argument("--samples", type=_positive_int, help="random subsets for the sampled n=4 census")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="census CSV path")
     p.set_defaults(func=cmd_census)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="empirical pattern distribution of a map")
     p.add_argument("--map", required=True, help="builtin name, 'rotation:3/10', or map JSON file")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="distribution CSV path")
     p.set_defaults(func=cmd_simulate)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, help="required for empirical mode")
     p.add_argument("--out", required=True, help="plain-text table path")
     p.set_defaults(func=cmd_entropy)
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_forbidden)
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_exclusion)
 
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform", type=int, help="uniform tower of this depth")
     p.add_argument("--dists", nargs="*", default=[], help="distribution CSVs for lengths 1..N")
     p.add_argument("--scale-depth", type=int, default=16)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, help="required for verify")
     p.add_argument("--out", help="map JSON path (action=build)")
     p.set_defaults(func=cmd_cantor)
@@ -399,6 +399,8 @@ def main(argv=None) -> int:
         parser.error("--seed is required for empirical mode")
     if args.command == "cantor" and not args.uniform and not args.dists:
         parser.error("cantor needs --uniform N or --dists files")
+    if args.command == "census" and args.n < 2:
+        parser.error(f"census needs --n at least 2, got {args.n}")
     try:
         payload = args.func(args)
     except OrderflowError as exc:

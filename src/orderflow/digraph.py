@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .caps import LOOP_ENUM_VERTEX_MAX, perm_cap
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
-from .perms import HEAD, TAIL, Perm, all_perms, load_json, restrict
+from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, restrict
 
 
 def head(e: Perm) -> Perm:
@@ -290,10 +290,8 @@ def subgraph_to_json(H: Subgraph) -> str:
 
 def subgraph_from_json(text: str) -> Subgraph:
     payload = load_json(text, "subgraph", {"n", "edges"})
-    n, edges = payload["n"], payload["edges"]
-    if type(n) is not int or n < 1:
-        raise FormatError(f"subgraph JSON 'n' must be a positive integer, got {n!r}")
+    n = json_length(payload, "subgraph")
     try:
-        return subgraph(n, edges)
+        return subgraph(n, payload["edges"])
     except (ValueError, TypeError) as exc:
         raise FormatError(f"subgraph JSON: {exc}") from exc

@@ -85,5 +85,9 @@ class DegenerateTie(OrderflowError):
     """Two iterates coincide on a set of positive measure."""
 
 
+class EscapesInterval(OrderflowError):
+    """An iterate of a map leaves [0, 1), so the map is not a self-map there."""
+
+
 class FormatError(OrderflowError):
     """A serialized artifact violates its schema."""

@@ -30,9 +30,21 @@ from .digraph import (
     tail,
 )
 from .drift import subgraph_drifts
-from .errors import CapExceeded, FormatError, NotAFlow
+from .errors import CapExceeded, FormatError, InvariantViolation, NotAFlow
 from .paths import DiPath
-from .perms import HEAD, TAIL, PatternDistribution, Perm, all_perms, load_json, perm, pushforward
+from .perms import (
+    HEAD,
+    TAIL,
+    PatternDistribution,
+    Perm,
+    all_perms,
+    json_length,
+    load_json,
+    parse_mass,
+    parsed_distribution,
+    perm,
+    pushforward,
+)
 
 # Distributions double as flows; ``as_flow`` is the gatekeeper.
 Flow = PatternDistribution
@@ -271,10 +283,11 @@ def polytope_dimension(n: int) -> int:
         return r
 
     flow_rank = rank(rows)
-    assert flow_rank == math.factorial(n - 1) - 1, "expected exactly one dependency"
-    dim = math.factorial(n) - flow_rank - 1
-    assert dim == math.factorial(n) - math.factorial(n - 1)
-    return dim
+    if flow_rank != math.factorial(n - 1) - 1:
+        raise InvariantViolation(
+            f"conservation rows of G_{n - 1} have rank {flow_rank}, not one short of full"
+        )
+    return math.factorial(n) - flow_rank - 1
 
 
 # -- serialization ----------------------------------------------------------
@@ -287,23 +300,16 @@ def flow_to_json(mu: PatternDistribution) -> str:
 
 def flow_from_json(text: str) -> PatternDistribution:
     payload = load_json(text, "flow", {"n", "weights"})
+    n, weights = json_length(payload, "flow"), payload["weights"]
+    if not isinstance(weights, dict):
+        raise FormatError("flow JSON 'weights' must be an object")
     mass: dict[Perm, object] = {}
-    exact_mode = True
-    for key, raw in payload["weights"].items():
+    for key, raw in weights.items():
         try:
             sigma = perm(key)
         except ValueError as exc:
             raise FormatError(f"weight key {key!r}: {exc}") from exc
-        if sigma.n != payload["n"]:
-            raise FormatError(f"weight key {key} has wrong length for n={payload['n']}")
-        if isinstance(raw, str) and ("/" in raw or raw.lstrip("+-").isdigit()):
-            mass[sigma] = Fraction(raw)
-        else:
-            mass[sigma] = float(raw)
-            exact_mode = False
-    if not exact_mode:
-        mass = {s: float(m) for s, m in mass.items()}
-    try:
-        return PatternDistribution(payload["n"], mass, exact=exact_mode)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        if sigma.n != n:
+            raise FormatError(f"weight key {key} has wrong length for n={n}")
+        mass[sigma] = parse_mass(raw, f"weight of {key}")
+    return parsed_distribution(n, mass)

@@ -123,11 +123,12 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
 
     The pushforward density at y is the sum of 1/|slope| over pieces whose
     image covers y; the map preserves measure iff that sum is 1 on every cell
-    of the image arrangement.
+    of the image arrangement.  One sweep over the sorted span ends adds each
+    piece's weight where its image starts and removes it where it ends.
     """
     if any(not p.affine for p in pieces):
         return None
-    spans = []
+    steps: dict[Exact, Exact] = {ZERO: ZERO, ONE: ZERO}
     for p in pieces:
         if p.a == 0:
             return False
@@ -136,10 +137,12 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
             ylo, yhi = yhi, ylo
         if ylo < 0 or yhi > 1:
             return False
-        spans.append((ylo, yhi, ONE / abs(p.a)))
-    cuts = sorted({c for span in spans for c in span[:2]} | {ZERO, ONE})
-    for c1, c2 in zip(cuts, cuts[1:]):
-        density = sum((w for ylo, yhi, w in spans if ylo <= c1 and c2 <= yhi), ZERO)
+        w = ONE / abs(p.a)
+        steps[ylo] = steps.get(ylo, ZERO) + w
+        steps[yhi] = steps.get(yhi, ZERO) - w
+    density = ZERO
+    for y in sorted(steps)[:-1]:
+        density += steps[y]
         if density != 1:
             return False
     return True

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_ENUM_MAX
-from .errors import CapExceeded, EndpointMismatch, FormatError, NotALoop
-from .perms import HEAD, TAIL, Perm, load_json, perm, restrict
+from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, NotALoop
+from .perms import HEAD, TAIL, Perm, json_length, load_json, perm, restrict
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def lifts(p: DiPath, m: int, cap: int = LIFT_ENUM_MAX) -> list[Perm]:
                 break
         if ok:
             found.append(Perm(cand))
-    assert found, "path lifting is surjective; empty lift set indicates a bug"
+    if not found:
+        raise InvariantViolation(f"no lift of a path of length {p.length} on G_{p.n}; lifting is surjective")
     return found
 
 
@@ -268,7 +269,7 @@ def build_poset(p: DiPath) -> PathPoset:
 
     Each edge e_b totally orders the window of elements b..b+n; the vertex
     windows are implied whenever the path has an edge.  Antisymmetry of the
-    closure is asserted on every build.
+    closure is checked on every build.
     """
     n = p.n
     if p.length == 0:
@@ -388,11 +389,11 @@ def path_to_json(p: DiPath) -> str:
 
 def path_from_json(text: str) -> DiPath:
     payload = load_json(text, "path", {"n", "edges"})
-    start = payload.get("start")
+    n = json_length(payload, "path")
     try:
-        return path(payload["n"], payload["edges"], start)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        return path(n, payload["edges"], payload.get("start"))
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"path JSON: {exc}") from exc
 
 
 def poset_to_json(P: PathPoset) -> str:

@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -256,28 +257,58 @@ def load_json(text: str, what: str, required: set[str]) -> dict:
     return payload
 
 
+def json_length(payload: dict, what: str) -> int:
+    """The pattern length ``payload["n"]``, which must be a positive integer; else FormatError."""
+    n = payload["n"]
+    if type(n) is not int or n < 1:
+        raise FormatError(f"{what} JSON 'n' must be a positive integer, got {n!r}")
+    return n
+
+
+def parse_mass(raw, where: str) -> Fraction | float:
+    """A mass: 'p/q' and integer text are exact Fractions, other numbers floats.
+
+    Anything that is not a finite number is a FormatError naming ``where``.
+    """
+    try:
+        if isinstance(raw, str) and ("/" in raw or raw.lstrip("+-").isdigit()):
+            return Fraction(raw)
+        value = float(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise FormatError(f"{where}: mass {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: mass {raw!r} is not finite")
+    return value
+
+
 def distribution_from_csv(text: str) -> PatternDistribution:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip() for c in rows[0]] != ["perm", "mass"]:
         raise LengthMismatch("distribution CSV must start with header 'perm,mass'")
     mass: dict[Perm, object] = {}
-    exact_mode = True
     n = None
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        sigma = Perm.parse(row[0])
+        if len(row) != 2:
+            raise FormatError(f"distribution CSV line {line}: expected 'perm,mass', got {len(row)} fields")
+        try:
+            sigma = Perm.parse(row[0])
+        except ValueError as exc:
+            raise FormatError(f"distribution CSV line {line}: {exc}") from exc
         n = sigma.n if n is None else n
-        raw = row[1].strip()
-        if "/" in raw or raw.lstrip("+-").isdigit():
-            value: object = Fraction(raw)
-        else:
-            value = float(raw)
-            exact_mode = False
-        mass[sigma] = value
+        mass[sigma] = parse_mass(row[1].strip(), f"distribution CSV line {line}")
     if n is None:
         raise LengthMismatch("distribution CSV has no rows")
+    return parsed_distribution(n, mass)
+
+
+def parsed_distribution(n: int, mass: dict) -> PatternDistribution:
+    """A parsed distribution; one float mass demotes the whole table to float arithmetic."""
+    exact_mode = not any(isinstance(m, float) for m in mass.values())
     if not exact_mode:
-        # A single decimal entry demotes the whole file to float arithmetic.
         mass = {s: float(m) for s, m in mass.items()}
-    return PatternDistribution(n, mass, exact=exact_mode)
+    try:
+        return PatternDistribution(n, mass, exact=exact_mode)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

@@ -254,7 +254,7 @@ def test_criterion_12_exclusion_negative(doubling):
 
 def test_criterion_13_cantor_construction():
     tower = uniform_tower(3)
-    tree = build_interval_tree(tower)  # invariants asserted exactly inside
+    tree = build_interval_tree(tower)  # invariants checked exactly inside
     sep = build_separator_tree(3)
     f = assemble_truncated_map(tree, sep, 16)
     result = verify_construction(f, tower, 100_000, seed=12, scale_depth=16)

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_oracle import oracle_distribution
 from orderflow.analysis import (
     empirical_distribution,
     entropy_estimate,
@@ -14,13 +17,23 @@ from orderflow.analysis import (
     pattern_graph,
     unit_samples,
 )
-from orderflow.digraph import Subgraph
+from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
 from orderflow.drift import loop_drift
-from orderflow.errors import DegenerateTie, NotPiecewiseAffine
+from orderflow.errors import CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine, NotRealizable
+from orderflow.exactnum import exact
 from orderflow.flows import flow_residual
-from orderflow.maps import IntervalMap, Piece, builtin, cyclic_lift, permutation_map
+from orderflow.maps import (
+    CyclicRanking,
+    IntervalMap,
+    Piece,
+    block_sum,
+    builtin,
+    cyclic_lift,
+    permutation_map,
+    realize_flow,
+)
 from orderflow.paths import path
-from orderflow.perms import HEAD, TAIL, all_perms, perm, pushforward, restrict
+from orderflow.perms import HEAD, TAIL, PatternDistribution, all_perms, perm, pushforward, restrict
 
 DOUBLING_MU3 = {
     "123": Fraction(1, 4),
@@ -65,11 +78,105 @@ class TestExactDistribution:
         with pytest.raises(DegenerateTie):
             exact_distribution(stuck, 2)
 
-    def test_subdivision_cap(self, doubling):
-        from orderflow.errors import CapExceeded
+    def test_identity_map_degenerate(self):
+        identity = IntervalMap((Piece(Fraction(0), Fraction(1), Fraction(1), Fraction(0)),))
+        with pytest.raises(DegenerateTie, match="iterates 0 and 1"):
+            exact_distribution(identity, 2)
 
-        with pytest.raises(CapExceeded):
+    def test_periodic_rotation_degenerate(self, rotation_3_10):
+        # Every orbit of rotation(3/10) has period 10: iterates 0 and 10 coincide.
+        assert len(exact_distribution(rotation_3_10, 10).realized) == 10
+        with pytest.raises(DegenerateTie, match="iterates 0 and 10"):
+            exact_distribution(rotation_3_10, 11)
+
+    def test_subdivision_cap(self, doubling):
+        with pytest.raises(CapExceeded, match=r"exact subdivision reached \d+ cells at iterate \d+, cap 10"):
             exact_distribution(doubling, 8, cap=10)
+
+    def test_escaping_map(self):
+        # x -> 3x on [0, 1/2) sends (1/3, 1/2) past 1.
+        half = Fraction(1, 2)
+        f = IntervalMap((Piece(Fraction(0), half, Fraction(3), Fraction(0)), Piece(half, Fraction(1), Fraction(1), -half)))
+        assert exact_distribution(f, 2).distribution.n == 2
+        with pytest.raises(EscapesInterval, match="outside"):
+            exact_distribution(f, 3)
+
+
+def _same_as_oracle(f, n):
+    assert exact_distribution(f, n).distribution.mass == oracle_distribution(f, n).mass
+
+
+def _realized_single_loops():
+    """The permutation maps realize_flow builds for the driftless embedded loops of G_3."""
+    maps = []
+    for loop in embedded_loops(PermDigraph(3).full_subgraph()):
+        mu = PatternDistribution(4, {e: Fraction(1, len(loop)) for e in loop})
+        try:
+            maps.append(realize_flow(mu, 0.05))
+        except NotRealizable:
+            continue
+    return maps
+
+
+class TestExactAgainstOracle:
+    """One-pass subdivision against the three-stage oracle: exactly equal masses."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_doubling_and_tent(self, doubling, tent, n):
+        _same_as_oracle(doubling, n)
+        _same_as_oracle(tent, n)
+
+    @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)])
+    def test_block_sums(self, doubling, tent, t):
+        f = block_sum(doubling, tent, t)
+        for n in range(1, 9):
+            _same_as_oracle(f, n)
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 10), exact(-1, 1)])
+    def test_rotations(self, alpha):
+        f = builtin("rotation", alpha)
+        for n in range(1, 11):
+            _same_as_oracle(f, n)
+
+    def test_realized_single_loops_of_g3(self):
+        maps = _realized_single_loops()
+        assert len(maps) == 30
+        for f in maps:
+            _same_as_oracle(f, 4)
+
+    def test_degenerate_maps_agree(self, rotation_3_10):
+        for f, n in ((rotation_3_10, 11), (IntervalMap((Piece(Fraction(0), Fraction(1), Fraction(1), Fraction(0)),)), 2)):
+            for compute in (exact_distribution, oracle_distribution):
+                with pytest.raises(DegenerateTie):
+                    compute(f, n)
+
+
+_BUILTINS = [builtin("doubling"), builtin("tent"), builtin("rotation", Fraction(3, 10)), builtin("rotation", exact(-1, 1))]
+
+
+@st.composite
+def block_sums(draw):
+    f, g = draw(st.sampled_from(_BUILTINS)), draw(st.sampled_from(_BUILTINS))
+    q = draw(st.integers(2, 12))
+    return block_sum(f, g, Fraction(draw(st.integers(1, q - 1)), q))
+
+
+@st.composite
+def permutation_maps(draw):
+    rank = draw(st.permutations(range(1, draw(st.integers(1, 12)) + 1)))
+    return permutation_map(CyclicRanking(len(rank), tuple(rank)))
+
+
+class TestExactOracleProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(block_sums(), st.integers(1, 6))
+    def test_random_block_sums(self, f, n):
+        _same_as_oracle(f, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(permutation_maps(), st.integers(1, 5))
+    def test_random_permutation_maps(self, f, n):
+        _same_as_oracle(f, n)
 
 
 class TestEmpiricalDistribution:

@@ -5,6 +5,8 @@ import pytest
 
 from orderflow.cantor import (
     IntervalRec,
+    IntervalTree,
+    _check_interval_invariants,
     assemble_truncated_map,
     build_interval_tree,
     build_separator_tree,
@@ -13,7 +15,7 @@ from orderflow.cantor import (
     uniform_tower,
     verify_construction,
 )
-from orderflow.errors import CapExceeded, DepthMismatch, IncompatibleSequence
+from orderflow.errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
 from orderflow.maps import iterate
 from orderflow.perms import PatternDistribution, all_perms, order_pattern, perm
 
@@ -34,6 +36,21 @@ class TestIntervalTree:
         tree = build_interval_tree(tower_from_top(mu2))
         assert tree.intervals[perm("12")] == IntervalRec(Fraction(1, 4), Fraction(11, 20))
         assert tree.intervals[perm("21")] == IntervalRec(Fraction(11, 20), Fraction(3, 4))
+
+    def test_invariant_checks(self):
+        tower = uniform_tower(3)
+        tree = build_interval_tree(tower)
+        q, e = Fraction(1, 4), Fraction(1, 8)
+        iv = tree.intervals
+        broken = [
+            ({perm("12"): IntervalRec(q, q + e)}, "covers"),
+            ({perm("12"): IntervalRec(q, q + e), perm("21"): IntervalRec(2 * q, 3 * q + e)}, "tile"),
+            ({perm("12"): IntervalRec(q, q + e), perm("21"): IntervalRec(q + e, 3 * q)}, "half its mass"),
+            ({perm("123"): iv[perm("321")], perm("321"): iv[perm("123")]}, "nested"),
+        ]
+        for changed, message in broken:
+            with pytest.raises(InvariantViolation, match=message):
+                _check_interval_invariants(IntervalTree(3, {**iv, **changed}), tower)
 
     def test_uniform_three_levels(self):
         tree = build_interval_tree(uniform_tower(3))

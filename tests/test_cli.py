@@ -230,3 +230,42 @@ class TestBoundary:
         sub.write_text('{"n": "3", "edges": ["1234"]}')
         code, err = run_error(capsys, "drift", "subgraph", "--edges", str(sub))
         assert code == 1 and err["error"] == "FormatError" and "'n'" in err["detail"]
+
+    def test_realize_non_numeric_weight(self, tmp_path, capsys):
+        flow = tmp_path / "flow.json"
+        flow.write_text('{"n": 3, "weights": {"123": "abc"}}')
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
+        assert code == 1 and err["error"] == "FormatError" and "'abc'" in err["detail"]
+
+    def test_path_string_length(self, tmp_path, capsys):
+        f = tmp_path / "path.json"
+        f.write_text('{"n": "2", "edges": ["132", "321", "213"]}')
+        code, err = run_error(capsys, "poset", "--path", str(f))
+        assert code == 1 and err["error"] == "FormatError" and "'n'" in err["detail"]
+        # validate reports the same problem as a diagnostic of a failed check.
+        code, stdout, _ = run(capsys, "validate", "--kind", "path", str(f))
+        payload = json.loads(stdout)
+        assert code == 0 and not payload["ok"] and "'n'" in payload["diagnostics"][0]
+
+    def test_cantor_non_numeric_mass(self, tmp_path, capsys):
+        d1, d2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
+        d1.write_text("perm,mass\n1,abc\n")
+        d2.write_text("perm,mass\n12,1/2\n21,1/2\n")
+        code, err = run_error(capsys, "cantor", "build", "--dists", str(d1), str(d2), "--out", str(tmp_path / "c.json"))
+        assert code == 1 and err["error"] == "FormatError" and "line 2" in err["detail"]
+
+    def test_simulate_zero_samples(self, tmp_path, capsys):
+        argv = ["simulate", "--map", "doubling", "--n", "3", "--samples", "0", "--seed", "1"]
+        code, err = run_error(capsys, *argv, "--out", str(tmp_path / "s.csv"))
+        assert code == 2 and err["error"] == "UsageError" and "--samples" in err["detail"]
+
+    def test_census_length_one(self, tmp_path, capsys):
+        code, err = run_error(capsys, "census", "--n", "1", "--out", str(tmp_path / "c.csv"))
+        assert code == 2 and err["error"] == "UsageError" and "--n" in err["detail"]
+
+    def test_exact_escaping_map(self, tmp_path, capsys):
+        f = tmp_path / "map.json"
+        pieces = [{"lo": "0", "hi": "1/2", "a": "3", "b": "0"}, {"lo": "1/2", "hi": "1", "a": "1", "b": "-1/2"}]
+        f.write_text(json.dumps({"pieces": pieces}))
+        code, err = run_error(capsys, "exact", "--map", str(f), "--n", "3", "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and err["error"] == "EscapesInterval" and "[0, 1)" in err["detail"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,63 @@ class TestBuiltins:
             )
         )
         assert preserves_measure(squash.pieces) is False
+
+
+def _density_by_cells(pieces):
+    """Reference for preserves_measure: sum the covering spans on every image cell."""
+    if any(not p.affine for p in pieces):
+        return None
+    spans = []
+    for p in pieces:
+        if p.a == 0:
+            return False
+        ylo, yhi = sorted((p(p.lo), p(p.hi)))
+        if ylo < 0 or yhi > 1:
+            return False
+        spans.append((ylo, yhi, 1 / abs(p.a)))
+    cuts = sorted({c for span in spans for c in span[:2]} | {Fraction(0), Fraction(1)})
+    for c1, c2 in zip(cuts, cuts[1:]):
+        if sum((w for ylo, yhi, w in spans if ylo <= c1 and c2 <= yhi), Fraction(0)) != 1:
+            return False
+    return True
+
+
+def _with_piece(pieces, i, **changes):
+    p = pieces[i]
+    fields = {"lo": p.lo, "hi": p.hi, "a": p.a, "b": p.b, **changes}
+    return pieces[:i] + (Piece(**fields),) + pieces[i + 1 :]
+
+
+class TestPreservesMeasure:
+    def test_sweep_matches_cell_sums(self):
+        rng = random.Random("preserves-measure")
+        half = Fraction(1, 2)
+        cases = [
+            builtin("doubling").pieces,
+            builtin("tent").pieces,
+            builtin("rotation", exact(-1, 1)).pieces,
+            # x/2 on [0, 1): density 2 on [0, 1/2) and a gap on [1/2, 1).
+            (Piece(Fraction(0), Fraction(1), half, Fraction(0)),),
+        ]
+        for _ in range(40):
+            ell = rng.randint(1, 12)
+            rank = list(range(1, ell + 1))
+            rng.shuffle(rank)
+            pieces = permutation_map(CyclicRanking(ell, tuple(rank))).pieces
+            i = rng.randrange(len(pieces))
+            nudge = Fraction(1, 4 * ell)
+            cases += [
+                pieces,
+                _with_piece(pieces, i, b=pieces[i].b + nudge),  # overlap, gap or escape
+                _with_piece(pieces, i, a=Fraction(0), b=pieces[i].b + pieces[i].lo),  # zero slope
+                _with_piece(pieces, i, b=pieces[i].b + 1),  # image above 1
+                _with_piece(pieces, i, b=pieces[i].b - 1),  # image below 0
+            ]
+        verdicts = [preserves_measure(ps) for ps in cases]
+        assert verdicts == [_density_by_cells(ps) for ps in cases]
+        assert verdicts[:4] == [True, True, True, False]
+        assert verdicts[4::5] == [True] * 40
+        assert not any(v for i, v in enumerate(verdicts[4:]) if i % 5)
 
 
 class TestIterate:
