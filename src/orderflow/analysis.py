@@ -130,8 +130,9 @@ def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Ex
     yield left, hi, end
 
 
-def _add_iterate(cells, pieces, bounds: list[Exact], k: int, cap: int):
+def _add_iterate(cells, pieces, k: int, cap: int):
     """The cells of ``cells`` refined so that iterate k, too, keeps its order."""
+    bounds = [p.lo for p in pieces]
     count = 0
     for lo, hi, comps, order in cells:
         a, b = comps[-1]
@@ -158,10 +159,9 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
-    bounds = [p.lo for p in f.pieces]
     cells = [(Fraction(0), Fraction(1), ((Fraction(1), Fraction(0)),), (0,))]
     for k in range(1, n):
-        cells = _add_iterate(cells, f.pieces, bounds, k, cap)
+        cells = _add_iterate(cells, f.pieces, k, cap)
     by_order: dict[tuple[int, ...], Exact] = {}
     for lo, hi, _, order in cells:
         by_order[order] = by_order.get(order, Fraction(0)) + (hi - lo)
