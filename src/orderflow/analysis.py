@@ -28,7 +28,7 @@ from .errors import CapExceeded, DegenerateTie, EscapesInterval, InvariantViolat
 from .exactnum import Exact
 from .maps import IntervalMap
 from .paths import DiPath, build_poset, lifts, linear_extensions
-from .perms import PatternDistribution, Perm, all_perms, order_pattern
+from .perms import PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern
 
 Mode = Literal["exact", "empirical"]
 
@@ -156,6 +156,7 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     """
     if n < 1:
         raise ValueError("pattern length must be at least 1")
+    _check_length(n)
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
@@ -169,7 +170,7 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if total != 1:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {total}, not 1")
     # Iterate i's rank is one more than its position in the order.
-    masses = {Perm(tuple(order.index(i) + 1 for i in range(n))): m for order, m in by_order.items()}
+    masses = {_trusted(tuple(order.index(i) + 1 for i in range(n))): m for order, m in by_order.items()}
     dist = PatternDistribution(n, masses)
     return PatternReport(n, dist, frozenset(dist.mass), samples=None)
 
@@ -275,7 +276,7 @@ def entropy_estimate(
     entropy for piecewise continuous, piecewise monotone maps.
     """
     if n_max > 10:
-        raise CapExceeded("entropy estimates stop at n_max = 10")
+        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap 10")
     rows = []
     for n in range(2, n_max + 1):
         realized = distribution_report(f, n, mode, samples=samples, seed=seed).realized
@@ -331,7 +332,7 @@ def exclusion_type_test(
     partial in the other direction).
     """
     if m_max > LIFT_ENUM_MAX:
-        raise CapExceeded(f"exclusion testing enumerates S_m only up to m = {LIFT_ENUM_MAX}")
+        raise CapExceeded(f"exclusion testing reached m_max = {m_max}, cap {LIFT_ENUM_MAX}")
     H = pattern_graph(f, n, mode, samples=samples, seed=seed)
     rows = []
     for m in range(n + 1, m_max + 1):

@@ -155,7 +155,7 @@ def build_separator_tree(depth: int) -> SeparatorTree:
     positive gaps survive for the next level.
     """
     if depth > SEPARATOR_DEPTH_MAX:
-        raise CapExceeded(f"separator trees stop at depth {SEPARATOR_DEPTH_MAX}")
+        raise CapExceeded(f"separator tree reached depth {depth}, cap {SEPARATOR_DEPTH_MAX}")
     root = Perm((1,))
     intervals: dict[Perm, IntervalRec] = {root: IntervalRec(QUARTER, Fraction(3, 4))}
     lower_bound = Fraction(1, 8)
@@ -246,7 +246,7 @@ def assemble_truncated_map(
     if tree.depth != sep.depth:
         raise DepthMismatch(f"interval depth {tree.depth} != separator depth {sep.depth}")
     if scale_depth > SCALE_DEPTH_MAX:
-        raise CapExceeded(f"scale depth stops at {SCALE_DEPTH_MAX}")
+        raise CapExceeded(f"scale depth reached {scale_depth}, cap {SCALE_DEPTH_MAX}")
     N = tree.depth
     M = scale_depth
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import analysis, cantor, digraph, drift, flows, maps, paths, perms
 from .errors import FormatError, OrderflowError
+from .exactnum import exact_str
 
 
 def _write(path: str | None, text: str) -> None:
@@ -81,7 +82,7 @@ def _dist_payload(report: analysis.PatternReport, as_float: bool) -> dict:
     if as_float or not dist.exact:
         masses = {str(s): float(m) for s, m in sorted(dist.mass.items())}
     else:
-        masses = {str(s): str(m) for s, m in sorted(dist.mass.items())}
+        masses = {str(s): exact_str(m) for s, m in sorted(dist.mass.items())}
     out = {"n": report.n, "mass": masses, "discards": report.discards}
     out["samples"] = "exact" if report.exact else report.samples
     return out

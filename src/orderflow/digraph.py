@@ -2,9 +2,10 @@
 
 G_n has vertex set S_n and edge set S_{n+1}; an edge sigma runs from its
 head-restriction (drop the last entry) to its tail-restriction (drop the
-first).  Nothing is stored: all structure derives from ``restrict``, which
-keeps G_6 (5040 edges) as cheap to handle as G_2.  Subgraphs are plain edge
-sets; their vertex sets are derived.
+first).  G_n itself is not stored: all structure derives from ``restrict``,
+whose bounded cache holds both endpoints of every edge up to G_6 (5040
+edges), so a walk over a subgraph re-ranks each edge once.  Subgraphs are
+plain edge sets; their vertex sets are derived.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ polynomial time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -88,8 +89,13 @@ def identity_profile(v: Perm) -> DriftProfile:
     return DriftProfile(n, v, v, ident, ident)
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def edge_profile(e: Perm) -> DriftProfile:
-    """Profile of the length-1 path along edge e (a totally ordered window)."""
+    """Profile of the length-1 path along edge e (a totally ordered window).
+
+    Memoised like ``restrict``: profiles are immutable, and loops and
+    reachability searches revisit the same edges.
+    """
     n = e.n - 1
     word = e.word
     maxmap = []
@@ -325,7 +331,7 @@ def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_L
     base = min(H.vertices())
     gamma = _cover_walk(H, base)
     if gamma.length > length_cap:
-        raise CapExceeded(f"edge-covering walk already exceeds {length_cap} edges")
+        raise CapExceeded(f"edge-covering walk reached {gamma.length} edges, cap {length_cap}")
     prof = path_profile(gamma)
     i = base.position_of(1)
     j = base.position_of(n)
@@ -337,7 +343,7 @@ def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_L
             raise InvariantViolation(f"every loop at {base} has drift {sign} at index {k}")
         gamma = DiPath(n, gamma.edges + loop.edges)
         if gamma.length > length_cap:
-            raise CapExceeded(f"synthesized loop exceeds {length_cap} edges")
+            raise CapExceeded(f"synthesized loop reached {gamma.length} edges, cap {length_cap}")
         prof = compose(prof, path_profile(loop))
 
     while prof.maxmap[i - 1] <= n:

@@ -31,6 +31,7 @@ from .digraph import (
 )
 from .drift import subgraph_drifts
 from .errors import CapExceeded, FormatError, InvariantViolation, NotAFlow
+from .exactnum import Sqrt2
 from .paths import DiPath
 from .perms import (
     HEAD,
@@ -167,7 +168,7 @@ def census(n: int, dimensions=None, samples: int | None = None, seed: int | None
             tally(Subgraph(n - 1, chosen))
     else:
         raise CapExceeded(
-            "census is exhaustive only for n <= 3; for n = 4 pass dimensions=[0] or samples"
+            f"exhaustive census reached n = {n}, cap 3; n = 4 needs dimensions=[0] or samples"
         )
     return [CensusRow(d, t, r) for d, (t, r) in sorted(counts.items())]
 
@@ -253,7 +254,7 @@ def polytope_dimension(n: int) -> int:
     if n < 2:
         return 0
     if n > POLYTOPE_DIM_MAX:
-        raise CapExceeded(f"polytope dimension computed only up to n = {POLYTOPE_DIM_MAX}")
+        raise CapExceeded(f"polytope dimension reached n = {n}, cap {POLYTOPE_DIM_MAX}")
     verts = list(all_perms(n - 1))
     vindex = {v: i for i, v in enumerate(verts)}
     cols = list(all_perms(n))
@@ -311,5 +312,8 @@ def flow_from_json(text: str) -> PatternDistribution:
             raise FormatError(f"weight key {key!r}: {exc}") from exc
         if sigma.n != n:
             raise FormatError(f"weight key {key} has wrong length for n={n}")
-        mass[sigma] = parse_mass(raw, f"weight of {key}")
+        weight = parse_mass(raw, f"weight of {key}")
+        if isinstance(weight, Sqrt2):
+            raise FormatError(f"weight of {key}: {raw!r} is irrational; flow weights must be rational")
+        mass[sigma] = weight
     return parsed_distribution(n, mass)

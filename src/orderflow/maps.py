@@ -419,28 +419,17 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
         total = sum(mult.values())
         base = min(comp.vertices)
         beta = _euler_circuit(mult, base, H.n)
-        delta_counts = {e: delta.edges.count(e) for e in comp.edges}
-
-        def error_at(k: int) -> Fraction:
-            length = k * total + delta.length
-            return max(
-                abs(Fraction(k * mult[e] + delta_counts[e], length) - weights[e])
-                for e in comp.edges
-            )
-
-        # The error at k repetitions is at most len(delta)/(k*total + len(delta)),
-        # so this many repetitions certainly suffice:
-        n_guaranteed = max(1, math.ceil(delta.length * (1 - tol) / (total * tol)))
-        # Only loops within the cyclic ranking cap are admissible at all.
-        n_cap = (CYCLIC_LIFT_MAX - delta.length) // total
-        reps = next(
-            (k for k in range(1, min(n_guaranteed, n_cap) + 1) if error_at(k) <= tol),
-            None,
-        )
-        if reps is None:
+        # With k repetitions edge e has frequency (k m_e + d_e) / (k T + D),
+        # where weights[e] = m_e / T, so its error is
+        # |d_e T - m_e D| / (T (k T + D)): the sup error C / (T (k T + D))
+        # falls with k, and the least k meeting tol is explicit.
+        D = delta.length
+        C = max(abs(delta.edges.count(e) * total - mult[e] * D) for e in comp.edges)
+        reps = max(1, math.ceil((C / (total * Fraction(tol)) - D) / total))
+        if reps * total + D > CYCLIC_LIFT_MAX:
             raise CapExceeded(
-                f"reaching tolerance {tol} needs a loop longer than the cyclic "
-                f"ranking cap {CYCLIC_LIFT_MAX}"
+                f"reaching tolerance {tol} needs a loop of {reps * total + D} edges, "
+                f"cap {CYCLIC_LIFT_MAX}"
             )
         loop = DiPath(H.n, beta.edges * reps + delta.edges)
         ranking = cyclic_lift(loop)

@@ -337,7 +337,7 @@ def linear_extensions(
 
     if mode == "count":
         if P.m > count_cap:
-            raise CapExceeded(f"extension counting beyond m = {count_cap}")
+            raise CapExceeded(f"extension counting reached m = {P.m}, cap {count_cap}")
         from functools import lru_cache
 
         @lru_cache(maxsize=None)
@@ -354,7 +354,7 @@ def linear_extensions(
 
     if mode == "enumerate":
         if P.m > enum_cap:
-            raise CapExceeded(f"extension enumeration beyond m = {enum_cap}")
+            raise CapExceeded(f"extension enumeration reached m = {P.m}, cap {enum_cap}")
         out: list[Perm] = []
         order: list[int] = []
 

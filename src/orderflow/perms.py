@@ -5,11 +5,18 @@ rank of the i-th entry among all n entries.  Order patterns of real tuples,
 the head/tail restrictions (drop the last or first entry and re-rank), and
 probability distributions on S_n are the currency every other module trades
 in.
+
+``Perm(...)``, ``Perm.parse`` and ``perm`` validate their input; words the
+package builds as permutations itself (order patterns, S_n enumeration,
+preimages) skip that check after one length check per call.  ``restrict`` is
+memoised in a bounded cache that holds both restrictions of every edge of
+G_6, so walking a digraph edge by edge re-ranks each edge once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .caps import perm_cap
 from .errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
-from .exactnum import Exact
+from .exactnum import Exact, exact_str, parse_exact
 
 HEAD = "head"
 TAIL = "tail"
@@ -38,11 +45,7 @@ class Perm:
 
     def __post_init__(self):
         n = len(self.word)
-        if n < 1:
-            raise ValueError("a permutation needs length at least 1")
-        cap = perm_cap()
-        if n > cap:
-            raise CapExceeded(f"permutation length {n} exceeds cap {cap}")
+        _check_length(n)
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of 1..{n}")
 
@@ -71,6 +74,25 @@ class Perm:
         return cls(tuple(int(ch) for ch in s))
 
 
+def _check_length(n: int) -> None:
+    """A permutation length must be positive and within the current cap."""
+    if n < 1:
+        raise ValueError("a permutation needs length at least 1")
+    cap = perm_cap()
+    if n > cap:
+        raise CapExceeded(f"permutation length {n} exceeds cap {cap}")
+
+
+def _trusted(word: tuple[int, ...]) -> Perm:
+    """A Perm of a word the package built as a permutation of a checked length.
+
+    Skips ``Perm.__post_init__``; the public constructors validate instead.
+    """
+    sigma = object.__new__(Perm)
+    object.__setattr__(sigma, "word", word)
+    return sigma
+
+
 def perm(spec) -> Perm:
     """Convenience constructor: perm('2413'), perm((2,4,1,3)) or perm(p)."""
     if isinstance(spec, Perm):
@@ -86,29 +108,35 @@ def order_pattern(values: Sequence) -> Perm:
     Entry i of the result is the rank of ``values[i]`` (1 = smallest).
     """
     n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
+    _check_length(n)
+    order = sorted(range(n), key=values.__getitem__)
     for a, b in zip(order, order[1:]):
         if not values[a] < values[b]:
             raise DuplicateValue(f"values at positions {a} and {b} compare equal")
     ranks = [0] * n
     for r, i in enumerate(order, start=1):
         ranks[i] = r
-    return Perm(tuple(ranks))
+    return _trusted(tuple(ranks))
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def restrict(sigma: Perm, side: str) -> Perm:
     """Drop the last (head) or first (tail) entry and re-rank.
 
     These are the two endpoint maps of the permutation digraph: an edge
     sigma in S_{n+1} runs from restrict(sigma, HEAD) to restrict(sigma, TAIL).
+    Re-ranking lowers every rank above the dropped one by one.
     """
-    if sigma.n < 2:
+    word = sigma.word
+    if len(word) < 2:
         raise LengthTooSmall("cannot restrict a permutation of length 1")
     if side == HEAD:
-        return order_pattern(sigma.word[:-1])
-    if side == TAIL:
-        return order_pattern(sigma.word[1:])
-    raise ValueError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
+        dropped, kept = word[-1], word[:-1]
+    elif side == TAIL:
+        dropped, kept = word[0], word[1:]
+    else:
+        raise ValueError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
+    return _trusted(tuple(r - 1 if r > dropped else r for r in kept))
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -116,8 +144,10 @@ def all_perms(n: int) -> Iterator[Perm]:
     cap = perm_cap()
     if n > cap:
         raise CapExceeded(f"S_{n} enumeration exceeds cap {cap}")
+    if n < 1:
+        raise ValueError("a permutation needs length at least 1")
     for word in itertools.permutations(range(1, n + 1)):
-        yield Perm(word)
+        yield _trusted(word)
 
 
 def preimages(sigma: Perm, side: str) -> list[Perm]:
@@ -127,15 +157,13 @@ def preimages(sigma: Perm, side: str) -> list[Perm]:
     ranks >= v; for the tail side they prepend.
     """
     n = sigma.n
+    if side not in (HEAD, TAIL):
+        raise ValueError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
+    _check_length(n + 1)
     out = []
     for v in range(1, n + 2):
         bumped = tuple(w + 1 if w >= v else w for w in sigma.word)
-        if side == HEAD:
-            out.append(Perm(bumped + (v,)))
-        elif side == TAIL:
-            out.append(Perm((v,) + bumped))
-        else:
-            raise ValueError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
+        out.append(_trusted(bumped + (v,) if side == HEAD else (v,) + bumped))
     return out
 
 
@@ -230,7 +258,7 @@ def is_compatible(mu: PatternDistribution, mu_next: PatternDistribution) -> bool
 # -- CSV interchange -------------------------------------------------------
 #
 # Header ``perm,mass``; one row per permutation with nonzero mass; masses are
-# 'p/q' rational strings (exact) or decimal strings (float).
+# 'p/q' rational or 'a+b*sqrt2' strings (exact) or decimal strings (float).
 
 
 def distribution_to_csv(mu: PatternDistribution) -> str:
@@ -239,7 +267,7 @@ def distribution_to_csv(mu: PatternDistribution) -> str:
     w.writerow(["perm", "mass"])
     for sigma in sorted(mu.mass):
         m = mu.mass[sigma]
-        w.writerow([str(sigma), str(m) if mu.exact else repr(float(m))])
+        w.writerow([str(sigma), exact_str(m) if mu.exact else repr(float(m))])
     return buf.getvalue()
 
 
@@ -265,14 +293,14 @@ def json_length(payload: dict, what: str) -> int:
     return n
 
 
-def parse_mass(raw, where: str) -> Fraction | float:
-    """A mass: 'p/q' and integer text are exact Fractions, other numbers floats.
+def parse_mass(raw, where: str) -> Exact | float:
+    """A mass: 'p/q', integer and 'a+b*sqrt2' text are exact, other numbers floats.
 
     Anything that is not a finite number is a FormatError naming ``where``.
     """
     try:
-        if isinstance(raw, str) and ("/" in raw or raw.lstrip("+-").isdigit()):
-            return Fraction(raw)
+        if isinstance(raw, str) and ("/" in raw or "sqrt2" in raw or raw.lstrip("+-").isdigit()):
+            return parse_exact(raw)
         value = float(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"{where}: mass {raw!r} is not a number") from exc

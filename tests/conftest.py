@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from orderflow.digraph import PermDigraph, Subgraph, subgraph
 from orderflow.maps import builtin
 from orderflow.paths import DiPath, path
 
 from fractions import Fraction
+
+# Every run draws the same examples: the seed is derived from each test, and
+# no example database is replayed.  Per-test settings keep their max_examples.
+settings.register_profile("orderflow", derandomize=True, deadline=None)
+settings.load_profile("orderflow")
 
 
 @pytest.fixture(scope="session")

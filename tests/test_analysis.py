@@ -295,6 +295,10 @@ class TestEntropy:
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] < 0.4
 
+    def test_cap(self, doubling):
+        with pytest.raises(CapExceeded, match=r"entropy estimate reached n_max = 11, cap 10$"):
+            entropy_estimate(doubling, 11)
+
 
 class TestForbidden:
     def test_rotation(self, rotation_3_10):
@@ -323,6 +327,10 @@ class TestExclusion:
         assert rows[0].m == 3 and rows[0].equal
         assert rows[1].m == 4 and not rows[1].equal
         assert rows[1].missing and not rows[1].extra
+
+    def test_cap(self, doubling):
+        with pytest.raises(CapExceeded, match=r"exclusion testing reached m_max = 10, cap 9$"):
+            exclusion_type_test(doubling, 2, 10)
 
     def test_permutation_map_matches_at_three(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))

@@ -102,7 +102,7 @@ class TestSeparatorTree:
                 assert separator_order_ok(sep, sigma)
 
     def test_depth_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"separator tree reached depth 7, cap 6$"):
             build_separator_tree(7)
 
 
@@ -152,7 +152,7 @@ class TestAssembledMap:
     def test_scale_cap(self):
         tree = build_interval_tree(uniform_tower(2))
         sep = build_separator_tree(2)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"scale depth reached 30, cap 24$"):
             assemble_truncated_map(tree, sep, 30)
 
 

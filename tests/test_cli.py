@@ -7,7 +7,8 @@ from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
 from orderflow.maps import map_from_json
 from orderflow.paths import path, path_to_json
-from orderflow.perms import PatternDistribution, distribution_from_csv
+from orderflow.exactnum import exact
+from orderflow.perms import PatternDistribution, distribution_from_csv, perm
 
 
 def run(capsys, *argv):
@@ -269,3 +270,35 @@ class TestBoundary:
         f.write_text(json.dumps({"pieces": pieces}))
         code, err = run_error(capsys, "exact", "--map", str(f), "--n", "3", "--out", str(tmp_path / "x.csv"))
         assert code == 1 and err["error"] == "EscapesInterval" and "[0, 1)" in err["detail"]
+
+    def test_irrational_flow_weight(self, tmp_path, capsys):
+        flow = tmp_path / "flow.json"
+        flow.write_text('{"n": 2, "weights": {"12": "2-1*sqrt2", "21": "-1+1*sqrt2"}}')
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
+        assert code == 1 and err["error"] == "FormatError" and "irrational" in err["detail"]
+
+
+class TestSqrt2Masses:
+    """Masses in Q(sqrt2) are written as 'a+b*sqrt2' and read back exactly."""
+
+    def test_exact_csv_validates_and_reads_back(self, tmp_path, capsys):
+        out = tmp_path / "r2.csv"
+        code, stdout, _ = run(capsys, "exact", "--map", "rotation:-1+1*sqrt2", "--n", "2", "--out", str(out))
+        assert code == 0
+        assert json.loads(stdout)["mass"] == {"12": "2-1*sqrt2", "21": "-1+1*sqrt2"}
+        assert out.read_text() == "perm,mass\n12,2-1*sqrt2\n21,-1+1*sqrt2\n"
+        code, stdout, _ = run(capsys, "validate", "--kind", "dist", str(out))
+        assert code == 0 and json.loads(stdout) == {"command": "validate", "diagnostics": [], "kind": "dist", "ok": True}
+        mu = distribution_from_csv(out.read_text())
+        assert mu.exact and mu(perm("21")) == exact(-1, 1)
+
+    def test_cantor_build_on_sqrt2_tower(self, tmp_path, capsys):
+        files = []
+        for n in (1, 2):
+            files.append(str(tmp_path / f"d{n}.csv"))
+            run(capsys, "exact", "--map", "rotation:-1+1*sqrt2", "--n", str(n), "--out", files[-1])
+        code = main(["cantor", "build", "--dists", *files, "--out", str(tmp_path / "c.json")])
+        out = capsys.readouterr()
+        assert code in (0, 1)
+        payload = json.loads(out.out if code == 0 else out.err)
+        assert payload.get("command") == "cantor" or "error" in payload

@@ -63,6 +63,15 @@ class TestEdgeProfiles:
             for e in all_perms(n + 1):
                 assert edge_profile(e) == poset_profile(path(n, [e]))
 
+    @settings(max_examples=150)
+    @given(st.integers(2, 8).flatmap(lambda m: st.permutations(range(1, m + 1))))
+    def test_memoised_matches_fresh(self, word):
+        e = perm(word)
+        first = edge_profile(e)
+        assert first == edge_profile.__wrapped__(e)
+        # An equal edge built separately hits the cache and gets the same profile.
+        assert edge_profile(perm(tuple(word))) == first
+
 
 class TestCompose:
     def test_example(self):
@@ -256,8 +265,13 @@ class TestSynthesis:
             synthesize_totally_driftless_loop(two_cycle)
 
     def test_length_cap(self, G2_full):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"edge-covering walk reached 8 edges, cap 3$"):
             synthesize_totally_driftless_loop(G2_full, length_cap=3)
+
+    def test_appended_loop_cap(self, driftless_triple):
+        # The covering walk has 5 edges; the first appended loop passes 6.
+        with pytest.raises(CapExceeded, match=r"synthesized loop reached \d+ edges, cap 6$"):
+            synthesize_totally_driftless_loop(driftless_triple, length_cap=6)
 
     def test_full_graph(self, G2_full):
         gamma = synthesize_totally_driftless_loop(G2_full)

@@ -132,9 +132,9 @@ class TestCensus:
         assert all(r.realizable <= r.total for r in rows)
 
     def test_refuses_large(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"exhaustive census reached n = 5, cap 3; "):
             census(5)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"exhaustive census reached n = 4, cap 3; "):
             census(4)
 
     def test_csv(self):
@@ -201,7 +201,7 @@ class TestPolytopeDimension:
         assert polytope_dimension(n) == dim
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"polytope dimension reached n = 7, cap 6$"):
             polytope_dimension(7)
 
 

@@ -286,7 +286,7 @@ class TestRealizeFlow:
             realize_flow(mu, 0.05)
 
     def test_unreachable_tolerance_refused(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"reaching tolerance 1e-06 needs a loop of 666668 edges, cap 4096$"):
             realize_flow(PatternDistribution.uniform(3), 1e-6)
 
     @pytest.mark.parametrize("tol", [0, -0.1, float("nan"), float("inf")])

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orderflow.analysis import exact_distribution
 from orderflow.errors import CapExceeded, DuplicateValue, LengthMismatch, LengthTooSmall
 from orderflow.perms import (
     HEAD,
@@ -18,7 +21,11 @@ from orderflow.perms import (
     preimages,
     pushforward,
     restrict,
+    _trusted,
 )
+from orderflow.maps import builtin
+
+words = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
 
 
 class TestOrderPattern:
@@ -183,3 +190,57 @@ class TestCsv:
     def test_header_required(self):
         with pytest.raises(LengthMismatch):
             distribution_from_csv("oops,mass\n12,1\n")
+
+
+class TestFastPaths:
+    """The trusted constructor and the memoised restriction against their plain routes."""
+
+    @settings(max_examples=200)
+    @given(words)
+    def test_trusted_perm_is_a_validated_perm(self, word):
+        sigma = _trusted(word)
+        assert sigma == Perm(word) and hash(sigma) == hash(Perm(word))
+        assert Perm(word) == sigma and not sigma < Perm(word)
+        assert str(sigma) == str(Perm(word)) and Perm.parse(str(sigma)) == sigma
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9, unique=True))
+    def test_order_pattern_is_a_validated_perm(self, values):
+        sigma = order_pattern(values)
+        assert sigma == Perm(sigma.word) and hash(sigma) == hash(Perm(sigma.word))
+
+    @settings(max_examples=200)
+    @given(words.filter(lambda w: len(w) >= 2), st.sampled_from([HEAD, TAIL]))
+    def test_restrict_routes_agree(self, word, side):
+        sigma = Perm(word)
+        kept = word[:-1] if side == HEAD else word[1:]
+        expected = order_pattern(kept)
+        assert restrict(sigma, side) == restrict.__wrapped__(sigma, side) == expected
+        # A second, cached call answers the same.
+        assert restrict(sigma, side) == expected
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(0, 5), min_size=2, max_size=9).filter(lambda v: len(set(v)) < len(v)))
+    def test_order_pattern_refuses_ties(self, values):
+        with pytest.raises(DuplicateValue):
+            order_pattern(values)
+
+    @pytest.mark.parametrize("cap", [3, 5])
+    def test_trusted_paths_keep_the_cap(self, monkeypatch, cap):
+        monkeypatch.setenv("ORDERFLOW_CAP", str(cap))
+        assert order_pattern(range(cap)).n == cap
+        with pytest.raises(CapExceeded, match=rf"permutation length {cap + 1} exceeds cap {cap}$"):
+            order_pattern(range(cap + 1))
+        with pytest.raises(CapExceeded):
+            list(all_perms(cap + 1))
+        with pytest.raises(CapExceeded):
+            preimages(Perm(tuple(range(1, cap + 1))), HEAD)
+        with pytest.raises(CapExceeded):
+            exact_distribution(builtin("doubling"), cap + 1)
+
+    def test_all_perms_and_preimages_are_validated_perms(self):
+        for sigma in all_perms(4):
+            assert sigma == Perm(sigma.word)
+            for side in (HEAD, TAIL):
+                for tau in preimages(sigma, side):
+                    assert tau == Perm(tau.word) and restrict(tau, side) == sigma
