@@ -5,6 +5,9 @@ line to stdout and writes any artifacts to the requested paths.  Numeric
 output is exact rational strings unless ``--float`` is given.  Exit codes:
 0 ok, 1 domain error, 2 usage error; an error prints one JSON line
 ``{"error": ..., "detail": ...}`` to stderr instead.
+
+Each subcommand's arguments are declared once, in ``_COMMANDS``; ``main``
+builds the parser of the invoked subcommand only.
 """
 
 from __future__ import annotations
@@ -57,9 +60,19 @@ def _tolerance(text: str) -> float:
         value = float(Fraction(text))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"out of float range: {text}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _dimensions(text: str) -> list[int]:
+    """Comma-separated non-negative integers."""
+    dims = [int(d) for d in text.split(",")]
+    if min(dims) < 0:
+        raise argparse.ArgumentTypeError(f"dimensions must be non-negative, got {text}")
+    return dims
 
 
 def _load_map(spec: str) -> maps.IntervalMap:
@@ -157,8 +170,7 @@ def cmd_drift(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    dims = [int(d) for d in args.dimensions.split(",")] if args.dimensions else None
-    rows = flows.census(args.n, dimensions=dims, samples=args.samples, seed=args.seed)
+    rows = flows.census(args.n, dimensions=args.dimensions, samples=args.samples, seed=args.seed)
     _write(args.out, flows.census_to_csv(rows))
     return {
         "command": "census",
@@ -281,118 +293,146 @@ def cmd_validate(args) -> dict:
     return {"command": "validate", "kind": args.kind, "ok": not diagnostics, "diagnostics": diagnostics}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="orderflow",
-        description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("digraph", help="build or export a permutation digraph / subgraph")
+def _digraph_args(p):
     p.add_argument("--n", type=_positive_int, default=2, help="ambient level (vertices are length-n patterns)")
     p.add_argument("--edges", help="subgraph JSON file; omit for the full digraph")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=cmd_digraph)
 
-    p = sub.add_parser("poset", help="build the poset of a path; optionally query one pair")
+
+def _poset_args(p):
     p.add_argument("--path", required=True, help="path JSON file")
     p.add_argument("--query", nargs=2, type=int, metavar=("I", "J"))
     p.add_argument("--oracle", action="store_true", help="cross-check the query by lift enumeration")
     p.add_argument("--out", help="write covering pairs JSON here")
-    p.set_defaults(func=cmd_poset)
 
-    p = sub.add_parser("lifts", help="enumerate or count the permutations projecting onto a path")
+
+def _lifts_args(p):
     p.add_argument("--path", required=True)
     p.add_argument("--mode", choices=["enumerate", "count"], default="enumerate")
     p.add_argument("--m", type=int, help="target length (default: full collapse)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_lifts)
 
-    p = sub.add_parser("drift", help="classify a loop, decide a subgraph, or synthesize a loop")
+
+def _drift_args(p):
     p.add_argument("action", choices=["loop", "subgraph", "synthesize"])
     p.add_argument("--path", help="loop JSON (action=loop)")
     p.add_argument("--edges", help="subgraph JSON (action=subgraph|synthesize)")
     p.add_argument("--method", choices=["profile", "poset"], default="profile")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_drift)
 
-    p = sub.add_parser("census", help="face census of the flow polytope")
+
+def _census_args(p):
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--dimensions", help="comma-separated dimensions to restrict to (n=4)")
+    p.add_argument("--dimensions", type=_dimensions, help="comma-separated dimensions to restrict to (n=4)")
     p.add_argument("--samples", type=_positive_int, help="random subsets for the sampled n=4 census")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="census CSV path")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("realize", help="measure-preserving map realizing a flow within tolerance")
+
+def _realize_args(p):
     p.add_argument("--flow", required=True, help="flow JSON file")
     p.add_argument("--tol", type=_tolerance, default="0.05")
     p.add_argument("--out", required=True, help="map JSON path")
-    p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("simulate", help="empirical pattern distribution of a map")
+
+def _simulate_args(p):
     p.add_argument("--map", required=True, help="builtin name, 'rotation:3/10', or map JSON file")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="distribution CSV path")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("exact", help="exact pattern distribution of a piecewise-affine map")
+
+def _exact_args(p):
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--float", action="store_true", help="emit decimal masses instead of rationals")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("entropy", help="realized-pattern counts and normalized log-counts")
+
+def _entropy_args(p):
     p.add_argument("--map", required=True)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_positive_int, default=8)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, help="required for empirical mode")
     p.add_argument("--out", required=True, help="plain-text table path")
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("forbidden", help="forbidden patterns and the basic subset")
+
+def _forbidden_args(p):
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_forbidden)
 
-    p = sub.add_parser("exclusion", help="compare realized patterns against level-n path lifts")
+
+def _exclusion_args(p):
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--m-max", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_exclusion)
 
-    p = sub.add_parser("cantor", help="build or verify a finite-depth arbitrary-tower map")
+
+def _cantor_args(p):
     p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--uniform", type=int, help="uniform tower of this depth")
+    p.add_argument("--uniform", type=_positive_int, help="uniform tower of this depth")
     p.add_argument("--dists", nargs="*", default=[], help="distribution CSVs for lengths 1..N")
-    p.add_argument("--scale-depth", type=int, default=16)
+    p.add_argument("--scale-depth", type=_positive_int, default=16)
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, help="required for verify")
     p.add_argument("--out", help="map JSON path (action=build)")
-    p.set_defaults(func=cmd_cantor)
 
-    p = sub.add_parser("validate", help="schema-check a serialized artifact")
+
+def _validate_args(p):
     p.add_argument("--kind", choices=["flow", "path", "subgraph", "map", "dist"], required=True)
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
+
+# Every subcommand once: name -> (help line, handler, argument declarations),
+# in the order the top-level help lists them.
+_COMMANDS = {
+    "digraph": ("build or export a permutation digraph / subgraph", cmd_digraph, _digraph_args),
+    "poset": ("build the poset of a path; optionally query one pair", cmd_poset, _poset_args),
+    "lifts": ("enumerate or count the permutations projecting onto a path", cmd_lifts, _lifts_args),
+    "drift": ("classify a loop, decide a subgraph, or synthesize a loop", cmd_drift, _drift_args),
+    "census": ("face census of the flow polytope", cmd_census, _census_args),
+    "realize": ("measure-preserving map realizing a flow within tolerance", cmd_realize, _realize_args),
+    "simulate": ("empirical pattern distribution of a map", cmd_simulate, _simulate_args),
+    "exact": ("exact pattern distribution of a piecewise-affine map", cmd_exact, _exact_args),
+    "entropy": ("realized-pattern counts and normalized log-counts", cmd_entropy, _entropy_args),
+    "forbidden": ("forbidden patterns and the basic subset", cmd_forbidden, _forbidden_args),
+    "exclusion": ("compare realized patterns against level-n path lifts", cmd_exclusion, _exclusion_args),
+    "cantor": ("build or verify a finite-depth arbitrary-tower map", cmd_cantor, _cantor_args),
+    "validate": ("schema-check a serialized artifact", cmd_validate, _validate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with ``command`` alone."""
+    top = _Parser(
+        prog="orderflow",
+        description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, declare) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            declare(p)
+            p.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Building every subparser costs ~3 ms, as much as a small job; build only
+    # the one named.  Anything else (help, no command, a typo) gets the full
+    # parser, whose help and errors list every subcommand.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         parser.error("--seed is required for cantor verify")
@@ -402,6 +442,10 @@ def main(argv=None) -> int:
         parser.error("cantor needs --uniform N or --dists files")
     if args.command == "census" and args.n < 2:
         parser.error(f"census needs --n at least 2, got {args.n}")
+    if args.command == "entropy" and args.n_max < 2:
+        parser.error(f"entropy needs --n-max at least 2, got {args.n_max}")
+    if args.command == "exclusion" and args.m_max <= args.n:
+        parser.error(f"exclusion needs --m-max greater than --n, got {args.m_max} <= {args.n}")
     try:
         payload = args.func(args)
     except OrderflowError as exc:

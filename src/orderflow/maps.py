@@ -474,31 +474,34 @@ def map_to_json(f: IntervalMap) -> str:
 
 def map_from_json(text: str) -> IntervalMap:
     payload = load_json(text, "map", {"pieces"})
+    if not isinstance(payload["pieces"], list):
+        raise FormatError("map JSON 'pieces' must be a list")
     pieces = []
     for i, rec in enumerate(payload["pieces"]):
+        if not isinstance(rec, dict):
+            raise FormatError(f"piece {i} must be an object")
         missing = {"lo", "hi", "a", "b"} - set(rec)
         if missing:
             raise FormatError(f"piece {i} missing keys {sorted(missing)}")
+        values = [rec["lo"], rec["hi"], rec["a"], rec["b"], rec.get("c", "0")]
+        if not all(isinstance(v, str) for v in values):
+            raise FormatError(f"piece {i}: lo, hi, a, b and c must be strings")
         try:
-            pieces.append(
-                Piece(
-                    parse_exact(rec["lo"]),
-                    parse_exact(rec["hi"]),
-                    parse_exact(rec["a"]),
-                    parse_exact(rec["b"]),
-                    parse_exact(rec.get("c", "0")),
-                )
-            )
+            pieces.append(Piece(*map(parse_exact, values)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"piece {i}: {exc}") from exc
     tail_info = payload.get("tail")
+    if tail_info is not None and not (
+        isinstance(tail_info, dict) and type(tail_info.get("piece")) is int and 0 <= tail_info["piece"] < len(pieces)
+    ):
+        raise FormatError(f"map JSON 'tail' must be {{\"piece\": index of a piece}}, got {tail_info!r}")
     try:
         return IntervalMap(
             tuple(pieces),
             name=payload.get("name", ""),
             measure_preserving=bool(payload.get("measure_preserving", False)),
             almost_aperiodic=bool(payload.get("almost_aperiodic", False)),
-            rotated_piece=None if tail_info is None else int(tail_info["piece"]),
+            rotated_piece=None if tail_info is None else tail_info["piece"],
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orderflow.cli import main
+from orderflow import cli
+from orderflow.cli import build_parser, main
 from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
 from orderflow.maps import map_from_json
@@ -28,6 +33,10 @@ class TestCensus:
         assert payload["rows"] == [[0, 6, 0], [1, 13, 2], [2, 13, 9], [3, 6, 6], [4, 1, 1]]
         run(capsys, "census", "--n", "3", "--out", str(out))
         assert out.read_bytes() == first
+
+    def test_dimensions_filter(self, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "census", "--n", "3", "--dimensions", "0,4", "--out", str(tmp_path / "c.csv"))
+        assert code == 0 and json.loads(stdout)["rows"] == [[0, 6, 0], [4, 1, 1]]
 
 
 class TestDrift:
@@ -264,6 +273,36 @@ class TestBoundary:
         code, err = run_error(capsys, "census", "--n", "1", "--out", str(tmp_path / "c.csv"))
         assert code == 2 and err["error"] == "UsageError" and "--n" in err["detail"]
 
+    def test_realize_overflowing_tolerance(self, tmp_path, capsys):
+        flow = tmp_path / "flow.json"
+        flow.write_text(flow_to_json(PatternDistribution.uniform(3)))
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--tol", "1e400", "--out", str(tmp_path / "m.json"))
+        assert code == 2 and err["error"] == "UsageError" and "--tol" in err["detail"]
+
+    @pytest.mark.parametrize("dims", ["abc", "1,x", "", "0,-1"])
+    def test_census_bad_dimensions(self, dims, tmp_path, capsys):
+        code, err = run_error(capsys, "census", "--n", "3", "--dimensions", dims, "--out", str(tmp_path / "c.csv"))
+        assert code == 2 and err["error"] == "UsageError" and "--dimensions" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["entropy", "--map", "doubling", "--n-max", "0", "--out", "OUT"], "--n-max"),
+            (["entropy", "--map", "doubling", "--n-max", "-3", "--out", "OUT"], "--n-max"),
+            (["entropy", "--map", "doubling", "--n-max", "1", "--out", "OUT"], "--n-max"),
+            (["exclusion", "--map", "doubling", "--n", "2", "--m-max", "0"], "--m-max"),
+            (["exclusion", "--map", "doubling", "--n", "2", "--m-max", "2"], "--m-max"),
+            (["exclusion", "--map", "doubling", "--n", "3", "--m-max", "2"], "--m-max"),
+            (["cantor", "verify", "--uniform", "2", "--scale-depth", "0", "--seed", "1"], "--scale-depth"),
+            (["cantor", "verify", "--uniform", "2", "--scale-depth", "-2", "--seed", "1"], "--scale-depth"),
+            (["cantor", "build", "--uniform", "-1", "--out", "OUT"], "--uniform"),
+        ],
+    )
+    def test_nonsense_integer_options(self, argv, option, tmp_path, capsys):
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        code, err = run_error(capsys, *argv)
+        assert code == 2 and err["error"] == "UsageError" and option in err["detail"]
+
     def test_exact_escaping_map(self, tmp_path, capsys):
         f = tmp_path / "map.json"
         pieces = [{"lo": "0", "hi": "1/2", "a": "3", "b": "0"}, {"lo": "1/2", "hi": "1", "a": "1", "b": "-1/2"}]
@@ -302,3 +341,176 @@ class TestSqrt2Masses:
         assert code in (0, 1)
         payload = json.loads(out.out if code == 0 else out.err)
         assert payload.get("command") == "cantor" or "error" in payload
+
+
+COMMANDS = [
+    "digraph", "poset", "lifts", "drift", "census", "realize", "simulate",
+    "exact", "entropy", "forbidden", "exclusion", "cantor", "validate",
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """What ``parser.parse_args(argv)`` returns or exits with, and what it prints."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+class TestOneCommandParser:
+    """main builds only the named subparser; it must behave as the full parser."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        full = build_parser().format_help()
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as err:
+                main([flag])
+            assert err.value.code == 0
+            assert capsys.readouterr().out == full
+        assert all(name in full for name in COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_identical(self, command, capsys):
+        argv = [command, "--help"]
+        full = parse_outcome(build_parser(), argv, capsys)
+        assert full[0] == ("exit", 0) and full[1].startswith(f"usage: orderflow {command} ")
+        assert parse_outcome(build_parser(command), argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digraph"],
+            ["digraph", "--n", "3", "--format", "json", "--out", "g.json"],
+            ["poset", "--path", "p.json", "--query", "2", "7", "--oracle"],
+            ["lifts", "--path", "p.json", "--mode", "count", "--m", "5"],
+            ["drift", "subgraph", "--edges", "s.json", "--out", "v.json"],
+            ["drift", "loop", "--path", "p.json", "--method", "poset"],
+            ["census", "--n", "4", "--dimensions", "0", "--out", "c.csv"],
+            ["realize", "--flow", "f.json", "--out", "m.json"],
+            ["realize", "--flow", "f.json", "--tol", "1/40", "--out", "m.json"],
+            ["simulate", "--map", "doubling", "--n", "3", "--seed", "1", "--out", "d.csv"],
+            ["exact", "--map", "rotation:3/10", "--n", "4", "--float", "--out", "d.csv"],
+            ["entropy", "--map", "tent", "--n-max", "5", "--mode", "empirical", "--seed", "2", "--out", "e.txt"],
+            ["forbidden", "--map", "doubling", "--n", "3"],
+            ["exclusion", "--map", "doubling", "--n", "2", "--m-max", "4", "--samples", "10"],
+            ["cantor", "verify", "--uniform", "3", "--scale-depth", "12", "--seed", "4"],
+            ["cantor", "build", "--dists", "a.csv", "b.csv", "--out", "c.json"],
+            ["validate", "--kind", "map", "m.json"],
+        ],
+    )
+    def test_namespaces_equal(self, argv):
+        args = build_parser().parse_args(argv)
+        assert build_parser(argv[0]).parse_args(argv) == args
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            ([], "orderflow: the following arguments are required: command"),
+            (
+                ["bogus"],
+                "orderflow: argument command: invalid choice: 'bogus' (choose from 'digraph', 'poset', 'lifts', "
+                "'drift', 'census', 'realize', 'simulate', 'exact', 'entropy', 'forbidden', 'exclusion', 'cantor', "
+                "'validate')",
+            ),
+            (["--bogus"], "orderflow: the following arguments are required: command"),
+            (["drift"], "orderflow drift: the following arguments are required: action"),
+            (
+                ["drift", "bogus"],
+                "orderflow drift: argument action: invalid choice: 'bogus' (choose from 'loop', 'subgraph', "
+                "'synthesize')",
+            ),
+            (["drift", "subgraph", "--bogus"], "orderflow: unrecognized arguments: --bogus"),
+            (["drift", "subgraph", "extra", "--edges", "x"], "orderflow: unrecognized arguments: extra"),
+            (["census"], "orderflow census: the following arguments are required: --n, --out"),
+            (["census", "--n", "x"], "orderflow census: argument --n: invalid _positive_int value: 'x'"),
+            (["census", "--n", "1", "--out", "x"], "orderflow: census needs --n at least 2, got 1"),
+            (["cantor", "verify", "--uniform", "2"], "orderflow: --seed is required for cantor verify"),
+            (["cantor", "build"], "orderflow: cantor needs --uniform N or --dists files"),
+            (
+                ["entropy", "--map", "doubling", "--mode", "empirical", "--out", "x"],
+                "orderflow: --seed is required for empirical mode",
+            ),
+            (
+                ["validate", "--kind", "bad", "f"],
+                "orderflow validate: argument --kind: invalid choice: 'bad' (choose from 'flow', 'path', "
+                "'subgraph', 'map', 'dist')",
+            ),
+            (["poset", "--path", "p", "--query", "1"], "orderflow poset: argument --query: expected 2 arguments"),
+        ],
+    )
+    def test_usage_errors_unchanged(self, argv, detail, capsys):
+        code, err = run_error(capsys, *argv)
+        assert code == 2 and err == {"error": "UsageError", "detail": detail}
+
+    def test_builds_only_the_named_subparser(self, tmp_path, capsys, monkeypatch, driftless_triple):
+        built = []
+
+        class Recording(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_Parser", Recording)
+        sub = tmp_path / "sub.json"
+        sub.write_text(subgraph_to_json(driftless_triple))
+        code, stdout, _ = run(capsys, "drift", "subgraph", "--edges", str(sub))
+        assert code == 0 and json.loads(stdout)["verdict"] == "driftless"
+        assert built == ["orderflow", "orderflow drift"]
+
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["orderflow"] + [f"orderflow {name}" for name in COMMANDS]
+
+
+# Random JSON: arbitrary values, and objects with the artifacts' keys whose
+# values are short pattern words, exact-number text or arbitrary leaves.
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["12", "21", "132", "1/2", "-1/3", "1/0", "1+1*sqrt2", "0", "1", "abc", ""])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+field = json_leaves | json_values
+artifacts = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"n": field, "weights": st.dictionaries(st.text("123", max_size=4), field) | field}),
+    st.fixed_dictionaries({"n": field, "edges": st.lists(json_leaves, max_size=4) | field}, optional={"start": field}),
+    st.fixed_dictionaries(
+        {"pieces": st.lists(st.fixed_dictionaries({k: json_leaves for k in "lo hi a b".split()}), max_size=3) | field},
+        optional={"tail": st.fixed_dictionaries({"piece": field}) | field, "name": field},
+    ),
+).map(json.dumps)
+csv_text = st.lists(
+    st.tuples(st.text("0123456789", max_size=5), st.sampled_from(["1", "1/2", "0.5", "-1", "nan", "x", "1-1*sqrt2"])),
+    max_size=4,
+).map(lambda rows: "perm,mass\n" + "".join(f"{p},{m}\n" for p, m in rows))
+
+
+class TestValidateFuzz:
+    """validate prints one JSON line and exits 0, 1 or 2 on any file content."""
+
+    @settings(max_examples=300)
+    @given(
+        kind=st.sampled_from(["flow", "path", "subgraph", "map", "dist"]),
+        text=st.text(max_size=40) | artifacts | csv_text,
+    )
+    def test_one_json_line(self, tmp_path_factory, kind, text):
+        f = tmp_path_factory.mktemp("fuzz") / "artifact"
+        f.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["validate", "--kind", kind, str(f)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload.get("command") == "validate" or "error" in payload

@@ -1,7 +1,10 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderflow.errors import (
     CapExceeded,
@@ -55,6 +58,60 @@ class TestExactNumbers:
     def test_text_round_trip(self):
         for value in (Fraction(3, 7), exact(Fraction(-1, 3), Fraction(2, 5)), exact(0, -2)):
             assert parse_exact(exact_str(value)) == value
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+# a + b*sqrt2; exact() returns a Fraction when b == 0, so both types are drawn.
+quadratics = st.builds(exact, rationals, rationals)
+
+
+def decimal_value(x) -> Decimal:
+    """x to 60 significant digits: an oracle for the order that shares no code with Sqrt2."""
+    a, b = (x.a, x.b) if isinstance(x, Sqrt2) else (Fraction(x), Fraction(0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * Decimal(2).sqrt()
+
+
+def oracle_sign(d: Decimal) -> int:
+    # Two distinct values drawn from `quadratics` differ by more than 1e-17
+    # (|a^2 - 2b^2| is at least 1/60^8), far above the oracle's rounding error.
+    return 0 if abs(d) < Decimal("1e-30") else (1 if d > 0 else -1)
+
+
+class TestExactNumberProperties:
+    @settings(max_examples=100)
+    @given(quadratics, quadratics, quadratics)
+    def test_ring_laws(self, x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + y == y + x and x * y == y * x
+        assert x - x == 0 and x + (-x) == 0
+
+    @settings(max_examples=100)
+    @given(quadratics, quadratics)
+    def test_inverses(self, x, y):
+        if x != 0:
+            assert x * (1 / x) == 1
+            assert (y / x) * x == y
+
+    @settings(max_examples=100)
+    @given(quadratics, quadratics)
+    def test_order_matches_decimal_oracle(self, x, y):
+        expected = oracle_sign(decimal_value(x) - decimal_value(y))
+        assert ((x > y) - (x < y)) == expected
+        assert (x == y) == (expected == 0)
+        assert (x <= y) == (expected <= 0) and (x >= y) == (expected >= 0)
+        assert abs(x) >= 0 and (abs(x) == x) == (oracle_sign(decimal_value(x)) >= 0)
+
+    @settings(max_examples=100)
+    @given(quadratics)
+    def test_text_round_trip(self, x):
+        text = exact_str(x)
+        back = parse_exact(text)
+        assert back == x and type(back) is type(x)
+        assert parse_exact(f" {text} ") == x
 
 
 class TestBuiltins:
@@ -331,3 +388,19 @@ class TestSerialization:
             map_from_json("{}")
         with pytest.raises(FormatError):
             map_from_json('{"pieces": [{"lo": "0", "hi": "1", "a": "1"}]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"pieces": null}',
+            '{"pieces": [5]}',
+            '{"pieces": [{"lo": null, "hi": "1", "a": "1", "b": "0"}]}',
+            '{"pieces": [{"lo": "0", "hi": "1", "a": 1, "b": "0"}]}',
+            '{"pieces": [{"lo": "0", "hi": "1", "a": "1", "b": "0"}], "tail": {"piece": null}}',
+            '{"pieces": [{"lo": "0", "hi": "1", "a": "1", "b": "0"}], "tail": {"piece": 1}}',
+            '{"pieces": [{"lo": "0", "hi": "1", "a": "1", "b": "0"}], "tail": 0}',
+        ],
+    )
+    def test_malformed_values(self, text):
+        with pytest.raises(FormatError):
+            map_from_json(text)
