@@ -82,6 +82,7 @@ from .analysis import (
     growth_check,
     partially_driftless_in,
     pattern_graph,
+    realized_patterns,
 )
 from .cantor import (
     IntervalTree,

@@ -10,6 +10,13 @@ order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.  The empirical
 route samples a counter-based deterministic stream, so runs are reproducible
 per seed and parallelizable by index range.
+
+Statistics over several lengths take one pass to the longest and project
+down along head restrictions, as the tower mu_n = restrict_* mu_{n+1} does:
+an exact cell's order at length n is its order at n+1 without the last
+iterate, and an orbit kept at n+1 is kept at n.  Orbits discarded at n+1
+but not at n (a late escape or repeat) are counted at the longest length
+they keep, so every length sees exactly the orbits a separate call would.
 """
 
 from __future__ import annotations
@@ -21,14 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .caps import LIFT_ENUM_MAX, SUBDIVISION_MAX
+from .caps import ENTROPY_N_MAX, LIFT_ENUM_MAX, SUBDIVISION_MAX, perm_cap
 from .digraph import Subgraph
 from .drift import IndexReach, ZERO as SIGN_ZERO
-from .errors import CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine
+from .errors import CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError
 from .exactnum import Exact
 from .maps import IntervalMap
 from .paths import DiPath, build_poset, lifts, linear_extensions
-from .perms import PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern
+from .perms import (
+    HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
+)
 
 Mode = Literal["exact", "empirical"]
 
@@ -42,6 +51,7 @@ class PatternReport:
     realized: frozenset[Perm]
     samples: int | None  # None marks an exact computation
     discards: int = 0
+    counts: dict[Perm, int] | None = None  # the sampled histogram; None when exact
 
     @property
     def exact(self) -> bool:
@@ -169,19 +179,28 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     total = sum(by_order.values(), Fraction(0))
     if total != 1:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {total}, not 1")
-    # Iterate i's rank is one more than its position in the order.
-    masses = {_trusted(tuple(order.index(i) + 1 for i in range(n))): m for order, m in by_order.items()}
-    dist = PatternDistribution(n, masses)
+    dist = PatternDistribution(n, {_pattern(order): m for order, m in by_order.items()})
     return PatternReport(n, dist, frozenset(dist.mass), samples=None)
+
+
+def _pattern(order: tuple[int, ...]) -> Perm:
+    """The pattern whose entries, sorted by value, are at positions ``order``."""
+    # Entry i's rank is one more than its place in the order.
+    return _trusted(tuple(order.index(i) + 1 for i in range(len(order))))
 
 
 # -- deterministic sampling ----------------------------------------------------
 
 
 def unit_samples(seed, count: int, start: int = 0) -> Iterable[float]:
-    """Uniform floats in [0, 1) keyed by (seed, index); order-independent."""
+    """Uniform floats in [0, 1) keyed by (seed, index); order-independent.
+
+    Sample i is the blake2b digest of the text f"{seed}:{i}".
+    """
+    prefix = f"{seed}:".encode()
+    blake2b = hashlib.blake2b
     for i in range(start, start + count):
-        digest = hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest()
+        digest = blake2b(prefix + b"%d" % i, digest_size=8).digest()
         yield int.from_bytes(digest, "big") / 2**64
 
 
@@ -190,6 +209,58 @@ def _float_pieces(f: IntervalMap):
     polys = [(float(p.c), float(p.a), float(p.b)) for p in f.pieces]
     his = [float(p.hi) for p in f.pieces]
     return los, his, polys
+
+
+def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> dict[int, PatternReport]:
+    """Histograms at every length of ``lengths`` from one pass over the orbits.
+
+    Each orbit is iterated once, up to the longest length, and stops at its
+    first escape from the domain or exact repeat: its kept prefix.  It
+    counts at every length up to that prefix's, under the prefix's pattern
+    restricted to the length.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if lengths[0] < 1:
+        raise ValueError("all samples were discarded")  # no orbit has a shorter pattern
+    cap = perm_cap()
+    # The first length over the cap fails once one orbit is kept that long.
+    n_min, n_max = lengths[0], next((n for n in lengths if n > cap), lengths[-1])
+    los, his, polys = _float_pieces(f)
+    # ends[k]: orbits whose kept prefix has length k, by the prefix's order.
+    ends: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+    for x in unit_samples(seed, samples):
+        values = [x]
+        for _ in range(n_max - 1):
+            idx = bisect_right(los, x) - 1
+            if idx < 0 or x >= his[idx]:
+                break
+            c, a, b = polys[idx]
+            x = (c * x + a) * x + b
+            if x in values:
+                break
+            values.append(x)
+        k = len(values)
+        if k >= n_min:
+            if k == n_max > cap:
+                _check_length(k)
+            order = tuple(sorted(range(k), key=values.__getitem__))
+            tally = ends[k]
+            tally[order] = tally.get(order, 0) + 1
+    reports = {}
+    counts: dict[Perm, int] = {}
+    for n in range(n_max, n_min - 1, -1):
+        counts = push_mass(counts, HEAD)
+        for order, c in ends[n].items():
+            sigma = _pattern(order)
+            counts[sigma] = counts.get(sigma, 0) + c
+        kept = sum(counts.values())
+        if n in lengths:
+            if kept == 0:
+                raise ValueError("all samples were discarded")
+            dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
+            reports[n] = PatternReport(n, dist, frozenset(counts), samples, samples - kept, counts)
+    return {n: reports[n] for n in lengths}
 
 
 def empirical_distribution(
@@ -201,40 +272,36 @@ def empirical_distribution(
     discarded and counted; identity placeholders in truncated constructions
     surface this way and stay out of the histogram.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    los, his, polys = _float_pieces(f)
-    counts: dict[Perm, int] = {}
-    discards = 0
-    for x in unit_samples(seed, samples):
-        values = [x]
-        ok = True
-        for _ in range(n - 1):
-            v = values[-1]
-            idx = bisect_right(los, v) - 1
-            if idx < 0 or v >= his[idx]:
-                ok = False
-                break
-            c, a, b = polys[idx]
-            values.append((c * v + a) * v + b)
-        if not ok or len(set(values)) != n:
-            discards += 1
-            continue
-        sigma = order_pattern(values)
-        counts[sigma] = counts.get(sigma, 0) + 1
-    kept = samples - discards
-    if kept == 0:
-        raise ValueError("all samples were discarded")
-    dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
-    return PatternReport(n, dist, frozenset(counts), samples=samples, discards=discards)
+    return _sampled_reports(f, [n], samples, seed)[n]
 
 
-def distribution_report(f: IntervalMap, n: int, mode: Mode, samples: int = 100_000, seed=0) -> PatternReport:
-    if mode == "exact":
-        return exact_distribution(f, n)
+def realized_patterns(
+    f: IntervalMap, lengths: Iterable[int], mode: Mode, samples: int = 100_000, seed=0
+) -> dict[int, frozenset[Perm]]:
+    """The realized patterns at each of ``lengths``, from one pass to the longest.
+
+    Each set equals the ``realized`` of a separate ``exact_distribution`` or
+    ``empirical_distribution`` call, and a failure raises what the shortest
+    failing length raises alone.
+    """
+    lengths = sorted(set(lengths))
+    if not lengths:
+        return {}
     if mode == "empirical":
-        return empirical_distribution(f, n, samples, seed)
-    raise ValueError(f"mode must be 'exact' or 'empirical', got {mode!r}")
+        return {n: r.realized for n, r in _sampled_reports(f, lengths, samples, seed).items()}
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'empirical', got {mode!r}")
+    try:
+        realized = {lengths[-1]: exact_distribution(f, lengths[-1]).realized}
+        for n in range(lengths[-1] - 1, lengths[0] - 1, -1):
+            realized[n] = frozenset(restrict(s, HEAD) for s in realized[n + 1])
+    except (OrderflowError, ValueError):
+        # A failing length fails the longest too, possibly first at a deeper
+        # iterate: rerun the shorter ones so the shortest failure is raised.
+        for n in lengths[:-1]:
+            exact_distribution(f, n)
+        raise
+    return {n: realized[n] for n in lengths}
 
 
 # -- derived statistics ---------------------------------------------------------
@@ -242,8 +309,7 @@ def distribution_report(f: IntervalMap, n: int, mode: Mode, samples: int = 100_0
 
 def pattern_graph(f: IntervalMap, n: int, mode: Mode = "exact", samples: int = 100_000, seed=0) -> Subgraph:
     """The subgraph of G_n whose edges are the realized (n+1)-patterns."""
-    report = distribution_report(f, n + 1, mode, samples=samples, seed=seed)
-    return Subgraph(n, frozenset(report.realized))
+    return Subgraph(n, realized_patterns(f, [n + 1], mode, samples, seed)[n + 1])
 
 
 def partially_driftless_in(H: Subgraph) -> DiPath | None:
@@ -275,13 +341,10 @@ def entropy_estimate(
     The statistic log|realized_n| / (n-1) converges to the topological
     entropy for piecewise continuous, piecewise monotone maps.
     """
-    if n_max > 10:
-        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap 10")
-    rows = []
-    for n in range(2, n_max + 1):
-        realized = distribution_report(f, n, mode, samples=samples, seed=seed).realized
-        rows.append((n, len(realized), math.log(len(realized)) / (n - 1)))
-    return rows
+    if n_max > ENTROPY_N_MAX:
+        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap {ENTROPY_N_MAX}")
+    realized = realized_patterns(f, range(2, n_max + 1), mode, samples, seed)
+    return [(n, len(r), math.log(len(r)) / (n - 1)) for n, r in realized.items()]
 
 
 def forbidden_patterns(
@@ -293,10 +356,7 @@ def forbidden_patterns(
     itself forbidden at its own length, so it is not explained by a shorter
     obstruction.
     """
-    realized_by_len = {
-        k: distribution_report(f, k, mode, samples=samples, seed=seed).realized
-        for k in range(2, n + 1)
-    }
+    realized_by_len = realized_patterns(f, range(min(n, 2), n + 1), mode, samples, seed)
     forbidden = frozenset(s for s in all_perms(n) if s not in realized_by_len[n])
     basic = []
     for sigma in forbidden:
@@ -333,10 +393,11 @@ def exclusion_type_test(
     """
     if m_max > LIFT_ENUM_MAX:
         raise CapExceeded(f"exclusion testing reached m_max = {m_max}, cap {LIFT_ENUM_MAX}")
-    H = pattern_graph(f, n, mode, samples=samples, seed=seed)
+    realized_by_len = realized_patterns(f, range(n + 1, max(m_max, n + 1) + 1), mode, samples, seed)
+    H = Subgraph(n, realized_by_len[n + 1])
     rows = []
     for m in range(n + 1, m_max + 1):
-        realized = distribution_report(f, m, mode, samples=samples, seed=seed).realized
+        realized = realized_by_len[m]
         preimage = set()
         for sigma in all_perms(m):
             if all(

@@ -29,6 +29,7 @@ from .perms import (
     all_perms,
     is_compatible,
     order_pattern,
+    push_mass,
     restrict,
 )
 
@@ -392,15 +393,9 @@ def verify_construction(
     kept = samples - excluded
     rows = []
     # Counts at the full depth project consistently onto the shorter lengths.
-    counts_n: dict[int, dict[Perm, int]] = {N: {}}
-    for sigma, mass in report.distribution.mass.items():
-        counts_n[N][sigma] = round(mass * kept)
+    counts_n = {N: report.counts}
     for n in range(N - 1, 0, -1):
-        tier: dict[Perm, int] = {}
-        for sigma, c in counts_n[n + 1].items():
-            parent = restrict(sigma, HEAD)
-            tier[parent] = tier.get(parent, 0) + c
-        counts_n[n] = tier
+        counts_n[n] = push_mass(counts_n[n + 1], HEAD)
     for n in range(1, N + 1):
         mu = mu_list[n - 1]
         empirical = {s: c / kept for s, c in counts_n[n].items()}

@@ -440,6 +440,10 @@ def main(argv=None) -> int:
         parser.error("--seed is required for empirical mode")
     if args.command == "cantor" and not args.uniform and not args.dists:
         parser.error("cantor needs --uniform N or --dists files")
+    if args.command == "drift" and args.action == "loop" and not args.path:
+        parser.error("--path is required for drift loop")
+    if args.command == "drift" and args.action != "loop" and not args.edges:
+        parser.error(f"--edges is required for drift {args.action}")
     if args.command == "census" and args.n < 2:
         parser.error(f"census needs --n at least 2, got {args.n}")
     if args.command == "entropy" and args.n_max < 2:
@@ -451,7 +455,7 @@ def main(argv=None) -> int:
     except OrderflowError as exc:
         _error(type(exc).__name__, str(exc))
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         _error("FileNotFound", str(exc))
         return 1
     _emit(payload)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .caps import LOOP_ENUM_VERTEX_MAX, perm_cap
+from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, perm_cap
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
 from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, restrict
 
@@ -56,6 +56,8 @@ class PermDigraph:
         return math.factorial(self.n + 1)
 
     def full_subgraph(self) -> "Subgraph":
+        if self.n > FULL_DIGRAPH_N_MAX:
+            raise CapExceeded(f"full digraph reached n = {self.n}, cap {FULL_DIGRAPH_N_MAX}")
         return Subgraph(self.n, frozenset(self.edges()))
 
 

@@ -241,11 +241,16 @@ def pushforward(mu: PatternDistribution, side: str) -> PatternDistribution:
     """
     if mu.n < 2:
         raise LengthTooSmall("cannot push a length-1 distribution down")
+    return PatternDistribution(mu.n - 1, push_mass(mu.mass, side), exact=mu.exact)
+
+
+def push_mass(mass: Mapping[Perm, object], side: str) -> dict[Perm, object]:
+    """Masses (or sample counts) on S_{n+1}, summed onto S_n along a restriction."""
     out: dict[Perm, object] = {}
-    for sigma, m in mu.mass.items():
+    for sigma, m in mass.items():
         tgt = restrict(sigma, side)
-        out[tgt] = out.get(tgt, Fraction(0) if mu.exact else 0.0) + m
-    return PatternDistribution(mu.n - 1, out, exact=mu.exact)
+        out[tgt] = out.get(tgt, 0) + m
+    return out
 
 
 def is_compatible(mu: PatternDistribution, mu_next: PatternDistribution) -> bool:

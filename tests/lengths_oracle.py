@@ -1,0 +1,100 @@
+"""Length-by-length statistics, kept as a test oracle.
+
+This is the straightforward route to the statistics over several pattern
+lengths: every length gets its own exact subdivision or its own sampling
+run, and the sampler iterates each orbit, checks it and ranks its values
+afresh per length.  The package serves all lengths from one pass to the
+longest and projects down; tests compare the two exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+
+from orderflow.analysis import PatternReport, exact_distribution, unit_samples
+from orderflow.digraph import Subgraph
+from orderflow.errors import CapExceeded
+from orderflow.perms import PatternDistribution, all_perms, order_pattern
+
+
+def oracle_sampled(f, n: int, samples: int, seed) -> PatternReport:
+    """One sampling run at length n: iterate, check and rank every orbit."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    los = [float(p.lo) for p in f.pieces]
+    his = [float(p.hi) for p in f.pieces]
+    polys = [(float(p.c), float(p.a), float(p.b)) for p in f.pieces]
+    counts = {}
+    discards = 0
+    for x in unit_samples(seed, samples):
+        values = [x]
+        ok = True
+        for _ in range(n - 1):
+            v = values[-1]
+            idx = bisect_right(los, v) - 1
+            if idx < 0 or v >= his[idx]:
+                ok = False
+                break
+            c, a, b = polys[idx]
+            values.append((c * v + a) * v + b)
+        if not ok or len(set(values)) != n:
+            discards += 1
+            continue
+        sigma = order_pattern(values)
+        counts[sigma] = counts.get(sigma, 0) + 1
+    kept = samples - discards
+    if kept == 0:
+        raise ValueError("all samples were discarded")
+    dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
+    return PatternReport(n, dist, frozenset(counts), samples, discards, counts)
+
+
+def oracle_report(f, n: int, mode: str, samples: int = 100_000, seed=0) -> PatternReport:
+    if mode == "exact":
+        return exact_distribution(f, n)
+    return oracle_sampled(f, n, samples, seed)
+
+
+def oracle_realized(f, lengths, mode, samples=100_000, seed=0) -> dict:
+    return {n: oracle_report(f, n, mode, samples, seed).realized for n in sorted(set(lengths))}
+
+
+def oracle_entropy(f, n_max, mode="exact", samples=100_000, seed=0):
+    if n_max > 10:
+        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap 10")
+    rows = []
+    for n in range(2, n_max + 1):
+        realized = oracle_report(f, n, mode, samples, seed).realized
+        rows.append((n, len(realized), math.log(len(realized)) / (n - 1)))
+    return rows
+
+
+def oracle_forbidden(f, n, mode="exact", samples=100_000, seed=0):
+    realized_by_len = {k: oracle_report(f, k, mode, samples, seed).realized for k in range(2, n + 1)}
+    forbidden = frozenset(s for s in all_perms(n) if s not in realized_by_len[n])
+    basic = frozenset(
+        sigma
+        for sigma in forbidden
+        if all(
+            order_pattern(sigma.word[off : off + width]) in realized_by_len[width]
+            for width in range(2, n)
+            for off in range(n - width + 1)
+        )
+    )
+    return forbidden, basic
+
+
+def oracle_exclusion(f, n, m_max, mode="exact", samples=100_000, seed=0):
+    """(m, preimage, realized) per m, each length from its own run."""
+    H = Subgraph(n, oracle_report(f, n + 1, mode, samples, seed).realized)
+    rows = []
+    for m in range(n + 1, m_max + 1):
+        realized = oracle_report(f, m, mode, samples, seed).realized
+        preimage = frozenset(
+            sigma
+            for sigma in all_perms(m)
+            if all(order_pattern(sigma.word[i : i + n + 1]) in H.edges for i in range(m - n))
+        )
+        rows.append((m, preimage, realized))
+    return rows

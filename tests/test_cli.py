@@ -316,6 +316,34 @@ class TestBoundary:
         code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
         assert code == 1 and err["error"] == "FormatError" and "irrational" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["drift", "loop"], "--path"), (["drift", "subgraph"], "--edges"), (["drift", "synthesize"], "--edges")],
+    )
+    def test_drift_without_its_input(self, argv, option, capsys):
+        code, err = run_error(capsys, *argv)
+        assert code == 2 and err == {"error": "UsageError", "detail": f"orderflow: {option} is required for {' '.join(argv)}"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poset", "--path", "DIR"],
+            ["drift", "subgraph", "--edges", "DIR"],
+            ["realize", "--flow", "DIR", "--out", "m.json"],
+            ["validate", "--kind", "map", "DIR"],
+            ["cantor", "build", "--dists", "DIR", "--out", "m.json"],
+        ],
+    )
+    def test_directory_as_input_file(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+        code, err = run_error(capsys, *argv)
+        assert code == 1 and err["error"] == "FileNotFound" and "Is a directory" in err["detail"]
+
+    def test_full_digraph_cap(self, tmp_path, capsys):
+        code, err = run_error(capsys, "digraph", "--n", "8", "--out", str(tmp_path / "g.dot"))
+        assert code == 1 and err == {"error": "CapExceeded", "detail": "full digraph reached n = 8, cap 7"}
+        assert not (tmp_path / "g.dot").exists()
+
 
 class TestSqrt2Masses:
     """Masses in Q(sqrt2) are written as 'a+b*sqrt2' and read back exactly."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import drift_oracle
 from conftest import all_paths, random_path
 from orderflow.analysis import partially_driftless_in
-from orderflow.digraph import PermDigraph, Subgraph, is_face_subgraph, strongly_connected_components
+from orderflow.digraph import PermDigraph, Subgraph, is_face_subgraph, strongly_connected_components, tail
 from orderflow.drift import (
     DRIFTLESS,
     DRIFTS,
@@ -17,6 +17,7 @@ from orderflow.drift import (
     classify_loop,
     compose,
     edge_profile,
+    identity_profile,
     loop_drift,
     path_profile,
     subgraph_drifts,
@@ -107,6 +108,33 @@ class TestCompose:
                     continue
                 hits += 1
                 assert compose(path_profile(p), path_profile(q)) == path_profile(concat(p, q))
+
+
+@st.composite
+def split_paths(draw):
+    """A random path of G_2 or G_3, cut into three consecutive pieces (possibly empty)."""
+    n = draw(st.sampled_from([2, 3]))
+    p = random_path(random.Random(draw(st.integers(0, 2**32))), n, draw(st.integers(1, 9)))
+    i = draw(st.integers(0, p.length))
+    j = draw(st.integers(i, p.length))
+    vertices = [p.first_vertex] + [tail(e) for e in p.edges]
+    return [DiPath(n, p.edges[a:b], vertices[a]) for a, b in ((0, i), (i, j), (j, p.length))]
+
+
+class TestComposeProperties:
+    @settings(max_examples=200)
+    @given(split_paths())
+    def test_associative(self, pieces):
+        a, b, c = (path_profile(q) for q in pieces)
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+    @settings(max_examples=200)
+    @given(split_paths())
+    def test_identity_is_a_two_sided_unit(self, pieces):
+        for q in pieces:
+            prof = path_profile(q)
+            assert compose(identity_profile(q.first_vertex), prof) == prof
+            assert compose(prof, identity_profile(q.last_vertex)) == prof
 
 
 class TestLoopDrift:
