@@ -31,7 +31,10 @@ from typing import Iterable, Literal
 from .caps import ENTROPY_N_MAX, LIFT_ENUM_MAX, SUBDIVISION_MAX, perm_cap
 from .digraph import Subgraph
 from .drift import IndexReach, ZERO as SIGN_ZERO
-from .errors import CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError
+from .errors import (
+    CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError,
+    SamplesDiscarded,
+)
 from .exactnum import Exact
 from .maps import IntervalMap
 from .paths import DiPath, build_poset, lifts, linear_extensions
@@ -222,7 +225,7 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
     if samples < 1:
         raise ValueError("need at least one sample")
     if lengths[0] < 1:
-        raise ValueError("all samples were discarded")  # no orbit has a shorter pattern
+        raise SamplesDiscarded("all samples were discarded")  # no orbit has a shorter pattern
     cap = perm_cap()
     # The first length over the cap fails once one orbit is kept that long.
     n_min, n_max = lengths[0], next((n for n in lengths if n > cap), lengths[-1])
@@ -257,7 +260,7 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
         kept = sum(counts.values())
         if n in lengths:
             if kept == 0:
-                raise ValueError("all samples were discarded")
+                raise SamplesDiscarded("all samples were discarded")
             dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
             reports[n] = PatternReport(n, dist, frozenset(counts), samples, samples - kept, counts)
     return {n: reports[n] for n in lengths}

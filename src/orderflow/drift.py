@@ -12,6 +12,33 @@ fixed by the index states (vertex, max-index, min-index) reachable from
 (v, j, j), of which there are at most |V| (n+2)^2, and a breadth-first search
 over them decides the realizability criterion for polytope faces in
 polynomial time.
+
+Drift is all-or-none over the vertices of a strongly connected edge set, so
+one vertex decides it.  A vertex w *drifts* when at some index every
+nonempty loop at w (inside the edge set) has one and the same nonzero
+diagonal sign.  Read ``maxmap`` in value ranks: for a path P from u to w,
+F_P(r) is the rank, among the values at w, of the least final value forced
+above the initial value of rank r, and inf when none is.  Composition gives
+F_PQ = F_Q o F_P with inf absorbing, and a loop at v has sign + at index j
+exactly when F(r) <= r, r being the rank of index j in v.  Likewise G_P reads
+``minmap``, with 0 absorbing, and the sign is - exactly when G(r) >= r: the
+two never hold together on a diagonal, since x_j <= y_j <= x_j would make the
+initial and the final value one position of the orbit, and only the empty
+loop has that.
+
+Claim: if a vertex v drifts, so does every vertex w of the edge set.  Say v
+drifts at index j (rank r_j) with sign +, and w does not drift.  Then no
+rank r at w has every loop of sign +: there is a loop g_r at w with
+F_{g_r}(r) > r.  Strong connectivity gives paths p from v to w and q from w
+to v.  Chain r_0 = F_p(r_j) and r_{k+1} = F_{g_{r_k}}(r_k) while r_k is
+finite; the ranks rise strictly within 1..n, so some r_m is inf with m <= n.
+The loop p g_{r_0} ... g_{r_{m-1}} q at v has F(r_j) = F_q(inf) = inf > r_j,
+so its sign at j is not +, against the drift at v.  The sign - is the mirror
+image: loops g_r with G_{g_r}(r) < r push the chain down to 0.
+
+So the least vertex drifts whenever any vertex does, and the first
+(vertex, index, sign) witness in sorted order always lies at the least
+vertex: ``IndexReach.verdict`` searches its n indices and no others.
 """
 
 from __future__ import annotations
@@ -210,6 +237,10 @@ class IndexReach:
     read off the reachable states at vertex v.  Each edge's step is computed
     once, and each (v, j) is one breadth-first pass.  States name vertices by
     their rank in sorted order, which keeps hashing them cheap.
+
+    Drift is all-or-none over the vertices (see the module docstring), so
+    the verdict takes the n passes at the least vertex.  Those passes are
+    kept, and loops asked for at the least vertex reuse them.
     """
 
     def __init__(self, n: int, edges):
@@ -223,6 +254,7 @@ class IndexReach:
             up = (0,) + p.maxmap + (n + 1,)
             down = (0,) + p.minmap + (n + 1,)
             self.steps[self._rank[p.start]].append((e, self._rank[p.end], up, down))
+        self._at_least: dict[int, dict] = {}
 
     def search(self, v: Perm, j: int) -> dict:
         """States reached from (v, j, j) by nonempty paths, in breadth-first order.
@@ -243,9 +275,17 @@ class IndexReach:
                     order.append(nxt)
         return parent
 
+    def _reached(self, v: Perm, j: int) -> dict:
+        """``search(v, j)``, run once per index at the least vertex."""
+        if v != self.vertices[0]:
+            return self.search(v, j)
+        if j not in self._at_least:
+            self._at_least[j] = self.search(v, j)
+        return self._at_least[j]
+
     def first_loop(self, v: Perm, j: int, signs) -> DiPath | None:
         """The shortest, then least in edge order, loop at v whose diagonal sign at j is in ``signs``."""
-        parent = self.search(v, j)
+        parent = self._reached(v, j)
         start = (self._rank[v], j, j)
         for state in parent:
             w, a, b = state
@@ -259,12 +299,16 @@ class IndexReach:
         return None
 
     def verdict(self) -> DriftVerdict:
-        """The first (vertex, index), in sorted order, where every loop has the same nonzero sign."""
-        for k, v in enumerate(self.vertices):
-            for j in range(1, self.n + 1):
-                signs = {_sign(v, a, b, j) for w, a, b in self.search(v, j) if w == k}
-                if len(signs) == 1 and ZERO not in signs:
-                    return DriftVerdict(True, (v, j, signs.pop()))
+        """The first index of the least vertex where every loop has the same nonzero sign.
+
+        By the all-or-none argument this is also the first (vertex, index)
+        in sorted order over every vertex.
+        """
+        v = self.vertices[0]
+        for j in range(1, self.n + 1):
+            signs = {_sign(v, a, b, j) for w, a, b in self._reached(v, j) if w == 0}
+            if len(signs) == 1 and ZERO not in signs:
+                return DriftVerdict(True, (v, j, signs.pop()))
         return DriftVerdict(False)
 
 
@@ -273,8 +317,8 @@ def subgraph_drifts(H: Subgraph) -> DriftVerdict:
 
     A strongly connected piece drifts when some vertex v, index j and sign
     force every loop at v to that sign; index-state reachability makes the
-    check finite.  The first witness in (vertex, index, sign) order is
-    reported.
+    check finite, and the least vertex decides it.  The first witness in
+    (vertex, index, sign) order is reported.
     """
     for comp in face_components(H):
         verdict = IndexReach(H.n, comp.edges).verdict()
@@ -328,7 +372,7 @@ def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_L
     if verdict.drifts:
         raise DriftObstruction(f"subgraph drifts with witness {verdict.witness}")
 
-    base = min(H.vertices())
+    base = reach.vertices[0]  # the least vertex, whose searches the verdict kept
     gamma = _cover_walk(H, base)
     if gamma.length > length_cap:
         raise CapExceeded(f"edge-covering walk reached {gamma.length} edges, cap {length_cap}")

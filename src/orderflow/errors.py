@@ -81,6 +81,10 @@ class NotPiecewiseAffine(OrderflowError):
     """Exact subdivision requires all pieces of the map to be affine."""
 
 
+class SamplesDiscarded(OrderflowError):
+    """Every sampled orbit was discarded, so there is no histogram to report."""
+
+
 class DegenerateTie(OrderflowError):
     """Two iterates coincide on a set of positive measure."""
 

@@ -106,7 +106,11 @@ def as_flow(mu: PatternDistribution, tol: float = SNAP_TOL) -> PatternDistributi
 
 def support_face(mu: PatternDistribution) -> Subgraph:
     """The face subgraph carrying the positive-mass edges of a flow."""
-    flow = as_flow(mu)
+    return flow_face(as_flow(mu))
+
+
+def flow_face(flow: PatternDistribution) -> Subgraph:
+    """The face subgraph of a flow that ``as_flow`` has already validated."""
     H = Subgraph(flow.n - 1, frozenset(flow.mass))
     if not is_face_subgraph(H):
         raise NotAFlow("support of a flow must be a face subgraph")

@@ -31,7 +31,7 @@ from .errors import (
     UnknownBuiltin,
 )
 from .exactnum import Exact, Sqrt2, exact, exact_str, parse_exact
-from .flows import as_flow, support_face
+from .flows import as_flow, flow_face
 from .paths import DiPath
 from .perms import PatternDistribution, Perm, load_json, order_pattern
 
@@ -404,7 +404,7 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     flow = as_flow(mu)
     n = flow.n
-    H = support_face(flow)
+    H = flow_face(flow)
     comps = strongly_connected_components(H)
     built: list[tuple[Fraction, IntervalMap]] = []
     for comp in comps:

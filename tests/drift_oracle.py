@@ -1,12 +1,18 @@
-"""Profile saturation: the exponential drift decision, kept as a test oracle.
+"""Two slower drift decisions, kept as test oracles.
 
-For every ordered vertex pair (u, w) of one strongly connected edge set this
-collects the finite set of whole drift profiles of paths from u to w, each
-with the first path found breadth-first as its representative.  Loop
-profiles at v are the set at (v, v), so the drift quantifier over infinitely
-many loops becomes a scan of that set.  The set can grow exponentially with
-the component (full G_4 holds 548,314 profiles), so tests run it at n <= 3
-only, against the package's index-state reachability.
+The all-vertex search runs the package's index-state search at every
+(vertex, index) of a component, where the package searches only the least
+vertex's indices and relies on drift being all-or-none over the vertices.
+
+Profile saturation is the exponential decision that came before the
+index-state search.  For every ordered vertex pair (u, w) of one strongly
+connected edge set it collects the finite set of whole drift profiles of
+paths from u to w, each with the first path found breadth-first as its
+representative.  Loop profiles at v are the set at (v, v), so the drift
+quantifier over infinitely many loops becomes a scan of that set.  The set
+can grow exponentially with the component (full G_4 holds 548,314
+profiles), so tests run it at n <= 3 only, against the package's
+index-state reachability.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from orderflow.drift import (
     PLUS,
     ZERO,
     DriftVerdict,
+    IndexReach,
     _cover_walk,
+    _sign,
     compose,
     edge_profile,
     path_profile,
@@ -149,3 +157,32 @@ def partially_driftless_in(H: Subgraph) -> DiPath | None:
                 if any(_diagonal(v, *prof, j) == ZERO for j in range(1, H.n + 1)):
                     return DiPath(H.n, rep)
     return None
+
+
+# -- all-vertex index-state search -------------------------------------------
+
+
+def drifting_vertices(reach: IndexReach) -> list[tuple[Perm, int, str]]:
+    """Every vertex's first (index, sign) witness, from one search per (vertex, index)."""
+    found = []
+    for k, v in enumerate(reach.vertices):
+        for j in range(1, reach.n + 1):
+            signs = {_sign(v, a, b, j) for w, a, b in reach.search(v, j) if w == k}
+            if len(signs) == 1 and ZERO not in signs:
+                found.append((v, j, signs.pop()))
+                break
+    return found
+
+
+def all_vertex_verdict(reach: IndexReach) -> DriftVerdict:
+    """The first (vertex, index, sign) witness over every vertex, in sorted order."""
+    found = drifting_vertices(reach)
+    return DriftVerdict(True, found[0]) if found else DriftVerdict(False)
+
+
+def all_vertex_subgraph_drifts(H: Subgraph) -> DriftVerdict:
+    for comp in face_components(H):
+        verdict = all_vertex_verdict(IndexReach(H.n, comp.edges))
+        if verdict.drifts:
+            return verdict
+    return DriftVerdict(False)

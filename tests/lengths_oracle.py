@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 from orderflow.analysis import PatternReport, exact_distribution, unit_samples
 from orderflow.digraph import Subgraph
-from orderflow.errors import CapExceeded
+from orderflow.errors import CapExceeded, SamplesDiscarded
 from orderflow.perms import PatternDistribution, all_perms, order_pattern
 
 
@@ -45,7 +45,7 @@ def oracle_sampled(f, n: int, samples: int, seed) -> PatternReport:
         counts[sigma] = counts.get(sigma, 0) + 1
     kept = samples - discards
     if kept == 0:
-        raise ValueError("all samples were discarded")
+        raise SamplesDiscarded("all samples were discarded")
     dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
     return PatternReport(n, dist, frozenset(counts), samples, discards, counts)
 

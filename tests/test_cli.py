@@ -344,6 +344,21 @@ class TestBoundary:
         assert code == 1 and err == {"error": "CapExceeded", "detail": "full digraph reached n = 8, cap 7"}
         assert not (tmp_path / "g.dot").exists()
 
+    # Every orbit of a period-3 rotation repeats before length 4.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "6", "--out", "OUT"],
+            ["entropy", "--n-max", "6", "--mode", "empirical", "--out", "OUT"],
+            ["forbidden", "--n", "6", "--mode", "empirical"],
+            ["exclusion", "--n", "5", "--m-max", "6", "--mode", "empirical"],
+        ],
+    )
+    def test_all_samples_discarded(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        code, err = run_error(capsys, *argv, "--map", "rotation:1/3", "--samples", "100", "--seed", "1")
+        assert code == 1 and err == {"error": "SamplesDiscarded", "detail": "all samples were discarded"}
+
 
 class TestSqrt2Masses:
     """Masses in Q(sqrt2) are written as 'a+b*sqrt2' and read back exactly."""

@@ -14,6 +14,7 @@ from orderflow.drift import (
     PARTIALLY_DRIFTLESS,
     TOTALLY_DRIFTLESS,
     DriftProfile,
+    IndexReach,
     classify_loop,
     compose,
     edge_profile,
@@ -371,6 +372,94 @@ class TestReachabilityAgainstSaturation:
             if H.edges:
                 _assert_matches_saturation(H)
                 checked += 1
+
+
+def _assert_matches_all_vertices(H: Subgraph) -> None:
+    """The least-vertex verdict equals the all-vertex search, and drift is all-or-none."""
+    for comp in strongly_connected_components(H):
+        if not comp.edges:
+            continue
+        reach = IndexReach(H.n, comp.edges)
+        drifting = drift_oracle.drifting_vertices(reach)
+        assert len(drifting) in (0, len(reach.vertices))
+        assert reach.verdict() == drift_oracle.all_vertex_verdict(reach)
+    assert subgraph_drifts(H) == drift_oracle.all_vertex_subgraph_drifts(H)
+
+
+@st.composite
+def strongly_connected_edge_sets(draw):
+    """One strongly connected piece of a random edge set of G_3 or G_4."""
+    n = draw(st.sampled_from([3, 4]))
+    edges = sorted(PermDigraph(n).edges())
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    kept = Subgraph(n, frozenset(e for e, k in zip(edges, keep) if k))
+    comps = [Subgraph(n, c.edges) for c in strongly_connected_components(kept) if c.edges]
+    if not comps:
+        reject()
+    return draw(st.sampled_from(comps))
+
+
+class TestLeastVertexAgainstAllVertices:
+    """The verdict searches the least vertex only; the oracle searches every vertex."""
+
+    @pytest.mark.parametrize("n, count", [(3, 100), (4, 30)])
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
+    def test_random_face_subgraphs(self, n, count, p):
+        rng = random.Random(f"g{n}-faces-{p}-all-vertices")
+        checked = drifting = 0
+        while checked < count:
+            H = _random_face_subgraph(rng, n, p)
+            if H.edges:
+                _assert_matches_all_vertices(H)
+                checked += 1
+                drifting += subgraph_drifts(H).drifts
+        if p == 0.4:  # the draws include drifting faces, whose witness vertex is checked
+            assert drifting > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_full_graph(self, n):
+        _assert_matches_all_vertices(PermDigraph(n).full_subgraph())
+
+    @settings(max_examples=60, deadline=None)
+    @given(strongly_connected_edge_sets())
+    def test_strongly_connected_edge_sets(self, H):
+        _assert_matches_all_vertices(H)
+
+
+class TestSearchCount:
+    """One breadth-first search per index of the least vertex, shared with synthesis."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = IndexReach.search
+
+        def counted(reach, v, j):
+            calls.append((v, j))
+            return search(reach, v, j)
+
+        monkeypatch.setattr(IndexReach, "search", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_driftless_component_costs_n_searches(self, searches, n):
+        H = PermDigraph(n).full_subgraph()
+        assert not subgraph_drifts(H).drifts
+        least = min(H.vertices())
+        assert searches == [(least, j) for j in range(1, n + 1)]
+
+    def test_drifting_component_stops_at_its_witness(self, searches, two_cycle):
+        v, j, _ = subgraph_drifts(two_cycle).witness
+        assert searches == [(v, k) for k in range(1, j + 1)]
+
+    def test_synthesis_reuses_the_verdict_searches(self, searches, monkeypatch, driftless_triple):
+        asked = []
+        first_loop = IndexReach.first_loop
+        monkeypatch.setattr(IndexReach, "first_loop", lambda reach, *a: asked.append(a) or first_loop(reach, *a))
+        synthesize_totally_driftless_loop(driftless_triple)
+        least = min(driftless_triple.vertices())
+        assert asked and all(v == least for v, _, _ in asked)
+        assert searches == [(least, 1), (least, 2)]
 
 
 @st.composite

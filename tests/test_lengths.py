@@ -155,11 +155,11 @@ class TestRealizedPatterns:
         # No orbit of a period-3 rotation is kept past length 3.
         rotation = builtin("rotation", Fraction(1, 3))
         got = _outcome(realized_patterns, rotation, [7], "empirical", 500, 2)
-        assert got == ("ValueError", "all samples were discarded")
+        assert got == ("SamplesDiscarded", "all samples were discarded")
         assert got == _outcome(oracle_realized, rotation, [7], "empirical", 500, 2)
         # A float doubling orbit from k/2**64 reaches 0 in at most 64 steps, then repeats.
         got = _outcome(realized_patterns, builtin("doubling"), [2, 70], "empirical", 200, 2)
-        assert got == ("ValueError", "all samples were discarded")
+        assert got == ("SamplesDiscarded", "all samples were discarded")
         assert got == _outcome(oracle_realized, builtin("doubling"), [2, 70], "empirical", 200, 2)
 
 

@@ -331,6 +331,15 @@ class TestRealizeFlow:
         assert gap <= Fraction(1, 20)
         assert f.measure_preserving and f.almost_aperiodic
 
+    def test_flow_is_validated_once(self, monkeypatch):
+        from orderflow import flows
+
+        calls = []
+        residual = flows.flow_residual
+        monkeypatch.setattr(flows, "flow_residual", lambda mu: calls.append(mu) or residual(mu))
+        realize_flow(PatternDistribution.uniform(3), 0.05)
+        assert len(calls) == 1
+
     def test_vertices_not_realizable(self):
         with pytest.raises(NotRealizable):
             realize_flow(PatternDistribution.point_mass(perm("123")), 0.05)

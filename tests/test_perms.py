@@ -19,10 +19,12 @@ from orderflow.perms import (
     order_pattern,
     perm,
     preimages,
+    push_mass,
     pushforward,
     restrict,
     _trusted,
 )
+from orderflow.exactnum import exact
 from orderflow.maps import builtin
 
 words = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
@@ -173,6 +175,46 @@ class TestDistributions:
     def test_float_mode(self):
         mu = PatternDistribution(2, {perm("12"): 0.5, perm("21"): 0.5}, exact=False)
         assert mu.close_to(PatternDistribution(2, {perm("12"): 0.5 + 1e-12, perm("21"): 0.5 - 1e-12}, exact=False))
+
+
+@st.composite
+def distributions(draw, coefficients):
+    """An exact distribution on S_n, 3 <= n <= 5, with masses a + b*sqrt2 over their total."""
+    n = draw(st.integers(3, 5))
+    support = draw(st.lists(st.sampled_from(list(all_perms(n))), min_size=1, max_size=12, unique=True))
+    weights = [exact(draw(st.integers(1, 9)), draw(coefficients)) for _ in support]
+    total = sum(weights, Fraction(0))
+    return PatternDistribution(n, {s: w / total for s, w in zip(support, weights)})
+
+
+rational = distributions(st.just(0))
+quadratic = distributions(st.integers(0, 9))
+
+
+class TestPushforwardProperties:
+    """Pushforward keeps the mass and composes, on Fraction and Q(sqrt2) masses."""
+
+    @settings(max_examples=60)
+    @given(st.one_of(rational, quadratic), st.sampled_from([HEAD, TAIL]))
+    def test_mass_is_kept(self, mu, side):
+        pushed = push_mass(mu.mass, side)
+        assert sum(pushed.values(), Fraction(0)) == sum(mu.mass.values(), Fraction(0)) == 1
+        down = pushforward(mu, side)
+        assert down.n == mu.n - 1 and down.mass == pushed
+
+    @settings(max_examples=60)
+    @given(st.one_of(rational, quadratic), st.sampled_from([HEAD, TAIL]), st.sampled_from([HEAD, TAIL]))
+    def test_twice_is_the_two_step_restriction(self, mu, first, second):
+        two_step: dict = {}
+        for sigma, m in mu.mass.items():
+            tgt = restrict(restrict(sigma, first), second)
+            two_step[tgt] = two_step.get(tgt, 0) + m
+        assert pushforward(pushforward(mu, first), second).mass == two_step
+
+    @settings(max_examples=30)
+    @given(quadratic)
+    def test_head_and_tail_commute(self, mu):
+        assert pushforward(pushforward(mu, HEAD), TAIL) == pushforward(pushforward(mu, TAIL), HEAD)
 
 
 class TestCsv:
