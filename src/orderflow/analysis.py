@@ -7,7 +7,17 @@ sorted bounds), and the next iterate is inserted into the cell's order by
 binary search for its rank just inside both ends, so only the iterates
 ranked between those two ranks cross it, at sorted points.  A final cell's
 order is its pattern; masses are exact interval lengths and this is the
-oracle the rest of the package is checked against.  The empirical
+oracle the rest of the package is checked against.
+
+A piecewise isometry (every slope +1 or -1) is subdivided by the same code
+on the integer lattice Z[sqrt2] of :mod:`.exactnum`: scaled by S, the
+interval is (0, S), every bound, intercept, cut and crossing is an int or a
+two-int ZSqrt2, and divisions go through ``exact_div``, which refuses a
+remainder.  Masses and error texts are converted back to Q(sqrt2).  Other
+slopes cross at points with varying denominators and keep Fraction / Sqrt2
+values.
+
+The empirical
 route samples a counter-based deterministic stream, so runs are reproducible
 per seed and parallelizable by index range.
 
@@ -26,6 +36,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Literal
 
 from .caps import ENTROPY_N_MAX, LIFT_ENUM_MAX, SUBDIVISION_MAX, perm_cap
@@ -35,8 +46,8 @@ from .errors import (
     CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
 )
-from .exactnum import Exact
-from .maps import IntervalMap
+from .exactnum import Exact, exact_div, from_lattice
+from .maps import IntervalMap, isometry_lattice
 from .paths import DiPath, build_poset, lifts, linear_extensions
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
@@ -63,31 +74,37 @@ class PatternReport:
 
 # -- exact subdivision --------------------------------------------------------
 
-# A cell is an open interval (lo, hi) of [0, 1) with the affine maps (a, b)
+# A cell is an open interval (lo, hi) of [0, one) with the affine maps (a, b)
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
 # values there; no two iterates meet inside a cell.  Cells stream through
 # one generator per iterate, in x order, so no level is ever held whole.
+# ``one`` is 1, or S on the lattice, and ``show`` gives a value's Q(sqrt2)
+# form for error texts.
 
 
-def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int):
+def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int, one, show):
     """Split (lo, hi) where iterate k, x -> a x + b, crosses a piece bound.
 
     Yields (left, right, piece index) in x order; the iterate's values on
-    (lo, hi) must stay in [0, 1), where the map is defined.
+    (lo, hi) must stay in [0, one), where the map is defined.
     """
     if a == 0:
-        if not 0 <= b < 1:
-            raise EscapesInterval(f"iterate {k} takes the value {b} outside [0, 1) on ({lo}, {hi})")
+        if not 0 <= b < one:
+            raise EscapesInterval(
+                f"iterate {k} takes the value {show(b)} outside [0, 1) on ({show(lo)}, {show(hi)})"
+            )
         yield lo, hi, bisect_right(bounds, b) - 1
         return
     ylo, yhi = a * lo + b, a * hi + b
     if a < 0:
         ylo, yhi = yhi, ylo
-    if ylo < 0 or yhi > 1:
-        raise EscapesInterval(f"iterate {k} maps ({lo}, {hi}) onto ({ylo}, {yhi}), outside [0, 1)")
+    if ylo < 0 or yhi > one:
+        raise EscapesInterval(
+            f"iterate {k} maps ({show(lo)}, {show(hi)}) onto ({show(ylo)}, {show(yhi)}), outside [0, 1)"
+        )
     first = bisect_right(bounds, ylo) - 1
     last = bisect_left(bounds, yhi)
-    xs = [(c - b) / a for c in bounds[first + 1 : last]]
+    xs = [exact_div(c - b, a) for c in bounds[first + 1 : last]]
     indices = range(first, last)
     if a < 0:
         xs.reverse()
@@ -120,7 +137,7 @@ def _rank(comps, order: tuple[int, ...], a: Exact, b: Exact, x: Exact, right: bo
     return lo
 
 
-def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Exact):
+def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Exact, show):
     """Split (lo, hi) where x -> a x + b crosses the iterates of ``order``.
 
     Yields (left, right, rank of the new iterate) in x order.  Only the
@@ -132,28 +149,28 @@ def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Ex
     end = _rank(comps, order, a, b, hi, right=False)
     for rank in (start, end):
         if rank < len(order) and comps[order[rank]] == (a, b):
-            raise DegenerateTie(f"iterates {order[rank]} and {len(comps)} coincide on ({lo}, {hi})")
+            raise DegenerateTie(f"iterates {order[rank]} and {len(comps)} coincide on ({show(lo)}, {show(hi)})")
     step = 1 if end > start else -1
     left = lo
     for rank in range(start, end, step):
         ai, bi = comps[order[rank if step > 0 else rank - 1]]
-        cross = (bi - b) / (a - ai)
+        cross = exact_div(bi - b, a - ai)
         yield left, cross, rank
         left = cross
     yield left, hi, end
 
 
-def _add_iterate(cells, pieces, k: int, cap: int):
+def _add_iterate(cells, pieces, k: int, cap: int, one, show):
     """The cells of ``cells`` refined so that iterate k, too, keeps its order."""
     bounds = [p.lo for p in pieces]
     count = 0
     for lo, hi, comps, order in cells:
         a, b = comps[-1]
-        for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1):
+        for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1, one, show):
             p = pieces[j]
             new = (p.a * a, p.a * b + p.b)
             grown = comps + (new,)
-            for x0, x1, rank in _insert(comps, order, *new, left, right):
+            for x0, x1, rank in _insert(comps, order, *new, left, right, show):
                 count += 1
                 yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
         if count > cap:
@@ -166,6 +183,7 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     Requires every piece affine (coefficients may lie in Q(sqrt2)); regions
     where two iterates coincide identically would make the pattern undefined
     on positive measure and are reported as a degeneracy instead of guessed.
+    A piecewise isometry is subdivided on the lattice Z[sqrt2].
     """
     if n < 1:
         raise ValueError("pattern length must be at least 1")
@@ -173,17 +191,27 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
-    cells = [(Fraction(0), Fraction(1), ((Fraction(1), Fraction(0)),), (0,))]
+    lattice = isometry_lattice(f.pieces)
+    if lattice is None:
+        pieces, zero, one, show = f.pieces, Fraction(0), Fraction(1), _as_is
+    else:
+        (one, pieces), zero = lattice, 0
+        show = partial(from_lattice, scale=one)
+    cells = [(zero, one, ((1, zero),), (0,))]
     for k in range(1, n):
-        cells = _add_iterate(cells, f.pieces, k, cap)
+        cells = _add_iterate(cells, pieces, k, cap, one, show)
     by_order: dict[tuple[int, ...], Exact] = {}
     for lo, hi, _, order in cells:
-        by_order[order] = by_order.get(order, Fraction(0)) + (hi - lo)
-    total = sum(by_order.values(), Fraction(0))
-    if total != 1:
-        raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {total}, not 1")
-    dist = PatternDistribution(n, {_pattern(order): m for order, m in by_order.items()})
+        by_order[order] = by_order.get(order, zero) + (hi - lo)
+    total = sum(by_order.values(), zero)
+    if total != one:
+        raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {show(total)}, not 1")
+    dist = PatternDistribution(n, {_pattern(order): show(m) for order, m in by_order.items()})
     return PatternReport(n, dist, frozenset(dist.mass), samples=None)
+
+
+def _as_is(x):
+    return x
 
 
 def _pattern(order: tuple[int, ...]) -> Perm:

@@ -8,13 +8,27 @@ crossings, interval lengths) still needs exact comparison.  ``Sqrt2`` is
 that field element; the :func:`exact` factory collapses back to
 ``fractions.Fraction`` whenever the irrational part cancels, so purely
 rational pipelines never see this class at all.
+
+Maps whose pieces all have slope +1 or -1 (piecewise isometries: rotations,
+permutation maps and their block sums) admit a faster exact route.  Scaled
+by twice the least common denominator of their piece bounds and
+intercepts, every value an exact subdivision or a measure sweep computes
+lies in the ring Z[sqrt 2]: iterate slopes stay +-1, cut points (c - b)/a
+divide by +-1, and two iterates of opposite slope cross at half the
+difference of their intercepts, which the factor 2 keeps integral.  Such a
+value is a plain ``int`` when its sqrt(2) part is 0 and a :class:`ZSqrt2`
+(two ints) otherwise; :func:`to_lattice` and :func:`from_lattice` convert
+at the ends, and :func:`exact_div` divides without leaving the lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import InvariantViolation
 
 Exact = Union[int, Fraction, "Sqrt2"]
 
@@ -180,3 +194,151 @@ def parse_exact(text: str) -> Exact:
             b = -b
         return exact(a, b)
     return Fraction(s)
+
+
+# -- the integer lattice Z[sqrt 2] -------------------------------------------
+
+
+class ZSqrt2:
+    """An element a + b*sqrt(2) with a, b ints and b != 0.
+
+    Arithmetic mixes it with ints only, and returns an int whenever the
+    sqrt(2) part cancels.  Multiplication is by ints, which is all that
+    slopes +-1 need.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        if type(other) is int:
+            return ZSqrt2(self.a + other, self.b)
+        if type(other) is not ZSqrt2:
+            return NotImplemented
+        b = self.b + other.b
+        return ZSqrt2(self.a + other.a, b) if b else self.a + other.a
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return ZSqrt2(self.a - other, self.b)
+        if type(other) is not ZSqrt2:
+            return NotImplemented
+        b = self.b - other.b
+        return ZSqrt2(self.a - other.a, b) if b else self.a - other.a
+
+    def __rsub__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return ZSqrt2(other - self.a, -self.b)
+
+    def __mul__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return ZSqrt2(self.a * other, self.b * other) if other else 0
+
+    __rmul__ = __mul__
+
+    def _cmp(self, other) -> int | None:
+        """The sign of self - other, or None for a foreign type."""
+        if type(other) is int:
+            a, b = self.a - other, self.b
+        elif type(other) is ZSqrt2:
+            a, b = self.a - other.a, self.b - other.b
+        else:
+            return None
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if (a >= 0) == (b > 0):  # both parts agree, or a is 0
+            return 1 if b > 0 else -1
+        # Mixed signs: the larger of a^2 and 2 b^2 (never equal) decides.
+        return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
+
+    def __eq__(self, other):
+        if type(other) is ZSqrt2:
+            return self.a == other.a and self.b == other.b
+        if type(other) is int:
+            return False  # b != 0
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"ZSqrt2({self.a}, {self.b})"
+
+
+Lattice = Union[int, ZSqrt2]
+
+
+def exact_div(x, d):
+    """x / d, exactly.
+
+    On the lattice (x an int or a ZSqrt2, d a nonzero int) the quotient must
+    stay on it: a remainder raises InvariantViolation.  Any other x is
+    divided as a field element.
+    """
+    if type(x) is int:
+        q, r = divmod(x, d)
+        if r:
+            raise InvariantViolation(f"lattice division {x} / {d} leaves remainder {r}")
+        return q
+    if type(x) is ZSqrt2:
+        qa, ra = divmod(x.a, d)
+        qb, rb = divmod(x.b, d)
+        if ra or rb:
+            raise InvariantViolation(f"lattice division {x!r} / {d} leaves a remainder")
+        return ZSqrt2(qa, qb)
+    return x / d
+
+
+def lattice_scale(values) -> int:
+    """Twice the least common denominator of the parts of exact ``values``."""
+    dens = []
+    for x in values:
+        if isinstance(x, Sqrt2):
+            dens += (x.a.denominator, x.b.denominator)
+        else:
+            dens.append(x.denominator)
+    return 2 * math.lcm(*dens)
+
+
+def _scaled(q, scale: int) -> int:
+    k, r = divmod(scale, q.denominator)
+    if r:
+        raise InvariantViolation(f"scale {scale} leaves {q} off the lattice")
+    return q.numerator * k
+
+
+def to_lattice(x: Exact, scale: int) -> Lattice:
+    """scale * x as a lattice value; scale must clear x's denominators."""
+    if isinstance(x, Sqrt2):
+        return ZSqrt2(_scaled(x.a, scale), _scaled(x.b, scale))
+    return _scaled(x, scale)
+
+
+def from_lattice(x: Lattice, scale: int) -> Exact:
+    """x / scale back in Q(sqrt 2): a Fraction, or a Sqrt2."""
+    if type(x) is ZSqrt2:
+        return Sqrt2(Fraction(x.a, scale), Fraction(x.b, scale))
+    return Fraction(x, scale)

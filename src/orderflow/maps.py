@@ -30,7 +30,7 @@ from .errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from .exactnum import Exact, Sqrt2, exact, exact_str, parse_exact
+from .exactnum import Exact, Sqrt2, exact, exact_str, lattice_scale, parse_exact, to_lattice
 from .flows import as_flow, flow_face
 from .paths import DiPath
 from .perms import PatternDistribution, Perm, load_json, order_pattern
@@ -125,27 +125,47 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
     image covers y; the map preserves measure iff that sum is 1 on every cell
     of the image arrangement.  One sweep over the sorted span ends adds each
     piece's weight where its image starts and removes it where it ends.
+    Pieces of slope +-1 are swept on the integer lattice, with weight 1.
     """
     if any(not p.affine for p in pieces):
         return None
-    steps: dict[Exact, Exact] = {ZERO: ZERO, ONE: ZERO}
+    lattice = isometry_lattice(pieces)
+    zero, one = ZERO, ONE
+    if lattice is not None:
+        zero, (one, pieces) = 0, lattice
+    steps: dict[Exact, Exact] = {zero: zero, one: zero}
     for p in pieces:
         if p.a == 0:
             return False
         ylo, yhi = p(p.lo), p(p.hi)
         if ylo > yhi:
             ylo, yhi = yhi, ylo
-        if ylo < 0 or yhi > 1:
+        if ylo < 0 or yhi > one:
             return False
-        w = ONE / abs(p.a)
-        steps[ylo] = steps.get(ylo, ZERO) + w
-        steps[yhi] = steps.get(yhi, ZERO) - w
-    density = ZERO
+        w = ONE / abs(p.a) if lattice is None else 1
+        steps[ylo] = steps.get(ylo, zero) + w
+        steps[yhi] = steps.get(yhi, zero) - w
+    density = zero
     for y in sorted(steps)[:-1]:
         density += steps[y]
         if density != 1:
             return False
     return True
+
+
+def isometry_lattice(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]] | None:
+    """The scale S and the pieces conjugated by x -> S x onto the lattice Z[sqrt2].
+
+    Only a piecewise isometry (every piece affine with slope +1 or -1) has
+    one; any other map gives None.  S is :func:`exactnum.lattice_scale` of
+    the bounds and intercepts, and the scaled slopes are the ints +-1.
+    """
+    if not all(p.c == 0 and (p.a == 1 or p.a == -1) for p in pieces):
+        return None
+    scale = lattice_scale(v for p in pieces for v in (p.lo, p.hi, p.b))
+    return scale, tuple(
+        Piece(to_lattice(p.lo, scale), to_lattice(p.hi, scale), int(p.a), to_lattice(p.b, scale)) for p in pieces
+    )
 
 
 # -- built-in maps -----------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import oracle_distribution
+from isometries import lattice_maps
 from orderflow.analysis import (
     empirical_distribution,
     entropy_estimate,
@@ -19,7 +21,9 @@ from orderflow.analysis import (
 )
 from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
 from orderflow.drift import loop_drift
-from orderflow.errors import CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine, NotRealizable
+from orderflow.errors import (
+    CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine, NotRealizable, OrderflowError,
+)
 from orderflow.exactnum import exact
 from orderflow.flows import flow_residual
 from orderflow.maps import (
@@ -29,6 +33,8 @@ from orderflow.maps import (
     block_sum,
     builtin,
     cyclic_lift,
+    isometry_lattice,
+    map_from_json,
     permutation_map,
     realize_flow,
 )
@@ -165,6 +171,75 @@ def block_sums(draw):
 def permutation_maps(draw):
     rank = draw(st.permutations(range(1, draw(st.integers(1, 12)) + 1)))
     return permutation_map(CyclicRanking(len(rank), tuple(rank)))
+
+
+def _generic(f, n):
+    """exact_distribution by the Fraction / Sqrt2 route, which other slopes take."""
+    with mock.patch("orderflow.analysis.isometry_lattice", return_value=None):
+        return exact_distribution(f, n)
+
+
+def _outcome(compute, f, n):
+    """The masses, or the domain error's type and text."""
+    try:
+        report = compute(f, n)
+    except OrderflowError as exc:
+        return type(exc), str(exc)
+    return getattr(report, "distribution", report).mass
+
+
+class TestIsometryLattice:
+    """Slope +-1 maps are subdivided on Z[sqrt2]: same masses and same error texts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_maps)
+    def test_lattice_equals_generic_and_oracle(self, f):
+        assert isometry_lattice(f.pieces) is not None
+        for n in range(1, 7):
+            lattice = _outcome(exact_distribution, f, n)
+            assert lattice == _outcome(_generic, f, n)
+            oracle = _outcome(oracle_distribution, f, n)
+            if isinstance(lattice, dict):
+                assert lattice == oracle
+            else:
+                assert lattice[0] is oracle[0] is DegenerateTie
+                break
+
+    def test_mass_types_match_generic(self, loop_132_321_213):
+        for f in (permutation_map(cyclic_lift(loop_132_321_213)), builtin("rotation", exact(-1, 1))):
+            lattice, generic = exact_distribution(f, 4).distribution.mass, _generic(f, 4).distribution.mass
+            assert [(s, type(m)) for s, m in lattice.items()] == [(s, type(m)) for s, m in generic.items()]
+
+    # The texts below are what the Fraction / Sqrt2 route prints for these maps.
+    def test_periodic_rotation_tie_text(self):
+        with pytest.raises(DegenerateTie) as caught:
+            exact_distribution(builtin("rotation", Fraction(1, 3)), 4)
+        assert str(caught.value) == "iterates 0 and 3 coincide on (0, 1/3)"
+
+    def test_escaping_isometry_text(self):
+        f = map_from_json(
+            '{"pieces": [{"lo": "0", "hi": "-1+1*sqrt2", "a": "1", "b": "1/2"},'
+            ' {"lo": "-1+1*sqrt2", "hi": "1", "a": "-1", "b": "3/2"}]}'
+        )
+        assert isometry_lattice(f.pieces) is not None
+        with pytest.raises(EscapesInterval) as caught:
+            exact_distribution(f, 3)
+        assert str(caught.value) == (
+            "iterate 1 maps (Sqrt2(Fraction(-1, 1), Fraction(1, 1)), 3/4) onto "
+            "(3/4, Sqrt2(Fraction(5, 2), Fraction(-1, 1))), outside [0, 1)"
+        )
+
+    @pytest.mark.parametrize(
+        "f, n, cap, text",
+        [
+            (builtin("rotation", exact(-1, 1)), 8, 4, "exact subdivision reached 5 cells at iterate 7, cap 4"),
+            (permutation_map(CyclicRanking(5, (2, 5, 1, 4, 3))), 6, 5, "exact subdivision reached 6 cells at iterate 5, cap 5"),
+        ],
+    )
+    def test_cap_text(self, f, n, cap, text):
+        with pytest.raises(CapExceeded) as caught:
+            exact_distribution(f, n, cap=cap)
+        assert str(caught.value) == text
 
 
 class TestExactOracleProperty:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isometries import lattice_maps
 from orderflow import cli
 from orderflow.cli import build_parser, main
 from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
-from orderflow.maps import map_from_json
+from orderflow.maps import map_from_json, map_to_json
 from orderflow.paths import path, path_to_json
 from orderflow.exactnum import exact
 from orderflow.perms import PatternDistribution, distribution_from_csv, perm
@@ -557,3 +558,40 @@ class TestValidateFuzz:
         assert len(lines) == 1
         payload = json.loads(lines[0])
         assert payload.get("command") == "validate" or "error" in payload
+
+
+@st.composite
+def isometry_json(draw):
+    """A slope +-1 map as JSON, often with one piece field replaced or dropped."""
+    payload = json.loads(map_to_json(draw(lattice_maps)))
+    pieces = payload["pieces"]
+    for _ in range(draw(st.integers(0, 2))):
+        rec = pieces[draw(st.integers(0, len(pieces) - 1))]
+        key = draw(st.sampled_from(["lo", "hi", "a", "b", "c"]))
+        if draw(st.booleans()):
+            rec.pop(key, None)
+        else:
+            rec[key] = draw(json_leaves | st.sampled_from(["-1", "1/3", "2", "1-1*sqrt2", "1/2+1/2*sqrt2"]))
+    return json.dumps(payload)
+
+
+class TestExactMapFuzz:
+    """exact --map file.json prints one JSON line and exits 0, 1 or 2 on any slope +-1 map or broken piece."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=isometry_json(), n=st.integers(1, 5))
+    def test_one_json_line(self, tmp_path_factory, text, n):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        f = tmp / "map.json"
+        f.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["exact", "--map", str(f), "--n", str(n), "--out", str(tmp / "x.csv")])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload.get("command") == "exact" if code == 0 else "error" in payload

@@ -1,11 +1,13 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isometries import lattice_maps, unit_points
 from orderflow.errors import (
     CapExceeded,
     CyclicObstruction,
@@ -14,7 +16,7 @@ from orderflow.errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from orderflow.exactnum import Sqrt2, exact, exact_str, parse_exact
+from orderflow.exactnum import Sqrt2, ZSqrt2, exact, exact_div, exact_str, from_lattice, parse_exact
 from orderflow.flows import flow_residual, interior_flow
 from orderflow.maps import (
     CyclicRanking,
@@ -24,6 +26,7 @@ from orderflow.maps import (
     block_sum,
     builtin,
     cyclic_lift,
+    isometry_lattice,
     iterate,
     map_from_json,
     map_to_json,
@@ -112,6 +115,54 @@ class TestExactNumberProperties:
         back = parse_exact(text)
         assert back == x and type(back) is type(x)
         assert parse_exact(f" {text} ") == x
+
+
+def lattice(a: int, b: int):
+    """a + b*sqrt2 on the lattice: an int when b == 0."""
+    return ZSqrt2(a, b) if b else a
+
+
+lattice_pairs = st.tuples(st.integers(-60, 60), st.integers(-45, 45)) | st.tuples(
+    st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)
+)
+
+
+class TestLatticeNumbers:
+    """ZSqrt2 (two ints) against Sqrt2 (two Fractions) on the same values."""
+
+    @settings(max_examples=300)
+    @given(lattice_pairs, lattice_pairs)
+    def test_order_sum_and_difference(self, p, q):
+        x, y, ex, ey = lattice(*p), lattice(*q), exact(*p), exact(*q)
+        assert (x > 0) - (x < 0) == (ex > 0) - (ex < 0)
+        assert (x < y, x <= y, x > y, x >= y, x == y) == (ex < ey, ex <= ey, ex > ey, ex >= ey, ex == ey)
+        for got, want in ((x + y, ex + ey), (x - y, ex - ey), (3 * x - y * 2, 3 * ex - 2 * ey), (x * -1, -ex)):
+            assert type(got) is (int if isinstance(want, Fraction) else ZSqrt2)
+            assert from_lattice(got, 1) == want
+        assert (hash(x) == hash(y)) or x != y
+
+    @settings(max_examples=200)
+    @given(lattice_pairs, st.sampled_from([1, -1, 2, -2]))
+    def test_exact_division(self, p, d):
+        x = lattice(*p)
+        if p[0] % d or p[1] % d:
+            with pytest.raises(InvariantViolation, match="remainder"):
+                exact_div(x, d)
+        else:
+            assert from_lattice(exact_div(x, d), 1) == exact(*p) / d
+
+    def test_mixed_signs_near_the_diagonal(self):
+        # a^2 and 2 b^2 differ by one: 3 - 2 sqrt2 > 0, 7 - 5 sqrt2 < 0, 17 - 12 sqrt2 > 0.
+        assert ZSqrt2(3, -2) > 0 and ZSqrt2(-3, 2) < 0
+        assert ZSqrt2(7, -5) < 0 and ZSqrt2(-7, 5) > 0
+        assert ZSqrt2(17, -12) > 0 and ZSqrt2(17, -12) < ZSqrt2(7, -5) + 1
+
+    def test_foreign_operands_refused(self):
+        with pytest.raises(TypeError):
+            ZSqrt2(1, 1) + Fraction(1, 2)
+        with pytest.raises(TypeError):
+            ZSqrt2(1, 1) < 0.5
+        assert ZSqrt2(1, 1) != exact(1, 1)
 
 
 class TestBuiltins:
@@ -220,6 +271,23 @@ class TestPreservesMeasure:
         assert verdicts[:4] == [True, True, True, False]
         assert verdicts[4::5] == [True] * 40
         assert not any(v for i, v in enumerate(verdicts[4:]) if i % 5)
+
+
+def _generic_preserves(pieces):
+    with mock.patch("orderflow.maps.isometry_lattice", return_value=None):
+        return preserves_measure(pieces)
+
+
+class TestPreservesMeasureOnLattice:
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_maps, st.data())
+    def test_same_verdict_as_generic(self, f, data):
+        pieces = f.pieces
+        assert isometry_lattice(pieces) is not None
+        assert preserves_measure(pieces) is _generic_preserves(pieces) is _density_by_cells(pieces) is True
+        i = data.draw(st.integers(0, len(pieces) - 1))
+        nudged = _with_piece(pieces, i, b=pieces[i].b + data.draw(unit_points()) - data.draw(unit_points()))
+        assert preserves_measure(nudged) is _generic_preserves(nudged) is _density_by_cells(nudged)
 
 
 class TestIterate:
