@@ -9,13 +9,14 @@ ranked between those two ranks cross it, at sorted points.  A final cell's
 order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.
 
-A piecewise isometry (every slope +1 or -1) is subdivided by the same code
-on the integer lattice Z[sqrt2] of :mod:`.exactnum`: scaled by S, the
-interval is (0, S), every bound, intercept, cut and crossing is an int or a
-two-int ZSqrt2, and divisions go through ``exact_div``, which refuses a
-remainder.  Masses and error texts are converted back to Q(sqrt2).  Other
-slopes cross at points with varying denominators and keep Fraction / Sqrt2
-values.
+The subdivision runs in the frame (S, pieces) of :func:`.maps.lattice_frame`,
+on the interval (0, S).  A piecewise isometry (every slope +1 or -1) is
+scaled onto the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every
+bound, intercept, cut and crossing is an int or a Sqrt2 with int parts, and
+divisions go through ``exact_div``, which refuses a remainder.  Other slopes
+cross at points with varying denominators, so their maps keep S = 1 and
+Fraction / Sqrt2 values.  Masses and error texts are converted back to
+Q(sqrt2) by ``from_lattice``.
 
 The empirical
 route samples a counter-based deterministic stream, so runs are reproducible
@@ -35,7 +36,6 @@ import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Iterable, Literal
 
@@ -47,7 +47,7 @@ from .errors import (
     SamplesDiscarded,
 )
 from .exactnum import Exact, exact_div, from_lattice
-from .maps import IntervalMap, isometry_lattice
+from .maps import IntervalMap, lattice_frame
 from .paths import DiPath, build_poset, lifts, linear_extensions
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
@@ -78,8 +78,8 @@ class PatternReport:
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
 # values there; no two iterates meet inside a cell.  Cells stream through
 # one generator per iterate, in x order, so no level is ever held whole.
-# ``one`` is 1, or S on the lattice, and ``show`` gives a value's Q(sqrt2)
-# form for error texts.
+# ``one`` is the frame's scale S, and ``show`` gives a value's Q(sqrt2) form
+# for error texts.
 
 
 def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int, one, show):
@@ -191,27 +191,19 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
-    lattice = isometry_lattice(f.pieces)
-    if lattice is None:
-        pieces, zero, one, show = f.pieces, Fraction(0), Fraction(1), _as_is
-    else:
-        (one, pieces), zero = lattice, 0
-        show = partial(from_lattice, scale=one)
-    cells = [(zero, one, ((1, zero),), (0,))]
+    one, pieces = lattice_frame(f.pieces)
+    show = partial(from_lattice, scale=one)
+    cells = [(0, one, ((1, 0),), (0,))]
     for k in range(1, n):
         cells = _add_iterate(cells, pieces, k, cap, one, show)
     by_order: dict[tuple[int, ...], Exact] = {}
     for lo, hi, _, order in cells:
-        by_order[order] = by_order.get(order, zero) + (hi - lo)
-    total = sum(by_order.values(), zero)
+        by_order[order] = by_order.get(order, 0) + (hi - lo)
+    total = sum(by_order.values())
     if total != one:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {show(total)}, not 1")
     dist = PatternDistribution(n, {_pattern(order): show(m) for order, m in by_order.items()})
     return PatternReport(n, dist, frozenset(dist.mass), samples=None)
-
-
-def _as_is(x):
-    return x
 
 
 def _pattern(order: tuple[int, ...]) -> Perm:

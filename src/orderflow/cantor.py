@@ -348,7 +348,6 @@ def assemble_truncated_map(
         tuple(filled),
         name=f"cantor(depth={N}, shells={M})",
         measure_preserving=False,
-        almost_aperiodic=False,
     )
 
 

@@ -5,26 +5,26 @@ except that one transition of a permutation map is composed with an
 irrational rotation by a multiple of sqrt(2) - 1.  Orbits and subdivision
 points then live in Q(sqrt 2), and everything (piece lookup, equality
 crossings, interval lengths) still needs exact comparison.  ``Sqrt2`` is
-that field element; the :func:`exact` factory collapses back to
-``fractions.Fraction`` whenever the irrational part cancels, so purely
-rational pipelines never see this class at all.
+that number, a + b*sqrt(2) with b != 0: every operation collapses to its
+rational part when the sqrt(2) part cancels, so purely rational pipelines
+never see this class at all.
 
-Maps whose pieces all have slope +1 or -1 (piecewise isometries: rotations,
-permutation maps and their block sums) admit a faster exact route.  Scaled
-by twice the least common denominator of their piece bounds and
-intercepts, every value an exact subdivision or a measure sweep computes
-lies in the ring Z[sqrt 2]: iterate slopes stay +-1, cut points (c - b)/a
-divide by +-1, and two iterates of opposite slope cross at half the
-difference of their intercepts, which the factor 2 keeps integral.  Such a
-value is a plain ``int`` when its sqrt(2) part is 0 and a :class:`ZSqrt2`
-(two ints) otherwise; :func:`to_lattice` and :func:`from_lattice` convert
-at the ends, and :func:`exact_div` divides without leaving the lattice.
+Its parts are Fractions for a field element (the :func:`exact` factory) or
+ints for an element of the ring Z[sqrt 2].  Maps whose pieces all have
+slope +1 or -1 (piecewise isometries: rotations, permutation maps and their
+block sums) are subdivided on that ring.  Scaled by twice the least common
+denominator of their piece bounds and intercepts, every value an exact
+subdivision or a measure sweep computes lies in Z[sqrt 2]: iterate slopes
+stay +-1, cut points (c - b)/a divide by +-1, and two iterates of opposite
+slope cross at half the difference of their intercepts, which the factor 2
+keeps integral.  Such a value is an ``int`` or a ``Sqrt2`` with int parts;
+:func:`to_lattice` and :func:`from_lattice` convert at the ends, and
+:func:`exact_div` divides without leaving the lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -33,6 +33,7 @@ from .errors import InvariantViolation
 Exact = Union[int, Fraction, "Sqrt2"]
 
 _SQRT2_FLOAT = 2.0 ** 0.5
+_RATIONAL = (int, Fraction, float)  # Fraction(float) is exact, so mixed operations stay exact
 
 
 def exact(a, b=0) -> Exact:
@@ -44,28 +45,31 @@ def exact(a, b=0) -> Exact:
     return Sqrt2(a, b)
 
 
-@dataclass(frozen=True)
 class Sqrt2:
-    """An element a + b*sqrt(2) with a, b rational and b != 0."""
+    """An element a + b*sqrt(2) with a, b rational and b != 0.
 
-    a: Fraction
-    b: Fraction
+    The parts are ints for a lattice value and Fractions for a field value;
+    rational operands mix in exactly.  ``/`` gives Fraction parts, so a
+    quotient is never a float; :func:`exact_div` divides on the lattice.
+    """
 
-    def _coerce(self, other):
-        if isinstance(other, Sqrt2):
-            return other
-        if isinstance(other, (int, Fraction, float)):
-            # Fraction(float) is exact, so mixed comparisons stay exact.
-            return Sqrt2(Fraction(other), Fraction(0))
-        return None
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return exact(self.a + o.a, self.b + o.b)
+        if type(other) is int:
+            return Sqrt2(self.a + other, self.b)
+        if type(other) is Sqrt2:
+            b = self.b + other.b
+            return Sqrt2(self.a + other.a, b) if b else self.a + other.a
+        if isinstance(other, _RATIONAL):
+            return Sqrt2(self.a + Fraction(other), self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -73,89 +77,96 @@ class Sqrt2:
         return Sqrt2(-self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return exact(self.a - o.a, self.b - o.b)
+        if type(other) is int:
+            return Sqrt2(self.a - other, self.b)
+        if type(other) is Sqrt2:
+            b = self.b - other.b
+            return Sqrt2(self.a - other.a, b) if b else self.a - other.a
+        if isinstance(other, _RATIONAL):
+            return Sqrt2(self.a - Fraction(other), self.b)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return exact(o.a - self.a, o.b - self.b)
+        if type(other) is int:
+            return Sqrt2(other - self.a, -self.b)
+        if isinstance(other, _RATIONAL):
+            return Sqrt2(Fraction(other) - self.a, -self.b)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return exact(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if type(other) is int:
+            return Sqrt2(self.a * other, self.b * other) if other else self.a * other
+        if type(other) is Sqrt2:
+            b = self.a * other.b + self.b * other.a
+            a = self.a * other.a + 2 * self.b * other.b
+            return Sqrt2(a, b) if b else a
+        if isinstance(other, _RATIONAL):
+            q = Fraction(other)
+            return Sqrt2(self.a * q, self.b * q) if q else self.a * q
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # Multiply by the conjugate; the norm a^2 - 2 b^2 never vanishes
-        # for nonzero elements since sqrt(2) is irrational.
-        norm = o.a * o.a - 2 * o.b * o.b
-        inv = Sqrt2(o.a / norm, -o.b / norm)
-        return self * inv
+        if type(other) is Sqrt2:
+            # Multiply by the conjugate; the norm a^2 - 2 b^2 never vanishes
+            # for nonzero elements since sqrt(2) is irrational.
+            norm = other.a * other.a - 2 * other.b * other.b
+            return self * Sqrt2(other.a, -other.b) / Fraction(norm)
+        if isinstance(other, _RATIONAL):
+            q = Fraction(other)
+            return Sqrt2(self.a / q, self.b / q)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, _RATIONAL):
+            norm = self.a * self.a - 2 * self.b * self.b
+            return Sqrt2(self.a, -self.b) * Fraction(other) / Fraction(norm)
+        return NotImplemented
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if self._cmp(0) < 0 else self
 
     # -- order -------------------------------------------------------------
 
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if a >= 0 and b >= 0:
-            return 1 if (a != 0 or b != 0) else 0
-        if a <= 0 and b <= 0:
-            return -1 if (a != 0 or b != 0) else 0
-        # Mixed signs: compare a^2 with 2 b^2, the sign follows the larger term.
-        lhs = a * a
-        rhs = 2 * b * b
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
-
-    def _cmp(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        diff = self - o
-        if isinstance(diff, Sqrt2):
-            return diff._sign()
-        return (diff > 0) - (diff < 0)
+    def _cmp(self, other) -> int | None:
+        """The sign of self - other, or None for a foreign type."""
+        if type(other) is int:
+            a, b = self.a - other, self.b
+        elif type(other) is Sqrt2:
+            a, b = self.a - other.a, self.b - other.b
+        elif isinstance(other, _RATIONAL):
+            a, b = self.a - Fraction(other), self.b
+        else:
+            return None
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if (a >= 0) == (b > 0):  # both parts agree, or a is 0
+            return 1 if b > 0 else -1
+        # Mixed signs: the larger of a^2 and 2 b^2 (never equal) decides.
+        return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
 
     def __lt__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        return NotImplemented if c is None else c >= 0
 
     def __eq__(self, other):
-        if isinstance(other, Sqrt2):
+        if type(other) is Sqrt2:
             return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return False  # b != 0 by construction
+        if isinstance(other, _RATIONAL):
+            return False  # b != 0
         return NotImplemented
 
     def __hash__(self):
@@ -172,6 +183,8 @@ class Sqrt2:
 
 def exact_str(x: Exact) -> str:
     """Canonical text form: 'p/q' or 'a+b*sqrt2' / 'a-b*sqrt2'."""
+    if type(x) is Fraction or type(x) is int:
+        return str(x)
     if isinstance(x, Sqrt2):
         sep, b = ("-", -x.b) if x.b < 0 else ("+", x.b)
         return f"{x.a}{sep}{b}*sqrt2"
@@ -199,116 +212,25 @@ def parse_exact(text: str) -> Exact:
 # -- the integer lattice Z[sqrt 2] -------------------------------------------
 
 
-class ZSqrt2:
-    """An element a + b*sqrt(2) with a, b ints and b != 0.
-
-    Arithmetic mixes it with ints only, and returns an int whenever the
-    sqrt(2) part cancels.  Multiplication is by ints, which is all that
-    slopes +-1 need.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        if type(other) is int:
-            return ZSqrt2(self.a + other, self.b)
-        if type(other) is not ZSqrt2:
-            return NotImplemented
-        b = self.b + other.b
-        return ZSqrt2(self.a + other.a, b) if b else self.a + other.a
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is int:
-            return ZSqrt2(self.a - other, self.b)
-        if type(other) is not ZSqrt2:
-            return NotImplemented
-        b = self.b - other.b
-        return ZSqrt2(self.a - other.a, b) if b else self.a - other.a
-
-    def __rsub__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return ZSqrt2(other - self.a, -self.b)
-
-    def __mul__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return ZSqrt2(self.a * other, self.b * other) if other else 0
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int | None:
-        """The sign of self - other, or None for a foreign type."""
-        if type(other) is int:
-            a, b = self.a - other, self.b
-        elif type(other) is ZSqrt2:
-            a, b = self.a - other.a, self.b - other.b
-        else:
-            return None
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if (a >= 0) == (b > 0):  # both parts agree, or a is 0
-            return 1 if b > 0 else -1
-        # Mixed signs: the larger of a^2 and 2 b^2 (never equal) decides.
-        return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
-    def __eq__(self, other):
-        if type(other) is ZSqrt2:
-            return self.a == other.a and self.b == other.b
-        if type(other) is int:
-            return False  # b != 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"ZSqrt2({self.a}, {self.b})"
-
-
-Lattice = Union[int, ZSqrt2]
-
-
 def exact_div(x, d):
     """x / d, exactly.
 
-    On the lattice (x an int or a ZSqrt2, d a nonzero int) the quotient must
-    stay on it: a remainder raises InvariantViolation.  Any other x is
-    divided as a field element.
+    On the lattice (x an int or a Sqrt2 with int parts, d a nonzero int) the
+    quotient must stay on it: a remainder raises InvariantViolation.  Any
+    other x or d is divided as a field element.
     """
-    if type(x) is int:
-        q, r = divmod(x, d)
-        if r:
-            raise InvariantViolation(f"lattice division {x} / {d} leaves remainder {r}")
-        return q
-    if type(x) is ZSqrt2:
-        qa, ra = divmod(x.a, d)
-        qb, rb = divmod(x.b, d)
-        if ra or rb:
-            raise InvariantViolation(f"lattice division {x!r} / {d} leaves a remainder")
-        return ZSqrt2(qa, qb)
+    if type(d) is int:
+        if type(x) is int:
+            q, r = divmod(x, d)
+            if r:
+                raise InvariantViolation(f"lattice division {x} / {d} leaves remainder {r}")
+            return q
+        if type(x) is Sqrt2 and type(x.a) is int:
+            qa, ra = divmod(x.a, d)
+            qb, rb = divmod(x.b, d)
+            if ra or rb:
+                raise InvariantViolation(f"lattice division {x!r} / {d} leaves a remainder")
+            return Sqrt2(qa, qb)
     return x / d
 
 
@@ -330,15 +252,15 @@ def _scaled(q, scale: int) -> int:
     return q.numerator * k
 
 
-def to_lattice(x: Exact, scale: int) -> Lattice:
+def to_lattice(x: Exact, scale: int) -> Exact:
     """scale * x as a lattice value; scale must clear x's denominators."""
     if isinstance(x, Sqrt2):
-        return ZSqrt2(_scaled(x.a, scale), _scaled(x.b, scale))
+        return Sqrt2(_scaled(x.a, scale), _scaled(x.b, scale))
     return _scaled(x, scale)
 
 
-def from_lattice(x: Lattice, scale: int) -> Exact:
-    """x / scale back in Q(sqrt 2): a Fraction, or a Sqrt2."""
-    if type(x) is ZSqrt2:
+def from_lattice(x: Exact, scale: int) -> Exact:
+    """x / scale back in Q(sqrt 2): a Fraction, or a Sqrt2 with Fraction parts."""
+    if type(x) is Sqrt2:
         return Sqrt2(Fraction(x.a, scale), Fraction(x.b, scale))
     return Fraction(x, scale)

@@ -7,6 +7,10 @@ equal subintervals permuted by translations realize a prescribed loop of
 order patterns, and one transition is composed with an in-piece rotation by
 (sqrt(2)-1)/l so that almost every orbit is aperiodic while Lebesgue measure
 and the pattern distribution are untouched.
+
+Exact work on a map (subdivision, the measure check) runs in the frame of
+:func:`lattice_frame`: a piecewise isometry is scaled onto the integer
+lattice Z[sqrt2] of :mod:`.exactnum`, and any other map keeps its pieces.
 """
 
 from __future__ import annotations
@@ -70,11 +74,10 @@ class IntervalMap:
     pieces: tuple[Piece, ...]
     name: str = ""
     measure_preserving: bool = False
-    almost_aperiodic: bool = False
     rotated_piece: int | None = None
 
     def __post_init__(self):
-        ps = sorted(self.pieces, key=_Lo)
+        ps = sorted(self.pieces, key=lambda p: p.lo)
         if not ps:
             raise ValueError("a map needs at least one piece")
         if ps[0].lo != 0 or ps[-1].hi != 1:
@@ -95,18 +98,6 @@ class IntervalMap:
         return self.pieces[self.piece_index(x)](x)
 
 
-class _Lo:
-    """Sort key wrapping exact bounds (comparison needs only __lt__)."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, p: Piece):
-        self.v = p.lo
-
-    def __lt__(self, other):
-        return self.v < other.v
-
-
 def iterate(f: IntervalMap, x, k: int) -> list:
     """The orbit (x, f x, ..., f^k x), in exact arithmetic for exact input."""
     orbit = [x]
@@ -124,16 +115,13 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
     The pushforward density at y is the sum of 1/|slope| over pieces whose
     image covers y; the map preserves measure iff that sum is 1 on every cell
     of the image arrangement.  One sweep over the sorted span ends adds each
-    piece's weight where its image starts and removes it where it ends.
-    Pieces of slope +-1 are swept on the integer lattice, with weight 1.
+    piece's weight where its image starts and removes it where it ends.  It
+    runs in the frame of :func:`lattice_frame`, where [0, 1) is [0, S).
     """
     if any(not p.affine for p in pieces):
         return None
-    lattice = isometry_lattice(pieces)
-    zero, one = ZERO, ONE
-    if lattice is not None:
-        zero, (one, pieces) = 0, lattice
-    steps: dict[Exact, Exact] = {zero: zero, one: zero}
+    one, pieces = lattice_frame(pieces)
+    steps: dict[Exact, Exact] = {0: 0, one: 0}
     for p in pieces:
         if p.a == 0:
             return False
@@ -142,10 +130,10 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
             ylo, yhi = yhi, ylo
         if ylo < 0 or yhi > one:
             return False
-        w = ONE / abs(p.a) if lattice is None else 1
-        steps[ylo] = steps.get(ylo, zero) + w
-        steps[yhi] = steps.get(yhi, zero) - w
-    density = zero
+        w = 1 if p.a == 1 or p.a == -1 else ONE / abs(p.a)
+        steps[ylo] = steps.get(ylo, 0) + w
+        steps[yhi] = steps.get(yhi, 0) - w
+    density = 0
     for y in sorted(steps)[:-1]:
         density += steps[y]
         if density != 1:
@@ -153,15 +141,18 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
     return True
 
 
-def isometry_lattice(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]] | None:
-    """The scale S and the pieces conjugated by x -> S x onto the lattice Z[sqrt2].
+def lattice_frame(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]:
+    """A scale S and the pieces conjugated by x -> S x, which maps [0, 1) to [0, S).
 
-    Only a piecewise isometry (every piece affine with slope +1 or -1) has
-    one; any other map gives None.  S is :func:`exactnum.lattice_scale` of
-    the bounds and intercepts, and the scaled slopes are the ints +-1.
+    A piecewise isometry (every piece affine with slope +1 or -1) lands on
+    the lattice Z[sqrt2]: S is :func:`exactnum.lattice_scale` of the bounds
+    and intercepts, and the scaled slopes are the ints +-1.  Any other map
+    keeps S = 1 and its pieces, with int coefficients read as Fractions:
+    :func:`exactnum.exact_div` takes an int for a lattice value.
     """
     if not all(p.c == 0 and (p.a == 1 or p.a == -1) for p in pieces):
-        return None
+        fields = ((p.lo, p.hi, p.a, p.b, p.c) for p in pieces)
+        return 1, tuple(Piece(*(Fraction(v) if type(v) is int else v for v in vs)) for vs in fields)
     scale = lattice_scale(v for p in pieces for v in (p.lo, p.hi, p.b))
     return scale, tuple(
         Piece(to_lattice(p.lo, scale), to_lattice(p.hi, scale), int(p.a), to_lattice(p.b, scale)) for p in pieces
@@ -174,10 +165,10 @@ def isometry_lattice(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]
 def builtin(name: str, param=None) -> IntervalMap:
     """Construct a named map: rotation, doubling, tent, or logistic.
 
-    Rotations take an offset in (0, 1); rational offsets are periodic and the
-    map is flagged not almost aperiodic, while a Q(sqrt2) offset gives the
-    aperiodic rotation family.  Logistic accepts only the parameter 4 and is
-    the one non-affine, non-measure-preserving inhabitant.
+    Rotations take an offset in (0, 1); rational offsets are periodic, while
+    a Q(sqrt2) offset gives the aperiodic rotation family.  Logistic accepts
+    only the parameter 4 and is the one non-affine, non-measure-preserving
+    inhabitant.
     """
     if name == "rotation":
         if param is None:
@@ -189,25 +180,20 @@ def builtin(name: str, param=None) -> IntervalMap:
             Piece(ZERO, 1 - alpha, ONE, alpha),
             Piece(1 - alpha, ONE, ONE, alpha - 1),
         )
-        return IntervalMap(
-            pieces,
-            name=f"rotation({exact_str(alpha)})",
-            measure_preserving=True,
-            almost_aperiodic=isinstance(alpha, Sqrt2),
-        )
+        return IntervalMap(pieces, name=f"rotation({exact_str(alpha)})", measure_preserving=True)
     if name == "doubling":
         half = Fraction(1, 2)
         pieces = (Piece(ZERO, half, Fraction(2), ZERO), Piece(half, ONE, Fraction(2), -ONE))
-        return IntervalMap(pieces, name="doubling", measure_preserving=True, almost_aperiodic=True)
+        return IntervalMap(pieces, name="doubling", measure_preserving=True)
     if name == "tent":
         half = Fraction(1, 2)
         pieces = (Piece(ZERO, half, Fraction(2), ZERO), Piece(half, ONE, Fraction(-2), Fraction(2)))
-        return IntervalMap(pieces, name="tent", measure_preserving=True, almost_aperiodic=True)
+        return IntervalMap(pieces, name="tent", measure_preserving=True)
     if name == "logistic":
         if param is not None and Fraction(param) != 4:
             raise ValueError("only the logistic map with parameter 4 is supported")
         pieces = (Piece(ZERO, ONE, Fraction(4), ZERO, Fraction(-4)),)
-        return IntervalMap(pieces, name="logistic(4)", measure_preserving=False, almost_aperiodic=True)
+        return IntervalMap(pieces, name="logistic(4)", measure_preserving=False)
     raise UnknownBuiltin(f"no builtin named {name!r}")
 
 
@@ -252,7 +238,6 @@ def block_sum(f: IntervalMap, g: IntervalMap, t) -> IntervalMap:
         tuple(left + right),
         name=f"block_sum({f.name}, {g.name}, {t})",
         measure_preserving=f.measure_preserving and g.measure_preserving,
-        almost_aperiodic=f.almost_aperiodic and g.almost_aperiodic,
         rotated_piece=rotated,
     )
 
@@ -364,7 +349,6 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
         tuple(pieces),
         name=f"permutation_map({label})",
         measure_preserving=True,
-        almost_aperiodic=True,
         rotated_piece=r.rank[ell - 1] - 1,
     )
     if preserves_measure(result.pieces) is not True:
@@ -484,7 +468,6 @@ def map_to_json(f: IntervalMap) -> str:
     payload = {
         "name": f.name,
         "measure_preserving": f.measure_preserving,
-        "almost_aperiodic": f.almost_aperiodic,
         "pieces": pieces,
     }
     if f.rotated_piece is not None:
@@ -520,7 +503,6 @@ def map_from_json(text: str) -> IntervalMap:
             tuple(pieces),
             name=payload.get("name", ""),
             measure_preserving=bool(payload.get("measure_preserving", False)),
-            almost_aperiodic=bool(payload.get("almost_aperiodic", False)),
             rotated_piece=None if tail_info is None else tail_info["piece"],
         )
     except ValueError as exc:

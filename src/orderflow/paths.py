@@ -310,7 +310,7 @@ def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:
         up = all(s(i) >= s(j) for s in sigmas)
         brute = "equal" if down and up else "leq" if down else "geq" if up else "incomparable"
         if brute != answer:
-            raise AssertionError(f"poset says {answer}, lift oracle says {brute}")
+            raise InvariantViolation(f"poset says {answer}, lift oracle says {brute}")
     return answer
 
 

@@ -33,7 +33,7 @@ from orderflow.maps import (
     block_sum,
     builtin,
     cyclic_lift,
-    isometry_lattice,
+    lattice_frame,
     map_from_json,
     permutation_map,
     realize_flow,
@@ -174,8 +174,8 @@ def permutation_maps(draw):
 
 
 def _generic(f, n):
-    """exact_distribution by the Fraction / Sqrt2 route, which other slopes take."""
-    with mock.patch("orderflow.analysis.isometry_lattice", return_value=None):
+    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take."""
+    with mock.patch("orderflow.analysis.lattice_frame", lambda pieces: (1, pieces)):
         return exact_distribution(f, n)
 
 
@@ -194,7 +194,7 @@ class TestIsometryLattice:
     @settings(max_examples=60, deadline=None)
     @given(lattice_maps)
     def test_lattice_equals_generic_and_oracle(self, f):
-        assert isometry_lattice(f.pieces) is not None
+        assert lattice_frame(f.pieces)[0] > 1
         for n in range(1, 7):
             lattice = _outcome(exact_distribution, f, n)
             assert lattice == _outcome(_generic, f, n)
@@ -221,7 +221,7 @@ class TestIsometryLattice:
             '{"pieces": [{"lo": "0", "hi": "-1+1*sqrt2", "a": "1", "b": "1/2"},'
             ' {"lo": "-1+1*sqrt2", "hi": "1", "a": "-1", "b": "3/2"}]}'
         )
-        assert isometry_lattice(f.pieces) is not None
+        assert lattice_frame(f.pieces)[0] > 1
         with pytest.raises(EscapesInterval) as caught:
             exact_distribution(f, 3)
         assert str(caught.value) == (
@@ -240,6 +240,12 @@ class TestIsometryLattice:
         with pytest.raises(CapExceeded) as caught:
             exact_distribution(f, n, cap=cap)
         assert str(caught.value) == text
+
+    def test_int_coefficients_stay_off_the_lattice(self, doubling):
+        # Ints are lattice values to exact_div; a slope-2 map given in ints must still divide exactly.
+        half = Fraction(1, 2)
+        ints = IntervalMap((Piece(0, half, 2, 0), Piece(half, 1, 2, -1)))
+        assert exact_distribution(ints, 5).distribution.mass == exact_distribution(doubling, 5).distribution.mass
 
 
 class TestExactOracleProperty:

@@ -248,6 +248,14 @@ class TestBoundary:
         code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
         assert code == 1 and err["error"] == "FormatError" and "'abc'" in err["detail"]
 
+    def test_poset_oracle_disagreement(self, tmp_path, capsys, figure_loop, monkeypatch):
+        f = tmp_path / "p.json"
+        f.write_text(path_to_json(figure_loop))
+        monkeypatch.setattr("orderflow.paths.lifts", lambda p, m: [])  # no lifts: every relation holds vacuously
+        code, err = run_error(capsys, "poset", "--path", str(f), "--query", "2", "7", "--oracle")
+        assert code == 1
+        assert err == {"error": "InvariantViolation", "detail": "poset says incomparable, lift oracle says equal"}
+
     def test_path_string_length(self, tmp_path, capsys):
         f = tmp_path / "path.json"
         f.write_text('{"n": "2", "edges": ["132", "321", "213"]}')

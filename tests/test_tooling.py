@@ -1,16 +1,50 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orderflow"
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / module).read_text(), module)
+
+
+def _raises_assertion_error(node: ast.AST) -> bool:
+    exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_assert_statements(module):
     # python -O strips assert statements, so a guard written as one vanishes.
-    tree = ast.parse((SRC / module).read_text(), module)
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # A hand-raised AssertionError escapes the CLI's OrderflowError handler
+    # as a traceback instead of the one-line JSON error.
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+    ]
     assert lines == [], f"{module} asserts at lines {lines}; raise an explicit error instead"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_stdlib(module):
+    # pyproject.toml declares dependencies = []: the package imports itself
+    # (relatively) and the standard library, nothing else.
+    foreign = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == [], f"{module} imports {foreign}, which are neither relative nor in the standard library"
