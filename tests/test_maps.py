@@ -130,10 +130,9 @@ def on_lattice(x) -> bool:
 lattice_pairs = st.tuples(st.integers(-60, 60), st.integers(-45, 45)) | st.tuples(
     st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)
 )
-nonzero = st.integers(-45, 45).filter(bool)
 # Sqrt2 values with int parts or with Fraction parts, and the rationals they mix with.
-irrationals = st.builds(Sqrt2, st.integers(-60, 60), nonzero) | st.builds(
-    exact, rationals, st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
+irrationals = st.builds(Sqrt2, st.integers(-60, 60), st.integers(-45, 45).filter(bool)) | st.builds(
+    exact, rationals, rationals.filter(bool)
 )
 rational_operands = st.integers(-50, 50) | rationals
 
