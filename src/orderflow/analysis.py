@@ -47,7 +47,7 @@ from .errors import (
     SamplesDiscarded,
 )
 from .exactnum import Exact, exact_div, from_lattice
-from .maps import IntervalMap, lattice_frame
+from .maps import IntervalMap, _image_span, lattice_frame
 from .paths import DiPath, build_poset, lifts, linear_extensions
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
@@ -60,16 +60,26 @@ Mode = Literal["exact", "empirical"]
 class PatternReport:
     """Distribution plus bookkeeping for one (map, n) query."""
 
-    n: int
     distribution: PatternDistribution
-    realized: frozenset[Perm]
     samples: int | None  # None marks an exact computation
-    discards: int = 0
     counts: dict[Perm, int] | None = None  # the sampled histogram; None when exact
 
     @property
     def exact(self) -> bool:
         return self.samples is None
+
+    @property
+    def n(self) -> int:
+        return self.distribution.n
+
+    @property
+    def realized(self) -> frozenset[Perm]:
+        return frozenset(self.distribution.mass)
+
+    @property
+    def discards(self) -> int:
+        """Sampled orbits left out of the histogram: escapes and exact repeats."""
+        return 0 if self.counts is None else self.samples - sum(self.counts.values())
 
 
 # -- exact subdivision --------------------------------------------------------
@@ -95,9 +105,7 @@ def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, 
             )
         yield lo, hi, bisect_right(bounds, b) - 1
         return
-    ylo, yhi = a * lo + b, a * hi + b
-    if a < 0:
-        ylo, yhi = yhi, ylo
+    ylo, yhi = _image_span(a, b, lo, hi)
     if ylo < 0 or yhi > one:
         raise EscapesInterval(
             f"iterate {k} maps ({show(lo)}, {show(hi)}) onto ({show(ylo)}, {show(yhi)}), outside [0, 1)"
@@ -160,7 +168,7 @@ def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Ex
     yield left, hi, end
 
 
-def _add_iterate(cells, pieces, k: int, cap: int, one, show):
+def _add_iterate(cells, pieces, k: int, one, show):
     """The cells of ``cells`` refined so that iterate k, too, keeps its order."""
     bounds = [p.lo for p in pieces]
     count = 0
@@ -173,11 +181,11 @@ def _add_iterate(cells, pieces, k: int, cap: int, one, show):
             for x0, x1, rank in _insert(comps, order, *new, left, right, show):
                 count += 1
                 yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
-        if count > cap:
-            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {cap}")
+        if count > SUBDIVISION_MAX:
+            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {SUBDIVISION_MAX}")
 
 
-def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> PatternReport:
+def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     """Exact pattern distribution of the first n iterates.
 
     Requires every piece affine (coefficients may lie in Q(sqrt2)); regions
@@ -195,7 +203,7 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     show = partial(from_lattice, scale=one)
     cells = [(0, one, ((1, 0),), (0,))]
     for k in range(1, n):
-        cells = _add_iterate(cells, pieces, k, cap, one, show)
+        cells = _add_iterate(cells, pieces, k, one, show)
     by_order: dict[tuple[int, ...], Exact] = {}
     for lo, hi, _, order in cells:
         by_order[order] = by_order.get(order, 0) + (hi - lo)
@@ -203,7 +211,7 @@ def exact_distribution(f: IntervalMap, n: int, cap: int = SUBDIVISION_MAX) -> Pa
     if total != one:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {show(total)}, not 1")
     dist = PatternDistribution(n, {_pattern(order): show(m) for order, m in by_order.items()})
-    return PatternReport(n, dist, frozenset(dist.mass), samples=None)
+    return PatternReport(dist, samples=None)
 
 
 def _pattern(order: tuple[int, ...]) -> Perm:
@@ -281,8 +289,8 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
         if n in lengths:
             if kept == 0:
                 raise SamplesDiscarded("all samples were discarded")
-            dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
-            reports[n] = PatternReport(n, dist, frozenset(counts), samples, samples - kept, counts)
+            dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()})
+            reports[n] = PatternReport(dist, samples, counts)
     return {n: reports[n] for n in lengths}
 
 
@@ -457,7 +465,7 @@ def growth_check(gamma: DiPath, k_max: int) -> list[tuple[int, int, int]]:
         m = k * gamma.length + gamma.n
         power = gamma**k
         if m <= LIFT_ENUM_MAX:
-            count = len(lifts(power, m))
+            count = len(lifts(power))
         else:
             count = linear_extensions(build_poset(power), "count")
         rows.append((k, count, math.factorial(k)))

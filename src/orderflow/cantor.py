@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .caps import SCALE_DEPTH_MAX, SEPARATOR_DEPTH_MAX
 from .errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
-from .maps import IntervalMap, Piece
+from .maps import IntervalMap, Piece, _image_span
 from .perms import (
     HEAD,
     PatternDistribution,
@@ -307,10 +307,7 @@ def assemble_truncated_map(
             d_a, d_b = 1 / scale, ZERO
         else:
             d_a, d_b = 1 / scale, 1 - 1 / scale
-        img_lo, img_hi = piece(piece.lo), piece(piece.hi)
-        if img_lo > img_hi:
-            img_lo, img_hi = img_hi, img_lo
-        if img_hi <= half:
+        if _image_span(piece.a, piece.b, piece.lo, piece.hi)[1] <= half:
             i_a, i_b = scale, ZERO
         else:
             i_a, i_b = scale, 1 - scale

@@ -130,11 +130,11 @@ def cmd_poset(args) -> dict:
 
 def cmd_lifts(args) -> dict:
     p = _load_path(args.path)
-    m = args.m if args.m is not None else p.length + p.n
+    m = p.length + p.n
     if args.mode == "count":
         count = paths.linear_extensions(paths.build_poset(p), "count")
         return {"command": "lifts", "m": m, "count": count}
-    found = paths.lifts(p, m)
+    found = paths.lifts(p)
     if args.out:
         payload = json.dumps({"m": m, "lifts": [str(s) for s in sorted(found)]}, sort_keys=True)
         _write(args.out, payload + "\n")
@@ -310,7 +310,6 @@ def _poset_args(p):
 def _lifts_args(p):
     p.add_argument("--path", required=True)
     p.add_argument("--mode", choices=["enumerate", "count"], default="enumerate")
-    p.add_argument("--m", type=int, help="target length (default: full collapse)")
     p.add_argument("--out")
 
 
@@ -326,7 +325,7 @@ def _census_args(p):
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--dimensions", type=_dimensions, help="comma-separated dimensions to restrict to (n=4)")
     p.add_argument("--samples", type=_positive_int, help="random subsets for the sampled n=4 census")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="required with --samples")
     p.add_argument("--out", required=True, help="census CSV path")
 
 
@@ -446,6 +445,13 @@ def main(argv=None) -> int:
         parser.error(f"--edges is required for drift {args.action}")
     if args.command == "census" and args.n < 2:
         parser.error(f"census needs --n at least 2, got {args.n}")
+    if args.command == "census" and args.samples is not None:
+        if args.seed is None:
+            parser.error("--seed is required for census --samples")
+        if args.n < 4:
+            parser.error(f"census --samples needs --n 4, got {args.n}; smaller censuses are exhaustive")
+        if args.dimensions == [0]:
+            parser.error("census --samples does not apply to --dimensions 0, which is exhaustive")
     if args.command == "entropy" and args.n_max < 2:
         parser.error(f"entropy needs --n-max at least 2, got {args.n_max}")
     if args.command == "exclusion" and args.m_max <= args.n:

@@ -222,7 +222,7 @@ def shortest_path(H: Subgraph, src: Perm, dst: Perm) -> tuple[Perm, ...]:
     raise NotStronglyConnected(f"no path from {src} to {dst}")
 
 
-def embedded_loops(H: Subgraph, vertex_cap: int = LOOP_ENUM_VERTEX_MAX) -> list[tuple[Perm, ...]]:
+def embedded_loops(H: Subgraph) -> list[tuple[Perm, ...]]:
     """All embedded loops of H, one canonical representative per rotation class.
 
     An embedded loop visits distinct vertices except for its endpoints.  The
@@ -232,8 +232,8 @@ def embedded_loops(H: Subgraph, vertex_cap: int = LOOP_ENUM_VERTEX_MAX) -> list[
     lexicographically least rotation of the edge word.
     """
     verts = sorted(H.vertices())
-    if len(verts) > vertex_cap:
-        raise CapExceeded(f"{len(verts)} vertices exceeds embedded-loop cap {vertex_cap}")
+    if len(verts) > LOOP_ENUM_VERTEX_MAX:
+        raise CapExceeded(f"{len(verts)} vertices exceeds embedded-loop cap {LOOP_ENUM_VERTEX_MAX}")
     rank = {v: i for i, v in enumerate(verts)}
     adj = adjacency(H)
     loops: list[tuple[Perm, ...]] = []

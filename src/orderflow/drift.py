@@ -353,7 +353,7 @@ def _cover_walk(H: Subgraph, base: Perm) -> DiPath:
     return DiPath(H.n, tuple(walk))
 
 
-def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_LENGTH_MAX) -> DiPath:
+def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:
     """A totally driftless loop whose support is exactly H.
 
     Requires H strongly connected and driftless.  Starting from an
@@ -374,8 +374,8 @@ def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_L
 
     base = reach.vertices[0]  # the least vertex, whose searches the verdict kept
     gamma = _cover_walk(H, base)
-    if gamma.length > length_cap:
-        raise CapExceeded(f"edge-covering walk reached {gamma.length} edges, cap {length_cap}")
+    if gamma.length > SYNTHESIS_LENGTH_MAX:
+        raise CapExceeded(f"edge-covering walk reached {gamma.length} edges, cap {SYNTHESIS_LENGTH_MAX}")
     prof = path_profile(gamma)
     i = base.position_of(1)
     j = base.position_of(n)
@@ -386,8 +386,8 @@ def synthesize_totally_driftless_loop(H: Subgraph, length_cap: int = SYNTHESIS_L
         if loop is None:  # a driftless verdict leaves one at every (vertex, index)
             raise InvariantViolation(f"every loop at {base} has drift {sign} at index {k}")
         gamma = DiPath(n, gamma.edges + loop.edges)
-        if gamma.length > length_cap:
-            raise CapExceeded(f"synthesized loop reached {gamma.length} edges, cap {length_cap}")
+        if gamma.length > SYNTHESIS_LENGTH_MAX:
+            raise CapExceeded(f"synthesized loop reached {gamma.length} edges, cap {SYNTHESIS_LENGTH_MAX}")
         prof = compose(prof, path_profile(loop))
 
     while prof.maxmap[i - 1] <= n:

@@ -18,7 +18,7 @@ class LengthTooSmall(OrderflowError):
 
 
 class LengthMismatch(OrderflowError):
-    """Two distributions have incompatible pattern lengths."""
+    """Pattern lengths, or positions within one, do not fit together."""
 
 
 class CapExceeded(OrderflowError):

@@ -37,12 +37,10 @@ _RATIONAL = (int, Fraction, float)  # Fraction(float) is exact, so mixed operati
 
 
 def exact(a, b=0) -> Exact:
-    """a + b*sqrt(2), as a Fraction when b == 0."""
-    a = Fraction(a)
+    """a + b*sqrt(2), as a Fraction when that is rational; ``a`` may itself be a Sqrt2."""
+    a = a if isinstance(a, Sqrt2) else Fraction(a)
     b = Fraction(b)
-    if b == 0:
-        return a
-    return Sqrt2(a, b)
+    return a + Sqrt2(Fraction(0), b) if b else a
 
 
 class Sqrt2:

@@ -92,7 +92,7 @@ def snap_to_exact(mu: PatternDistribution, tol: float = SNAP_TOL) -> tuple[Patte
         raise NotAFlow(f"snapping moved a mass by {worst}, beyond tolerance {tol}")
     total = sum(snapped.values())
     snapped = {s: m / total for s, m in snapped.items()}
-    return PatternDistribution(mu.n, snapped, exact=True), worst
+    return PatternDistribution(mu.n, snapped), worst
 
 
 def as_flow(mu: PatternDistribution, tol: float = SNAP_TOL) -> PatternDistribution:

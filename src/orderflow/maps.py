@@ -34,7 +34,7 @@ from .errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from .exactnum import Exact, Sqrt2, exact, exact_str, lattice_scale, parse_exact, to_lattice
+from .exactnum import Exact, exact, exact_str, lattice_scale, parse_exact, to_lattice
 from .flows import as_flow, flow_face
 from .paths import DiPath
 from .perms import PatternDistribution, Perm, load_json, order_pattern
@@ -74,7 +74,6 @@ class IntervalMap:
     pieces: tuple[Piece, ...]
     name: str = ""
     measure_preserving: bool = False
-    rotated_piece: int | None = None
 
     def __post_init__(self):
         ps = sorted(self.pieces, key=lambda p: p.lo)
@@ -125,9 +124,7 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
     for p in pieces:
         if p.a == 0:
             return False
-        ylo, yhi = p(p.lo), p(p.hi)
-        if ylo > yhi:
-            ylo, yhi = yhi, ylo
+        ylo, yhi = _image_span(p.a, p.b, p.lo, p.hi)
         if ylo < 0 or yhi > one:
             return False
         w = 1 if p.a == 1 or p.a == -1 else ONE / abs(p.a)
@@ -139,6 +136,12 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
         if density != 1:
             return False
     return True
+
+
+def _image_span(a: Exact, b: Exact, lo: Exact, hi: Exact) -> tuple[Exact, Exact]:
+    """The image (low end, high end) of the interval from lo to hi under x -> a x + b."""
+    ylo, yhi = a * lo + b, a * hi + b
+    return (yhi, ylo) if a < 0 else (ylo, yhi)
 
 
 def lattice_frame(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]:
@@ -173,7 +176,7 @@ def builtin(name: str, param=None) -> IntervalMap:
     if name == "rotation":
         if param is None:
             raise ValueError("rotation needs an offset in (0, 1)")
-        alpha = param if isinstance(param, Sqrt2) else Fraction(param)
+        alpha = exact(param)
         if not 0 < alpha < 1:
             raise ValueError(f"rotation offset must lie in (0, 1), got {alpha}")
         pieces = (
@@ -224,21 +227,15 @@ def block_sum(f: IntervalMap, g: IntervalMap, t) -> IntervalMap:
     Orbits never leave their block, so the pattern distribution of the sum is
     the t : (1-t) convex combination of the constituents', exactly.
     """
-    t = t if isinstance(t, Sqrt2) else Fraction(t)
+    t = exact(t)
     if not 0 < t < 1:
         raise ValueError(f"block weight must lie strictly between 0 and 1, got {t}")
     left = [_rescale_piece(p, ZERO, t) for p in f.pieces]
     right = [_rescale_piece(p, t, 1 - t) for p in g.pieces]
-    rotated = None
-    if f.rotated_piece is not None:
-        rotated = f.rotated_piece
-    elif g.rotated_piece is not None:
-        rotated = len(left) + g.rotated_piece
     return IntervalMap(
         tuple(left + right),
         name=f"block_sum({f.name}, {g.name}, {t})",
         measure_preserving=f.measure_preserving and g.measure_preserving,
-        rotated_piece=rotated,
     )
 
 
@@ -269,7 +266,7 @@ def ranking_realizes(r: CyclicRanking, gamma: DiPath) -> bool:
     return True
 
 
-def cyclic_lift(gamma: DiPath, cap: int = CYCLIC_LIFT_MAX) -> CyclicRanking:
+def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     """Rank the positions of a driftless loop so all cyclic windows match.
 
     Window constraints give strict comparisons between positions mod the loop
@@ -282,8 +279,8 @@ def cyclic_lift(gamma: DiPath, cap: int = CYCLIC_LIFT_MAX) -> CyclicRanking:
     if cls not in (DRIFTLESS, TOTALLY_DRIFTLESS):
         raise CyclicObstruction(f"loop classifies as {cls}; it cannot close up cyclically")
     ell = gamma.length
-    if ell > cap:
-        raise CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {cap}")
+    if ell > CYCLIC_LIFT_MAX:
+        raise CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {CYCLIC_LIFT_MAX}")
     w = gamma.n + 1
     succs: list[set[int]] = [set() for _ in range(ell)]
     indeg = [0] * ell
@@ -342,15 +339,8 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
             cut = hi - delta
             pieces.append(Piece(lo, cut, ONE, shift + delta))
             pieces.append(Piece(cut, hi, ONE, shift + delta - width))
-    # After sorting, the rotated transition sits at the index of its source
-    # piece: ranks below it contribute one piece each.
     label = ",".join(map(str, r.rank)) if ell <= 16 else f"{ell} pieces"
-    result = IntervalMap(
-        tuple(pieces),
-        name=f"permutation_map({label})",
-        measure_preserving=True,
-        rotated_piece=r.rank[ell - 1] - 1,
-    )
+    result = IntervalMap(tuple(pieces), name=f"permutation_map({label})", measure_preserving=True)
     if preserves_measure(result.pieces) is not True:
         raise InvariantViolation(f"permutation map of {ell} pieces does not preserve measure")
     return result
@@ -470,8 +460,6 @@ def map_to_json(f: IntervalMap) -> str:
         "measure_preserving": f.measure_preserving,
         "pieces": pieces,
     }
-    if f.rotated_piece is not None:
-        payload["tail"] = {"piece": f.rotated_piece}
     return json.dumps(payload, sort_keys=True)
 
 
@@ -493,17 +481,11 @@ def map_from_json(text: str) -> IntervalMap:
             pieces.append(Piece(*map(parse_exact, values)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"piece {i}: {exc}") from exc
-    tail_info = payload.get("tail")
-    if tail_info is not None and not (
-        isinstance(tail_info, dict) and type(tail_info.get("piece")) is int and 0 <= tail_info["piece"] < len(pieces)
-    ):
-        raise FormatError(f"map JSON 'tail' must be {{\"piece\": index of a piece}}, got {tail_info!r}")
     try:
         return IntervalMap(
             tuple(pieces),
             name=payload.get("name", ""),
             measure_preserving=bool(payload.get("measure_preserving", False)),
-            rotated_piece=None if tail_info is None else tail_info["piece"],
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_ENUM_MAX
-from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, NotALoop
+from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
 from .perms import HEAD, TAIL, Perm, json_length, load_json, perm, restrict
 
 
@@ -124,17 +124,16 @@ def project(obj: Perm | DiPath, n: int) -> DiPath:
     return p
 
 
-def lifts(p: DiPath, m: int, cap: int = LIFT_ENUM_MAX) -> list[Perm]:
-    """All permutations of S_m projecting onto p, by brute force.
+def lifts(p: DiPath) -> list[Perm]:
+    """All permutations of S_m, m = length + n, projecting onto p, by brute force.
 
-    Only the full collapse m = length + n is supported: then a lift is a
-    single permutation whose (n+1)-windows realize the edges of p in order.
-    Surjectivity of the projection guarantees the result is never empty.
+    A lift is a single permutation whose (n+1)-windows realize the edges of
+    p in order.  Surjectivity of the projection guarantees the result is
+    never empty.
     """
-    if m != p.length + p.n:
-        raise ValueError(f"need m = length + n = {p.length + p.n}, got {m}")
-    if m > cap:
-        raise CapExceeded(f"lift enumeration in S_{m} exceeds cap {cap}")
+    m = p.length + p.n
+    if m > LIFT_ENUM_MAX:
+        raise CapExceeded(f"lift enumeration in S_{m} exceeds cap {LIFT_ENUM_MAX}")
     windows = [e.word for e in p.edges]
     if not windows:
         return [p.start]
@@ -302,10 +301,10 @@ def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:
     """
     m = p.length + p.n
     if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError(f"indices must lie in 1..{m}")
+        raise LengthMismatch(f"indices must lie in 1..{m}, got {i} and {j}")
     answer = build_poset(p).comparability(i, j)
     if oracle:
-        sigmas = lifts(p, m)
+        sigmas = lifts(p)
         down = all(s(i) <= s(j) for s in sigmas)
         up = all(s(i) >= s(j) for s in sigmas)
         brute = "equal" if down and up else "leq" if down else "geq" if up else "incomparable"
@@ -314,12 +313,7 @@ def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:
     return answer
 
 
-def linear_extensions(
-    P: PathPoset,
-    mode: Literal["count", "enumerate"] = "count",
-    enum_cap: int = EXTENSION_ENUM_MAX,
-    count_cap: int = EXTENSION_COUNT_MAX,
-):
+def linear_extensions(P: PathPoset, mode: Literal["count", "enumerate"] = "count"):
     """Count or list the total-order extensions of a path poset.
 
     Counting runs a downset DP (memoized on the placed-set bitmask); listing
@@ -336,8 +330,8 @@ def linear_extensions(
     full = (1 << P.m) - 1
 
     if mode == "count":
-        if P.m > count_cap:
-            raise CapExceeded(f"extension counting reached m = {P.m}, cap {count_cap}")
+        if P.m > EXTENSION_COUNT_MAX:
+            raise CapExceeded(f"extension counting reached m = {P.m}, cap {EXTENSION_COUNT_MAX}")
         from functools import lru_cache
 
         @lru_cache(maxsize=None)
@@ -353,8 +347,8 @@ def linear_extensions(
         return count(0)
 
     if mode == "enumerate":
-        if P.m > enum_cap:
-            raise CapExceeded(f"extension enumeration reached m = {P.m}, cap {enum_cap}")
+        if P.m > EXTENSION_ENUM_MAX:
+            raise CapExceeded(f"extension enumeration reached m = {P.m}, cap {EXTENSION_ENUM_MAX}")
         out: list[Perm] = []
         order: list[int] = []
 

@@ -21,7 +21,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -167,42 +167,47 @@ def preimages(sigma: Perm, side: str) -> list[Perm]:
     return out
 
 
-def _validate_masses(n: int, mass: Mapping[Perm, object], exact_mode: bool) -> dict:
+def _validate_masses(n: int, mass: Mapping[Perm, object]) -> tuple[dict, bool]:
+    """The nonzero masses and whether the table is exact: one float mass makes it all float."""
     clean = {}
-    total = Fraction(0) if exact_mode else 0.0
+    exact = True
     for sigma, m in mass.items():
         if sigma.n != n:
             raise LengthMismatch(f"mass on {sigma} in a length-{n} distribution")
         if m < 0:
             raise ValueError(f"negative mass {m} on {sigma}")
-        if m == 0:
-            continue
-        clean[sigma] = m
-        total += m
-    if exact_mode:
+        exact = exact and not isinstance(m, float)
+        if m != 0:
+            clean[sigma] = m
+    if not exact:
+        clean = {s: float(m) for s, m in clean.items()}
+    total = sum(clean.values(), Fraction(0) if exact else 0.0)
+    if exact:
         if total != 1:
             raise ValueError(f"total mass {total} != 1")
     elif abs(total - 1.0) > FLOAT_TOTAL_TOL:
         raise ValueError(f"total mass {total} deviates from 1 beyond {FLOAT_TOTAL_TOL}")
-    return clean
+    return clean, exact
 
 
 @dataclass(frozen=True)
 class PatternDistribution:
     """A probability distribution on S_n.
 
-    ``exact`` distributions carry Fraction (or Q(sqrt2)) masses compared with
-    exact equality; float distributions use the module tolerances.  Zero
+    ``exact`` is derived from the masses: int, Fraction and Q(sqrt2) masses
+    make an exact distribution, compared with exact equality; one float mass
+    makes every mass a float, compared within the module tolerances.  Zero
     masses are not stored.
     """
 
     n: int
     mass: Mapping[Perm, Exact | float]
-    exact: bool = True
+    exact: bool = field(init=False)
 
     def __post_init__(self):
-        clean = _validate_masses(self.n, self.mass, self.exact)
+        clean, exact = _validate_masses(self.n, self.mass)
         object.__setattr__(self, "mass", clean)
+        object.__setattr__(self, "exact", exact)
 
     def __call__(self, sigma: Perm):
         zero = Fraction(0) if self.exact else 0.0
@@ -216,12 +221,10 @@ class PatternDistribution:
         return cls(sigma.n, {sigma: Fraction(1)})
 
     @classmethod
-    def uniform(cls, n: int, exact: bool = True) -> "PatternDistribution":
+    def uniform(cls, n: int) -> "PatternDistribution":
         perms = list(all_perms(n))
-        if exact:
-            w = Fraction(1, len(perms))
-            return cls(n, {s: w for s in perms})
-        return cls(n, {s: 1.0 / len(perms) for s in perms}, exact=False)
+        w = Fraction(1, len(perms))
+        return cls(n, {s: w for s in perms})
 
     def close_to(self, other: "PatternDistribution", tol: float = FLOAT_ENTRY_TOL) -> bool:
         """Entrywise equality: exact when both sides are exact, else within tol."""
@@ -241,7 +244,7 @@ def pushforward(mu: PatternDistribution, side: str) -> PatternDistribution:
     """
     if mu.n < 2:
         raise LengthTooSmall("cannot push a length-1 distribution down")
-    return PatternDistribution(mu.n - 1, push_mass(mu.mass, side), exact=mu.exact)
+    return PatternDistribution(mu.n - 1, push_mass(mu.mass, side))
 
 
 def push_mass(mass: Mapping[Perm, object], side: str) -> dict[Perm, object]:
@@ -337,11 +340,8 @@ def distribution_from_csv(text: str) -> PatternDistribution:
 
 
 def parsed_distribution(n: int, mass: dict) -> PatternDistribution:
-    """A parsed distribution; one float mass demotes the whole table to float arithmetic."""
-    exact_mode = not any(isinstance(m, float) for m in mass.values())
-    if not exact_mode:
-        mass = {s: float(m) for s, m in mass.items()}
+    """A parsed distribution; its schema errors are FormatErrors."""
     try:
-        return PatternDistribution(n, mass, exact=exact_mode)
+        return PatternDistribution(n, mass)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

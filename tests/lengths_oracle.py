@@ -46,8 +46,8 @@ def oracle_sampled(f, n: int, samples: int, seed) -> PatternReport:
     kept = samples - discards
     if kept == 0:
         raise SamplesDiscarded("all samples were discarded")
-    dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()}, exact=False)
-    return PatternReport(n, dist, frozenset(counts), samples, discards, counts)
+    dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()})
+    return PatternReport(dist, samples, counts)
 
 
 def oracle_report(f, n: int, mode: str, samples: int = 100_000, seed=0) -> PatternReport:

@@ -95,9 +95,10 @@ class TestExactDistribution:
         with pytest.raises(DegenerateTie, match="iterates 0 and 10"):
             exact_distribution(rotation_3_10, 11)
 
-    def test_subdivision_cap(self, doubling):
+    def test_subdivision_cap(self, doubling, monkeypatch):
+        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 10)
         with pytest.raises(CapExceeded, match=r"exact subdivision reached \d+ cells at iterate \d+, cap 10"):
-            exact_distribution(doubling, 8, cap=10)
+            exact_distribution(doubling, 8)
 
     def test_escaping_map(self):
         # x -> 3x on [0, 1/2) sends (1/3, 1/2) past 1.
@@ -236,9 +237,10 @@ class TestIsometryLattice:
             (permutation_map(CyclicRanking(5, (2, 5, 1, 4, 3))), 6, 5, "exact subdivision reached 6 cells at iterate 5, cap 5"),
         ],
     )
-    def test_cap_text(self, f, n, cap, text):
+    def test_cap_text(self, f, n, cap, text, monkeypatch):
+        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", cap)
         with pytest.raises(CapExceeded) as caught:
-            exact_distribution(f, n, cap=cap)
+            exact_distribution(f, n)
         assert str(caught.value) == text
 
     def test_int_coefficients_stay_off_the_lattice(self, doubling):
@@ -431,7 +433,7 @@ class TestGrowth:
         from orderflow.paths import build_poset, lifts, linear_extensions
 
         power = loop_132_321_213**2
-        assert len(lifts(power, 8)) == linear_extensions(build_poset(power), "count")
+        assert len(lifts(power)) == linear_extensions(build_poset(power), "count")
 
     def test_figure_loop(self, figure_loop):
         rows = growth_check(figure_loop, 1)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -248,10 +249,43 @@ class TestBoundary:
         code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
         assert code == 1 and err["error"] == "FormatError" and "'abc'" in err["detail"]
 
+    @pytest.mark.parametrize("query", [("0", "9"), ("1", "6"), ("-1", "2")])
+    def test_poset_query_outside_the_path(self, query, tmp_path, capsys, loop_132_321_213):
+        f = tmp_path / "p.json"
+        f.write_text(path_to_json(loop_132_321_213))
+        code, err = run_error(capsys, "poset", "--path", str(f), "--query", *query)
+        detail = f"indices must lie in 1..5, got {query[0]} and {query[1]}"
+        assert code == 1 and err == {"error": "LengthMismatch", "detail": detail}
+
+    def test_lifts_target_length_is_not_an_option(self, tmp_path, capsys, loop_132_321_213):
+        f = tmp_path / "p.json"
+        f.write_text(path_to_json(loop_132_321_213))
+        code, err = run_error(capsys, "lifts", "--path", str(f), "--m", "7")
+        # argparse reads --m as an abbreviation of --mode.
+        detail = "orderflow lifts: argument --mode: invalid choice: '7' (choose from 'enumerate', 'count')"
+        assert code == 2 and err == {"error": "UsageError", "detail": detail}
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["--n", "4", "--samples", "300"], "--seed is required for census --samples"),
+            (["--n", "3", "--samples", "300", "--seed", "1"], "census --samples needs --n 4, got 3; smaller censuses are exhaustive"),
+            (
+                ["--n", "4", "--dimensions", "0", "--samples", "300", "--seed", "1"],
+                "census --samples does not apply to --dimensions 0, which is exhaustive",
+            ),
+        ],
+    )
+    def test_census_samples_misused(self, argv, detail, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, err = run_error(capsys, "census", *argv, "--out", str(out))
+        assert code == 2 and err == {"error": "UsageError", "detail": f"orderflow: {detail}"}
+        assert not out.exists()
+
     def test_poset_oracle_disagreement(self, tmp_path, capsys, figure_loop, monkeypatch):
         f = tmp_path / "p.json"
         f.write_text(path_to_json(figure_loop))
-        monkeypatch.setattr("orderflow.paths.lifts", lambda p, m: [])  # no lifts: every relation holds vacuously
+        monkeypatch.setattr("orderflow.paths.lifts", lambda p: [])  # no lifts: every relation holds vacuously
         code, err = run_error(capsys, "poset", "--path", str(f), "--query", "2", "7", "--oracle")
         assert code == 1
         assert err == {"error": "InvariantViolation", "detail": "poset says incomparable, lift oracle says equal"}
@@ -436,7 +470,7 @@ class TestOneCommandParser:
             ["digraph"],
             ["digraph", "--n", "3", "--format", "json", "--out", "g.json"],
             ["poset", "--path", "p.json", "--query", "2", "7", "--oracle"],
-            ["lifts", "--path", "p.json", "--mode", "count", "--m", "5"],
+            ["lifts", "--path", "p.json", "--mode", "count"],
             ["drift", "subgraph", "--edges", "s.json", "--out", "v.json"],
             ["drift", "loop", "--path", "p.json", "--method", "poset"],
             ["census", "--n", "4", "--dimensions", "0", "--out", "c.csv"],
@@ -544,6 +578,20 @@ csv_text = st.lists(
 ).map(lambda rows: "perm,mass\n" + "".join(f"{p},{m}\n" for p, m in rows))
 
 
+def one_json_line(argv):
+    """Run the CLI on argv; it must exit 0, 1 or 2 and print exactly one JSON line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
 class TestValidateFuzz:
     """validate prints one JSON line and exits 0, 1 or 2 on any file content."""
 
@@ -555,16 +603,7 @@ class TestValidateFuzz:
     def test_one_json_line(self, tmp_path_factory, kind, text):
         f = tmp_path_factory.mktemp("fuzz") / "artifact"
         f.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(["validate", "--kind", kind, str(f)])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2)
-        lines = (out.getvalue() + err.getvalue()).splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
+        code, payload = one_json_line(["validate", "--kind", kind, str(f)])
         assert payload.get("command") == "validate" or "error" in payload
 
 
@@ -592,14 +631,37 @@ class TestExactMapFuzz:
         tmp = tmp_path_factory.mktemp("fuzz")
         f = tmp / "map.json"
         f.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(["exact", "--map", str(f), "--n", str(n), "--out", str(tmp / "x.csv")])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2)
-        lines = (out.getvalue() + err.getvalue()).splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
+        code, payload = one_json_line(["exact", "--map", str(f), "--n", str(n), "--out", str(tmp / "x.csv")])
         assert payload.get("command") == "exact" if code == 0 else "error" in payload
+
+
+class TestLoaderFuzz:
+    """Each command that loads a flow, a subgraph or distribution CSVs prints one JSON line on any file content."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(max_size=40) | artifacts)
+    def test_realize_flow(self, tmp_path_factory, text):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "flow.json").write_text(text)
+        code, payload = one_json_line(["realize", "--flow", str(tmp / "flow.json"), "--out", str(tmp / "m.json")])
+        assert payload.get("command") == "realize" if code == 0 else "error" in payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(max_size=40) | artifacts)
+    def test_drift_subgraph_edges(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("fuzz") / "sub.json"
+        f.write_text(text)
+        code, payload = one_json_line(["drift", "subgraph", "--edges", str(f)])
+        assert payload.get("command") == "drift" if code == 0 else "error" in payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(st.text(max_size=40) | csv_text, min_size=1, max_size=3))
+    def test_cantor_verify_dists(self, tmp_path_factory, texts):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        files = []
+        for k, text in enumerate(texts):
+            files.append(str(tmp / f"d{k}.csv"))
+            Path(files[-1]).write_text(text)
+        argv = ["cantor", "verify", "--dists", *files, "--scale-depth", "4", "--samples", "200", "--seed", "1"]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "cantor" if code == 0 else "error" in payload

@@ -94,10 +94,11 @@ class TestEmbeddedLoops:
         (loop,) = embedded_loops(two_cycle)
         assert loop == min(loop[i:] + loop[:i] for i in range(len(loop)))
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
         G3 = build(3).full_subgraph()
+        monkeypatch.setattr("orderflow.digraph.LOOP_ENUM_VERTEX_MAX", 2)
         with pytest.raises(CapExceeded):
-            embedded_loops(G3, vertex_cap=2)
+            embedded_loops(G3)
 
 
 class TestFaceDimension:

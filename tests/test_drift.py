@@ -293,14 +293,16 @@ class TestSynthesis:
         with pytest.raises(DriftObstruction):
             synthesize_totally_driftless_loop(two_cycle)
 
-    def test_length_cap(self, G2_full):
+    def test_length_cap(self, G2_full, monkeypatch):
+        monkeypatch.setattr("orderflow.drift.SYNTHESIS_LENGTH_MAX", 3)
         with pytest.raises(CapExceeded, match=r"edge-covering walk reached 8 edges, cap 3$"):
-            synthesize_totally_driftless_loop(G2_full, length_cap=3)
+            synthesize_totally_driftless_loop(G2_full)
 
-    def test_appended_loop_cap(self, driftless_triple):
+    def test_appended_loop_cap(self, driftless_triple, monkeypatch):
         # The covering walk has 5 edges; the first appended loop passes 6.
+        monkeypatch.setattr("orderflow.drift.SYNTHESIS_LENGTH_MAX", 6)
         with pytest.raises(CapExceeded, match=r"synthesized loop reached \d+ edges, cap 6$"):
-            synthesize_totally_driftless_loop(driftless_triple, length_cap=6)
+            synthesize_totally_driftless_loop(driftless_triple)
 
     def test_full_graph(self, G2_full):
         gamma = synthesize_totally_driftless_loop(G2_full)

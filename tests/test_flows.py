@@ -51,7 +51,7 @@ class TestResidual:
             as_flow(PatternDistribution(3, {perm("132"): Fraction(1)}))
 
     def test_float_snapping(self):
-        mu = PatternDistribution(3, {s: 1 / 6 for s in all_perms(3)}, exact=False)
+        mu = PatternDistribution(3, {s: 1 / 6 for s in all_perms(3)})
         snapped, worst = snap_to_exact(mu)
         assert snapped.exact and worst < 1e-9
         assert flow_residual(snapped) == 0

@@ -15,6 +15,7 @@ from lengths_oracle import (
 )
 from orderflow.analysis import (
     empirical_distribution,
+    exact_distribution,
     entropy_estimate,
     exclusion_type_test,
     forbidden_patterns,
@@ -99,6 +100,25 @@ class TestSampler:
         kept = report.samples - report.discards
         assert report.counts == {s: round(m * kept) for s, m in report.distribution.mass.items()}
         assert verify_construction(f, uniform_tower(3), 5_000, 8, 4).excluded == report.discards
+
+    # (map, n, samples, realized patterns, discarded orbits) as reports stored
+    # them before they were derived; samples None is the exact subdivision.
+    @pytest.mark.parametrize(
+        "name, n, samples, realized, discards",
+        [
+            ("cantor 3", 3, 2_000, 6, 116),
+            ("escaping", 4, 2_000, 11, 761),
+            ("logistic", 5, 2_000, 31, 0),
+            ("rotation 1/3", 3, 2_000, 3, 0),
+            ("doubling", 4, None, 18, 0),
+            ("rotation sqrt2-1", 5, None, 5, 0),
+        ],
+    )
+    def test_derived_bookkeeping(self, name, n, samples, realized, discards):
+        f = SAMPLED_MAPS[name]
+        report = exact_distribution(f, n) if samples is None else empirical_distribution(f, n, samples, 5)
+        assert (report.n, len(report.realized), report.discards) == (n, realized, discards)
+        assert report.realized == frozenset(report.distribution.mass)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(sorted(SAMPLED_MAPS)), st.integers(1, 7), st.integers(0, 10**6), st.integers(1, 300))

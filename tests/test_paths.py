@@ -69,24 +69,20 @@ class TestProject:
 
 class TestLifts:
     def test_single_edge(self):
-        assert lifts(path(2, ["132"]), 3) == [perm("132")]
+        assert lifts(path(2, ["132"])) == [perm("132")]
 
     def test_two_edge_loop(self):
-        assert lifts(path(2, ["132", "213"]), 4) == [perm("1324")]
+        assert lifts(path(2, ["132", "213"])) == [perm("1324")]
 
     def test_three_edge_loop(self, loop_132_321_213):
-        found = lifts(loop_132_321_213, 5)
+        found = lifts(loop_132_321_213)
         assert len(found) == 4
         assert perm("25314") in found
-
-    def test_m_must_collapse(self):
-        with pytest.raises(ValueError):
-            lifts(path(2, ["132"]), 4)
 
     def test_cap(self):
         p = path(2, ["132", "213"] * 4)
         with pytest.raises(CapExceeded):
-            lifts(p, 10)
+            lifts(p)
 
     def test_alternating_path_has_singleton_lifts(self):
         # The zig-zag path alternating 132 / 312 pins its lift completely:
@@ -95,7 +91,7 @@ class TestLifts:
         for length in range(1, 5):
             p = path(2, [edges[i % 2] for i in range(length)])
             m = length + 2
-            found = lifts(p, m)
+            found = lifts(p)
             lo, hi = 1, m
             word = []
             for i in range(m):
@@ -169,8 +165,7 @@ class TestLiftingProperties:
         # Lifts of a path are exactly the rank assignments extending its poset.
         for length in (1, 2, 3):
             for p in all_paths(2, length):
-                m = length + 2
-                assert sorted(lifts(p, m)) == sorted(
+                assert sorted(lifts(p)) == sorted(
                     linear_extensions(build_poset(p), "enumerate")
                 )
 

@@ -173,8 +173,8 @@ class TestDistributions:
             PatternDistribution(2, {perm("123"): Fraction(1)})
 
     def test_float_mode(self):
-        mu = PatternDistribution(2, {perm("12"): 0.5, perm("21"): 0.5}, exact=False)
-        assert mu.close_to(PatternDistribution(2, {perm("12"): 0.5 + 1e-12, perm("21"): 0.5 - 1e-12}, exact=False))
+        mu = PatternDistribution(2, {perm("12"): 0.5, perm("21"): 0.5})
+        assert mu.close_to(PatternDistribution(2, {perm("12"): 0.5 + 1e-12, perm("21"): 0.5 - 1e-12}))
 
 
 @st.composite
@@ -189,6 +189,48 @@ def distributions(draw, coefficients):
 
 rational = distributions(st.just(0))
 quadratic = distributions(st.integers(0, 9))
+
+
+@st.composite
+def mixed_masses(draw):
+    """Masses on S_3 summing to 1, each an int, a Fraction, a Sqrt2 or a float."""
+    weights = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6).filter(any))
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    positive = [k for k, m in enumerate(masses) if m > 0]
+    if len(positive) > 1 and draw(st.booleans()):
+        # Move c (sqrt2 - 1) < c from one positive mass to another: both stay positive.
+        i, j = draw(st.permutations(positive))[:2]
+        c = min(masses[i], masses[j]) / 2
+        masses[i] += exact(-c, c)
+        masses[j] -= exact(-c, c)
+    for k in range(6):
+        kind = draw(st.sampled_from(["int", "exact", "float"]))
+        if kind == "int" and type(masses[k]) is Fraction and masses[k].denominator == 1:
+            masses[k] = int(masses[k])
+        elif kind == "float":
+            masses[k] = float(masses[k])
+    return dict(zip(all_perms(3), masses))
+
+
+class TestExactness:
+    """A distribution is exact exactly when no mass is a float, zero masses included."""
+
+    @settings(max_examples=200)
+    @given(mixed_masses())
+    def test_exact_iff_no_float_mass(self, masses):
+        mu = PatternDistribution(3, masses)
+        assert mu.exact == (not any(isinstance(m, float) for m in masses.values()))
+        assert all(isinstance(m, float) != mu.exact for m in mu.mass.values())
+
+    def test_float_masses_are_written_as_decimals(self):
+        mu = PatternDistribution(2, {perm("12"): 0.1, perm("21"): 0.9})
+        assert not mu.exact
+        assert distribution_to_csv(mu) == "perm,mass\n12,0.1\n21,0.9\n"
+
+    def test_one_float_mass_makes_every_mass_a_float(self):
+        mu = PatternDistribution(2, {perm("12"): Fraction(1, 4), perm("21"): 0.75})
+        assert not mu.exact and mu.mass == {perm("12"): 0.25, perm("21"): 0.75}
+        assert not PatternDistribution(2, {perm("12"): Fraction(1), perm("21"): 0.0}).exact
 
 
 class TestPushforwardProperties:
@@ -224,7 +266,7 @@ class TestCsv:
         assert again == mu and again.exact
 
     def test_round_trip_float(self):
-        mu = PatternDistribution(2, {perm("12"): 0.25, perm("21"): 0.75}, exact=False)
+        mu = PatternDistribution(2, {perm("12"): 0.25, perm("21"): 0.75})
         again = distribution_from_csv(distribution_to_csv(mu))
         assert not again.exact
         assert again.close_to(mu)

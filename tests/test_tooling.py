@@ -1,13 +1,18 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself and on the commands its README shows."""
 
 import ast
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orderflow"
+from orderflow.cli import _COMMANDS, build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "orderflow"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+README_COMMANDS = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("orderflow ")]
 
 
 def _tree(module: str) -> ast.Module:
@@ -48,3 +53,14 @@ def test_imports_only_stdlib(module):
             continue
         foreign += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], f"{module} imports {foreign}, which are neither relative nor in the standard library"
+
+
+def test_readme_shows_every_command():
+    assert {line.split()[1] for line in README_COMMANDS} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_parses(line):
+    # A flag removed from the CLI must not stay in the docs: parsing exits 2 on it.
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]
