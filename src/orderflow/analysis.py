@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Literal
 
-from .caps import ENTROPY_N_MAX, LIFT_ENUM_MAX, SUBDIVISION_MAX, perm_cap
+from .caps import ENTROPY_N_MAX, SUBDIVISION_MAX, perm_cap
 from .digraph import Subgraph
 from .drift import IndexReach, ZERO as SIGN_ZERO
 from .errors import (
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span, lattice_frame
-from .paths import DiPath, build_poset, lifts, linear_extensions
+from .paths import DiPath, build_poset, linear_extensions, window_levels
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
 )
@@ -420,30 +420,16 @@ def exclusion_type_test(
 
     A map of exclusion type n would make every row equal for all m; any
     discrepancy up to m_max refutes that type (the verdict is necessarily
-    partial in the other direction).
+    partial in the other direction).  The lifts are grown window by window
+    from the graph's edges, one level of ``paths.window_levels`` per m.
     """
-    if m_max > LIFT_ENUM_MAX:
-        raise CapExceeded(f"exclusion testing reached m_max = {m_max}, cap {LIFT_ENUM_MAX}")
     realized_by_len = realized_patterns(f, range(n + 1, max(m_max, n + 1) + 1), mode, samples, seed)
     H = Subgraph(n, realized_by_len[n + 1])
     rows = []
-    for m in range(n + 1, m_max + 1):
-        realized = realized_by_len[m]
-        preimage = set()
-        for sigma in all_perms(m):
-            if all(
-                order_pattern(sigma.word[i : i + n + 1]) in H.edges
-                for i in range(m - n)
-            ):
-                preimage.add(sigma)
-        rows.append(
-            ExclusionRow(
-                m,
-                preimage == set(realized),
-                frozenset(preimage - set(realized)),
-                frozenset(set(realized) - preimage),
-            )
-        )
+    levels = window_levels(sorted(H.edges), [H.edges] * (m_max - n - 1))
+    for m, level in zip(range(n + 1, m_max + 1), levels):
+        preimage, realized = frozenset(level), realized_by_len[m]
+        rows.append(ExclusionRow(m, preimage == realized, preimage - realized, realized - preimage))
     return rows
 
 
@@ -451,8 +437,8 @@ def growth_check(gamma: DiPath, k_max: int) -> list[tuple[int, int, int]]:
     """Lift counts of loop powers against the factorial lower bound.
 
     For a loop with a zero diagonal drift entry, the k-th power admits at
-    least k! lifts.  Counts come from brute force while S_m fits, then from
-    extension counting on the power's poset.
+    least k! lifts.  Each power's lifts are counted as the linear extensions
+    of its poset.
     """
     gamma.require_loop()
     from .drift import loop_drift
@@ -462,11 +448,6 @@ def growth_check(gamma: DiPath, k_max: int) -> list[tuple[int, int, int]]:
         raise ValueError("growth bound needs a loop with a zero diagonal drift entry")
     rows = []
     for k in range(1, k_max + 1):
-        m = k * gamma.length + gamma.n
-        power = gamma**k
-        if m <= LIFT_ENUM_MAX:
-            count = len(lifts(power))
-        else:
-            count = linear_extensions(build_poset(power), "count")
+        count = linear_extensions(build_poset(gamma**k), "count")
         rows.append((k, count, math.factorial(k)))
     return rows

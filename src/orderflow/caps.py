@@ -12,8 +12,10 @@ import os
 
 DEFAULT_PERM_CAP = 12
 
-# Brute-force enumeration of S_m stops here (9! = 362880).
-LIFT_ENUM_MAX = 9
+# Most patterns one level of window growth (``paths.window_levels``, behind
+# lifts and the exclusion test) may hold: 9! = 362880, all of S_9.
+LIFT_LEVEL_MAX = 362_880
+# Listing linear extensions by backtracking stops at m = 9.
 EXTENSION_ENUM_MAX = 9
 # Counting linear extensions by downset DP is feasible a bit further.
 EXTENSION_COUNT_MAX = 14

@@ -136,7 +136,7 @@ def cmd_lifts(args) -> dict:
         return {"command": "lifts", "m": m, "count": count}
     found = paths.lifts(p)
     if args.out:
-        payload = json.dumps({"m": m, "lifts": [str(s) for s in sorted(found)]}, sort_keys=True)
+        payload = json.dumps({"m": m, "lifts": [str(s) for s in found]}, sort_keys=True)
         _write(args.out, payload + "\n")
     return {"command": "lifts", "m": m, "count": len(found)}
 
@@ -413,14 +413,16 @@ _COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser with every subcommand, or with ``command`` alone."""
+    # allow_abbrev=False: a flag prefix such as --m must not silently mean --mode.
     top = _Parser(
         prog="orderflow",
+        allow_abbrev=False,
         description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
     )
     sub = top.add_subparsers(dest="command", required=True)
     for name, (summary, handler, declare) in _COMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=summary)
+            p = sub.add_parser(name, help=summary, allow_abbrev=False)
             declare(p)
             p.set_defaults(func=handler)
     return top

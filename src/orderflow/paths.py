@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Sequence
 
-from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_ENUM_MAX
+from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_LEVEL_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
-from .perms import HEAD, TAIL, Perm, json_length, load_json, perm, restrict
+from .perms import HEAD, TAIL, Perm, json_length, load_json, order_pattern, perm, preimages, restrict
 
 
 @dataclass(frozen=True)
@@ -124,44 +124,50 @@ def project(obj: Perm | DiPath, n: int) -> DiPath:
     return p
 
 
+def window_levels(start: Sequence[Perm], allowed: Iterable[Collection[Perm]]) -> Iterator[list[Perm]]:
+    """Grow patterns one new last value at a time, keeping allowed windows.
+
+    Yields ``start`` (patterns of S_{n+1}), then one level per set in
+    ``allowed``: every child of the previous level (``preimages`` on the head
+    side, which adds a last value) whose last n+1 entries have their order
+    pattern in that set.  A dead prefix is never extended, and no level may
+    hold more than ``LIFT_LEVEL_MAX`` patterns.
+    """
+    level = list(start)
+    yield level
+    width = level[0].n if level else 0
+    for edges in allowed:
+        grown = []
+        for sigma in level:
+            for child in preimages(sigma, HEAD):
+                if order_pattern(child.word[-width:]) in edges:
+                    if len(grown) == LIFT_LEVEL_MAX:
+                        raise CapExceeded(
+                            f"lift level in S_{child.n} reached {LIFT_LEVEL_MAX + 1} patterns, cap {LIFT_LEVEL_MAX}"
+                        )
+                    grown.append(child)
+        level = grown
+        yield level
+
+
 def lifts(p: DiPath) -> list[Perm]:
-    """All permutations of S_m, m = length + n, projecting onto p, by brute force.
+    """All permutations of S_m, m = length + n, projecting onto p, in lexicographic order.
 
     A lift is a single permutation whose (n+1)-windows realize the edges of
-    p in order.  Surjectivity of the projection guarantees the result is
-    never empty.
+    p in order; it is grown window by window from the first edge.
+    Surjectivity of the projection guarantees the result is never empty.
     """
-    m = p.length + p.n
-    if m > LIFT_ENUM_MAX:
-        raise CapExceeded(f"lift enumeration in S_{m} exceeds cap {LIFT_ENUM_MAX}")
-    windows = [e.word for e in p.edges]
-    if not windows:
+    if not p.edges:
         return [p.start]
-    w = p.n + 1
-    found = []
-    for cand in itertools.permutations(range(1, m + 1)):
-        ok = True
-        for off, pattern in enumerate(windows):
-            for a in range(w):
-                for b in range(a + 1, w):
-                    if (cand[off + a] < cand[off + b]) != (pattern[a] < pattern[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(Perm(cand))
-    if not found:
+    for level in window_levels([p.edges[0]], ({e} for e in p.edges[1:])):
+        pass
+    if not level:
         raise InvariantViolation(f"no lift of a path of length {p.length} on G_{p.n}; lifting is surjective")
-    return found
+    return sorted(level)
 
 
 def edges_between(u: Perm, w: Perm) -> list[Perm]:
     """All edges of G_n from u to w (both in S_n)."""
-    from .perms import preimages
-
     return [e for e in preimages(u, HEAD) if restrict(e, TAIL) == w]
 
 

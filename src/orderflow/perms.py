@@ -174,6 +174,8 @@ def _validate_masses(n: int, mass: Mapping[Perm, object]) -> tuple[dict, bool]:
     for sigma, m in mass.items():
         if sigma.n != n:
             raise LengthMismatch(f"mass on {sigma} in a length-{n} distribution")
+        if isinstance(m, float) and not math.isfinite(m):
+            raise ValueError(f"non-finite mass {m} on {sigma}")
         if m < 0:
             raise ValueError(f"negative mass {m} on {sigma}")
         exact = exact and not isinstance(m, float)

@@ -5,6 +5,9 @@ lengths: every length gets its own exact subdivision or its own sampling
 run, and the sampler iterates each orbit, checks it and ranks its values
 afresh per length.  The package serves all lengths from one pass to the
 longest and projects down; tests compare the two exactly.
+
+The lift and exclusion-preimage oracles scan all of S_m, window by window,
+where the package grows patterns one last value at a time.
 """
 
 from __future__ import annotations
@@ -98,3 +101,24 @@ def oracle_exclusion(f, n, m_max, mode="exact", samples=100_000, seed=0):
         )
         rows.append((m, preimage, realized))
     return rows
+
+
+def oracle_lifts(p) -> list:
+    """The lifts of path p in S_m's lexicographic order, by scanning all of S_m.
+
+    Every pair in every (n+1)-window of a candidate is compared with the
+    matching edge; no order pattern is taken.
+    """
+    if not p.edges:
+        return [p.start]
+    w = p.n + 1
+    pairs = [(a, b) for a in range(w) for b in range(a + 1, w)]
+    return [
+        sigma
+        for sigma in all_perms(p.length + p.n)
+        if all(
+            (sigma.word[off + a] < sigma.word[off + b]) == (e.word[a] < e.word[b])
+            for off, e in enumerate(p.edges)
+            for a, b in pairs
+        )
+    ]

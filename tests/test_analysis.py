@@ -411,8 +411,10 @@ class TestExclusion:
         assert rows[1].m == 4 and not rows[1].equal
         assert rows[1].missing and not rows[1].extra
 
-    def test_cap(self, doubling):
-        with pytest.raises(CapExceeded, match=r"exclusion testing reached m_max = 10, cap 9$"):
+    def test_cap(self, doubling, monkeypatch):
+        # Doubling realizes every pattern of length 3, so each level is all of S_m.
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
+        with pytest.raises(CapExceeded, match=r"^lift level in S_5 reached 101 patterns, cap 100$"):
             exclusion_type_test(doubling, 2, 10)
 
     def test_permutation_map_matches_at_three(self, loop_132_321_213):

@@ -206,6 +206,12 @@ class TestValidate:
         rows = json.loads(stdout)["rows"]
         assert rows[0]["equal"] and not rows[1]["equal"]
 
+    def test_exclusion_past_s9(self, capsys):
+        # The lift cap bounds the size of one level, not m.
+        code, stdout, _ = run(capsys, "exclusion", "--map", "rotation:3/10", "--n", "2", "--m-max", "10")
+        assert code == 0
+        assert [row["m"] for row in json.loads(stdout)["rows"]] == list(range(3, 11))
+
 
 def run_error(capsys, *argv):
     """Run a command that must fail; return its exit code and its one JSON error line."""
@@ -261,9 +267,18 @@ class TestBoundary:
         f = tmp_path / "p.json"
         f.write_text(path_to_json(loop_132_321_213))
         code, err = run_error(capsys, "lifts", "--path", str(f), "--m", "7")
-        # argparse reads --m as an abbreviation of --mode.
-        detail = "orderflow lifts: argument --mode: invalid choice: '7' (choose from 'enumerate', 'count')"
-        assert code == 2 and err == {"error": "UsageError", "detail": detail}
+        assert code == 2 and err == {"error": "UsageError", "detail": "orderflow: unrecognized arguments: --m 7"}
+
+    def test_flag_prefix_is_not_an_abbreviation(self, tmp_path, capsys, loop_132_321_213):
+        # With argparse's prefix matching, --m count would run as --mode count.
+        f = tmp_path / "p.json"
+        f.write_text(path_to_json(loop_132_321_213))
+        code, err = run_error(capsys, "lifts", "--path", str(f), "--m", "count")
+        assert code == 2 and err == {"error": "UsageError", "detail": "orderflow: unrecognized arguments: --m count"}
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["lifts", "--path", "p.json", "--m", "count"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [json.dumps(err)]
 
     @pytest.mark.parametrize(
         "argv, detail",
@@ -386,6 +401,12 @@ class TestBoundary:
         code, err = run_error(capsys, "digraph", "--n", "8", "--out", str(tmp_path / "g.dot"))
         assert code == 1 and err == {"error": "CapExceeded", "detail": "full digraph reached n = 8, cap 7"}
         assert not (tmp_path / "g.dot").exists()
+
+    def test_exclusion_level_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 1000)
+        code, err = run_error(capsys, "exclusion", "--map", "doubling", "--n", "2", "--m-max", "10")
+        detail = "lift level in S_7 reached 1001 patterns, cap 1000"
+        assert code == 1 and err == {"error": "CapExceeded", "detail": detail}
 
     # Every orbit of a period-3 rotation repeats before length 4.
     @pytest.mark.parametrize(

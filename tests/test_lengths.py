@@ -194,6 +194,14 @@ class TestStatistics:
         for row, (m, preimage, realized) in zip(rows, oracle_exclusion(f, 2, 5, mode, 2_000, 1), strict=True):
             assert (row.m, row.missing, row.extra) == (m, preimage - realized, realized - preimage)
 
+    @pytest.mark.parametrize("name", ["doubling", "tent"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exclusion_against_a_scan_of_s_m(self, name, n):
+        f = EXACT_MAPS[name]
+        rows = exclusion_type_test(f, n, 7)
+        for row, (m, preimage, realized) in zip(rows, oracle_exclusion(f, n, 7), strict=True):
+            assert (row.m, row.missing, row.extra) == (m, preimage - realized, realized - preimage)
+
     def test_entropy_below_length_two(self):
         assert entropy_estimate(builtin("doubling"), 1) == oracle_entropy(builtin("doubling"), 1) == []
 

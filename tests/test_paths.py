@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_paths, random_path
+from lengths_oracle import oracle_lifts
 from orderflow.errors import CapExceeded, EndpointMismatch, FormatError
 from orderflow.paths import (
     DiPath,
@@ -21,7 +24,18 @@ from orderflow.paths import (
     poset_to_json,
     project,
 )
-from orderflow.perms import Perm, perm
+from orderflow.perms import HEAD, TAIL, Perm, all_perms, perm, preimages, restrict
+
+
+@st.composite
+def drawn_paths(draw):
+    """A path on G_3 or G_4 whose lifts lie in S_m, m = length + n <= 9."""
+    n = draw(st.sampled_from([3, 4]))
+    length = draw(st.integers(1, 9 - n))
+    edges = [draw(st.sampled_from(list(all_perms(n + 1))))]
+    while len(edges) < length:
+        edges.append(draw(st.sampled_from(preimages(restrict(edges[-1], TAIL), HEAD))))
+    return DiPath(n, tuple(edges))
 
 
 class TestConcat:
@@ -79,10 +93,31 @@ class TestLifts:
         assert len(found) == 4
         assert perm("25314") in found
 
-    def test_cap(self):
-        p = path(2, ["132", "213"] * 4)
-        with pytest.raises(CapExceeded):
-            lifts(p)
+    def test_cap(self, loop_132_321_213, monkeypatch):
+        # The levels of the squared loop hold 1, 2, 4, 12, 42 and 136 patterns.
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
+        with pytest.raises(CapExceeded, match=r"^lift level in S_8 reached 101 patterns, cap 100$"):
+            lifts(loop_132_321_213**2)
+
+    def test_past_s9(self, loop_132_321_213):
+        # The cap bounds one level, not m: the cubed loop lifts into S_11.
+        cube = loop_132_321_213**3
+        found = lifts(cube)
+        assert len(found) == linear_extensions(build_poset(cube), "count") == 13640
+        assert found == sorted(found) and found[0].n == 11
+
+    def test_matches_brute_force_oracle(self):
+        # The same lifts in the same (lexicographic) order as a scan of S_m.
+        for length in range(1, 5):
+            for p in all_paths(2, length):
+                assert lifts(p) == oracle_lifts(p)
+        rng = random.Random(31)
+        for _ in range(30):
+            p = random_path(rng, 3, rng.randint(1, 4))
+            assert lifts(p) == oracle_lifts(p)
+
+    def test_zero_length_path(self):
+        assert lifts(DiPath(3, (), perm("231"))) == [perm("231")]
 
     def test_alternating_path_has_singleton_lifts(self):
         # The zig-zag path alternating 132 / 312 pins its lift completely:
@@ -168,6 +203,11 @@ class TestLiftingProperties:
                 assert sorted(lifts(p)) == sorted(
                     linear_extensions(build_poset(p), "enumerate")
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_paths())
+    def test_lifts_are_the_poset_extensions(self, p):
+        assert lifts(p) == sorted(linear_extensions(build_poset(p), "enumerate"))
 
     def test_relations_persist_under_lifting(self):
         # Any relation forced at level n stays forced in every one-step lift.

@@ -172,6 +172,12 @@ class TestDistributions:
         with pytest.raises(LengthMismatch):
             PatternDistribution(2, {perm("123"): Fraction(1)})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass(self, bad):
+        # NaN compares False both to 0 and to the total, so only an explicit check stops it.
+        with pytest.raises(ValueError, match=f"^non-finite mass {bad} on 12$"):
+            PatternDistribution(2, {perm("12"): bad, perm("21"): 0.5})
+
     def test_float_mode(self):
         mu = PatternDistribution(2, {perm("12"): 0.5, perm("21"): 0.5})
         assert mu.close_to(PatternDistribution(2, {perm("12"): 0.5 + 1e-12, perm("21"): 0.5 - 1e-12}))

@@ -55,6 +55,34 @@ def test_imports_only_stdlib(module):
     assert foreign == [], f"{module} imports {foreign}, which are neither relative nor in the standard library"
 
 
+def _enclosing(tree: ast.Module, lineno: int) -> str:
+    scopes = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.lineno <= lineno <= node.end_lineno
+    ]
+    return ".".join(scopes) or "<module>"
+
+
+def test_permutations_only_in_all_perms():
+    # A scan of all of S_m goes through perms.all_perms, which checks the
+    # pattern-length cap; lifts and exclusion preimages grow window by window.
+    uses = []
+    for module in MODULES:
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "permutations":
+                named = isinstance(node.value, ast.Name) and node.value.id == "itertools"
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                named = any(alias.name == "permutations" for alias in node.names)
+            else:
+                continue
+            if named:
+                uses.append((module, _enclosing(tree, node.lineno)))
+    assert uses == [("perms.py", "all_perms")]
+
+
 def test_readme_shows_every_command():
     assert {line.split()[1] for line in README_COMMANDS} == set(_COMMANDS)
 
