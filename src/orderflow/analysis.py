@@ -9,10 +9,12 @@ ranked between those two ranks cross it, at sorted points.  A final cell's
 order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.
 
-The subdivision runs in the frame (S, pieces) of :func:`.maps.lattice_frame`,
-on the interval (0, S).  A piecewise isometry (every slope +1 or -1) is
-scaled onto the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every
-bound, intercept, cut and crossing is an int or a Sqrt2 with int parts, and
+The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
+on the interval (0, S).  A permutation map carries the frame it was built
+in; any other map gets it from :func:`.maps.lattice_frame` the first time,
+and keeps it.  A piecewise isometry (every slope +1 or -1) is scaled onto
+the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every bound,
+intercept, cut and crossing is an int or a Sqrt2 with int parts, and
 divisions go through ``exact_div``, which refuses a remainder.  Other slopes
 cross at points with varying denominators, so their maps keep S = 1 and
 Fraction / Sqrt2 values.  Masses and error texts are converted back to
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Literal
 
-from .caps import ENTROPY_N_MAX, SUBDIVISION_MAX, perm_cap
+from .caps import ENTROPY_N_MAX, PERM_CAP, SUBDIVISION_MAX
 from .digraph import Subgraph
 from .drift import IndexReach, ZERO as SIGN_ZERO
 from .errors import (
@@ -47,7 +49,7 @@ from .errors import (
     SamplesDiscarded,
 )
 from .exactnum import Exact, exact_div, from_lattice
-from .maps import IntervalMap, _image_span, lattice_frame
+from .maps import IntervalMap, _image_span
 from .paths import DiPath, build_poset, linear_extensions, window_levels
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
@@ -199,7 +201,7 @@ def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     if any(not p.affine for p in f.pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
 
-    one, pieces = lattice_frame(f.pieces)
+    one, pieces = f.frame
     show = partial(from_lattice, scale=one)
     cells = [(0, one, ((1, 0),), (0,))]
     for k in range(1, n):
@@ -254,9 +256,8 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
         raise ValueError("need at least one sample")
     if lengths[0] < 1:
         raise SamplesDiscarded("all samples were discarded")  # no orbit has a shorter pattern
-    cap = perm_cap()
     # The first length over the cap fails once one orbit is kept that long.
-    n_min, n_max = lengths[0], next((n for n in lengths if n > cap), lengths[-1])
+    n_min, n_max = lengths[0], next((n for n in lengths if n > PERM_CAP), lengths[-1])
     los, his, polys = _float_pieces(f)
     # ends[k]: orbits whose kept prefix has length k, by the prefix's order.
     ends: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
@@ -273,7 +274,7 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
             values.append(x)
         k = len(values)
         if k >= n_min:
-            if k == n_max > cap:
+            if k == n_max > PERM_CAP:
                 _check_length(k)
             order = tuple(sorted(range(k), key=values.__getitem__))
             tally = ends[k]

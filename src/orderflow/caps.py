@@ -3,7 +3,8 @@
 Everything downstream of S_n enumeration blows up factorially, so the caps
 here are deliberate and the operations that honor them raise
 :class:`~orderflow.errors.CapExceeded` rather than grind.  The pattern-length
-cap can be overridden with the ``ORDERFLOW_CAP`` environment variable.
+cap can be overridden with the ``ORDERFLOW_CAP`` environment variable, which
+is read once, when this module is imported.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ POLYTOPE_DIM_MAX = 6
 SYNTHESIS_LENGTH_MAX = 100_000
 
 
-def perm_cap() -> int:
-    """Current pattern-length cap (ORDERFLOW_CAP wins over the default)."""
+def perm_cap_setting() -> int:
+    """The pattern-length cap ``ORDERFLOW_CAP`` sets, or the default when it is unset.
+
+    A value that is not a positive integer is a ValueError.
+    """
     raw = os.environ.get("ORDERFLOW_CAP")
     if raw is None:
         return DEFAULT_PERM_CAP
@@ -58,5 +62,14 @@ def perm_cap() -> int:
     except ValueError as exc:
         raise ValueError(f"ORDERFLOW_CAP must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError("ORDERFLOW_CAP must be positive")
+        raise ValueError(f"ORDERFLOW_CAP must be positive, got {raw!r}")
     return value
+
+
+# The pattern-length cap, read once.  A malformed setting leaves the default
+# here, so that importing the package never fails; ``cli.main`` reads the
+# setting again and refuses it with a usage error.
+try:
+    PERM_CAP = perm_cap_setting()
+except ValueError:
+    PERM_CAP = DEFAULT_PERM_CAP

@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, cantor, digraph, drift, flows, maps, paths, perms
+from .caps import perm_cap_setting
 from .errors import FormatError, OrderflowError
 from .exactnum import exact_str
 
@@ -158,14 +159,14 @@ def cmd_drift(args) -> dict:
         if args.out:
             _write(args.out, drift.verdict_to_json(verdict) + "\n")
         return {"command": "drift", "action": "subgraph", **drift.verdict_payload(verdict)}
-    gamma = drift.synthesize_totally_driftless_loop(H)
+    gamma = drift.synthesize_totally_driftless_loop(H)  # raises unless the loop is totally driftless
     if args.out:
         _write(args.out, paths.path_to_json(gamma) + "\n")
     return {
         "command": "drift",
         "action": "synthesize",
         "length": gamma.length,
-        "classification": drift.classify_loop(gamma),
+        "classification": drift.TOTALLY_DRIFTLESS,
     }
 
 
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
     # parser, whose help and errors list every subcommand.
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
+    try:
+        perm_cap_setting()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         parser.error("--seed is required for cantor verify")
     if getattr(args, "mode", "exact") == "empirical" and args.seed is None:

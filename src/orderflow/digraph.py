@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, perm_cap
+from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, PERM_CAP
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
 from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, restrict
 
@@ -37,11 +37,10 @@ class PermDigraph:
     n: int
 
     def __post_init__(self):
-        cap = perm_cap()
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.n + 1 > cap:
-            raise CapExceeded(f"edges of G_{self.n} live in S_{self.n + 1}, beyond cap {cap}")
+        if self.n + 1 > PERM_CAP:
+            raise CapExceeded(f"edges of G_{self.n} live in S_{self.n + 1}, beyond cap {PERM_CAP}")
 
     def vertices(self) -> Iterator[Perm]:
         return all_perms(self.n)

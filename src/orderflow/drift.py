@@ -154,13 +154,27 @@ def compose(a: DriftProfile, b: DriftProfile) -> DriftProfile:
     return DriftProfile(n, a.start, b.end, maxmap, minmap)
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _edge_tables(e: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Edge e's maxmap and minmap padded so index 0 and n+1 (the sentinels) map to themselves."""
+    p = edge_profile(e)
+    return (0,) + p.maxmap + (p.n + 1,), (0,) + p.minmap + (p.n + 1,)
+
+
 def path_profile(p: DiPath) -> DriftProfile:
+    """The profile of a path: the left fold of ``compose`` over its edge profiles.
+
+    The fold runs on padded index tables, which compose by lookup without a
+    sentinel test, and builds one profile at the end.
+    """
     if p.length == 0:
         return identity_profile(p.start)
-    prof = edge_profile(p.edges[0])
+    up, down = _edge_tables(p.edges[0])
     for e in p.edges[1:]:
-        prof = compose(prof, edge_profile(e))
-    return prof
+        up_e, down_e = _edge_tables(e)
+        up = tuple([up_e[k] for k in up])
+        down = tuple([down_e[k] for k in down])
+    return DriftProfile(p.n, p.first_vertex, p.last_vertex, up[1:-1], down[1:-1])
 
 
 @dataclass(frozen=True)
@@ -250,10 +264,7 @@ class IndexReach:
         self._rank = {v: k for k, v in enumerate(self.vertices)}
         self.steps: list[list[tuple[Perm, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in self.vertices]
         for e, p in profiles:
-            # Padded so index 0 and n+1 (the sentinels) map to themselves.
-            up = (0,) + p.maxmap + (n + 1,)
-            down = (0,) + p.minmap + (n + 1,)
-            self.steps[self._rank[p.start]].append((e, self._rank[p.end], up, down))
+            self.steps[self._rank[p.start]].append((e, self._rank[p.end], *_edge_tables(e)))
         self._at_least: dict[int, dict] = {}
 
     def search(self, v: Perm, j: int) -> dict:

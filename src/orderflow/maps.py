@@ -8,9 +8,13 @@ order patterns, and one transition is composed with an in-piece rotation by
 (sqrt(2)-1)/l so that almost every orbit is aperiodic while Lebesgue measure
 and the pattern distribution are untouched.
 
-Exact work on a map (subdivision, the measure check) runs in the frame of
-:func:`lattice_frame`: a piecewise isometry is scaled onto the integer
+Exact work on a map (subdivision, the measure check) runs in its frame,
+``IntervalMap.frame``: a piecewise isometry is scaled onto the integer
 lattice Z[sqrt2] of :mod:`.exactnum`, and any other map keeps its pieces.
+A permutation map is born in its frame: its pieces are built on the lattice
+at scale 2l, and the Q(sqrt2) pieces are derived from them.  Every other map
+gets its frame from :func:`lattice_frame` the first time it is asked for,
+and keeps it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .caps import CYCLIC_LIFT_MAX
@@ -34,10 +39,10 @@ from .errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from .exactnum import Exact, exact, exact_str, lattice_scale, parse_exact, to_lattice
+from .exactnum import Exact, Sqrt2, exact, exact_str, from_lattice, lattice_scale, parse_exact, to_lattice
 from .flows import as_flow, flow_face
 from .paths import DiPath
-from .perms import PatternDistribution, Perm, load_json, order_pattern
+from .perms import PatternDistribution, Perm, load_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -96,6 +101,15 @@ class IntervalMap:
     def __call__(self, x):
         return self.pieces[self.piece_index(x)](x)
 
+    @cached_property
+    def frame(self) -> tuple[int, tuple[Piece, ...]]:
+        """The scale S and the pieces in the frame of :func:`lattice_frame`.
+
+        Computed once per map; :func:`permutation_map` sets it, since it
+        builds its pieces in that frame.
+        """
+        return lattice_frame(self.pieces)
+
 
 def iterate(f: IntervalMap, x, k: int) -> list:
     """The orbit (x, f x, ..., f^k x), in exact arithmetic for exact input."""
@@ -119,7 +133,11 @@ def preserves_measure(pieces: tuple[Piece, ...]) -> bool | None:
     """
     if any(not p.affine for p in pieces):
         return None
-    one, pieces = lattice_frame(pieces)
+    return _density_is_one(*lattice_frame(pieces))
+
+
+def _density_is_one(one: int, pieces: tuple[Piece, ...]) -> bool:
+    """The sweep of :func:`preserves_measure` over affine pieces in a frame of scale ``one``."""
     steps: dict[Exact, Exact] = {0: 0, one: 0}
     for p in pieces:
         if p.a == 0:
@@ -254,14 +272,23 @@ class CyclicRanking:
             raise ValueError("rank must be a bijection onto 1..length")
 
 
+def _value_order(e: Perm) -> list[int]:
+    """The window slots of edge e sorted by their values: slot ``e^-1(1)`` first."""
+    return sorted(range(len(e.word)), key=e.word.__getitem__)
+
+
 def ranking_realizes(r: CyclicRanking, gamma: DiPath) -> bool:
-    """Whether every cyclic window of ranks reproduces the matching edge."""
-    ell, w = r.length, gamma.n + 1
+    """Whether every cyclic window of ranks reproduces the matching edge.
+
+    A window of distinct ranks has order pattern e exactly when its ranks
+    rise along e's slots in value order.
+    """
+    ell, rank = r.length, r.rank
     if ell != gamma.length:
         return False
     for b, e in enumerate(gamma.edges):
-        window = tuple(r.rank[(b + t) % ell] for t in range(w))
-        if len(set(window)) != w or order_pattern(window) != e:
+        ranks = [rank[(b + s) % ell] for s in _value_order(e)]
+        if any(x >= y for x, y in zip(ranks, ranks[1:])):
             return False
     return True
 
@@ -272,7 +299,10 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     Window constraints give strict comparisons between positions mod the loop
     length; any consistent ranking works, so one topological sort of the
     constraint digraph suffices and failure (a directed cycle) is reported as
-    an obstruction rather than glossed over.
+    an obstruction rather than glossed over.  Each window adds only its w-1
+    comparisons of consecutive values, whose transitive closure is the
+    window's total order, so the partial order and the least ranking the
+    min-heap sort picks are those of all pairwise comparisons.
     """
     gamma.require_loop()
     cls = classify_loop(gamma)
@@ -281,27 +311,23 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     ell = gamma.length
     if ell > CYCLIC_LIFT_MAX:
         raise CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {CYCLIC_LIFT_MAX}")
-    w = gamma.n + 1
+    if ell < gamma.n + 1:
+        raise CyclicObstruction("a window wraps onto itself (loop shorter than window)")
     succs: list[set[int]] = [set() for _ in range(ell)]
     indeg = [0] * ell
     for b, e in enumerate(gamma.edges):
-        word = e.word
-        for cslot in range(w):
-            for dslot in range(cslot + 1, w):
-                p1, p2 = (b + cslot) % ell, (b + dslot) % ell
-                if p1 == p2:
-                    raise CyclicObstruction("a window wraps onto itself (loop shorter than window)")
-                lowpos, highpos = (p1, p2) if word[cslot] < word[dslot] else (p2, p1)
-                if highpos not in succs[lowpos]:
-                    succs[lowpos].add(highpos)
-                    indeg[highpos] += 1
+        chain = [(b + s) % ell for s in _value_order(e)]
+        for lowpos, highpos in zip(chain, chain[1:]):
+            if highpos not in succs[lowpos]:
+                succs[lowpos].add(highpos)
+                indeg[highpos] += 1
     ready = [i for i in range(ell) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for u in sorted(succs[v]):
+        for u in succs[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 heapq.heappush(ready, u)
@@ -323,25 +349,33 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
     final transition additionally rotates within its target piece by
     (sqrt(2)-1)/l, so the map stays measure preserving, keeps each piece's
     image a single piece, and loses all rational periodicity.
+
+    The pieces are built on the lattice at scale S = 2l, the scale
+    :func:`lattice_frame` finds for them: the piece of rank r is [2(r-1), 2r),
+    a shift is 2(r(i+1) - r(i)) and the rotation is 2(sqrt2 - 1).  That frame
+    is the map's, and its Q(sqrt2) pieces are the lattice ones divided by S.
     """
     ell = r.length
-    width = Fraction(1, ell)
-    delta = exact(Fraction(-1, ell), Fraction(1, ell))  # (sqrt2 - 1) / ell
-    pieces: list[Piece] = []
+    scale = 2 * ell
+    delta = Sqrt2(-2, 2)  # (sqrt2 - 1) / ell, times the scale
+    frame: list[Piece] = []
     for i in range(ell):
         src, dst = r.rank[i], r.rank[(i + 1) % ell]
-        lo = Fraction(src - 1, ell)
-        hi = Fraction(src, ell)
-        shift = Fraction(dst - src, ell)
+        lo, hi, shift = 2 * (src - 1), 2 * src, 2 * (dst - src)
         if i < ell - 1:
-            pieces.append(Piece(lo, hi, ONE, shift))
+            frame.append(Piece(lo, hi, 1, shift))
         else:
             cut = hi - delta
-            pieces.append(Piece(lo, cut, ONE, shift + delta))
-            pieces.append(Piece(cut, hi, ONE, shift + delta - width))
+            frame.append(Piece(lo, cut, 1, shift + delta))
+            frame.append(Piece(cut, hi, 1, shift + delta - 2))
+    frame.sort(key=lambda p: p.lo)
+    pieces = tuple(
+        Piece(from_lattice(p.lo, scale), from_lattice(p.hi, scale), ONE, from_lattice(p.b, scale)) for p in frame
+    )
     label = ",".join(map(str, r.rank)) if ell <= 16 else f"{ell} pieces"
-    result = IntervalMap(tuple(pieces), name=f"permutation_map({label})", measure_preserving=True)
-    if preserves_measure(result.pieces) is not True:
+    result = IntervalMap(pieces, name=f"permutation_map({label})", measure_preserving=True)
+    result.__dict__["frame"] = (scale, tuple(frame))  # what the cached property would compute
+    if _density_is_one(*result.frame) is not True:
         raise InvariantViolation(f"permutation map of {ell} pieces does not preserve measure")
     return result
 

@@ -8,7 +8,10 @@ in.
 
 ``Perm(...)``, ``Perm.parse`` and ``perm`` validate their input; words the
 package builds as permutations itself (order patterns, S_n enumeration,
-preimages) skip that check after one length check per call.  ``restrict`` is
+preimages) skip that check after one length check per call.  Either way a
+``Perm`` stores its hash when it is built, the value the dataclass hash
+would compute on every lookup, so sets and dicts of patterns keep their
+order.  ``restrict`` is
 memoised in a bounded cache that holds both restrictions of every edge of
 G_6, so walking a digraph edge by edge re-ranks each edge once.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .caps import perm_cap
+from .caps import PERM_CAP
 from .errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
 from .exactnum import Exact, exact_str, parse_exact
 
@@ -48,6 +51,15 @@ class Perm:
         _check_length(n)
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of 1..{n}")
+        object.__setattr__(self, "_hash", hash((self.word,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Perm:
+            return self.word == other.word
+        return NotImplemented
 
     @property
     def n(self) -> int:
@@ -78,9 +90,8 @@ def _check_length(n: int) -> None:
     """A permutation length must be positive and within the current cap."""
     if n < 1:
         raise ValueError("a permutation needs length at least 1")
-    cap = perm_cap()
-    if n > cap:
-        raise CapExceeded(f"permutation length {n} exceeds cap {cap}")
+    if n > PERM_CAP:
+        raise CapExceeded(f"permutation length {n} exceeds cap {PERM_CAP}")
 
 
 def _trusted(word: tuple[int, ...]) -> Perm:
@@ -90,6 +101,7 @@ def _trusted(word: tuple[int, ...]) -> Perm:
     """
     sigma = object.__new__(Perm)
     object.__setattr__(sigma, "word", word)
+    object.__setattr__(sigma, "_hash", hash((word,)))
     return sigma
 
 
@@ -141,9 +153,8 @@ def restrict(sigma: Perm, side: str) -> Perm:
 
 def all_perms(n: int) -> Iterator[Perm]:
     """S_n in lexicographic order."""
-    cap = perm_cap()
-    if n > cap:
-        raise CapExceeded(f"S_{n} enumeration exceeds cap {cap}")
+    if n > PERM_CAP:
+        raise CapExceeded(f"S_{n} enumeration exceeds cap {PERM_CAP}")
     if n < 1:
         raise ValueError("a permutation needs length at least 1")
     for word in itertools.permutations(range(1, n + 1)):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,21 @@ from fractions import Fraction
 # no example database is replayed.  Per-test settings keep their max_examples.
 settings.register_profile("orderflow", derandomize=True, deadline=None)
 settings.load_profile("orderflow")
+
+
+@pytest.fixture
+def set_perm_cap(monkeypatch):
+    """A setter of the pattern-length cap in every orderflow module that binds ``PERM_CAP``.
+
+    ``ORDERFLOW_CAP`` is read once, at import, so a test changes the constant.
+    """
+
+    def set_cap(cap: int) -> None:
+        for name, module in list(sys.modules.items()):
+            if (name == "orderflow" or name.startswith("orderflow.")) and hasattr(module, "PERM_CAP"):
+                monkeypatch.setattr(module, "PERM_CAP", cap)
+
+    return set_cap
 
 
 @pytest.fixture(scope="session")

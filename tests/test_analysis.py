@@ -175,8 +175,13 @@ def permutation_maps(draw):
 
 
 def _generic(f, n):
-    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take."""
-    with mock.patch("orderflow.analysis.lattice_frame", lambda pieces: (1, pieces)):
+    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take.
+
+    The frame is read from ``IntervalMap.frame``; a property on the class
+    overrides a frame the map was built with or has already computed.
+    """
+    with mock.patch.object(IntervalMap, "frame", property(lambda g: (1, g.pieces))):
+        assert f.frame == (1, f.pieces)
         return exact_distribution(f, n)
 
 

@@ -239,6 +239,20 @@ class TestBoundary:
         code, err = run_error(capsys, "exact", "--map", "doubling", "--n", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err["error"] == "UsageError" and "--n" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "raw, argv, detail",
+        [
+            ("abc", ("exact", "--map", "doubling", "--n", "3"), "ORDERFLOW_CAP must be an integer, got 'abc'"),
+            ("0", ("census", "--n", "2"), "ORDERFLOW_CAP must be positive, got '0'"),
+        ],
+    )
+    def test_malformed_cap_setting(self, raw, argv, detail, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ORDERFLOW_CAP", raw)
+        out = tmp_path / "out.csv"
+        code, err = run_error(capsys, *argv, "--out", str(out))
+        assert code == 2 and err == {"error": "UsageError", "detail": f"orderflow: {detail}"}
+        assert not out.exists()
+
     def test_exact_malformed_rotation(self, tmp_path, capsys):
         code, err = run_error(capsys, "exact", "--map", "rotation:abc", "--n", "3", "--out", str(tmp_path / "x.csv"))
         assert code == 1 and err["error"] == "FormatError" and "rotation:abc" in err["detail"]

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -120,6 +121,19 @@ def split_paths(draw):
     j = draw(st.integers(i, p.length))
     vertices = [p.first_vertex] + [tail(e) for e in p.edges]
     return [DiPath(n, p.edges[a:b], vertices[a]) for a, b in ((0, i), (i, j), (j, p.length))]
+
+
+class TestPathProfileTables:
+    @settings(max_examples=200)
+    @given(st.integers(2, 4), st.integers(1, 40), st.integers(0, 2**32))
+    def test_equals_the_fold_of_compose(self, n, length, seed):
+        # path_profile composes padded index tables; compose checks endpoints and sentinels per step.
+        p = random_path(random.Random(seed), n, length)
+        assert path_profile(p) == functools.reduce(compose, map(edge_profile, p.edges))
+
+    def test_empty_path_is_the_identity(self):
+        v = perm("231")
+        assert path_profile(DiPath(3, (), v)) == identity_profile(v)
 
 
 class TestComposeProperties:

@@ -166,8 +166,8 @@ class TestRealizedPatterns:
         assert got == _outcome(oracle_realized, f, lengths, mode, 500, 2)
 
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
-    def test_length_cap(self, monkeypatch, mode):
-        monkeypatch.setenv("ORDERFLOW_CAP", "5")
+    def test_length_cap(self, set_perm_cap, mode):
+        set_perm_cap(5)
         f = builtin("tent")
         got = _outcome(realized_patterns, f, range(2, 9), mode, 500, 2)
         assert got == ("CapExceeded", "permutation length 6 exceeds cap 5")

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_oracle import oracle_cyclic_lift, oracle_ranking_realizes
 from isometries import lattice_maps, unit_points
+from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
+from orderflow.drift import DRIFTLESS, TOTALLY_DRIFTLESS, classify_loop, subgraph_drifts, synthesize_totally_driftless_loop
 from orderflow.errors import (
     CapExceeded,
     CyclicObstruction,
@@ -37,7 +40,7 @@ from orderflow.maps import (
     ranking_realizes,
     realize_flow,
 )
-from orderflow.paths import path
+from orderflow.paths import DiPath, path
 from orderflow.perms import PatternDistribution, all_perms, perm
 
 
@@ -397,7 +400,97 @@ class TestCyclicLift:
             cyclic_lift(loop_132_321_213)
 
 
+def _outcome(fn, *args):
+    """The value, or the domain error's type and text."""
+    try:
+        return fn(*args)
+    except (CyclicObstruction, CapExceeded, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _lift_cases() -> list[DiPath]:
+    """Loops of G_2 up to length 6 and embedded loops of G_3, with loops synthesized from the driftless ones.
+
+    Each driftless loop's edge set, and the union of two driftless G_3 loops
+    that does not drift, gets a synthesized totally driftless loop; a loop
+    followed by the loop synthesized on its edges, the shape ``realize_flow``
+    ranks, is added too.
+    """
+    loops = [DiPath(2, es) for es in _g2_loop_words(6)]
+    g3 = [DiPath(3, es) for es in embedded_loops(PermDigraph(3).full_subgraph())]
+    loops += g3
+    driftless = [g for g in loops if classify_loop(g) in (DRIFTLESS, TOTALLY_DRIFTLESS)]
+    synthesized = [synthesize_totally_driftless_loop(Subgraph(g.n, frozenset(g.edges))) for g in driftless]
+    g3_driftless = [g for g in driftless if g.n == 3]
+    for i, a in enumerate(g3_driftless):
+        for b in g3_driftless[i + 1 :]:
+            H = Subgraph(3, frozenset(a.edges) | frozenset(b.edges))
+            if set(a.vertices()) & set(b.vertices()) and not subgraph_drifts(H).drifts:
+                synthesized.append(synthesize_totally_driftless_loop(H))
+    repeated = []
+    for g, d in zip(driftless, synthesized):
+        k = g.vertices().index(d.first_vertex)  # synthesis starts at the least vertex
+        repeated.append(DiPath(g.n, (g.edges[k:] + g.edges[:k]) * 3 + d.edges))
+    return loops + synthesized + repeated
+
+
+def _g2_loop_words(max_length: int):
+    from conftest import all_paths
+
+    for length in range(1, max_length + 1):
+        for p in all_paths(2, length):
+            if p.is_loop:
+                yield p.edges
+
+
+class TestOnePassRanking:
+    """cyclic_lift and ranking_realizes against the all-pairs build and the order-pattern check."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _lift_cases()
+
+    def test_same_ranking_as_all_pairs(self, cases):
+        outcomes = [(_outcome(cyclic_lift, g), _outcome(oracle_cyclic_lift, g)) for g in cases]
+        assert all(mine == oracle for mine, oracle in outcomes)
+        rankings = [mine for mine, _ in outcomes if isinstance(mine, CyclicRanking)]
+        assert len(rankings) > 600 and max(r.length for r in rankings) > 40
+        assert {mine[0] for mine, _ in outcomes if isinstance(mine, tuple)} == {CyclicObstruction}
+
+    def test_realizes_agrees_with_order_patterns(self, cases):
+        rng = random.Random(43)
+        verdicts = []
+        for g in cases:
+            r = _outcome(cyclic_lift, g)
+            if not isinstance(r, CyclicRanking):
+                continue
+            rank = list(r.rank)
+            i, j = rng.sample(range(len(rank)), 2) if len(rank) > 1 else (0, 0)
+            rank[i], rank[j] = rank[j], rank[i]
+            shuffled = rng.sample(r.rank, len(r.rank))
+            longer = CyclicRanking(r.length + 1, r.rank + (r.length + 1,))
+            for candidate in (r, CyclicRanking(r.length, tuple(rank)), CyclicRanking(r.length, tuple(shuffled)), longer):
+                verdict = ranking_realizes(candidate, g)
+                assert verdict == oracle_ranking_realizes(candidate, g)
+                verdicts.append(verdict)
+        assert verdicts.count(True) > 600 and verdicts.count(False) > 1200
+
+
 class TestPermutationMap:
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 7, 16, 17, 64, 129, 200, 257])
+    def test_frame_is_the_lattice_frame(self, ell):
+        rng = random.Random(ell)
+        for _ in range(3):
+            r = CyclicRanking(ell, tuple(rng.sample(range(1, ell + 1), ell)))
+            f = permutation_map(r)
+            assert f.frame == lattice_frame(f.pieces)
+            scale, pieces = f.frame
+            assert scale == 2 * ell
+            assert all(on_lattice(v) for p in pieces for v in (p.lo, p.hi, p.a, p.b))
+            assert [(type(p.lo), type(p.b)) for p in f.pieces] == [
+                (type(from_lattice(q.lo, scale)), type(from_lattice(q.b, scale))) for q in pieces
+            ]
+
     def test_counting_measure(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))
         from orderflow.analysis import exact_distribution

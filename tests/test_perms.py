@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderflow.analysis import exact_distribution
+from orderflow.caps import DEFAULT_PERM_CAP, perm_cap_setting
 from orderflow.errors import CapExceeded, DuplicateValue, LengthMismatch, LengthTooSmall
 from orderflow.perms import (
     HEAD,
@@ -106,12 +110,33 @@ class TestPerm:
         with pytest.raises(CapExceeded):
             Perm(tuple(range(1, 14)))
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("ORDERFLOW_CAP", "14")
+    def test_cap_env_override(self, set_perm_cap):
+        set_perm_cap(14)
         assert Perm(tuple(range(1, 14))).n == 13
-        monkeypatch.setenv("ORDERFLOW_CAP", "5")
+        set_perm_cap(5)
         with pytest.raises(CapExceeded):
             Perm(tuple(range(1, 7)))
+
+    @pytest.mark.parametrize("raw, cap", [("14", 14), ("5", 5), ("abc", 12), ("0", 12)])
+    def test_cap_env_is_read_at_import(self, raw, cap):
+        # A malformed value leaves the default; the CLI refuses it (test_cli TestBoundary).
+        code = "import orderflow.caps, orderflow.perms as p; print(orderflow.caps.PERM_CAP, p.PERM_CAP)"
+        env = {**os.environ, "ORDERFLOW_CAP": raw, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == [str(cap), str(cap)]
+
+    @pytest.mark.parametrize(
+        "raw, text",
+        [("abc", "ORDERFLOW_CAP must be an integer, got 'abc'"), ("0", "ORDERFLOW_CAP must be positive, got '0'")],
+    )
+    def test_cap_setting_refuses_malformed_values(self, monkeypatch, raw, text):
+        monkeypatch.setenv("ORDERFLOW_CAP", raw)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            perm_cap_setting()
+        monkeypatch.setenv("ORDERFLOW_CAP", "14")
+        assert perm_cap_setting() == 14
+        monkeypatch.delenv("ORDERFLOW_CAP")
+        assert perm_cap_setting() == DEFAULT_PERM_CAP
 
 
 class TestDistributions:
@@ -293,6 +318,18 @@ class TestFastPaths:
         assert Perm(word) == sigma and not sigma < Perm(word)
         assert str(sigma) == str(Perm(word)) and Perm.parse(str(sigma)) == sigma
 
+    @settings(max_examples=300)
+    @given(words, words)
+    def test_stored_hash_and_comparisons_follow_the_word(self, v, w):
+        # The stored hash is the one the dataclass would compute, so sets of patterns keep their order.
+        assert hash(Perm(w)) == hash(_trusted(w)) == hash((w,))
+        assert (Perm(v) == Perm(w)) == (_trusted(v) == Perm(w)) == (v == w)
+        assert (Perm(v) != Perm(w)) == (v != w)
+        assert (Perm(v) < Perm(w)) == (_trusted(v) < _trusted(w)) == (v < w)
+        assert (Perm(v) <= Perm(w)) == (v <= w)
+        assert Perm(w) != w and not Perm(w) == w and w != Perm(w)
+        assert [s.word for s in {Perm(v), Perm(w)}] == [t[0] for t in {(v,), (w,)}]
+
     @settings(max_examples=200)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9, unique=True))
     def test_order_pattern_is_a_validated_perm(self, values):
@@ -316,8 +353,8 @@ class TestFastPaths:
             order_pattern(values)
 
     @pytest.mark.parametrize("cap", [3, 5])
-    def test_trusted_paths_keep_the_cap(self, monkeypatch, cap):
-        monkeypatch.setenv("ORDERFLOW_CAP", str(cap))
+    def test_trusted_paths_keep_the_cap(self, set_perm_cap, cap):
+        set_perm_cap(cap)
         assert order_pattern(range(cap)).n == cap
         with pytest.raises(CapExceeded, match=rf"permutation length {cap + 1} exceeds cap {cap}$"):
             order_pattern(range(cap + 1))

@@ -1,6 +1,7 @@
 """Checks on the package source itself and on the commands its README shows."""
 
 import ast
+import importlib
 import shlex
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from orderflow.cli import _COMMANDS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orderflow"
+BENCH = ROOT / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 README_COMMANDS = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("orderflow ")]
 
@@ -92,3 +94,50 @@ def test_readme_command_parses(line):
     # A flag removed from the CLI must not stay in the docs: parsing exits 2 on it.
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert args.command == shlex.split(line)[1]
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """(module, function) of every entry of ``TRACED`` in bench/spans.py, read without importing it."""
+    tree = ast.parse((BENCH / "spans.py").read_text(), "spans.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]:
+            return [(mod, fn) for mod, fn, _folded in ast.literal_eval(node.value)]
+    raise LookupError("bench/spans.py assigns no TRACED list")
+
+
+def _checker_names() -> list[tuple[str, str]]:
+    """(module, name) of every ``self.<module>.<name>`` bench/check.py reads from an imported orderflow module."""
+    tree = ast.parse((BENCH / "check.py").read_text(), "check.py")
+    modules = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "orderflow"
+        for alias in node.names
+    }
+    return sorted(
+        {
+            (node.value.attr, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "self"
+            and node.value.attr in modules
+        }
+    )
+
+
+def test_benchmark_names_stay_in_their_modules():
+    # The benchmark wraps TRACED functions by (module, name) and skips a name
+    # its module lacks, so a moved function would silently drop its spans;
+    # the output checks call the package by module attribute.
+    traced, checked = _traced_names(), _checker_names()
+    assert len(traced) > 20 and ("drift", "compose") in traced and ("maps", "cyclic_lift") in traced
+    assert ("analysis", "exact_distribution") in checked and ("drift", "loop_drift") in checked
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in traced + checked
+        if not hasattr(importlib.import_module(f"orderflow.{mod}"), name)
+    ]
+    assert missing == [], f"bench names {missing} are gone from their orderflow modules"
+    assert all(callable(getattr(importlib.import_module(f"orderflow.{mod}"), fn)) for mod, fn in traced)
