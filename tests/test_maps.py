@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_paths
 from cyclic_oracle import oracle_cyclic_lift, oracle_ranking_realizes
 from isometries import lattice_maps, unit_points
 from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
-from orderflow.drift import DRIFTLESS, TOTALLY_DRIFTLESS, classify_loop, subgraph_drifts, synthesize_totally_driftless_loop
+from orderflow.drift import (
+    DRIFTLESS,
+    TOTALLY_DRIFTLESS,
+    classify_loop,
+    subgraph_drifts,
+    synthesize_totally_driftless_loop,
+)
 from orderflow.errors import (
     CapExceeded,
     CyclicObstruction,
@@ -416,9 +423,8 @@ def _lift_cases() -> list[DiPath]:
     followed by the loop synthesized on its edges, the shape ``realize_flow``
     ranks, is added too.
     """
-    loops = [DiPath(2, es) for es in _g2_loop_words(6)]
-    g3 = [DiPath(3, es) for es in embedded_loops(PermDigraph(3).full_subgraph())]
-    loops += g3
+    loops = [p for length in range(1, 7) for p in all_paths(2, length) if p.is_loop]
+    loops += [DiPath(3, es) for es in embedded_loops(PermDigraph(3).full_subgraph())]
     driftless = [g for g in loops if classify_loop(g) in (DRIFTLESS, TOTALLY_DRIFTLESS)]
     synthesized = [synthesize_totally_driftless_loop(Subgraph(g.n, frozenset(g.edges))) for g in driftless]
     g3_driftless = [g for g in driftless if g.n == 3]
@@ -432,15 +438,6 @@ def _lift_cases() -> list[DiPath]:
         k = g.vertices().index(d.first_vertex)  # synthesis starts at the least vertex
         repeated.append(DiPath(g.n, (g.edges[k:] + g.edges[:k]) * 3 + d.edges))
     return loops + synthesized + repeated
-
-
-def _g2_loop_words(max_length: int):
-    from conftest import all_paths
-
-    for length in range(1, max_length + 1):
-        for p in all_paths(2, length):
-            if p.is_loop:
-                yield p.edges
 
 
 class TestOnePassRanking:
@@ -469,7 +466,8 @@ class TestOnePassRanking:
             rank[i], rank[j] = rank[j], rank[i]
             shuffled = rng.sample(r.rank, len(r.rank))
             longer = CyclicRanking(r.length + 1, r.rank + (r.length + 1,))
-            for candidate in (r, CyclicRanking(r.length, tuple(rank)), CyclicRanking(r.length, tuple(shuffled)), longer):
+            swapped, shuffled = CyclicRanking(r.length, tuple(rank)), CyclicRanking(r.length, tuple(shuffled))
+            for candidate in (r, swapped, shuffled, longer):
                 verdict = ranking_realizes(candidate, g)
                 assert verdict == oracle_ranking_realizes(candidate, g)
                 verdicts.append(verdict)
@@ -487,9 +485,9 @@ class TestPermutationMap:
             scale, pieces = f.frame
             assert scale == 2 * ell
             assert all(on_lattice(v) for p in pieces for v in (p.lo, p.hi, p.a, p.b))
-            assert [(type(p.lo), type(p.b)) for p in f.pieces] == [
-                (type(from_lattice(q.lo, scale)), type(from_lattice(q.b, scale))) for q in pieces
-            ]
+            # The Q(sqrt2) pieces hold Fractions, and Sqrt2s with Fraction parts, as when they were built directly.
+            values = [v for p in f.pieces for v in (p.lo, p.hi, p.a, p.b)]
+            assert all(type(v) is Fraction or type(v) is Sqrt2 and type(v.a) is type(v.b) is Fraction for v in values)
 
     def test_counting_measure(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))
