@@ -39,6 +39,9 @@ ENTROPY_N_MAX = 10
 # subdivision, checked after each iterate is added.
 SUBDIVISION_MAX = 500_000
 
+# The face census walks all 2^(n!) edge masks of G_{n-1}: 2^24 at n = 4, 2^120 at n = 5.
+CENSUS_N_MAX = 4
+
 SEPARATOR_DEPTH_MAX = 6
 SCALE_DEPTH_MAX = 24
 POLYTOPE_DIM_MAX = 6

@@ -171,7 +171,7 @@ def cmd_drift(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    rows = flows.census(args.n, dimensions=args.dimensions, samples=args.samples, seed=args.seed)
+    rows = flows.census(args.n, dimensions=args.dimensions)
     _write(args.out, flows.census_to_csv(rows))
     return {
         "command": "census",
@@ -324,9 +324,7 @@ def _drift_args(p):
 
 def _census_args(p):
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--dimensions", type=_dimensions, help="comma-separated dimensions to restrict to (n=4)")
-    p.add_argument("--samples", type=_positive_int, help="random subsets for the sampled n=4 census")
-    p.add_argument("--seed", type=int, help="required with --samples")
+    p.add_argument("--dimensions", type=_dimensions, help="comma-separated dimensions to restrict to")
     p.add_argument("--out", required=True, help="census CSV path")
 
 
@@ -452,13 +450,6 @@ def main(argv=None) -> int:
         parser.error(f"--edges is required for drift {args.action}")
     if args.command == "census" and args.n < 2:
         parser.error(f"census needs --n at least 2, got {args.n}")
-    if args.command == "census" and args.samples is not None:
-        if args.seed is None:
-            parser.error("--seed is required for census --samples")
-        if args.n < 4:
-            parser.error(f"census --samples needs --n 4, got {args.n}; smaller censuses are exhaustive")
-        if args.dimensions == [0]:
-            parser.error("census --samples does not apply to --dimensions 0, which is exhaustive")
     if args.command == "entropy" and args.n_max < 2:
         parser.error(f"entropy needs --n-max at least 2, got {args.n_max}")
     if args.command == "exclusion" and args.m_max <= args.n:

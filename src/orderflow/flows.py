@@ -5,7 +5,8 @@ inflow equals outflow at every vertex, which is exactly the constraint that
 the two one-step pushforwards of the distribution agree.  Faces of the flow
 polytope correspond to face subgraphs, vertices to embedded loops, and a face
 is realizable by a measure-preserving interval map precisely when its
-subgraph is driftless.
+subgraph is driftless.  The face census walks every edge mask of G_{n-1}
+once and searches for drift only where a smaller face does not settle it.
 """
 
 from __future__ import annotations
@@ -14,22 +15,22 @@ import csv
 import io
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .caps import POLYTOPE_DIM_MAX
+from .caps import CENSUS_N_MAX, POLYTOPE_DIM_MAX
 from .digraph import (
+    PermDigraph,
     Subgraph,
     embedded_loops,
     face_components,
-    face_dimension,
     head,
     is_face_subgraph,
     shortest_path,
     tail,
 )
-from .drift import subgraph_drifts
+from .drift import IndexReach, subgraph_drifts
 from .errors import CapExceeded, FormatError, InvariantViolation, NotAFlow
 from .exactnum import Sqrt2
 from .paths import DiPath
@@ -133,48 +134,81 @@ class CensusRow:
     realizable: int
 
 
-def census(n: int, dimensions=None, samples: int | None = None, seed: int | None = None) -> list[CensusRow]:
+def census(n: int, dimensions=None) -> list[CensusRow]:
     """Face census of the flow polytope: per dimension, how many faces are realizable.
 
-    Exhaustive over all edge subsets of G_{n-1} for n <= 3.  For n = 4 the
-    options are ``dimensions=[0]`` (vertices, i.e. embedded loops, still
-    exhaustive) or ``samples`` random edge subsets with the given seed, which
-    gives a labeled non-exhaustive table.  Larger n is refused.
+    Exhaustive over the faces of G_{n-1} for n <= ``CENSUS_N_MAX``, by one
+    walk over its edge masks (``_face_walk``).  A request for dimension 0
+    alone lists the vertices, i.e. the embedded loops, instead.  Larger n is
+    refused.
     """
-    from .digraph import PermDigraph
-
+    if n > CENSUS_N_MAX:
+        raise CapExceeded(f"census reached n = {n}, cap {CENSUS_N_MAX}")
     G = PermDigraph(n - 1)
-    edges = sorted(G.edges())
-    counts: dict[int, list[int]] = {}
-
-    def tally(H: Subgraph):
-        if not H.edges or not is_face_subgraph(H):
-            return
-        d = face_dimension(H)
-        if dimensions is not None and d not in dimensions:
-            return
-        row = counts.setdefault(d, [0, 0])
-        row[0] += 1
-        if face_realizable(H):
-            row[1] += 1
-
-    if n <= 3:
-        for mask in range(1, 1 << len(edges)):
-            H = Subgraph(n - 1, frozenset(e for k, e in enumerate(edges) if mask >> k & 1))
-            tally(H)
-    elif n == 4 and dimensions == [0]:
-        for loop_edges in embedded_loops(G.full_subgraph()):
-            tally(Subgraph(n - 1, frozenset(loop_edges)))
-    elif n == 4 and samples is not None:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            chosen = frozenset(e for e in edges if rng.random() < 0.5)
-            tally(Subgraph(n - 1, chosen))
+    if dimensions is not None and set(dimensions) == {0}:
+        faces = ((0, face_realizable(Subgraph(n - 1, frozenset(loop)))) for loop in embedded_loops(G.full_subgraph()))
     else:
-        raise CapExceeded(
-            f"exhaustive census reached n = {n}, cap 3; n = 4 needs dimensions=[0] or samples"
-        )
+        faces = ((d, ok) for _, d, ok in _face_walk(sorted(G.edges())))
+    counts: dict[int, tuple[int, int]] = {}
+    for d, ok in faces:
+        if dimensions is None or d in dimensions:
+            total, realizable = counts.get(d, (0, 0))
+            counts[d] = (total + 1, realizable + ok)
     return [CensusRow(d, t, r) for d, (t, r) in sorted(counts.items())]
+
+
+def _face_walk(edges: list[Perm]) -> Iterator[tuple[int, int, bool]]:
+    """(mask, dimension, realizable) of every face among the subsets of ``edges``, by increasing mask.
+
+    Bit k of a mask stands for ``edges[k]``; the edges all lie in one G_m.
+    Reachability in a mask is closed on one int of |V| rows of |V| bits (bit
+    w of row v: a nonempty path leads from v to w), which starts as the
+    adjacency rows of the mask's two halves, looked up by submask.  Above
+    the rows, the tables also hold the (tail, head) bit of every edge, and
+    the mask is a face when every edge's tail reaches its head.  In a face,
+    what v reaches is v's component, so the rows give the c components, and
+    the dimension is |E| - |V| + c - 1.  The edges of a face out of a
+    component's vertices are the component's edges (``inside``).
+
+    ``marked[mask]`` records a realizable face: one whose components are all
+    driftless.  A face of several components is realizable when every
+    component's edge mask, a smaller mask walked before, is marked.  A
+    strongly connected face H is driftless if H - e is marked for some edge e
+    of H; only otherwise does one ``IndexReach`` search decide it.
+
+    The shortcut is sound.  If the strongly connected H drifts, it drifts at
+    every one of its vertices (``drift.py``).  Let C inside H be nonempty and
+    strongly connected, and v a vertex of C.  H drifts at v: at some index
+    every nonempty loop of H at v has one nonzero sign.  The loops of C at v
+    are such loops, and there is at least one, so C drifts at v.  Hence a
+    driftless C makes H driftless, and a component of a marked H - e is such
+    a C.
+    """
+    verts = sorted({head(e) for e in edges} | {tail(e) for e in edges})
+    nv, half = len(verts), len(edges) // 2
+    row, column = (1 << nv) - 1, sum(1 << nv * v for v in range(nv))
+    ends = [(verts.index(head(e)), verts.index(tail(e))) for e in edges]
+    bits = [1 << k for k in range(len(edges))]
+    inside = [sum(b for b, (h, _) in zip(bits, ends) if vs >> h & 1) for vs in range(1 << nv)]
+    low, high = [0], [0]
+    for k, (h, t) in enumerate(ends):
+        table = low if k < half else high
+        table += [x | 1 << nv * h + t | 1 << nv * (nv + t) + h for x in table]
+    marked = bytearray(1 << len(edges))
+    for mask in range(1, len(marked)):
+        reach = low[mask & len(low) - 1] | high[mask >> half]
+        for v in range(nv):  # Warshall: rows that reach v gain v's row
+            reach |= (reach >> v & column) * (reach >> nv * v & row)
+        if reach >> nv * nv & ~reach:
+            continue
+        comps = {reach >> nv * v & row for v in range(nv)} - {0}
+        if len(comps) > 1:
+            ok = all(marked[mask & inside[c]] for c in comps)
+        else:
+            ok = any(marked[mask ^ b] for b in bits if mask & b)
+            ok = ok or not IndexReach(edges[0].n - 1, [e for b, e in zip(bits, edges) if mask & b]).verdict().drifts
+        marked[mask] = ok
+        yield mask, mask.bit_count() - sum(c.bit_count() for c in comps) + len(comps) - 1, ok
 
 
 def census_to_csv(rows: list[CensusRow]) -> str:

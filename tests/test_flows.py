@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from orderflow import flows
 from orderflow.digraph import (
     Subgraph,
     build,
     embedded_loops,
+    face_components,
     face_dimension,
+    head,
     is_face_subgraph,
     strongly_connected_components,
     subgraph,
+    tail,
 )
 from orderflow.drift import TOTALLY_DRIFTLESS, classify_loop, synthesize_totally_driftless_loop
 from orderflow.errors import CapExceeded, DriftObstruction, NotAFlow, NotFaceSubgraph
@@ -127,15 +132,17 @@ class TestCensus:
         assert row.total == len(embedded_loops(build(3).full_subgraph()))
         assert 0 < row.realizable < row.total
 
-    def test_sampled_mode_runs(self):
-        rows = census(4, samples=40, seed=9)
-        assert all(r.realizable <= r.total for r in rows)
-
     def test_refuses_large(self):
-        with pytest.raises(CapExceeded, match=r"exhaustive census reached n = 5, cap 3; "):
+        with pytest.raises(CapExceeded, match=r"^census reached n = 5, cap 4$"):
             census(5)
-        with pytest.raises(CapExceeded, match=r"exhaustive census reached n = 4, cap 3; "):
-            census(4)
+        with pytest.raises(CapExceeded, match=r"^census reached n = 5, cap 4$"):
+            census(5, dimensions=[0])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_loop_route_matches_the_walk(self, n):
+        # dimensions={0} lists embedded loops; any other request walks every edge mask.
+        walked = [r for r in census(n) if r.dimension == 0]
+        assert census(n, dimensions=[0]) == census(n, dimensions=[0, 0]) == walked
 
     def test_csv(self):
         text = census_to_csv(census(3))
@@ -240,3 +247,65 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             flow_from_json('{"n": 2, "weights": {"12": "3/2", "21": "-1/2"}}')
         assert "negative" in str(err.value)
+
+
+def _or_table(bits: list[int]) -> list[int]:
+    """Entry ``mask``: the OR of ``bits[j]`` over the set bits j of mask."""
+    table = [0]
+    for b in bits:
+        table += [t | b for t in table]
+    return table
+
+
+_G3_EDGES = sorted(build(3).edges())
+# Realizable faces with two components are rare among random edge subsets of
+# G_3 (the first ten subsets below hold one).  The vertex triples here each
+# carry 44 driftless strongly connected faces, so subsets of the 16 edges
+# inside them hold many.
+_TRIPLES = ({"123", "231", "312"}, {"132", "213", "321"})
+_TRIPLE_EDGES = [e for e in _G3_EDGES if any({str(head(e)), str(tail(e))} <= t for t in _TRIPLES)]
+
+
+class TestFaceWalk:
+    """The census mask walk against the Subgraph route on seeded edge subsets of G_3."""
+
+    SUBSETS = [
+        sorted(random.Random(seed).sample(_G3_EDGES if seed < 10 else _TRIPLE_EDGES, 12 + seed % 3))
+        for seed in range(20)
+    ]
+
+    @pytest.mark.parametrize("edges", SUBSETS, ids=range(len(SUBSETS)))
+    def test_faces_match_the_subgraph_route(self, edges, monkeypatch):
+        searches = []
+
+        class CountingReach(flows.IndexReach):
+            def verdict(self):
+                searches.append(1)
+                return super().verdict()
+
+        monkeypatch.setattr(flows, "IndexReach", CountingReach)
+        walked = {mask: (d, ok) for mask, d, ok in flows._face_walk(edges)}
+        monkeypatch.undo()
+
+        def sub(mask):
+            return Subgraph(3, frozenset(e for k, e in enumerate(edges) if mask >> k & 1))
+
+        # Every vertex of a face has an edge in and an edge out, so a mask
+        # whose heads and tails are different vertex sets is not a face.
+        verts = sorted({head(e) for e in edges} | {tail(e) for e in edges})
+        heads = _or_table([1 << verts.index(head(e)) for e in edges])
+        tails = _or_table([1 << verts.index(tail(e)) for e in edges])
+        oracle, strongly_connected = {}, []
+        for mask in range(1, 1 << len(edges)):
+            if mask in walked or (heads[mask] == tails[mask] and is_face_subgraph(sub(mask))):
+                H = sub(mask)
+                oracle[mask] = (face_dimension(H), face_realizable(H))
+                if len(face_components(H)) == 1:
+                    strongly_connected.append(mask)
+        assert walked == oracle
+        # The walk searches a strongly connected face unless removing one edge
+        # leaves a realizable face.
+        bits = [1 << k for k in range(len(edges))]
+        expected = [m for m in strongly_connected if not any(m & b and oracle.get(m ^ b, (0, False))[1] for b in bits)]
+        assert len(searches) == len(expected)
+

@@ -141,3 +141,29 @@ def test_benchmark_names_stay_in_their_modules():
     ]
     assert missing == [], f"bench names {missing} are gone from their orderflow modules"
     assert all(callable(getattr(importlib.import_module(f"orderflow.{mod}"), fn)) for mod, fn in traced)
+
+
+def _checked_kinds() -> set[str]:
+    """Job kinds bench/check.py has a check for: its public ``Checker`` methods, read without importing it."""
+    tree = ast.parse((BENCH / "check.py").read_text(), "check.py")
+    checker = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Checker")
+    return {
+        node.name.replace("_", ".", 1)
+        for node in checker.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_benchmark_commands_parse(tmp_path, monkeypatch):
+    # The benchmark drives the CLI with these argument lists; a flag it passes
+    # must not disappear from the parser.  The budgets are just large enough
+    # for every job kind to appear.
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    jobs = [*gen.WARMUPS.values()]
+    for workload, seconds in (("patterns", 3), ("flows", 0.5)):
+        jobs += gen.plan(workload, 777, tmp_path / workload, seconds).jobs
+    assert {job.kind for job in jobs} == _checked_kinds()
+    for job in jobs:
+        args = build_parser().parse_args(job.argv(tmp_path))
+        assert args.command == job.args[0]
