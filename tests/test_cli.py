@@ -299,11 +299,26 @@ class TestBoundary:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines() == [json.dumps(err)]
 
-    def test_census_samples_gone(self, tmp_path, capsys):
+    # census is exhaustive through n = 4, so --samples and --seed are gone: each
+    # former misuse is now refused as unrecognized arguments, not by its old message.
+    @pytest.mark.parametrize(
+        "argv, old_detail",
+        [
+            (["--n", "4", "--samples", "300"], "--seed is required for census --samples"),
+            (["--n", "3", "--samples", "300", "--seed", "1"], "census --samples needs --n 4, got 3; smaller censuses are exhaustive"),
+            (
+                ["--n", "4", "--dimensions", "0", "--samples", "300", "--seed", "1"],
+                "census --samples does not apply to --dimensions 0, which is exhaustive",
+            ),
+        ],
+    )
+    def test_census_samples_misused(self, argv, old_detail, tmp_path, capsys):
         out = tmp_path / "c.csv"
-        code, err = run_error(capsys, "census", "--n", "4", "--samples", "300", "--seed", "1", "--out", str(out))
+        code, err = run_error(capsys, "census", *argv, "--out", str(out))
+        unrecognized = " ".join(argv[argv.index("--samples") :])
         assert code == 2
-        assert err == {"error": "UsageError", "detail": "orderflow: unrecognized arguments: --samples 300 --seed 1"}
+        assert err == {"error": "UsageError", "detail": f"orderflow: unrecognized arguments: {unrecognized}"}
+        assert old_detail not in err["detail"]
         assert not out.exists()
 
     def test_poset_oracle_disagreement(self, tmp_path, capsys, figure_loop, monkeypatch):
