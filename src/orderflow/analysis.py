@@ -34,7 +34,6 @@ they keep, so every length sees exactly the orbits a separate call would.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -230,8 +229,9 @@ def unit_samples(seed, count: int, start: int = 0) -> Iterable[float]:
 
     Sample i is the blake2b digest of the text f"{seed}:{i}".
     """
+    from hashlib import blake2b
+
     prefix = f"{seed}:".encode()
-    blake2b = hashlib.blake2b
     for i in range(start, start + count):
         digest = blake2b(prefix + b"%d" % i, digest_size=8).digest()
         yield int.from_bytes(digest, "big") / 2**64

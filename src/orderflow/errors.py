@@ -14,7 +14,7 @@ class DuplicateValue(OrderflowError):
 
 
 class LengthTooSmall(OrderflowError):
-    """A restriction was requested of a permutation that is too short."""
+    """A length is too short for the operation: a restriction, a push-down, a census."""
 
 
 class LengthMismatch(OrderflowError):

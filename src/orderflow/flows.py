@@ -31,7 +31,7 @@ from .digraph import (
     tail,
 )
 from .drift import IndexReach, subgraph_drifts
-from .errors import CapExceeded, FormatError, InvariantViolation, NotAFlow
+from .errors import CapExceeded, FormatError, InvariantViolation, LengthTooSmall, NotAFlow
 from .exactnum import Sqrt2
 from .paths import DiPath
 from .perms import (
@@ -140,8 +140,10 @@ def census(n: int, dimensions=None) -> list[CensusRow]:
     Exhaustive over the faces of G_{n-1} for n <= ``CENSUS_N_MAX``, by one
     walk over its edge masks (``_face_walk``).  A request for dimension 0
     alone lists the vertices, i.e. the embedded loops, instead.  Larger n is
-    refused.
+    refused, and so is n < 2, which has no G_{n-1}.
     """
+    if n < 2:
+        raise LengthTooSmall(f"census needs length n at least 2, got {n}")
     if n > CENSUS_N_MAX:
         raise CapExceeded(f"census reached n = {n}, cap {CENSUS_N_MAX}")
     G = PermDigraph(n - 1)

@@ -19,7 +19,6 @@ and keeps it.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from bisect import bisect_right
@@ -40,7 +39,6 @@ from .errors import (
     UnknownBuiltin,
 )
 from .exactnum import Exact, Sqrt2, exact, exact_str, from_lattice, lattice_scale, parse_exact, to_lattice
-from .flows import as_flow, flow_face
 from .paths import DiPath
 from .perms import PatternDistribution, Perm, load_json
 
@@ -321,6 +319,8 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
             if highpos not in succs[lowpos]:
                 succs[lowpos].add(highpos)
                 indeg[highpos] += 1
+    import heapq
+
     ready = [i for i in range(ell) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
@@ -430,6 +430,8 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    from .flows import as_flow, flow_face  # deferred: only realization needs flows
+
     flow = as_flow(mu)
     n = flow.n
     H = flow_face(flow)

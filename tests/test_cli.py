@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from orderflow import cli
 from orderflow.cli import build_parser, main
 from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
-from orderflow.maps import map_from_json, map_to_json
+from orderflow.maps import builtin, map_from_json, map_to_json
 from orderflow.paths import path, path_to_json
 from orderflow.exactnum import exact
 from orderflow.perms import PatternDistribution, distribution_from_csv, perm
@@ -594,6 +597,54 @@ class TestOneCommandParser:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert built == ["orderflow"] + [f"orderflow {name}" for name in COMMANDS]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One small run of every subcommand; validate once per branch that loads a module.
+COLD_RUNS = {
+    "digraph": ["digraph", "--n", "2", "--out", "g.dot"],
+    "poset": ["poset", "--path", "loop.json", "--query", "1", "2"],
+    "lifts": ["lifts", "--path", "loop.json", "--mode", "count"],
+    "drift": ["drift", "subgraph", "--edges", "sub.json"],
+    "census": ["census", "--n", "2", "--out", "c.csv"],
+    "realize": ["realize", "--flow", "flow.json", "--out", "m.json"],
+    "simulate": ["simulate", "--map", "doubling", "--n", "3", "--samples", "1000", "--seed", "1", "--out", "s.csv"],
+    "exact": ["exact", "--map", "doubling", "--n", "3", "--out", "d.csv"],
+    "entropy": ["entropy", "--map", "tent", "--n-max", "3", "--out", "e.txt"],
+    "forbidden": ["forbidden", "--map", "doubling", "--n", "3"],
+    "exclusion": ["exclusion", "--map", "doubling", "--n", "2", "--m-max", "3"],
+    "cantor": ["cantor", "verify", "--uniform", "2", "--scale-depth", "8", "--samples", "1000", "--seed", "1"],
+    "validate-flow": ["validate", "--kind", "flow", "flow.json"],
+    "validate-map": ["validate", "--kind", "map", "map.json"],
+}
+
+
+class TestColdStart:
+    """Each subcommand in a fresh interpreter, which has loaded only what the CLI imports.
+
+    In this process every module is loaded already, in the order the test
+    modules import them, so a deferred import that fails or cycles when it
+    runs first would pass every in-process test.
+    """
+
+    def test_every_command_runs(self):
+        assert {argv[0] for argv in COLD_RUNS.values()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("name", COLD_RUNS)
+    def test_one_json_line(self, name, tmp_path, loop_132_321_213, driftless_triple):
+        (tmp_path / "loop.json").write_text(path_to_json(loop_132_321_213))
+        (tmp_path / "sub.json").write_text(subgraph_to_json(driftless_triple))
+        (tmp_path / "flow.json").write_text(flow_to_json(interior_flow(driftless_triple)))
+        (tmp_path / "map.json").write_text(map_to_json(builtin("tent")))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderflow.cli", *COLD_RUNS[name]],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["command"] == COLD_RUNS[name][0]
 
 
 # Random JSON: arbitrary values, and objects with the artifacts' keys whose

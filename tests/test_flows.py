@@ -17,7 +17,7 @@ from orderflow.digraph import (
     tail,
 )
 from orderflow.drift import TOTALLY_DRIFTLESS, classify_loop, synthesize_totally_driftless_loop
-from orderflow.errors import CapExceeded, DriftObstruction, NotAFlow, NotFaceSubgraph
+from orderflow.errors import CapExceeded, DriftObstruction, LengthTooSmall, NotAFlow, NotFaceSubgraph
 from orderflow.flows import (
     as_flow,
     census,
@@ -137,6 +137,14 @@ class TestCensus:
             census(5)
         with pytest.raises(CapExceeded, match=r"^census reached n = 5, cap 4$"):
             census(5, dimensions=[0])
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_refuses_small(self, n):
+        # G_{n-1} does not exist; the error names the census length, not the digraph's.
+        with pytest.raises(LengthTooSmall, match=rf"^census needs length n at least 2, got {n}$"):
+            census(n)
+        with pytest.raises(LengthTooSmall):
+            census(n, dimensions=[0])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_loop_route_matches_the_walk(self, n):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,3 +170,62 @@ def test_benchmark_commands_parse(tmp_path, monkeypatch):
     for job in jobs:
         args = build_parser().parse_args(job.argv(tmp_path))
         assert args.command == job.args[0]
+
+
+def _fresh(code: str):
+    """What ``code`` prints as JSON when run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _loaded_after(statement: str) -> set[str]:
+    return set(_fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"))
+
+
+def _cache_holders() -> set[str]:
+    """Modules that define a module-level functools cache, found as bench/run.py finds the caches it clears."""
+    holders = set()
+    for module in MODULES:
+        name = "orderflow" if module == "__init__.py" else f"orderflow.{module[:-3]}"
+        for value in vars(importlib.import_module(name)).values():
+            if callable(getattr(value, "cache_clear", None)) and getattr(value, "__module__", None) == name:
+                holders.add(name)
+    return holders
+
+
+def test_cli_loads_the_cache_holders_and_defers_the_rest():
+    # An in-process caller clears the caches it finds right after importing
+    # the CLI; a cache holder loaded later would keep its cache across calls.
+    loaded = _loaded_after("import orderflow.cli")
+    holders = _cache_holders()
+    assert {"orderflow.perms", "orderflow.digraph", "orderflow.drift"} <= holders <= loaded
+    deferred = {"orderflow.flows", "orderflow.maps", "orderflow.analysis", "orderflow.cantor", "hashlib"}
+    assert deferred & loaded == set()
+
+
+def test_package_import_loads_no_module():
+    assert {name for name in _loaded_after("import orderflow") if name.startswith("orderflow.")} == set()
+
+
+def test_exports_are_their_modules_objects():
+    # Each name resolves on first access; it must be its module's own object.
+    code = """
+import importlib, json, orderflow
+print(json.dumps({name: getattr(orderflow, name) is getattr(importlib.import_module("orderflow." + home), name)
+                  for name, home in orderflow._HOME.items()}))
+"""
+    served = _fresh(code)
+    assert len(served) == 70, "every name `from orderflow import X` serves"
+    assert all(served.values()), [name for name, same in served.items() if not same]
+
+
+def test_unknown_export_is_an_attribute_error():
+    import orderflow
+
+    assert set(orderflow.__all__) <= set(dir(orderflow))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        orderflow.no_such_name
+    with pytest.raises(ImportError):
+        from orderflow import no_such_name  # noqa: F401
