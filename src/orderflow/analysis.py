@@ -224,7 +224,7 @@ def _pattern(order: tuple[int, ...]) -> Perm:
 # -- deterministic sampling ----------------------------------------------------
 
 
-def unit_samples(seed, count: int, start: int = 0) -> Iterable[float]:
+def unit_samples(seed, count: int) -> Iterable[float]:
     """Uniform floats in [0, 1) keyed by (seed, index); order-independent.
 
     Sample i is the blake2b digest of the text f"{seed}:{i}".
@@ -232,7 +232,7 @@ def unit_samples(seed, count: int, start: int = 0) -> Iterable[float]:
     from hashlib import blake2b
 
     prefix = f"{seed}:".encode()
-    for i in range(start, start + count):
+    for i in range(count):
         digest = blake2b(prefix + b"%d" % i, digest_size=8).digest()
         yield int.from_bytes(digest, "big") / 2**64
 
@@ -409,9 +409,13 @@ def forbidden_patterns(
 @dataclass(frozen=True)
 class ExclusionRow:
     m: int
-    equal: bool
     missing: frozenset[Perm]  # lift preimage members the map does not realize
     extra: frozenset[Perm]  # realized patterns outside the lift preimage
+
+    @property
+    def equal(self) -> bool:
+        """Whether the realized patterns are exactly the lift preimage."""
+        return not self.missing and not self.extra
 
 
 def exclusion_type_test(
@@ -430,7 +434,7 @@ def exclusion_type_test(
     levels = window_levels(sorted(H.edges), [H.edges] * (m_max - n - 1))
     for m, level in zip(range(n + 1, m_max + 1), levels):
         preimage, realized = frozenset(level), realized_by_len[m]
-        rows.append(ExclusionRow(m, preimage == realized, preimage - realized, realized - preimage))
+        rows.append(ExclusionRow(m, preimage - realized, realized - preimage))
     return rows
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .perms import (
     all_perms,
     is_compatible,
     order_pattern,
+    preimages,
     push_mass,
     restrict,
 )
@@ -36,6 +38,7 @@ from .perms import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 QUARTER = Fraction(1, 4)
+CONFIDENCE_DELTA = 1e-3  # failure probability the sampling term of a verification bound allows
 
 
 @dataclass(frozen=True)
@@ -58,15 +61,18 @@ class IntervalTree:
     """Nested intervals I_sigma in (1/4, 3/4], one per pattern up to depth N.
 
     Level n partitions (1/4, 3/4] left-to-right in lexicographic order with
-    |I_sigma| equal to half the target mass of sigma.
+    |I_sigma| equal to half the target mass of sigma.  Each level's
+    intervals add up to 1/2, so each keeps one at least, and the depth is
+    the longest pattern.
     """
 
-    depth: int
     intervals: dict[Perm, IntervalRec]
 
-    def children(self, sigma: Perm) -> list[Perm]:
-        from .perms import preimages
+    @property
+    def depth(self) -> int:
+        return max(s.n for s in self.intervals)
 
+    def children(self, sigma: Perm) -> list[Perm]:
         return sorted(p for p in preimages(sigma, HEAD) if p in self.intervals)
 
 
@@ -75,11 +81,15 @@ class SeparatorTree:
     """Disjoint open intervals J_sigma in [1/8, 7/8] ordering compatible chains.
 
     Points x_i drawn from J of the i-th chain element always realize the
-    chain's top pattern; the root interval is the closed [1/4, 3/4].
+    chain's top pattern; the root interval is the closed [1/4, 3/4].  Every
+    pattern up to the depth has an interval, so the depth is the longest.
     """
 
-    depth: int
     intervals: dict[Perm, IntervalRec]
+
+    @property
+    def depth(self) -> int:
+        return max(s.n for s in self.intervals)
 
 
 def _chain(sigma: Perm) -> list[Perm]:
@@ -104,7 +114,6 @@ def build_interval_tree(mu_list: list[PatternDistribution]) -> IntervalTree:
             raise IncompatibleSequence(
                 f"lengths {mu.n} and {mu_next.n} fail the pushforward identity"
             )
-    depth = len(mu_list)
     root = Perm((1,))
     intervals = {root: IntervalRec(QUARTER, Fraction(3, 4))}
     for mu in mu_list[1:]:
@@ -112,15 +121,13 @@ def build_interval_tree(mu_list: list[PatternDistribution]) -> IntervalTree:
             if parent not in intervals:
                 continue
             cursor = intervals[parent].lo
-            from .perms import preimages
-
             for child in sorted(preimages(parent, HEAD)):
                 width = mu(child) / 2
                 intervals[child] = IntervalRec(cursor, cursor + width)
                 cursor += width
     # Drop empty intervals: zero-mass patterns own no points.
     intervals = {s: r for s, r in intervals.items() if r.length > 0}
-    tree = IntervalTree(depth, intervals)
+    tree = IntervalTree(intervals)
     _check_interval_invariants(tree, mu_list)
     return tree
 
@@ -159,6 +166,7 @@ def build_separator_tree(depth: int) -> SeparatorTree:
         raise CapExceeded(f"separator tree reached depth {depth}, cap {SEPARATOR_DEPTH_MAX}")
     root = Perm((1,))
     intervals: dict[Perm, IntervalRec] = {root: IntervalRec(QUARTER, Fraction(3, 4))}
+    spans = [(QUARTER, Fraction(3, 4))]  # every interval's ends, sorted
     lower_bound = Fraction(1, 8)
     upper_bound = Fraction(7, 8)
     for k in range(1, depth):
@@ -179,56 +187,38 @@ def build_separator_tree(depth: int) -> SeparatorTree:
             # Occupants of (lo, hi) are whole intervals (everything placed is
             # disjoint from the boundary intervals), so the free gaps are the
             # complement slots.
-            inside = sorted(
-                (r for r in intervals.values() if lo <= r.lo and r.hi <= hi),
-                key=lambda r: r.lo,
-            )
-            gaps = []
-            edge = lo
-            for occ in inside:
-                if occ.lo > edge:
-                    gaps.append((edge, occ.lo))
-                edge = occ.hi
-            if hi > edge:
-                gaps.append((edge, hi))
-            best = max(gaps, key=lambda g: g[1] - g[0])
+            best = max(_free_gaps(spans, lo, hi), key=lambda g: g[1] - g[0])
             width = (best[1] - best[0]) / 3
-            intervals[sigma] = IntervalRec(best[0] + width, best[0] + 2 * width)
-    return SeparatorTree(depth, intervals)
+            rec = intervals[sigma] = IntervalRec(best[0] + width, best[0] + 2 * width)
+            insort(spans, (rec.lo, rec.hi))
+    return SeparatorTree(intervals)
+
+
+def _free_gaps(spans: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The parts of (lo, hi) that no span covers, left to right.
+
+    ``spans`` are disjoint (lo, hi) pairs sorted by their left ends, so the
+    scan starts at the last span that begins before lo.
+    """
+    gaps = []
+    edge = lo
+    for s_lo, s_hi in spans[max(bisect_left(spans, (lo,)) - 1, 0) :]:
+        if s_lo >= hi:
+            break
+        if s_hi <= edge:
+            continue
+        if s_lo > edge:
+            gaps.append((edge, s_lo))
+        edge = s_hi
+    if edge < hi:
+        gaps.append((edge, hi))
+    return gaps
 
 
 def separator_order_ok(tree: SeparatorTree, sigma: Perm) -> bool:
     """Midpoints of sigma's chain intervals must realize sigma itself."""
     mids = [tree.intervals[s].midpoint() for s in _chain(sigma)]
     return order_pattern(mids) == sigma
-
-
-class _Claims:
-    """Disjoint claimed intervals with first-come priority.
-
-    The dyadic-shell copies of the landing zones land exactly where the next
-    shell's main copy goes, so later pieces must yield; this is the finite
-    analogue of excluding already-defined points, and the yielded mass is
-    part of the truncation budget.
-    """
-
-    def __init__(self):
-        self.spans: list[tuple[Fraction, Fraction]] = []
-
-    def claim_free(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        free = []
-        edge = lo
-        for s_lo, s_hi in self.spans:
-            if s_hi <= lo or s_lo >= hi:
-                continue
-            if s_lo > edge:
-                free.append((edge, s_lo))
-            edge = max(edge, s_hi)
-        if edge < hi:
-            free.append((edge, hi))
-        self.spans.extend(free)
-        self.spans.sort()
-        return free
 
 
 def assemble_truncated_map(
@@ -315,12 +305,18 @@ def assemble_truncated_map(
         b = i_a * (piece.a * d_b + piece.b) + i_b
         return Piece((piece.lo - d_b) / d_a, (piece.hi - d_b) / d_a, a, b)
 
-    claims = _Claims()
     pieces: list[Piece] = []
+    claimed: list[tuple[Fraction, Fraction]] = []  # the pieces' ends, sorted
 
     def place(piece: Piece) -> None:
-        for lo, hi in claims.claim_free(piece.lo, piece.hi):
+        # First come, first served: the dyadic-shell copies of the landing
+        # zones land exactly where the next shell's main copy goes, so later
+        # pieces yield.  This is the finite analogue of excluding points
+        # already defined, and the yielded mass is part of the truncation
+        # budget.
+        for lo, hi in _free_gaps(claimed, piece.lo, piece.hi):
             pieces.append(Piece(lo, hi, piece.a, piece.b))
+            insort(claimed, (lo, hi))
 
     for piece in base_pieces:
         place(piece)
@@ -331,21 +327,8 @@ def assemble_truncated_map(
                 place(conjugate(part, scale))
 
     # Identity placeholders on everything never claimed.
-    pieces.sort(key=lambda p: p.lo)
-    filled: list[Piece] = []
-    edge = ZERO
-    for p in pieces:
-        if p.lo > edge:
-            filled.append(Piece(edge, p.lo, ONE, ZERO))
-        filled.append(p)
-        edge = p.hi
-    if edge < 1:
-        filled.append(Piece(edge, ONE, ONE, ZERO))
-    return IntervalMap(
-        tuple(filled),
-        name=f"cantor(depth={N}, shells={M})",
-        measure_preserving=False,
-    )
+    pieces.extend(Piece(lo, hi, ONE, ZERO) for lo, hi in _free_gaps(claimed, ZERO, ONE))
+    return IntervalMap(tuple(pieces), name=f"cantor(depth={N}, shells={M})")
 
 
 @dataclass(frozen=True)
@@ -353,7 +336,10 @@ class VerificationRow:
     n: int
     deviation: float
     bound: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= self.bound
 
 
 @dataclass(frozen=True)
@@ -373,7 +359,6 @@ def verify_construction(
     samples: int,
     seed,
     scale_depth: int,
-    confidence_delta: float = 1e-3,
 ) -> VerificationReport:
     """Empirical sup-norm deviation from each target, with its analytic budget.
 
@@ -399,9 +384,9 @@ def verify_construction(
         for s in set(empirical) | set(mu.mass):
             worst = max(worst, abs(empirical.get(s, 0.0) - float(mu(s))))
         bound = 2.0 ** (1 - scale_depth) + 4 * math.sqrt(
-            math.log(2 * math.factorial(n) * N / confidence_delta) / samples
+            math.log(2 * math.factorial(n) * N / CONFIDENCE_DELTA) / samples
         )
-        rows.append(VerificationRow(n, worst, bound, worst <= bound))
+        rows.append(VerificationRow(n, worst, bound))
     return VerificationReport(rows, samples, excluded)
 
 

@@ -95,11 +95,14 @@ class DriftProfile:
     composition.
     """
 
-    n: int
     start: Perm
     end: Perm
     maxmap: tuple[int, ...]
     minmap: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.maxmap)
 
     def diagonal(self, j: int) -> str:
         """Drift sign at index j: forced up (+), forced down (-), or free (0)."""
@@ -111,9 +114,8 @@ class DriftProfile:
 
 
 def identity_profile(v: Perm) -> DriftProfile:
-    n = v.n
-    ident = tuple(range(1, n + 1))
-    return DriftProfile(n, v, v, ident, ident)
+    ident = tuple(range(1, v.n + 1))
+    return DriftProfile(v, v, ident, ident)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -132,7 +134,27 @@ def edge_profile(e: Perm) -> DriftProfile:
         below = [j for j in range(1, n + 1) if word[j] <= word[i - 1]]
         maxmap.append(min(above, key=lambda j: word[j]) if above else n + 1)
         minmap.append(max(below, key=lambda j: word[j]) if below else 0)
-    return DriftProfile(n, head(e), tail(e), tuple(maxmap), tuple(minmap))
+    return DriftProfile(head(e), tail(e), tuple(maxmap), tuple(minmap))
+
+
+def _padded(p: DriftProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """p's maxmap and minmap with index 0 and n+1, the sentinels, mapped to themselves."""
+    top = p.n + 1
+    return (0, *p.maxmap, top), (0, *p.minmap, top)
+
+
+def _fold(start: Perm, end: Perm, tables) -> DriftProfile:
+    """The profile from ``start`` to ``end`` of padded tables composed left to right.
+
+    Each index is looked up in the next table, and the padding keeps the
+    sentinels fixed without a test.
+    """
+    tables = iter(tables)
+    up, down = next(tables)
+    for up_e, down_e in tables:
+        up = tuple([up_e[k] for k in up])
+        down = tuple([down_e[k] for k in down])
+    return DriftProfile(start, end, up[1:-1], down[1:-1])
 
 
 def compose(a: DriftProfile, b: DriftProfile) -> DriftProfile:
@@ -141,48 +163,31 @@ def compose(a: DriftProfile, b: DriftProfile) -> DriftProfile:
         raise DimensionMismatch(f"profiles of lengths {a.n} and {b.n}")
     if a.end != b.start:
         raise EndpointMismatch(f"profiles meet at {a.end} != {b.start}")
-    n = a.n
-
-    def chain(first: tuple[int, ...], second: tuple[int, ...], i: int) -> int:
-        k = first[i]
-        if k == 0 or k == n + 1:
-            return k
-        return second[k - 1]
-
-    maxmap = tuple(chain(a.maxmap, b.maxmap, i) for i in range(n))
-    minmap = tuple(chain(a.minmap, b.minmap, i) for i in range(n))
-    return DriftProfile(n, a.start, b.end, maxmap, minmap)
+    return _fold(a.start, b.end, (_padded(a), _padded(b)))
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def _edge_tables(e: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Edge e's maxmap and minmap padded so index 0 and n+1 (the sentinels) map to themselves."""
-    p = edge_profile(e)
-    return (0,) + p.maxmap + (p.n + 1,), (0,) + p.minmap + (p.n + 1,)
+    """Edge e's maxmap and minmap, padded."""
+    return _padded(edge_profile(e))
 
 
 def path_profile(p: DiPath) -> DriftProfile:
-    """The profile of a path: the left fold of ``compose`` over its edge profiles.
-
-    The fold runs on padded index tables, which compose by lookup without a
-    sentinel test, and builds one profile at the end.
-    """
+    """The profile of a path: the left fold of ``compose`` over its edge profiles."""
     if p.length == 0:
         return identity_profile(p.start)
-    up, down = _edge_tables(p.edges[0])
-    for e in p.edges[1:]:
-        up_e, down_e = _edge_tables(e)
-        up = tuple([up_e[k] for k in up])
-        down = tuple([down_e[k] for k in down])
-    return DriftProfile(p.n, p.first_vertex, p.last_vertex, up[1:-1], down[1:-1])
+    return _fold(p.first_vertex, p.last_vertex, map(_edge_tables, p.edges))
 
 
 @dataclass(frozen=True)
 class DriftMatrix:
     """All pairwise drift signs of a loop."""
 
-    n: int
     entries: tuple[tuple[str, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
     def at(self, i: int, j: int) -> str:
         return self.entries[i - 1][j - 1]
@@ -203,7 +208,7 @@ def loop_drift(gamma: DiPath, method: str = "profile") -> DriftMatrix:
     if method == "profile":
         prof = path_profile(gamma)
         rows = tuple(tuple(prof.entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-        return DriftMatrix(n, rows)
+        return DriftMatrix(rows)
     if method == "poset":
         P = build_poset(gamma)
         ell = gamma.length
@@ -217,7 +222,7 @@ def loop_drift(gamma: DiPath, method: str = "profile") -> DriftMatrix:
                 # the same (short loop); the inclusive reading is +.
                 row.append(PLUS if down else MINUS if up else ZERO)
             rows.append(tuple(row))
-        return DriftMatrix(n, tuple(rows))
+        return DriftMatrix(tuple(rows))
     raise ValueError(f"method must be 'profile' or 'poset', got {method!r}")
 
 
@@ -239,8 +244,11 @@ def classify_loop(gamma: DiPath, method: str = "profile") -> str:
 
 @dataclass(frozen=True)
 class DriftVerdict:
-    drifts: bool
-    witness: tuple[Perm, int, str] | None = None
+    witness: tuple[Perm, int, str] | None = None  # (vertex, index, sign) of a drift
+
+    @property
+    def drifts(self) -> bool:
+        return self.witness is not None
 
 
 class IndexReach:
@@ -319,8 +327,8 @@ class IndexReach:
         for j in range(1, self.n + 1):
             signs = {_sign(v, a, b, j) for w, a, b in self._reached(v, j) if w == 0}
             if len(signs) == 1 and ZERO not in signs:
-                return DriftVerdict(True, (v, j, signs.pop()))
-        return DriftVerdict(False)
+                return DriftVerdict((v, j, signs.pop()))
+        return DriftVerdict()
 
 
 def subgraph_drifts(H: Subgraph) -> DriftVerdict:
@@ -335,7 +343,7 @@ def subgraph_drifts(H: Subgraph) -> DriftVerdict:
         verdict = IndexReach(H.n, comp.edges).verdict()
         if verdict.drifts:
             return verdict
-    return DriftVerdict(False)
+    return DriftVerdict()
 
 
 def verdict_payload(verdict: DriftVerdict) -> dict:

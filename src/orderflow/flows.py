@@ -48,9 +48,6 @@ from .perms import (
     pushforward,
 )
 
-# Distributions double as flows; ``as_flow`` is the gatekeeper.
-Flow = PatternDistribution
-
 SNAP_TOL = 1e-9
 SNAP_DENOMINATOR = 10**6
 
@@ -73,12 +70,12 @@ def flow_residual(mu: PatternDistribution):
     return worst
 
 
-def snap_to_exact(mu: PatternDistribution, tol: float = SNAP_TOL) -> tuple[PatternDistribution, float]:
+def snap_to_exact(mu: PatternDistribution) -> tuple[PatternDistribution, float]:
     """Round float masses to nearby rationals and renormalize.
 
     Face membership is discontinuous, so float flows are snapped before any
     exact test.  Returns the snapped distribution and the largest per-entry
-    adjustment, which must stay within ``tol``.
+    adjustment, which must stay within ``SNAP_TOL``.
     """
     if mu.exact:
         return mu, 0.0
@@ -89,16 +86,19 @@ def snap_to_exact(mu: PatternDistribution, tol: float = SNAP_TOL) -> tuple[Patte
         worst = max(worst, abs(float(r) - float(m)))
         if r > 0:
             snapped[sigma] = r
-    if worst > tol:
-        raise NotAFlow(f"snapping moved a mass by {worst}, beyond tolerance {tol}")
+    if worst > SNAP_TOL:
+        raise NotAFlow(f"snapping moved a mass by {worst}, beyond tolerance {SNAP_TOL}")
     total = sum(snapped.values())
     snapped = {s: m / total for s, m in snapped.items()}
     return PatternDistribution(mu.n, snapped), worst
 
 
-def as_flow(mu: PatternDistribution, tol: float = SNAP_TOL) -> PatternDistribution:
-    """Validate conservation, snapping float inputs first."""
-    flow, _ = snap_to_exact(mu, tol)
+def as_flow(mu: PatternDistribution) -> PatternDistribution:
+    """Validate conservation, snapping float inputs first.
+
+    Distributions double as flows; this is the gatekeeper.
+    """
+    flow, _ = snap_to_exact(mu)
     residual = flow_residual(flow)
     if residual != 0:
         raise NotAFlow(f"conservation fails with residual {residual}")

@@ -14,7 +14,9 @@ lattice Z[sqrt2] of :mod:`.exactnum`, and any other map keeps its pieces.
 A permutation map is born in its frame: its pieces are built on the lattice
 at scale 2l, and the Q(sqrt2) pieces are derived from them.  Every other map
 gets its frame from :func:`lattice_frame` the first time it is asked for,
-and keeps it.
+and keeps it.  ``IntervalMap.measure_preserving`` is worked out the same
+way, from the pieces; map JSON carries it as written by :func:`map_to_json`,
+and :func:`map_from_json` ignores it.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class IntervalMap:
 
     pieces: tuple[Piece, ...]
     name: str = ""
-    measure_preserving: bool = False
 
     def __post_init__(self):
         ps = sorted(self.pieces, key=lambda p: p.lo)
@@ -107,6 +108,11 @@ class IntervalMap:
         builds its pieces in that frame.
         """
         return lattice_frame(self.pieces)
+
+    @cached_property
+    def measure_preserving(self) -> bool:
+        """Whether the map preserves Lebesgue measure: :func:`preserves_measure`, run on the frame."""
+        return all(p.affine for p in self.pieces) and _density_is_one(*self.frame)
 
 
 def iterate(f: IntervalMap, x, k: int) -> list:
@@ -199,20 +205,20 @@ def builtin(name: str, param=None) -> IntervalMap:
             Piece(ZERO, 1 - alpha, ONE, alpha),
             Piece(1 - alpha, ONE, ONE, alpha - 1),
         )
-        return IntervalMap(pieces, name=f"rotation({exact_str(alpha)})", measure_preserving=True)
+        return IntervalMap(pieces, name=f"rotation({exact_str(alpha)})")
     if name == "doubling":
         half = Fraction(1, 2)
         pieces = (Piece(ZERO, half, Fraction(2), ZERO), Piece(half, ONE, Fraction(2), -ONE))
-        return IntervalMap(pieces, name="doubling", measure_preserving=True)
+        return IntervalMap(pieces, name="doubling")
     if name == "tent":
         half = Fraction(1, 2)
         pieces = (Piece(ZERO, half, Fraction(2), ZERO), Piece(half, ONE, Fraction(-2), Fraction(2)))
-        return IntervalMap(pieces, name="tent", measure_preserving=True)
+        return IntervalMap(pieces, name="tent")
     if name == "logistic":
         if param is not None and Fraction(param) != 4:
             raise ValueError("only the logistic map with parameter 4 is supported")
         pieces = (Piece(ZERO, ONE, Fraction(4), ZERO, Fraction(-4)),)
-        return IntervalMap(pieces, name="logistic(4)", measure_preserving=False)
+        return IntervalMap(pieces, name="logistic(4)")
     raise UnknownBuiltin(f"no builtin named {name!r}")
 
 
@@ -248,11 +254,7 @@ def block_sum(f: IntervalMap, g: IntervalMap, t) -> IntervalMap:
         raise ValueError(f"block weight must lie strictly between 0 and 1, got {t}")
     left = [_rescale_piece(p, ZERO, t) for p in f.pieces]
     right = [_rescale_piece(p, t, 1 - t) for p in g.pieces]
-    return IntervalMap(
-        tuple(left + right),
-        name=f"block_sum({f.name}, {g.name}, {t})",
-        measure_preserving=f.measure_preserving and g.measure_preserving,
-    )
+    return IntervalMap(tuple(left + right), name=f"block_sum({f.name}, {g.name}, {t})")
 
 
 # -- cyclic rankings and permutation maps -------------------------------------
@@ -262,12 +264,15 @@ def block_sum(f: IntervalMap, g: IntervalMap, t) -> IntervalMap:
 class CyclicRanking:
     """A bijection of cycle positions to ranks realizing a loop's windows."""
 
-    length: int
     rank: tuple[int, ...]
 
     def __post_init__(self):
         if sorted(self.rank) != list(range(1, self.length + 1)):
             raise ValueError("rank must be a bijection onto 1..length")
+
+    @property
+    def length(self) -> int:
+        return len(self.rank)
 
 
 def _value_order(e: Perm) -> list[int]:
@@ -336,7 +341,7 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     rank = [0] * ell
     for position_rank, pos in enumerate(order, start=1):
         rank[pos] = position_rank
-    ranking = CyclicRanking(ell, tuple(rank))
+    ranking = CyclicRanking(tuple(rank))
     if not ranking_realizes(ranking, gamma):
         raise InvariantViolation("cyclic ranking does not reproduce the loop's windows")
     return ranking
@@ -373,9 +378,9 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
         Piece(from_lattice(p.lo, scale), from_lattice(p.hi, scale), ONE, from_lattice(p.b, scale)) for p in frame
     )
     label = ",".join(map(str, r.rank)) if ell <= 16 else f"{ell} pieces"
-    result = IntervalMap(pieces, name=f"permutation_map({label})", measure_preserving=True)
+    result = IntervalMap(pieces, name=f"permutation_map({label})")
     result.__dict__["frame"] = (scale, tuple(frame))  # what the cached property would compute
-    if _density_is_one(*result.frame) is not True:
+    if not result.measure_preserving:
         raise InvariantViolation(f"permutation map of {ell} pieces does not preserve measure")
     return result
 
@@ -518,10 +523,6 @@ def map_from_json(text: str) -> IntervalMap:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"piece {i}: {exc}") from exc
     try:
-        return IntervalMap(
-            tuple(pieces),
-            name=payload.get("name", ""),
-            measure_preserving=bool(payload.get("measure_preserving", False)),
-        )
+        return IntervalMap(tuple(pieces), name=payload.get("name", ""))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -197,18 +197,12 @@ class PathPoset:
 
     ``leq`` is a tuple of m bitmasks: bit j of row i is set iff element i+1
     is <= element j+1 (1-indexed elements, 0-indexed bits).  The relation is
-    reflexive, antisymmetric, and transitively closed.  ``window`` records
-    the n of the originating path when there is one: every n consecutive
-    elements are then totally ordered.
+    reflexive, antisymmetric, and transitively closed.
     """
 
-    m: int
     leq: tuple[int, ...]
-    window: int | None = None
 
     def __post_init__(self):
-        if len(self.leq) != self.m:
-            raise ValueError("leq must have one row per element")
         for i, row in enumerate(self.leq):
             if not row >> i & 1:
                 raise ValueError("leq must be reflexive")
@@ -216,6 +210,10 @@ class PathPoset:
         closed = _transitive_closure(self.leq)
         if tuple(closed) != tuple(self.leq):
             raise ValueError("leq must be transitively closed")
+
+    @property
+    def m(self) -> int:
+        return len(self.leq)
 
     def holds(self, i: int, j: int) -> bool:
         """Whether x_i <= x_j (1-indexed)."""
@@ -285,7 +283,7 @@ def build_poset(p: DiPath) -> PathPoset:
             for j in range(m):
                 if word[i] <= word[j]:
                     rows[i] |= 1 << j
-        return PathPoset(m, tuple(rows), window=n)
+        return PathPoset(tuple(rows))
     m = p.length + n
     rows = [1 << i for i in range(m)]
     for b, e in enumerate(p.edges):
@@ -296,7 +294,7 @@ def build_poset(p: DiPath) -> PathPoset:
                     rows[b + c] |= 1 << (b + d)
     closed = _transitive_closure(rows)
     _check_antisymmetry(closed)
-    return PathPoset(m, tuple(closed), window=n)
+    return PathPoset(tuple(closed))
 
 
 def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:

@@ -239,14 +239,14 @@ class PatternDistribution:
         w = Fraction(1, len(perms))
         return cls(n, {s: w for s in perms})
 
-    def close_to(self, other: "PatternDistribution", tol: float = FLOAT_ENTRY_TOL) -> bool:
-        """Entrywise equality: exact when both sides are exact, else within tol."""
+    def close_to(self, other: "PatternDistribution") -> bool:
+        """Entrywise equality: exact when both sides are exact, else within ``FLOAT_ENTRY_TOL``."""
         if self.n != other.n:
             raise LengthMismatch(f"lengths {self.n} and {other.n}")
         keys = set(self.mass) | set(other.mass)
         if self.exact and other.exact:
             return all(self(s) == other(s) for s in keys)
-        return all(abs(float(self(s)) - float(other(s))) <= tol for s in keys)
+        return all(abs(float(self(s)) - float(other(s))) <= FLOAT_ENTRY_TOL for s in keys)
 
 
 def pushforward(mu: PatternDistribution, side: str) -> PatternDistribution:

@@ -70,7 +70,7 @@ def oracle_cyclic_lift(gamma: DiPath) -> CyclicRanking:
     rank = [0] * ell
     for position_rank, pos in enumerate(order, start=1):
         rank[pos] = position_rank
-    ranking = CyclicRanking(ell, tuple(rank))
+    ranking = CyclicRanking(tuple(rank))
     if not oracle_ranking_realizes(ranking, gamma):
         raise InvariantViolation("cyclic ranking does not reproduce the loop's windows")
     return ranking

@@ -108,8 +108,8 @@ class ProfileSaturation:
             for j in range(1, n + 1):
                 sign = self.forced_sign(v, j)
                 if sign is not None:
-                    return DriftVerdict(True, (v, j, sign))
-        return DriftVerdict(False)
+                    return DriftVerdict((v, j, sign))
+        return DriftVerdict()
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +122,7 @@ def subgraph_drifts(H: Subgraph) -> DriftVerdict:
         verdict = saturation(comp.edges).verdict(H.n)
         if verdict.drifts:
             return verdict
-    return DriftVerdict(False)
+    return DriftVerdict()
 
 
 def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:
@@ -177,7 +177,7 @@ def drifting_vertices(reach: IndexReach) -> list[tuple[Perm, int, str]]:
 def all_vertex_verdict(reach: IndexReach) -> DriftVerdict:
     """The first (vertex, index, sign) witness over every vertex, in sorted order."""
     found = drifting_vertices(reach)
-    return DriftVerdict(True, found[0]) if found else DriftVerdict(False)
+    return DriftVerdict(found[0] if found else None)
 
 
 def all_vertex_subgraph_drifts(H: Subgraph) -> DriftVerdict:
@@ -185,4 +185,4 @@ def all_vertex_subgraph_drifts(H: Subgraph) -> DriftVerdict:
         verdict = all_vertex_verdict(IndexReach(H.n, comp.edges))
         if verdict.drifts:
             return verdict
-    return DriftVerdict(False)
+    return DriftVerdict()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from hashlib import blake2b
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from exact_oracle import oracle_distribution
 from isometries import lattice_maps
 from orderflow.analysis import (
+    ExclusionRow,
     empirical_distribution,
     entropy_estimate,
     exact_distribution,
@@ -171,7 +173,7 @@ def block_sums(draw):
 @st.composite
 def permutation_maps(draw):
     rank = draw(st.permutations(range(1, draw(st.integers(1, 12)) + 1)))
-    return permutation_map(CyclicRanking(len(rank), tuple(rank)))
+    return permutation_map(CyclicRanking(tuple(rank)))
 
 
 def _generic(f, n):
@@ -239,7 +241,7 @@ class TestIsometryLattice:
         "f, n, cap, text",
         [
             (builtin("rotation", exact(-1, 1)), 8, 4, "exact subdivision reached 5 cells at iterate 7, cap 4"),
-            (permutation_map(CyclicRanking(5, (2, 5, 1, 4, 3))), 6, 5, "exact subdivision reached 6 cells at iterate 5, cap 5"),
+            (permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 5, "exact subdivision reached 6 cells at iterate 5, cap 5"),
         ],
     )
     def test_cap_text(self, f, n, cap, text, monkeypatch):
@@ -293,8 +295,11 @@ class TestEmpiricalDistribution:
         assert dict(a.mass) == dict(b.mass)
 
     def test_sampler_is_counter_based(self):
+        # Sample i depends on (seed, i) alone, so a longer run extends a shorter one.
         first = list(unit_samples("s", 5))
-        assert list(unit_samples("s", 3, start=2)) == first[2:5]
+        assert list(unit_samples("s", 3)) == first[:3]
+        assert list(unit_samples("t", 5)) != first
+        assert first[4] == int.from_bytes(blake2b(b"s:4", digest_size=8).digest(), "big") / 2**64
 
     def test_discard_rate_low_for_builtins(self, doubling, rotation_3_10, tent):
         for f in (doubling, rotation_3_10, tent):
@@ -421,6 +426,16 @@ class TestExclusion:
         monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
         with pytest.raises(CapExceeded, match=r"^lift level in S_5 reached 101 patterns, cap 100$"):
             exclusion_type_test(doubling, 2, 10)
+
+    def test_equal_is_no_missing_and_no_extra(self, doubling, tent):
+        # Doubling and tent are of exclusion type 2 at m = 3 only; neither adds patterns outside the lifts.
+        for f in (doubling, tent):
+            rows = exclusion_type_test(f, 2, 6)
+            assert [r.equal for r in rows] == [True, False, False, False]
+            assert all(r.equal is (not r.missing and not r.extra) and not r.extra for r in rows)
+        some = frozenset({perm("1234")})
+        assert ExclusionRow(4, frozenset(), frozenset()).equal
+        assert not ExclusionRow(4, some, frozenset()).equal and not ExclusionRow(4, frozenset(), some).equal
 
     def test_permutation_map_matches_at_three(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))

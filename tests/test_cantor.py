@@ -6,6 +6,8 @@ import pytest
 from orderflow.cantor import (
     IntervalRec,
     IntervalTree,
+    VerificationReport,
+    VerificationRow,
     _check_interval_invariants,
     assemble_truncated_map,
     build_interval_tree,
@@ -17,7 +19,7 @@ from orderflow.cantor import (
 )
 from orderflow.errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
 from orderflow.maps import iterate
-from orderflow.perms import PatternDistribution, all_perms, order_pattern, perm
+from orderflow.perms import PatternDistribution, Perm, all_perms, order_pattern, perm
 
 
 def tower_from_top(mu_top):
@@ -50,7 +52,7 @@ class TestIntervalTree:
         ]
         for changed, message in broken:
             with pytest.raises(InvariantViolation, match=message):
-                _check_interval_invariants(IntervalTree(3, {**iv, **changed}), tower)
+                _check_interval_invariants(IntervalTree({**iv, **changed}), tower)
 
     def test_uniform_three_levels(self):
         tree = build_interval_tree(uniform_tower(3))
@@ -186,6 +188,32 @@ class TestVerification:
 
         for M in (4, 8, 12):
             assert bound(M + 1) - sampling == pytest.approx((bound(M) - sampling) / 2)
+
+
+class TestDerivedValues:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_depth_is_the_longest_pattern(self, depth):
+        # A point-mass tower keeps one interval per level, the uniform one all of them.
+        falling = PatternDistribution.point_mass(Perm(tuple(range(depth, 0, -1))))
+        for tower in (uniform_tower(depth), tower_from_top(falling)):
+            tree = build_interval_tree(tower)
+            assert tree.depth == depth == len(tower)
+            assert sorted({s.n for s in tree.intervals}) == list(range(1, depth + 1))
+        sep = build_separator_tree(depth)
+        assert sep.depth == depth
+        assert len(sep.intervals) == sum(math.factorial(k) for k in range(1, depth + 1))
+        assert assemble_truncated_map(tree, sep, 4).name == f"cantor(depth={depth}, shells=4)"
+
+    def test_passed_is_deviation_within_bound(self):
+        tower = uniform_tower(3)
+        f = assemble_truncated_map(build_interval_tree(tower), build_separator_tree(3), 6)
+        report = verify_construction(f, tower, 2_000, seed=3, scale_depth=6)
+        assert [r.n for r in report.rows] == [1, 2, 3]
+        assert all(r.passed is (r.deviation <= r.bound) for r in report.rows)
+        assert report.passed is all(r.passed for r in report.rows)
+        assert VerificationRow(2, 0.25, 0.25).passed and not VerificationRow(2, 0.2500001, 0.25).passed
+        failing = VerificationReport([VerificationRow(1, 0.0, 0.1), VerificationRow(2, 0.3, 0.1)], 10, 0)
+        assert not failing.passed
 
 
 class TestSerialization:

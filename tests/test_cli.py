@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isometries import lattice_maps
-from orderflow import cli
+from orderflow import cli, maps
 from orderflow.cli import build_parser, main
 from orderflow.digraph import subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
@@ -133,7 +133,27 @@ class TestRealizeAndRoundTrips:
         code, stdout, _ = run(capsys, "realize", "--flow", str(flow), "--tol", "0.05", "--out", str(out))
         assert code == 0
         f = map_from_json(out.read_text())
-        assert f.measure_preserving
+        assert f.measure_preserving and json.loads(out.read_text())["measure_preserving"] is True
+
+    @pytest.mark.parametrize(
+        "pieces, claim, preserving, mass",
+        [
+            # x -> x/2 squashes [0, 1) onto [0, 1/2), whatever the file says.
+            ([("0", "1", "1/2", "0")], True, False, {"21": "1"}),
+            # Doubling preserves measure; the string "false" is not read as a flag.
+            ([("0", "1/2", "2", "0"), ("1/2", "1", "2", "-1")], "false", True, {"12": "1/2", "21": "1/2"}),
+        ],
+    )
+    def test_loaded_map_works_out_measure_preserving(self, tmp_path, capsys, monkeypatch, pieces, claim, preserving, mass):
+        loaded = []
+        load = maps.map_from_json
+        monkeypatch.setattr(maps, "map_from_json", lambda text: loaded.append(load(text)) or loaded[-1])
+        spec = tmp_path / "map.json"
+        records = [{"lo": lo, "hi": hi, "a": a, "b": b} for lo, hi, a, b in pieces]
+        spec.write_text(json.dumps({"name": "m", "measure_preserving": claim, "pieces": records}))
+        code, stdout, _ = run(capsys, "exact", "--map", str(spec), "--n", "2", "--out", str(tmp_path / "d.csv"))
+        assert code == 0 and json.loads(stdout)["mass"] == mass
+        assert len(loaded) == 1 and loaded[0].measure_preserving is preserving
 
     def test_vertex_flow_rejected(self, tmp_path, capsys):
         flow = tmp_path / "flow.json"

@@ -15,6 +15,7 @@ from orderflow.drift import (
     PARTIALLY_DRIFTLESS,
     TOTALLY_DRIFTLESS,
     DriftProfile,
+    DriftVerdict,
     IndexReach,
     classify_loop,
     compose,
@@ -24,9 +25,10 @@ from orderflow.drift import (
     path_profile,
     subgraph_drifts,
     synthesize_totally_driftless_loop,
+    verdict_payload,
     verdict_to_json,
 )
-from orderflow.errors import CapExceeded, DimensionMismatch, DriftObstruction, NotALoop
+from orderflow.errors import CapExceeded, DimensionMismatch, DriftObstruction, EndpointMismatch, NotALoop
 from orderflow.paths import DiPath, build_poset, concat, path
 from orderflow.perms import all_perms, perm
 
@@ -45,7 +47,7 @@ def poset_profile(p: DiPath) -> DriftProfile:
         below = [j for j in range(1, n + 1) if P.holds(ell + j, i)]
         maxmap.append(min(above, key=lambda j: final(j)) if above else n + 1)
         minmap.append(max(below, key=lambda j: final(j)) if below else 0)
-    return DriftProfile(n, p.first_vertex, final, tuple(maxmap), tuple(minmap))
+    return DriftProfile(p.first_vertex, final, tuple(maxmap), tuple(minmap))
 
 
 class TestEdgeProfiles:
@@ -84,6 +86,17 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compose(edge_profile(perm("132")), edge_profile(perm("2134")))
+
+    def test_endpoint_mismatch(self):
+        # 132 ends at 21, and 123 starts at 12.
+        with pytest.raises(EndpointMismatch, match="profiles meet at 21 != 12"):
+            compose(edge_profile(perm("132")), edge_profile(perm("123")))
+
+    def test_sentinels_stay_fixed(self):
+        # 312 forces nothing above its first value (maxmap 3 = n+1); 123 nothing below its first (minmap 0).
+        c = compose(edge_profile(perm("312")), edge_profile(perm("123")))
+        assert (c.n, c.maxmap, c.minmap) == (2, (3, 1), (1, 0))
+        assert c == poset_profile(path(2, ["312", "123"]))
 
     def test_associativity_random(self):
         rng = random.Random(23)
@@ -127,7 +140,7 @@ class TestPathProfileTables:
     @settings(max_examples=200)
     @given(st.integers(2, 4), st.integers(1, 40), st.integers(0, 2**32))
     def test_equals_the_fold_of_compose(self, n, length, seed):
-        # path_profile composes padded index tables; compose checks endpoints and sentinels per step.
+        # path_profile folds the padded tables of every edge at once; compose checks endpoints per step.
         p = random_path(random.Random(seed), n, length)
         assert path_profile(p) == functools.reduce(compose, map(edge_profile, p.edges))
 
@@ -250,6 +263,13 @@ class TestSubgraphDrift:
         verdict = subgraph_drifts(two_cycle)
         assert verdict.drifts
         assert verdict.witness == (perm("12"), 1, "+")
+
+    def test_drifts_is_having_a_witness(self, two_cycle, driftless_triple, G2_full):
+        for H, drifts in ((two_cycle, True), (driftless_triple, False), (G2_full, False)):
+            verdict = subgraph_drifts(H)
+            assert verdict.drifts is drifts is (verdict.witness is not None)
+            assert verdict_payload(verdict)["verdict"] == ("drifts" if drifts else "driftless")
+        assert not DriftVerdict().drifts and DriftVerdict((perm("12"), 1, "+")).drifts
 
     def test_triple_is_driftless(self, driftless_triple):
         assert not subgraph_drifts(driftless_triple).drifts

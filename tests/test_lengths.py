@@ -201,6 +201,7 @@ class TestStatistics:
         rows = exclusion_type_test(f, n, 7)
         for row, (m, preimage, realized) in zip(rows, oracle_exclusion(f, n, 7), strict=True):
             assert (row.m, row.missing, row.extra) == (m, preimage - realized, realized - preimage)
+            assert row.equal is (preimage == realized)
 
     def test_entropy_below_length_two(self):
         assert entropy_estimate(builtin("doubling"), 1) == oracle_entropy(builtin("doubling"), 1) == []

@@ -227,6 +227,15 @@ class TestBuiltins:
         assert preserves_measure(doubling.pieces) is True
         assert preserves_measure(tent.pieces) is True
 
+    def test_measure_preserving_is_worked_out_when_read(self, doubling, tent):
+        f = builtin("rotation", Fraction(1, 3))
+        assert "measure_preserving" not in vars(f)
+        assert f.measure_preserving and "measure_preserving" in vars(f)
+        assert block_sum(doubling, tent, Fraction(1, 3)).measure_preserving
+        assert not block_sum(doubling, builtin("logistic"), Fraction(1, 3)).measure_preserving
+        squash = IntervalMap((Piece(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0)),))
+        assert not block_sum(doubling, squash, Fraction(1, 2)).measure_preserving
+
     def test_logistic(self):
         lg = builtin("logistic")
         assert not lg.measure_preserving
@@ -296,7 +305,7 @@ class TestPreservesMeasure:
             ell = rng.randint(1, 12)
             rank = list(range(1, ell + 1))
             rng.shuffle(rank)
-            pieces = permutation_map(CyclicRanking(ell, tuple(rank))).pieces
+            pieces = permutation_map(CyclicRanking(tuple(rank))).pieces
             i = rng.randrange(len(pieces))
             nudge = Fraction(1, 4 * ell)
             cases += [
@@ -346,7 +355,7 @@ class TestIterate:
             doubling(Fraction(3, 2))
 
     def test_piece_bookkeeping_through_rotation(self):
-        ranking = CyclicRanking(3, (1, 3, 2))
+        ranking = CyclicRanking((1, 3, 2))
         f = permutation_map(ranking)
         x = Fraction(1, 7)  # inside the rank-1 piece [0, 1/3)
         orbit = iterate(f, x, 3)
@@ -465,8 +474,8 @@ class TestOnePassRanking:
             i, j = rng.sample(range(len(rank)), 2) if len(rank) > 1 else (0, 0)
             rank[i], rank[j] = rank[j], rank[i]
             shuffled = rng.sample(r.rank, len(r.rank))
-            longer = CyclicRanking(r.length + 1, r.rank + (r.length + 1,))
-            swapped, shuffled = CyclicRanking(r.length, tuple(rank)), CyclicRanking(r.length, tuple(shuffled))
+            longer = CyclicRanking(r.rank + (r.length + 1,))
+            swapped, shuffled = CyclicRanking(tuple(rank)), CyclicRanking(tuple(shuffled))
             for candidate in (r, swapped, shuffled, longer):
                 verdict = ranking_realizes(candidate, g)
                 assert verdict == oracle_ranking_realizes(candidate, g)
@@ -479,7 +488,7 @@ class TestPermutationMap:
     def test_frame_is_the_lattice_frame(self, ell):
         rng = random.Random(ell)
         for _ in range(3):
-            r = CyclicRanking(ell, tuple(rng.sample(range(1, ell + 1), ell)))
+            r = CyclicRanking(tuple(rng.sample(range(1, ell + 1), ell)))
             f = permutation_map(r)
             assert f.frame == lattice_frame(f.pieces)
             scale, pieces = f.frame
@@ -505,9 +514,18 @@ class TestPermutationMap:
     def test_flags_and_tail(self, loop_132_321_213):
         # The last transition is split in two by the irrational rotation.
         f = permutation_map(cyclic_lift(loop_132_321_213))
+        assert "measure_preserving" in vars(f)  # its own check already ran the sweep
         assert f.measure_preserving
         assert len(f.pieces) == 4
         assert sum(isinstance(p.b, Sqrt2) for p in f.pieces) == 2
+
+    def test_measure_check_raises(self):
+        # The map checks its own measure preservation, through the property, with the sweep run once.
+        calls = []
+        with mock.patch("orderflow.maps._density_is_one", lambda one, pieces: calls.append(one) or False):
+            with pytest.raises(InvariantViolation, match="permutation map of 3 pieces does not preserve measure"):
+                permutation_map(CyclicRanking((1, 3, 2)))
+        assert calls == [6]
 
 
 class TestRealizeFlow:
@@ -586,6 +604,17 @@ class TestSerialization:
         assert "almost_aperiodic" not in payload
         payload["almost_aperiodic"] = True
         assert map_from_json(json.dumps(payload)) == doubling
+
+    @pytest.mark.parametrize("claim", [True, False, "true", "false", None, 1])
+    def test_measure_preserving_key_ignored(self, doubling, claim):
+        # The key is worked out from the pieces when a map is written and ignored when one is read.
+        squash = IntervalMap((Piece(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0)),), name="squash")
+        for f, preserving in ((squash, False), (doubling, True)):
+            payload = json.loads(map_to_json(f))
+            assert payload["measure_preserving"] is preserving
+            payload["measure_preserving"] = claim
+            loaded = map_from_json(json.dumps(payload))
+            assert loaded == f and loaded.measure_preserving is preserving
 
     def test_round_trip_quadratic(self):
         lg = builtin("logistic")

@@ -248,17 +248,17 @@ class TestLinearExtensions:
     def test_antichain_counts_factorially(self):
         # Three mutually free elements and nothing else: 3! orders.
         rows = tuple(1 << i for i in range(3))
-        P = PathPoset(3, rows)
+        P = PathPoset(rows)
         assert linear_extensions(P, "count") == 6
         assert len(linear_extensions(P, "enumerate")) == 6
 
     def test_caps(self):
         rows = tuple(1 << i for i in range(10))
         with pytest.raises(CapExceeded, match=r"extension enumeration reached m = 10, cap 9$"):
-            linear_extensions(PathPoset(10, rows), "enumerate")
+            linear_extensions(PathPoset(rows), "enumerate")
         rows = tuple(1 << i for i in range(15))
         with pytest.raises(CapExceeded, match=r"extension counting reached m = 15, cap 14$"):
-            linear_extensions(PathPoset(15, rows), "count")
+            linear_extensions(PathPoset(rows), "count")
 
     def test_count_matches_enumeration(self):
         rng = random.Random(13)
@@ -271,11 +271,11 @@ class TestLinearExtensions:
 class TestPosetValidation:
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ValueError):
-            PathPoset(2, (0b11, 0b11))
+            PathPoset((0b11, 0b11))
 
     def test_rejects_non_transitive(self):
         with pytest.raises(ValueError):
-            PathPoset(3, (0b011, 0b110, 0b100))
+            PathPoset((0b011, 0b110, 0b100))
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -86,6 +87,55 @@ def test_permutations_only_in_all_perms():
             if named:
                 uses.append((module, _enclosing(tree, node.lineno)))
     assert uses == [("perms.py", "all_perms")]
+
+
+def _bound_at_module_level(tree: ast.Module) -> set[str]:
+    """Names a module's own top-level statements define: functions, classes and assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree reads: loaded names, attributes, imported names and identifier strings.
+
+    A string counts when it is an identifier or a dotted path of them, the
+    way tests patch a module constant and the benchmark names what it wraps.
+    """
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs |= set(parts)
+    return refs
+
+
+def test_every_module_level_name_is_used():
+    # A name defined at the top of a src module and read nowhere (not in src,
+    # tests, bench or the README) is dead code or an alias nothing needs.
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *BENCH.glob("*.py")]
+    refs = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for file in files:
+        refs |= _references(ast.parse(file.read_text(), file.name))
+    unused = sorted(
+        f"{module[:-3]}.{name}"
+        for module in MODULES
+        for name in _bound_at_module_level(_tree(module)) - refs
+        if not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unused == [], f"{unused} are defined but never referenced"
 
 
 def test_readme_shows_every_command():
