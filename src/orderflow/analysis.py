@@ -49,7 +49,7 @@ from .errors import (
 )
 from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span
-from .paths import DiPath, build_poset, linear_extensions, window_levels
+from .paths import DiPath, allowed_counts, build_poset, linear_extensions
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
 )
@@ -409,8 +409,8 @@ def forbidden_patterns(
 @dataclass(frozen=True)
 class ExclusionRow:
     m: int
-    missing: frozenset[Perm]  # lift preimage members the map does not realize
-    extra: frozenset[Perm]  # realized patterns outside the lift preimage
+    missing: int  # lift preimage members the map does not realize
+    extra: int  # realized patterns outside the lift preimage
 
     @property
     def equal(self) -> bool:
@@ -425,16 +425,17 @@ def exclusion_type_test(
 
     A map of exclusion type n would make every row equal for all m; any
     discrepancy up to m_max refutes that type (the verdict is necessarily
-    partial in the other direction).  The lifts are grown window by window
-    from the graph's edges, one level of ``paths.window_levels`` per m.
+    partial in the other direction).  The lift preimage A_m is counted by
+    ``paths.allowed_counts``; ``extra`` counts the realized patterns with a
+    window outside the graph, the only new window being the last one.
     """
     realized_by_len = realized_patterns(f, range(n + 1, max(m_max, n + 1) + 1), mode, samples, seed)
-    H = Subgraph(n, realized_by_len[n + 1])
-    rows = []
-    levels = window_levels(sorted(H.edges), [H.edges] * (m_max - n - 1))
-    for m, level in zip(range(n + 1, m_max + 1), levels):
-        preimage, realized = frozenset(level), realized_by_len[m]
-        rows.append(ExclusionRow(m, preimage - realized, realized - preimage))
+    edges = realized_by_len[n + 1]
+    rows, outside = [], frozenset()
+    for m, allowed in zip(range(n + 1, m_max + 1), allowed_counts(edges, n, m_max)):
+        realized = realized_by_len[m]
+        outside = {s for s in realized if restrict(s, HEAD) in outside or order_pattern(s.word[-n - 1 :]) not in edges}
+        rows.append(ExclusionRow(m, allowed - len(realized) + len(outside), len(outside)))
     return rows
 
 

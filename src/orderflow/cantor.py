@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import SCALE_DEPTH_MAX, SEPARATOR_DEPTH_MAX
-from .errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
+from .errors import CapExceeded, IncompatibleSequence, InvariantViolation
 from .maps import IntervalMap, Piece, _image_span
 from .perms import (
     HEAD,
@@ -221,21 +221,19 @@ def separator_order_ok(tree: SeparatorTree, sigma: Perm) -> bool:
     return order_pattern(mids) == sigma
 
 
-def assemble_truncated_map(
-    tree: IntervalTree, sep: SeparatorTree, scale_depth: int
-) -> IntervalMap:
+def assemble_truncated_map(tree: IntervalTree, scale_depth: int) -> IntervalMap:
     """The finite-depth map: affine hops I -> K_2 -> ... -> K_N plus shells.
 
     Orbits started in I_sigma visit tiny landing zones K inside the separator
-    intervals of sigma's chain, so their first N patterns match sigma's
-    ancestors.  The shells g_m^{-1} replicate the structure into (0, 2^-m]
-    and (1 - 2^-m, 1], restoring all but 2^-M of the mass; landing zones are
-    sized so that everything they displace also fits inside the 2^(1-M)
-    deviation budget.  Unclaimed leftovers become identity placeholders,
-    whose orbits tie immediately and get discarded (and counted) by samplers.
+    intervals of sigma's chain (in a separator tree of the same depth), so
+    their first N patterns match sigma's ancestors.  The shells g_m^{-1}
+    replicate the structure into (0, 2^-m] and (1 - 2^-m, 1], restoring all
+    but 2^-M of the mass; landing zones are sized so that everything they
+    displace also fits inside the 2^(1-M) deviation budget.  Unclaimed
+    leftovers become identity placeholders, whose orbits tie immediately and
+    get discarded (and counted) by samplers.
     """
-    if tree.depth != sep.depth:
-        raise DepthMismatch(f"interval depth {tree.depth} != separator depth {sep.depth}")
+    sep = build_separator_tree(tree.depth)
     if scale_depth > SCALE_DEPTH_MAX:
         raise CapExceeded(f"scale depth reached {scale_depth}, cap {SCALE_DEPTH_MAX}")
     N = tree.depth

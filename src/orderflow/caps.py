@@ -13,8 +13,8 @@ import os
 
 DEFAULT_PERM_CAP = 12
 
-# Most patterns one level of window growth (``paths.window_levels``, behind
-# lifts and the exclusion test) may hold: 9! = 362880, all of S_9.
+# Most patterns one level of ``paths.lifts`` may hold: 9! = 362880, all of
+# S_9; also the most states one step of ``paths.allowed_counts`` may hold.
 LIFT_LEVEL_MAX = 362_880
 # Listing linear extensions by backtracking stops at m = 9.
 EXTENSION_ENUM_MAX = 9

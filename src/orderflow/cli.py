@@ -270,10 +270,7 @@ def cmd_exclusion(args) -> dict:
         "command": "exclusion",
         "n": args.n,
         "note": "verdicts are partial: exclusion type quantifies over all m",
-        "rows": [
-            {"m": r.m, "equal": r.equal, "missing": len(r.missing), "extra": len(r.extra)}
-            for r in rows
-        ],
+        "rows": [{"m": r.m, "equal": r.equal, "missing": r.missing, "extra": r.extra} for r in rows],
     }
 
 
@@ -290,8 +287,7 @@ def cmd_cantor(args) -> dict:
 
     tower = _load_tower(args)
     tree = cantor.build_interval_tree(tower)
-    sep = cantor.build_separator_tree(tree.depth)
-    f = cantor.assemble_truncated_map(tree, sep, args.scale_depth)
+    f = cantor.assemble_truncated_map(tree, args.scale_depth)
     if args.action == "build":
         _write(args.out, maps.map_to_json(f) + "\n")
         return {"command": "cantor", "action": "build", "depth": tree.depth, "pieces": len(f.pieces)}

@@ -69,10 +69,6 @@ class IncompatibleSequence(OrderflowError):
     """Consecutive distributions in a tower fail the pushforward identity."""
 
 
-class DepthMismatch(OrderflowError):
-    """Interval tree and separator tree were built to different depths."""
-
-
 class UnknownBuiltin(OrderflowError):
     """No built-in interval map has the requested name."""
 

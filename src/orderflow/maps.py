@@ -144,7 +144,7 @@ def _density_is_one(one: int, pieces: tuple[Piece, ...]) -> bool:
     """The sweep of :func:`preserves_measure` over affine pieces in a frame of scale ``one``."""
     steps: dict[Exact, Exact] = {0: 0, one: 0}
     for p in pieces:
-        if p.a == 0:
+        if abs(p.a) < 1:  # weight 1/|slope| > 1 alone puts the density above 1 on the image
             return False
         ylo, yhi = _image_span(p.a, p.b, p.lo, p.hi)
         if ylo < 0 or yhi > one:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Literal, Sequence
+from typing import Collection, Iterator, Literal, Sequence
 
 from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_LEVEL_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
@@ -124,43 +124,52 @@ def project(obj: Perm | DiPath, n: int) -> DiPath:
     return p
 
 
-def window_levels(start: Sequence[Perm], allowed: Iterable[Collection[Perm]]) -> Iterator[list[Perm]]:
-    """Grow patterns one new last value at a time, keeping allowed windows.
+def allowed_counts(edges: Collection[Perm], n: int, m_max: int) -> Iterator[int]:
+    """|A_m| for m = n+1..m_max: the patterns of S_m whose every (n+1)-window is in ``edges``.
 
-    Yields ``start`` (patterns of S_{n+1}), then one level per set in
-    ``allowed``: every child of the previous level (``preimages`` on the head
-    side, which adds a last value) whose last n+1 entries have their order
-    pattern in that set.  A dead prefix is never extended, and no level may
-    hold more than ``LIFT_LEVEL_MAX`` patterns.
+    The transfer count of Elizalde & Noy (2003): patterns grow by a new last
+    value, as in :func:`lifts`, but each state, the ranks of the last n values
+    among those placed, keeps only a count.  No step may hold more than
+    ``LIFT_LEVEL_MAX`` states.
     """
-    level = list(start)
-    yield level
-    width = level[0].n if level else 0
-    for edges in allowed:
-        grown = []
-        for sigma in level:
-            for child in preimages(sigma, HEAD):
-                if order_pattern(child.word[-width:]) in edges:
-                    if len(grown) == LIFT_LEVEL_MAX:
-                        raise CapExceeded(
-                            f"lift level in S_{child.n} reached {LIFT_LEVEL_MAX + 1} patterns, cap {LIFT_LEVEL_MAX}"
-                        )
-                    grown.append(child)
-        level = grown
-        yield level
+    gaps: dict[tuple[int, ...], list[int]] = {}  # head pattern -> how many of its values lie below the last
+    for e in edges:
+        gaps.setdefault(order_pattern(e.word[:-1]).word, []).append(e.word[-1] - 1)
+    counts = dict.fromkeys(gaps, 1)
+    for i in range(n, m_max):
+        grown: dict[tuple[int, ...], int] = {}
+        for s, c in counts.items():
+            bounds = (0, *sorted(s), i + 1)
+            for k in gaps.get(order_pattern(s).word, ()):
+                for r in range(bounds[k] + 1, bounds[k + 1] + 1):
+                    t = (*(x + (x >= r) for x in s[1:]), r)  # ranks >= r move up by one
+                    grown[t] = grown.get(t, 0) + c
+        if len(grown) > LIFT_LEVEL_MAX:
+            raise CapExceeded(f"window count in S_{i + 1} reached {len(grown)} states, cap {LIFT_LEVEL_MAX}")
+        counts = grown
+        yield sum(counts.values())
 
 
 def lifts(p: DiPath) -> list[Perm]:
     """All permutations of S_m, m = length + n, projecting onto p, in lexicographic order.
 
     A lift is a single permutation whose (n+1)-windows realize the edges of
-    p in order; it is grown window by window from the first edge.
+    p in order; it is grown from the first edge by one new last value at a
+    time, and no level may hold more than ``LIFT_LEVEL_MAX`` patterns.
     Surjectivity of the projection guarantees the result is never empty.
     """
     if not p.edges:
         return [p.start]
-    for level in window_levels([p.edges[0]], ({e} for e in p.edges[1:])):
-        pass
+    level = [p.edges[0]]
+    for e in p.edges[1:]:
+        grown = []
+        for sigma in level:
+            grown += (child for child in preimages(sigma, HEAD) if order_pattern(child.word[-e.n :]) == e)
+            if len(grown) > LIFT_LEVEL_MAX:
+                raise CapExceeded(
+                    f"lift level in S_{sigma.n + 1} reached {LIFT_LEVEL_MAX + 1} patterns, cap {LIFT_LEVEL_MAX}"
+                )
+        level = grown
     if not level:
         raise InvariantViolation(f"no lift of a path of length {p.length} on G_{p.n}; lifting is surjective")
     return sorted(level)

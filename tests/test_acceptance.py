@@ -25,7 +25,6 @@ from orderflow.analysis import (
 from orderflow.cantor import (
     assemble_truncated_map,
     build_interval_tree,
-    build_separator_tree,
     uniform_tower,
     verify_construction,
 )
@@ -246,7 +245,7 @@ def test_criterion_12_exclusion_negative(doubling):
     report(
         "12",
         ok,
-        f"at m=4 the lift preimage exceeds the realized set by {len(at4.missing)} patterns "
+        f"at m=4 the lift preimage exceeds the realized set by {at4.missing} patterns "
         f"(so no exclusion type 2)",
     )
     assert not at4.equal
@@ -256,8 +255,7 @@ def test_criterion_12_exclusion_negative(doubling):
 def test_criterion_13_cantor_construction():
     tower = uniform_tower(3)
     tree = build_interval_tree(tower)  # invariants checked exactly inside
-    sep = build_separator_tree(3)
-    f = assemble_truncated_map(tree, sep, 16)
+    f = assemble_truncated_map(tree, 16)
     result = verify_construction(f, tower, 100_000, seed=12, scale_depth=16)
     worst = max(r.deviation for r in result.rows)
     ok = result.passed and worst <= 0.01

@@ -40,7 +40,7 @@ from orderflow.maps import (
     permutation_map,
     realize_flow,
 )
-from orderflow.paths import path
+from orderflow.paths import allowed_counts, path
 from orderflow.perms import HEAD, TAIL, PatternDistribution, all_perms, perm, pushforward, restrict
 
 DOUBLING_MU3 = {
@@ -422,9 +422,12 @@ class TestExclusion:
         assert rows[1].missing and not rows[1].extra
 
     def test_cap(self, doubling, monkeypatch):
-        # Doubling realizes every pattern of length 3, so each level is all of S_m.
+        # Doubling realizes every pattern of length 3, so the count of S_m holds
+        # m (m - 1) states: 90 at m = 10, under a cap of 100 but not of 89.
         monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
-        with pytest.raises(CapExceeded, match=r"^lift level in S_5 reached 101 patterns, cap 100$"):
+        assert [r.m for r in exclusion_type_test(doubling, 2, 10)] == list(range(3, 11))
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 89)
+        with pytest.raises(CapExceeded, match=r"^window count in S_10 reached 90 states, cap 89$"):
             exclusion_type_test(doubling, 2, 10)
 
     def test_equal_is_no_missing_and_no_extra(self, doubling, tent):
@@ -433,9 +436,8 @@ class TestExclusion:
             rows = exclusion_type_test(f, 2, 6)
             assert [r.equal for r in rows] == [True, False, False, False]
             assert all(r.equal is (not r.missing and not r.extra) and not r.extra for r in rows)
-        some = frozenset({perm("1234")})
-        assert ExclusionRow(4, frozenset(), frozenset()).equal
-        assert not ExclusionRow(4, some, frozenset()).equal and not ExclusionRow(4, frozenset(), some).equal
+        assert ExclusionRow(4, 0, 0).equal
+        assert not ExclusionRow(4, 1, 0).equal and not ExclusionRow(4, 0, 1).equal
 
     def test_permutation_map_matches_at_three(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))
@@ -444,6 +446,17 @@ class TestExclusion:
 
 
 class TestGrowth:
+    @pytest.mark.parametrize("name", ["doubling", "tent"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lift_preimage_outgrows_entropy(self, name, n):
+        # A map of entropy h realizes about e^(h m) patterns of S_m, while the
+        # lift preimage A_m grows superexponentially: |A_(m+1)| / |A_m| rises
+        # strictly and stays above e^(h_top) = 2 for both maps.
+        counts = list(allowed_counts(pattern_graph(builtin(name), n).edges, n, 16))
+        ratios = [Fraction(b, a) for a, b in zip(counts, counts[1:])]
+        assert len(ratios) == 15 - n
+        assert all(2 < r < s for r, s in zip(ratios, ratios[1:]))
+
     def test_three_loop(self, loop_132_321_213):
         rows = growth_check(loop_132_321_213, 2)
         assert [(k, fact) for k, _, fact in rows] == [(1, 1), (2, 2)]

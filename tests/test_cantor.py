@@ -17,7 +17,7 @@ from orderflow.cantor import (
     uniform_tower,
     verify_construction,
 )
-from orderflow.errors import CapExceeded, DepthMismatch, IncompatibleSequence, InvariantViolation
+from orderflow.errors import CapExceeded, IncompatibleSequence, InvariantViolation
 from orderflow.maps import iterate
 from orderflow.perms import PatternDistribution, Perm, all_perms, order_pattern, perm
 
@@ -111,8 +111,7 @@ class TestSeparatorTree:
 class TestAssembledMap:
     def test_coverage(self):
         tree = build_interval_tree(uniform_tower(3))
-        sep = build_separator_tree(3)
-        f = assemble_truncated_map(tree, sep, 16)
+        f = assemble_truncated_map(tree, 16)
         identity_mass = sum(
             (p.hi - p.lo for p in f.pieces if p.a == 1 and p.b == 0 and p.c == 0),
             Fraction(0),
@@ -121,8 +120,7 @@ class TestAssembledMap:
 
     def test_orbits_realize_their_patterns(self):
         tree = build_interval_tree(uniform_tower(3))
-        sep = build_separator_tree(3)
-        f = assemble_truncated_map(tree, sep, 12)
+        f = assemble_truncated_map(tree, 12)
         for sigma, rec in tree.intervals.items():
             if sigma.n != 3:
                 continue
@@ -132,8 +130,7 @@ class TestAssembledMap:
 
     def test_shell_orbits_realize_patterns_too(self):
         tree = build_interval_tree(uniform_tower(3))
-        sep = build_separator_tree(3)
-        f = assemble_truncated_map(tree, sep, 12)
+        f = assemble_truncated_map(tree, 12)
         # Second shell: the squeeze of (1/4, 1/2] into (1/8, 1/4].  The offset
         # is deliberately irregular: round points can land inside the tiny
         # landing zones, which belong to the earlier hop pieces by design.
@@ -145,23 +142,16 @@ class TestAssembledMap:
                 continue
             assert order_pattern(iterate(f, x / 2, 2)) == sigma
 
-    def test_depth_mismatch(self):
-        tree = build_interval_tree(uniform_tower(2))
-        sep = build_separator_tree(3)
-        with pytest.raises(DepthMismatch):
-            assemble_truncated_map(tree, sep, 8)
-
     def test_scale_cap(self):
         tree = build_interval_tree(uniform_tower(2))
-        sep = build_separator_tree(2)
         with pytest.raises(CapExceeded, match=r"scale depth reached 30, cap 24$"):
-            assemble_truncated_map(tree, sep, 30)
+            assemble_truncated_map(tree, 30)
 
 
 class TestVerification:
     def test_uniform_target(self):
         tower = uniform_tower(3)
-        f = assemble_truncated_map(build_interval_tree(tower), build_separator_tree(3), 16)
+        f = assemble_truncated_map(build_interval_tree(tower), 16)
         report = verify_construction(f, tower, 100_000, seed=42, scale_depth=16)
         assert report.passed
         assert all(r.deviation <= 0.01 for r in report.rows)
@@ -169,13 +159,13 @@ class TestVerification:
     def test_point_mass_target(self):
         # A single forced pattern is fine here (no conservation constraint).
         tower = tower_from_top(PatternDistribution.point_mass(perm("12")))
-        f = assemble_truncated_map(build_interval_tree(tower), build_separator_tree(2), 16)
+        f = assemble_truncated_map(build_interval_tree(tower), 16)
         report = verify_construction(f, tower, 20_000, seed=7, scale_depth=16)
         assert report.passed
 
     def test_depth_one_trivial(self):
         tower = uniform_tower(1)
-        f = assemble_truncated_map(build_interval_tree(tower), build_separator_tree(1), 8)
+        f = assemble_truncated_map(build_interval_tree(tower), 8)
         report = verify_construction(f, tower, 1_000, seed=1, scale_depth=8)
         assert report.passed
 
@@ -202,11 +192,11 @@ class TestDerivedValues:
         sep = build_separator_tree(depth)
         assert sep.depth == depth
         assert len(sep.intervals) == sum(math.factorial(k) for k in range(1, depth + 1))
-        assert assemble_truncated_map(tree, sep, 4).name == f"cantor(depth={depth}, shells=4)"
+        assert assemble_truncated_map(tree, 4).name == f"cantor(depth={depth}, shells=4)"
 
     def test_passed_is_deviation_within_bound(self):
         tower = uniform_tower(3)
-        f = assemble_truncated_map(build_interval_tree(tower), build_separator_tree(3), 6)
+        f = assemble_truncated_map(build_interval_tree(tower), 6)
         report = verify_construction(f, tower, 2_000, seed=3, scale_depth=6)
         assert [r.n for r in report.rows] == [1, 2, 3]
         assert all(r.passed is (r.deviation <= r.bound) for r in report.rows)

@@ -235,10 +235,18 @@ class TestValidate:
         assert rows[0]["equal"] and not rows[1]["equal"]
 
     def test_exclusion_past_s9(self, capsys):
-        # The lift cap bounds the size of one level, not m.
+        # The lift preimage is counted, not listed, so no cap bounds m beyond the realized side's.
         code, stdout, _ = run(capsys, "exclusion", "--map", "rotation:3/10", "--n", "2", "--m-max", "10")
         assert code == 0
         assert [row["m"] for row in json.loads(stdout)["rows"]] == list(range(3, 11))
+
+    def test_exclusion_doubling_past_s10(self, capsys):
+        # Doubling realizes all of S_3, so A_m is all of S_m and every realized pattern lies in it.
+        code, stdout, _ = run(capsys, "exclusion", "--map", "doubling", "--n", "2", "--m-max", "11")
+        rows = json.loads(stdout)["rows"]
+        assert code == 0 and len(stdout.splitlines()) == 1
+        assert [row["m"] for row in rows] == list(range(3, 12))
+        assert rows[0]["equal"] and all(row["extra"] == 0 for row in rows)
 
 
 def run_error(capsys, *argv):
@@ -450,9 +458,10 @@ class TestBoundary:
         assert not (tmp_path / "g.dot").exists()
 
     def test_exclusion_level_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 1000)
-        code, err = run_error(capsys, "exclusion", "--map", "doubling", "--n", "2", "--m-max", "10")
-        detail = "lift level in S_7 reached 1001 patterns, cap 1000"
+        # The count of S_m holds m (m - 1) states for doubling at n = 2: 90 at m = 10, 110 at m = 11.
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
+        code, err = run_error(capsys, "exclusion", "--map", "doubling", "--n", "2", "--m-max", "11")
+        detail = "window count in S_11 reached 110 states, cap 100"
         assert code == 1 and err == {"error": "CapExceeded", "detail": detail}
 
     # Every orbit of a period-3 rotation repeats before length 4.

@@ -24,7 +24,6 @@ from orderflow.analysis import (
 from orderflow.cantor import (
     assemble_truncated_map,
     build_interval_tree,
-    build_separator_tree,
     uniform_tower,
     verify_construction,
 )
@@ -47,7 +46,7 @@ def _contracting():
 
 def _cantor(depth, shells):
     tree = build_interval_tree(uniform_tower(depth))
-    return assemble_truncated_map(tree, build_separator_tree(depth), shells)
+    return assemble_truncated_map(tree, shells)
 
 
 EXACT_MAPS = {
@@ -192,7 +191,7 @@ class TestStatistics:
         assert forbidden_patterns(f, 5, mode, 2_000, 1) == oracle_forbidden(f, 5, mode, 2_000, 1)
         rows = exclusion_type_test(f, 2, 5, mode, 2_000, 1)
         for row, (m, preimage, realized) in zip(rows, oracle_exclusion(f, 2, 5, mode, 2_000, 1), strict=True):
-            assert (row.m, row.missing, row.extra) == (m, preimage - realized, realized - preimage)
+            assert (row.m, row.missing, row.extra) == (m, len(preimage - realized), len(realized - preimage))
 
     @pytest.mark.parametrize("name", ["doubling", "tent"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -200,8 +199,19 @@ class TestStatistics:
         f = EXACT_MAPS[name]
         rows = exclusion_type_test(f, n, 7)
         for row, (m, preimage, realized) in zip(rows, oracle_exclusion(f, n, 7), strict=True):
-            assert (row.m, row.missing, row.extra) == (m, preimage - realized, realized - preimage)
+            assert (row.m, row.missing, row.extra) == (m, len(preimage - realized), len(realized - preimage))
             assert row.equal is (preimage == realized)
+
+    @pytest.mark.parametrize("name", ["doubling", "logistic"])
+    def test_exclusion_extra_from_sparse_samples(self, name):
+        # Thirty orbits leave some windows of the realized patterns unrealized,
+        # so realized patterns fall outside the lift preimage.
+        f = builtin(name)
+        rows = exclusion_type_test(f, 3, 7, "empirical", 30, 5)
+        oracle = oracle_exclusion(f, 3, 7, "empirical", 30, 5)
+        expected = [(m, len(preimage - realized), len(realized - preimage)) for m, preimage, realized in oracle]
+        assert [(row.m, row.missing, row.extra) for row in rows] == expected
+        assert all(row.extra for row in rows[1:])
 
     def test_entropy_below_length_two(self):
         assert entropy_estimate(builtin("doubling"), 1) == oracle_entropy(builtin("doubling"), 1) == []

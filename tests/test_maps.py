@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import all_paths
 from cyclic_oracle import oracle_cyclic_lift, oracle_ranking_realizes
 from isometries import lattice_maps, unit_points
+from orderflow.cantor import assemble_truncated_map, build_interval_tree, uniform_tower
 from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
 from orderflow.drift import (
     DRIFTLESS,
@@ -32,6 +33,7 @@ from orderflow.flows import flow_residual, interior_flow
 from orderflow.maps import (
     CyclicRanking,
     _euler_circuit,
+    _image_span,
     IntervalMap,
     Piece,
     block_sum,
@@ -320,6 +322,20 @@ class TestPreservesMeasure:
         assert verdicts[:4] == [True, True, True, False]
         assert verdicts[4::5] == [True] * 40
         assert not any(v for i, v in enumerate(verdicts[4:]) if i % 5)
+
+
+    def test_a_contracting_piece_decides_alone(self):
+        # Weight 1/|slope| > 1 puts the density above 1 on that piece's image, so
+        # the sweep stops at the first such piece, before its image span.
+        half = Fraction(1, 2)
+        f = IntervalMap((Piece(Fraction(0), half, half, Fraction(0)), Piece(half, Fraction(1), Fraction(3, 2), -half)))
+        cantor = assemble_truncated_map(build_interval_tree(uniform_tower(3)), 8)
+        for g in (f, cantor):
+            first = next(i for i, p in enumerate(g.pieces) if abs(p.a) < 1)
+            with mock.patch("orderflow.maps._image_span", wraps=_image_span) as spans:
+                assert g.measure_preserving is False
+            assert spans.call_count == first
+        assert _density_by_cells(f.pieces) is False
 
 
 def _generic_preserves(pieces):

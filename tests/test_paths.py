@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from orderflow.errors import CapExceeded, EndpointMismatch, FormatError
 from orderflow.paths import (
     DiPath,
     PathPoset,
+    allowed_counts,
     build_poset,
     comparability,
     concat,
@@ -24,7 +26,7 @@ from orderflow.paths import (
     poset_to_json,
     project,
 )
-from orderflow.perms import HEAD, TAIL, Perm, all_perms, perm, preimages, restrict
+from orderflow.perms import HEAD, TAIL, Perm, all_perms, order_pattern, perm, preimages, restrict
 
 
 @st.composite
@@ -141,6 +143,32 @@ class TestLifts:
     def test_edges_between(self):
         assert {str(e) for e in edges_between(perm("231"), perm("312"))} == {"2413", "3412"}
         assert {str(e) for e in edges_between(perm("312"), perm("231"))} == {"4231"}
+
+
+@functools.lru_cache(maxsize=None)
+def _window_sets(n: int, m: int) -> list[frozenset[Perm]]:
+    """The (n+1)-window patterns of each permutation of S_m, by a scan of S_m."""
+    return [frozenset(order_pattern(s.word[i : i + n + 1]) for i in range(m - n)) for s in all_perms(m)]
+
+
+@st.composite
+def edge_sets(draw):
+    """A level n in 1..3 and a nonempty set of edges of G_n."""
+    n = draw(st.integers(1, 3))
+    return n, frozenset(draw(st.sets(st.sampled_from(list(all_perms(n + 1))), min_size=1)))
+
+
+class TestAllowedCounts:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_sets())
+    def test_matches_a_scan_of_s_m(self, drawn):
+        n, edges = drawn
+        scanned = [sum(windows <= edges for windows in _window_sets(n, m)) for m in range(n + 1, 8)]
+        assert list(allowed_counts(edges, n, 7)) == scanned
+
+    def test_no_length_past_m_max(self):
+        assert list(allowed_counts(all_perms(3), 2, 2)) == []
+        assert list(allowed_counts(frozenset(all_perms(3)), 2, 6)) == [6, 24, 120, 720]
 
 
 class TestPoset:

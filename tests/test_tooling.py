@@ -73,7 +73,7 @@ def _enclosing(tree: ast.Module, lineno: int) -> str:
 
 def test_permutations_only_in_all_perms():
     # A scan of all of S_m goes through perms.all_perms, which checks the
-    # pattern-length cap; lifts and exclusion preimages grow window by window.
+    # pattern-length cap; lifts grow window by window, and exclusion preimages are counted.
     uses = []
     for module in MODULES:
         tree = _tree(module)
