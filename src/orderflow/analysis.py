@@ -10,8 +10,9 @@ order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.
 
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
-on the interval (0, S).  A permutation map carries the frame it was built
-in; any other map gets it from :func:`.maps.lattice_frame` the first time,
+on the interval (0, S), and reads the affine test there too.  A permutation
+map is built in its frame and never needs its Q(sqrt2) pieces here; any
+other map gets its frame from :func:`.maps.lattice_frame` the first time,
 and keeps it.  A piecewise isometry (every slope +1 or -1) is scaled onto
 the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every bound,
 intercept, cut and crossing is an int or a Sqrt2 with int parts, and
@@ -197,10 +198,9 @@ def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     if n < 1:
         raise ValueError("pattern length must be at least 1")
     _check_length(n)
-    if any(not p.affine for p in f.pieces):
-        raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
-
     one, pieces = f.frame
+    if any(not p.affine for p in pieces):
+        raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
     show = partial(from_lattice, scale=one)
     cells = [(0, one, ((1, 0),), (0,))]
     for k in range(1, n):

@@ -208,7 +208,7 @@ def cmd_realize(args) -> dict:
     mu = flows.flow_from_json(Path(args.flow).read_text())
     f = maps.realize_flow(mu, args.tol)
     _write(args.out, maps.map_to_json(f) + "\n")
-    return {"command": "realize", "n": mu.n, "pieces": len(f.pieces), "tol": args.tol}
+    return {"command": "realize", "n": mu.n, "pieces": len(f.frame[1]), "tol": args.tol}
 
 
 def cmd_simulate(args) -> dict:

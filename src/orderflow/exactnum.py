@@ -18,8 +18,8 @@ subdivision or a measure sweep computes lies in Z[sqrt 2]: iterate slopes
 stay +-1, cut points (c - b)/a divide by +-1, and two iterates of opposite
 slope cross at half the difference of their intercepts, which the factor 2
 keeps integral.  Such a value is an ``int`` or a ``Sqrt2`` with int parts;
-:func:`to_lattice` and :func:`from_lattice` convert at the ends, and
-:func:`exact_div` divides without leaving the lattice.
+:func:`to_lattice`, :func:`from_lattice` and :func:`lattice_str` convert at
+the ends, and :func:`exact_div` divides without leaving the lattice.
 """
 
 from __future__ import annotations
@@ -262,3 +262,19 @@ def from_lattice(x: Exact, scale: int) -> Exact:
     if type(x) is Sqrt2:
         return Sqrt2(Fraction(x.a, scale), Fraction(x.b, scale))
     return Fraction(x, scale)
+
+
+def lattice_str(x: Exact, scale: int) -> str:
+    """``exact_str(from_lattice(x, scale))``, read off the int parts of a lattice value without a Fraction."""
+    if type(x) is int:
+        return _ratio_str(x, scale)
+    if type(x) is Sqrt2 and type(x.a) is int:
+        sep, b = ("-", -x.b) if x.b < 0 else ("+", x.b)
+        return f"{_ratio_str(x.a, scale)}{sep}{_ratio_str(b, scale)}*sqrt2"
+    return exact_str(x if scale == 1 else from_lattice(x, scale))
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """The text of Fraction(p, q) for q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"

@@ -11,12 +11,15 @@ and the pattern distribution are untouched.
 Exact work on a map (subdivision, the measure check) runs in its frame,
 ``IntervalMap.frame``: a piecewise isometry is scaled onto the integer
 lattice Z[sqrt2] of :mod:`.exactnum`, and any other map keeps its pieces.
-A permutation map is born in its frame: its pieces are built on the lattice
-at scale 2l, and the Q(sqrt2) pieces are derived from them.  Every other map
-gets its frame from :func:`lattice_frame` the first time it is asked for,
-and keeps it.  ``IntervalMap.measure_preserving`` is worked out the same
-way, from the pieces; map JSON carries it as written by :func:`map_to_json`,
-and :func:`map_from_json` ignores it.
+A permutation map is born in its frame: :meth:`IntervalMap.from_frame` checks
+that its lattice pieces at scale 2l tile [0, 2l), the density sweep and the
+exact subdivision run on them, and :func:`map_to_json` writes from them.
+Its Q(sqrt2) pieces are derived only when something reads them: a block sum
+gluing components, the sampler, or a caller.  Every other map gets its frame
+from :func:`lattice_frame` the first time it is asked for, and keeps it.
+``IntervalMap.measure_preserving`` is worked out in the frame too; map JSON
+carries it as written by :func:`map_to_json`, and :func:`map_from_json`
+ignores it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from .errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from .exactnum import Exact, Sqrt2, exact, exact_str, from_lattice, lattice_scale, parse_exact, to_lattice
+from .exactnum import (
+    Exact, Sqrt2, exact, exact_str, from_lattice, lattice_scale, lattice_str, parse_exact, to_lattice,
+)
 from .paths import DiPath
 from .perms import PatternDistribution, Perm, load_json
 
@@ -72,23 +77,47 @@ class Piece:
         return self.c == 0
 
 
-@dataclass(frozen=True)
 class IntervalMap:
-    """A self-map of [0,1) given by pieces that partition the interval."""
+    """A self-map of [0,1) given by pieces that partition the interval.
 
-    pieces: tuple[Piece, ...]
-    name: str = ""
+    It is built from its pieces, or by :meth:`from_frame` from its frame;
+    the other form is derived when first read.  Maps are immutable and equal
+    when their pieces and names are.
+    """
 
-    def __post_init__(self):
-        ps = sorted(self.pieces, key=lambda p: p.lo)
-        if not ps:
-            raise ValueError("a map needs at least one piece")
-        if ps[0].lo != 0 or ps[-1].hi != 1:
-            raise ValueError("pieces must cover [0, 1)")
-        for left, right in zip(ps, ps[1:]):
-            if left.hi != right.lo:
-                raise ValueError(f"gap or overlap at {left.hi} != {right.lo}")
-        object.__setattr__(self, "pieces", tuple(ps))
+    def __init__(self, pieces, name: str = ""):
+        self.__dict__.update(pieces=_tiling(pieces, 1), name=name)
+
+    @classmethod
+    def from_frame(cls, one: int, pieces, name: str = "") -> "IntervalMap":
+        """The map whose frame is (one, pieces): its pieces conjugated by x -> one x, tiling [0, one)."""
+        f = object.__new__(cls)
+        f.__dict__.update(frame=(one, _tiling(pieces, one)), name=name)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an IntervalMap is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not IntervalMap:
+            return NotImplemented
+        return (self.pieces, self.name) == (other.pieces, other.name)
+
+    def __hash__(self):
+        return hash((self.pieces, self.name))
+
+    def __repr__(self):
+        return f"IntervalMap(pieces={self.pieces!r}, name={self.name!r})"
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The Q(sqrt2) pieces of a map built by :meth:`from_frame`, conjugated back by x -> x / S."""
+        one, frame = self.__dict__["frame"]  # the frame it was built with, whatever ``frame`` reads
+        return tuple(
+            Piece(from_lattice(p.lo, one), from_lattice(p.hi, one), exact(p.a), from_lattice(p.b, one),
+                  exact(p.c * one))
+            for p in frame
+        )
 
     def piece_index(self, x) -> int:
         los = [p.lo for p in self.pieces]
@@ -104,15 +133,30 @@ class IntervalMap:
     def frame(self) -> tuple[int, tuple[Piece, ...]]:
         """The scale S and the pieces in the frame of :func:`lattice_frame`.
 
-        Computed once per map; :func:`permutation_map` sets it, since it
-        builds its pieces in that frame.
+        A map built by :meth:`from_frame` holds its frame from the start; any
+        other map computes it once, from its pieces.
         """
         return lattice_frame(self.pieces)
 
     @cached_property
     def measure_preserving(self) -> bool:
         """Whether the map preserves Lebesgue measure: :func:`preserves_measure`, run on the frame."""
-        return all(p.affine for p in self.pieces) and _density_is_one(*self.frame)
+        one, pieces = self.frame
+        return all(p.affine for p in pieces) and _density_is_one(one, pieces)
+
+
+def _tiling(pieces, one) -> tuple[Piece, ...]:
+    """The pieces sorted by their left ends, checked to tile [0, one) with no gap or overlap."""
+    ps = sorted(pieces, key=lambda p: p.lo)
+    if not ps:
+        raise ValueError("a map needs at least one piece")
+    if ps[0].lo != 0 or ps[-1].hi != one:
+        raise ValueError("pieces must cover [0, 1)")
+    for left, right in zip(ps, ps[1:]):
+        if left.hi != right.lo:
+            ends = (left.hi, right.lo) if one == 1 else (from_lattice(left.hi, one), from_lattice(right.lo, one))
+            raise ValueError("gap or overlap at {} != {}".format(*ends))
+    return tuple(ps)
 
 
 def iterate(f: IntervalMap, x, k: int) -> list:
@@ -289,8 +333,11 @@ def ranking_realizes(r: CyclicRanking, gamma: DiPath) -> bool:
     ell, rank = r.length, r.rank
     if ell != gamma.length:
         return False
+    orders: dict[Perm, list[int]] = {}
     for b, e in enumerate(gamma.edges):
-        ranks = [rank[(b + s) % ell] for s in _value_order(e)]
+        if e not in orders:
+            orders[e] = _value_order(e)
+        ranks = [rank[(b + s) % ell] for s in orders[e]]
         if any(x >= y for x, y in zip(ranks, ranks[1:])):
             return False
     return True
@@ -318,8 +365,11 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
         raise CyclicObstruction("a window wraps onto itself (loop shorter than window)")
     succs: list[set[int]] = [set() for _ in range(ell)]
     indeg = [0] * ell
+    orders: dict[Perm, list[int]] = {}
     for b, e in enumerate(gamma.edges):
-        chain = [(b + s) % ell for s in _value_order(e)]
+        if e not in orders:
+            orders[e] = _value_order(e)
+        chain = [(b + s) % ell for s in orders[e]]
         for lowpos, highpos in zip(chain, chain[1:]):
             if highpos not in succs[lowpos]:
                 succs[lowpos].add(highpos)
@@ -355,10 +405,10 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
     (sqrt(2)-1)/l, so the map stays measure preserving, keeps each piece's
     image a single piece, and loses all rational periodicity.
 
-    The pieces are built on the lattice at scale S = 2l, the scale
-    :func:`lattice_frame` finds for them: the piece of rank r is [2(r-1), 2r),
-    a shift is 2(r(i+1) - r(i)) and the rotation is 2(sqrt2 - 1).  That frame
-    is the map's, and its Q(sqrt2) pieces are the lattice ones divided by S.
+    The map is built in its frame, on the lattice at scale S = 2l, the scale
+    :func:`lattice_frame` finds for it: the piece of rank r is [2(r-1), 2r),
+    a shift is 2(r(i+1) - r(i)) and the rotation is 2(sqrt2 - 1).  Its
+    Q(sqrt2) pieces, the lattice ones divided by S, are derived only when read.
     """
     ell = r.length
     scale = 2 * ell
@@ -373,13 +423,8 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
             cut = hi - delta
             frame.append(Piece(lo, cut, 1, shift + delta))
             frame.append(Piece(cut, hi, 1, shift + delta - 2))
-    frame.sort(key=lambda p: p.lo)
-    pieces = tuple(
-        Piece(from_lattice(p.lo, scale), from_lattice(p.hi, scale), ONE, from_lattice(p.b, scale)) for p in frame
-    )
     label = ",".join(map(str, r.rank)) if ell <= 16 else f"{ell} pieces"
-    result = IntervalMap(pieces, name=f"permutation_map({label})")
-    result.__dict__["frame"] = (scale, tuple(frame))  # what the cached property would compute
+    result = IntervalMap.from_frame(scale, frame, name=f"permutation_map({label})")
     if not result.measure_preserving:
         raise InvariantViolation(f"permutation map of {ell} pieces does not preserve measure")
     return result
@@ -490,11 +535,15 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
 
 
 def map_to_json(f: IntervalMap) -> str:
+    """The map's name, measure flag and pieces, each value written from the frame as its Q(sqrt2) text."""
+    one, frame = f.frame
+    # The frame tiles [0, S): a piece's high end is the next one's low end, and the last is S.
+    ends = [lattice_str(p.lo, one) for p in frame] + ["1"]
     pieces = []
-    for p in f.pieces:
-        rec = {"lo": exact_str(p.lo), "hi": exact_str(p.hi), "a": exact_str(p.a), "b": exact_str(p.b)}
-        if p.c != 0:
-            rec["c"] = exact_str(p.c)
+    for p, lo, hi in zip(frame, ends, ends[1:]):
+        rec = {"lo": lo, "hi": hi, "a": exact_str(p.a), "b": lattice_str(p.b, one)}
+        if p.c:
+            rec["c"] = exact_str(p.c * one)
         pieces.append(rec)
     payload = {
         "name": f.name,

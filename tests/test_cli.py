@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,6 +156,44 @@ class TestRealizeAndRoundTrips:
         code, stdout, _ = run(capsys, "exact", "--map", str(spec), "--n", "2", "--out", str(tmp_path / "d.csv"))
         assert code == 0 and json.loads(stdout)["mass"] == mass
         assert len(loaded) == 1 and loaded[0].measure_preserving is preserving
+
+    # Four embedded loops of G_3, weighted 1 to 4: one strongly connected, driftless support whose
+    # realization at tolerance 1/40 is a loop of 109 edges.
+    FOUR_LOOPS = ["1432 3214 2134 2341 3412 4132", "1432 3214 2143", "1342 2314 2143 1423 4123", "2431 4312 4132"]
+
+    @pytest.mark.parametrize(
+        "flow, tol, stdout_sha, map_sha",
+        [
+            ("uniform", "0.05", "e80840fde5fe24c85d4fadda0679f77cd5fc83486fb4d326491bd49dfa207bb5",
+             "47f42958adc65a3a285892224fe064aa11dc3bac21db6853bfcfdd1655543e90"),
+            ("triple", "1/50", "5c7dde65c459ac19baf5d49423ba80f1b322da311d9c2e55628f8fbd70ad0152",
+             "b7894154f6e8cdc2c93a441e95a76510a166b879e32310c8aa0ead045eac576b"),
+            ("four_loops", "1/40", "88b00262c5d88a5d9688b5b444019553122cc4ae5613f6ce46fc20baa166e6d3",
+             "6b3533484a3f28cbd5ad52c47463bead971fe85207776eba70595b9e5b630e8e"),
+        ],
+    )
+    def test_realize_bytes_pinned(self, tmp_path, capsys, driftless_triple, flow, tol, stdout_sha, map_sha):
+        # The stdout line and the map file of three fixed realizations, byte for byte.
+        if flow == "uniform":
+            mu = PatternDistribution.uniform(3)
+        elif flow == "triple":
+            mu = interior_flow(driftless_triple)
+        else:
+            mult = {}
+            for w, loop in enumerate(self.FOUR_LOOPS, 1):
+                for e in loop.split():
+                    mult[perm(e)] = mult.get(perm(e), 0) + w
+            total = sum(mult.values())
+            mu = PatternDistribution(4, {e: Fraction(m, total) for e, m in mult.items()})
+        spec, out = tmp_path / "flow.json", tmp_path / "map.json"
+        spec.write_text(flow_to_json(mu))
+        code, stdout, _ = run(capsys, "realize", "--flow", str(spec), "--tol", tol, "--out", str(out))
+        assert code == 0
+        if flow == "four_loops":
+            # One component: 109 translated pieces, one of them split by the rotation.
+            assert json.loads(stdout)["pieces"] == 110
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == map_sha
 
     def test_vertex_flow_rejected(self, tmp_path, capsys):
         flow = tmp_path / "flow.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_paths
@@ -28,7 +28,7 @@ from orderflow.errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from orderflow.exactnum import Sqrt2, exact, exact_div, exact_str, from_lattice, parse_exact
+from orderflow.exactnum import Sqrt2, exact, exact_div, exact_str, from_lattice, lattice_str, parse_exact
 from orderflow.flows import flow_residual, interior_flow
 from orderflow.maps import (
     CyclicRanking,
@@ -187,6 +187,32 @@ class TestLatticeNumbers:
             assert type(q) is Fraction or (type(q) is Sqrt2 and type(q.a) is type(q.b) is Fraction)
             assert q == from_lattice(num, 1) / from_lattice(den, 1)
             assert q * den == num
+
+    @settings(max_examples=400)
+    @given(
+        lattice_pairs,
+        st.integers(1, 60) | st.integers(1, 10**12),
+        st.sampled_from(["as drawn", "a multiple of the scale", "no rational part", "negative sqrt2 part"]),
+    )
+    @example((0, 0), 1, "as drawn")
+    @example((3, -2), 6, "a multiple of the scale")
+    @example((0, -4), 6, "as drawn")
+    def test_text_read_off_the_lattice(self, p, scale, shape):
+        a, b = p
+        if shape == "a multiple of the scale":
+            a, b = a * scale, b * scale
+        elif shape == "no rational part":
+            a, b = 0, b or 1
+        elif shape == "negative sqrt2 part":
+            b = -abs(b) or -1
+        x = lattice(a, b)
+        assert lattice_str(x, scale) == exact_str(from_lattice(x, scale))
+
+    @settings(max_examples=200)
+    @given(irrationals | rationals, st.integers(1, 60))
+    def test_text_of_field_values(self, x, scale):
+        # Values off the lattice take the Fraction route, with or without a scale.
+        assert lattice_str(x, scale) == exact_str(from_lattice(x, scale))
 
     def test_mixed_signs_near_the_diagonal(self):
         # a^2 and 2 b^2 differ by one: 3 - 2 sqrt2 > 0, 7 - 5 sqrt2 < 0, 17 - 12 sqrt2 > 0.
@@ -431,6 +457,13 @@ class TestCyclicLift:
         with pytest.raises(CapExceeded):
             cyclic_lift(loop_132_321_213)
 
+    def test_ranking_is_checked(self, nine_edge_loop):
+        # The sorted ranking is checked against every window before it is returned.
+        with mock.patch("orderflow.maps.ranking_realizes", return_value=False) as check:
+            with pytest.raises(InvariantViolation, match="does not reproduce the loop's windows"):
+                cyclic_lift(nine_edge_loop)
+        check.assert_called_once()
+
 
 def _outcome(fn, *args):
     """The value, or the domain error's type and text."""
@@ -535,6 +568,46 @@ class TestPermutationMap:
         assert len(f.pieces) == 4
         assert sum(isinstance(p.b, Sqrt2) for p in f.pieces) == 2
 
+    def test_q_sqrt2_pieces_derived_only_when_read(self, loop_132_321_213):
+        from orderflow.analysis import exact_distribution
+
+        f = permutation_map(cyclic_lift(loop_132_321_213))
+        exact_distribution(f, 3)
+        map_to_json(f)
+        assert "pieces" not in vars(f)
+        assert len(f.pieces) == 4 and "pieces" in vars(f)
+        # A single-component realization is that map itself, checked and written in its frame.
+        g = realize_flow(PatternDistribution.uniform(3), 0.05)
+        map_to_json(g)
+        assert "pieces" not in vars(g)
+
+    @pytest.mark.parametrize(
+        "frame, error",
+        [
+            ((Piece(0, 2, 1, 4), Piece(3, 6, 1, -3)), "gap or overlap at 1/3 != 1/2"),
+            ((Piece(0, 4, 1, 2), Piece(3, 6, 1, -3)), "gap or overlap at 2/3 != 1/2"),
+            ((Piece(2, 6, 1, -2), Piece(0, 2, 1, 4), Piece(Sqrt2(6, -2), 6, 1, -4)), r"gap or overlap at 1 != Sqrt2"),
+            ((Piece(0, 2, 1, 4), Piece(2, 5, 1, -2)), "pieces must cover"),
+            ((Piece(1, 6, 1, -1),), "pieces must cover"),
+            ((), "at least one piece"),
+        ],
+    )
+    def test_frame_tiling_checked(self, frame, error):
+        # Frames of scale 6: the tiling check runs on the lattice values and refuses as the Q(sqrt2) check does.
+        with pytest.raises(ValueError, match=error):
+            IntervalMap.from_frame(6, frame)
+
+    def test_frame_pieces_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="is empty"):
+            IntervalMap.from_frame(6, (Piece(0, 6, 1, 0), Piece(6, 6, 1, 0)))
+
+    def test_frame_built_map_equals_piece_built(self, loop_132_321_213):
+        f = permutation_map(cyclic_lift(loop_132_321_213))
+        g = IntervalMap(f.pieces, name=f.name)
+        assert f == g and hash(f) == hash(g) and f.frame == g.frame
+        with pytest.raises(AttributeError):
+            f.name = "renamed"
+
     def test_measure_check_raises(self):
         # The map checks its own measure preservation, through the property, with the sweep run once.
         calls = []
@@ -584,6 +657,15 @@ class TestRealizeFlow:
         with pytest.raises(ValueError):
             realize_flow(PatternDistribution.uniform(3), tol)
 
+    def test_realization_is_checked_exactly(self, doubling):
+        # The self-check reads the realized map's exact distribution; doubling's misses uniform(3) by 1/6.
+        from orderflow import analysis
+
+        exact = analysis.exact_distribution
+        with mock.patch.object(analysis, "exact_distribution", lambda f, n: exact(doubling, n)):
+            with pytest.raises(InvariantViolation, match="realization missed tolerance"):
+                realize_flow(PatternDistribution.uniform(3), 0.05)
+
     def test_euler_walk_checks_it_used_every_edge(self):
         # 321 is a self-loop at 21, unreachable from the base vertex 12.
         with pytest.raises(InvariantViolation):
@@ -600,7 +682,41 @@ class TestRealizeFlow:
         assert got.support() == mu.support()
 
 
+def _piece_text(f: IntervalMap) -> str:
+    """Map JSON written from the Q(sqrt2) pieces: the second route for the frame writer."""
+    pieces = []
+    for p in f.pieces:
+        rec = {"lo": exact_str(p.lo), "hi": exact_str(p.hi), "a": exact_str(p.a), "b": exact_str(p.b)}
+        if p.c != 0:
+            rec["c"] = exact_str(p.c)
+        pieces.append(rec)
+    return json.dumps({"name": f.name, "measure_preserving": f.measure_preserving, "pieces": pieces}, sort_keys=True)
+
+
 class TestSerialization:
+    @settings(max_examples=100)
+    @given(lattice_maps)
+    def test_frame_text_is_the_piece_text(self, f):
+        assert lattice_frame(f.pieces)[0] > 1
+        text = map_to_json(f)
+        assert text == _piece_text(f)
+        assert map_from_json(text) == f
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 257).flatmap(lambda ell: st.permutations(range(1, ell + 1))))
+    def test_permutation_map_text_is_the_piece_text(self, rank):
+        f = permutation_map(CyclicRanking(tuple(rank)))
+        text = map_to_json(f)
+        assert "pieces" not in vars(f)
+        assert text == _piece_text(f)
+        assert map_from_json(text) == f
+
+    def test_other_maps_text_is_the_piece_text(self, doubling, tent):
+        cantor = assemble_truncated_map(build_interval_tree(uniform_tower(3)), 8)
+        for f in (doubling, tent, builtin("logistic"), block_sum(doubling, tent, Fraction(1, 3)), cantor):
+            assert map_to_json(f) == _piece_text(f)
+            assert map_from_json(map_to_json(f)) == f
+
     def test_round_trip_rational(self, doubling):
         again = map_from_json(map_to_json(doubling))
         assert again.pieces == doubling.pieces
