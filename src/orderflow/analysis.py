@@ -10,10 +10,9 @@ order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.
 
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
-on the interval (0, S), and reads the affine test there too.  A permutation
-map is built in its frame and never needs its Q(sqrt2) pieces here; any
-other map gets its frame from :func:`.maps.lattice_frame` the first time,
-and keeps it.  A piecewise isometry (every slope +1 or -1) is scaled onto
+on the interval (0, S), and reads the affine test there too.  A map is held
+only as its frame, so the subdivision never needs its Q(sqrt2) pieces.  A
+piecewise isometry (every slope +1 or -1) is scaled onto
 the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every bound,
 intercept, cut and crossing is an int or a Sqrt2 with int parts, and
 divisions go through ``exact_div``, which refuses a remainder.  Other slopes
@@ -42,8 +41,8 @@ from functools import partial
 from typing import Iterable, Literal
 
 from .caps import ENTROPY_N_MAX, PERM_CAP, SUBDIVISION_MAX
-from .digraph import Subgraph
-from .drift import IndexReach, ZERO as SIGN_ZERO
+from .digraph import Subgraph, strongly_connected_components
+from .drift import IndexReach, ZERO as SIGN_ZERO, loop_drift
 from .errors import (
     CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
@@ -351,8 +350,6 @@ def partially_driftless_in(H: Subgraph) -> DiPath | None:
     is the shortest, then least in edge order, such loop at the least vertex
     that has one.
     """
-    from .digraph import strongly_connected_components
-
     for comp in strongly_connected_components(H):
         if not comp.edges:
             continue
@@ -447,8 +444,6 @@ def growth_check(gamma: DiPath, k_max: int) -> list[tuple[int, int, int]]:
     of its poset.
     """
     gamma.require_loop()
-    from .drift import loop_drift
-
     diag = loop_drift(gamma).diagonal()
     if SIGN_ZERO not in diag:
         raise ValueError("growth bound needs a loop with a zero diagonal drift entry")

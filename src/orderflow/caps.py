@@ -29,7 +29,7 @@ FULL_DIGRAPH_N_MAX = 7
 LOOP_ENUM_VERTEX_MAX = 24
 
 # Cyclic ranking construction is polynomial, so this cap is generous; it
-# mostly bounds the closure matrix memory.
+# bounds the length of the loop a realization ranks and turns into a map.
 CYCLIC_LIFT_MAX = 4096
 
 # Longest pattern length in an entropy estimate's table.

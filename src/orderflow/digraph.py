@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, PERM_CAP
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
-from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, restrict
+from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, perm, restrict
 
 
 def head(e: Perm) -> Perm:
@@ -93,9 +93,7 @@ class Subgraph:
 
 
 def subgraph(n: int, edges) -> Subgraph:
-    from .perms import perm as _perm
-
-    return Subgraph(n, frozenset(_perm(e) for e in edges))
+    return Subgraph(n, frozenset(perm(e) for e in edges))
 
 
 @functools.lru_cache(maxsize=256)

@@ -385,7 +385,11 @@ def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:
     comps = face_components(H)
     if len(comps) != 1:
         raise NotStronglyConnected("synthesis needs one strongly connected piece")
-    reach = IndexReach(H.n, comps[0].edges)
+    return _synthesize(H, IndexReach(H.n, comps[0].edges))
+
+
+def _synthesize(H: Subgraph, reach: IndexReach) -> DiPath:
+    """The synthesis for a strongly connected H whose edges ``reach`` searches."""
     n = H.n
     verdict = reach.verdict()
     if verdict.drifts:

@@ -108,11 +108,7 @@ def as_flow(mu: PatternDistribution) -> PatternDistribution:
 
 def support_face(mu: PatternDistribution) -> Subgraph:
     """The face subgraph carrying the positive-mass edges of a flow."""
-    return flow_face(as_flow(mu))
-
-
-def flow_face(flow: PatternDistribution) -> Subgraph:
-    """The face subgraph of a flow that ``as_flow`` has already validated."""
+    flow = as_flow(mu)
     H = Subgraph(flow.n - 1, frozenset(flow.mass))
     if not is_face_subgraph(H):
         raise NotAFlow("support of a flow must be a face subgraph")

@@ -8,15 +8,15 @@ order patterns, and one transition is composed with an in-piece rotation by
 (sqrt(2)-1)/l so that almost every orbit is aperiodic while Lebesgue measure
 and the pattern distribution are untouched.
 
-Exact work on a map (subdivision, the measure check) runs in its frame,
-``IntervalMap.frame``: a piecewise isometry is scaled onto the integer
-lattice Z[sqrt2] of :mod:`.exactnum`, and any other map keeps its pieces.
-A permutation map is born in its frame: :meth:`IntervalMap.from_frame` checks
-that its lattice pieces at scale 2l tile [0, 2l), the density sweep and the
-exact subdivision run on them, and :func:`map_to_json` writes from them.
-Its Q(sqrt2) pieces are derived only when something reads them: a block sum
-gluing components, the sampler, or a caller.  Every other map gets its frame
-from :func:`lattice_frame` the first time it is asked for, and keeps it.
+A map is held only as its frame, ``IntervalMap.frame``: a piecewise isometry
+is scaled onto the integer lattice Z[sqrt2] of :mod:`.exactnum`, and any
+other map keeps its pieces at scale 1.  A map built from pieces is put in its
+frame by :func:`lattice_frame` when it is built; a permutation map is built
+in its frame by :meth:`IntervalMap.from_frame`, which checks that its lattice
+pieces at scale 2l tile [0, 2l).  Exact work on a map (the subdivision, the
+measure check) and :func:`map_to_json` run on the frame.  The Q(sqrt2)
+pieces are derived from it only when something reads them: a block sum
+gluing components, the sampler, or a caller.
 ``IntervalMap.measure_preserving`` is worked out in the frame too; map JSON
 carries it as written by :func:`map_to_json`, and :func:`map_from_json`
 ignores it.
@@ -24,6 +24,7 @@ ignores it.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from bisect import bisect_right
@@ -32,8 +33,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .caps import CYCLIC_LIFT_MAX
-from .digraph import Subgraph, strongly_connected_components, head, tail
-from .drift import DRIFTLESS, TOTALLY_DRIFTLESS, classify_loop, synthesize_totally_driftless_loop
+from .digraph import Subgraph, face_components, head, tail
+from .drift import DRIFTLESS, TOTALLY_DRIFTLESS, IndexReach, _synthesize, classify_loop
 from .errors import (
     CapExceeded,
     CyclicObstruction,
@@ -77,16 +78,20 @@ class Piece:
         return self.c == 0
 
 
+@dataclass(frozen=True, init=False)
 class IntervalMap:
-    """A self-map of [0,1) given by pieces that partition the interval.
+    """A self-map of [0,1), held as its frame: a scale S and pieces that tile [0, S).
 
-    It is built from its pieces, or by :meth:`from_frame` from its frame;
-    the other form is derived when first read.  Maps are immutable and equal
-    when their pieces and names are.
+    It is built from pieces that partition [0, 1), which :func:`lattice_frame`
+    puts in their frame, or by :meth:`from_frame` from its frame.  Maps are
+    immutable and equal when their frames and names are.
     """
 
+    frame: tuple[int, tuple[Piece, ...]]
+    name: str
+
     def __init__(self, pieces, name: str = ""):
-        self.__dict__.update(pieces=_tiling(pieces, 1), name=name)
+        self.__dict__.update(frame=lattice_frame(_tiling(pieces, 1)), name=name)
 
     @classmethod
     def from_frame(cls, one: int, pieces, name: str = "") -> "IntervalMap":
@@ -95,24 +100,12 @@ class IntervalMap:
         f.__dict__.update(frame=(one, _tiling(pieces, one)), name=name)
         return f
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"an IntervalMap is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not IntervalMap:
-            return NotImplemented
-        return (self.pieces, self.name) == (other.pieces, other.name)
-
-    def __hash__(self):
-        return hash((self.pieces, self.name))
-
-    def __repr__(self):
-        return f"IntervalMap(pieces={self.pieces!r}, name={self.name!r})"
-
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
-        """The Q(sqrt2) pieces of a map built by :meth:`from_frame`, conjugated back by x -> x / S."""
-        one, frame = self.__dict__["frame"]  # the frame it was built with, whatever ``frame`` reads
+        """The Q(sqrt2) pieces: the frame's, conjugated back by x -> x / S (the frame's own at S = 1)."""
+        one, frame = self.frame
+        if one == 1:
+            return frame
         return tuple(
             Piece(from_lattice(p.lo, one), from_lattice(p.hi, one), exact(p.a), from_lattice(p.b, one),
                   exact(p.c * one))
@@ -128,15 +121,6 @@ class IntervalMap:
 
     def __call__(self, x):
         return self.pieces[self.piece_index(x)](x)
-
-    @cached_property
-    def frame(self) -> tuple[int, tuple[Piece, ...]]:
-        """The scale S and the pieces in the frame of :func:`lattice_frame`.
-
-        A map built by :meth:`from_frame` holds its frame from the start; any
-        other map computes it once, from its pieces.
-        """
-        return lattice_frame(self.pieces)
 
     @cached_property
     def measure_preserving(self) -> bool:
@@ -237,7 +221,7 @@ def builtin(name: str, param=None) -> IntervalMap:
     Rotations take an offset in (0, 1); rational offsets are periodic, while
     a Q(sqrt2) offset gives the aperiodic rotation family.  Logistic accepts
     only the parameter 4 and is the one non-affine, non-measure-preserving
-    inhabitant.
+    inhabitant.  Doubling and tent take no parameter.
     """
     if name == "rotation":
         if param is None:
@@ -250,6 +234,8 @@ def builtin(name: str, param=None) -> IntervalMap:
             Piece(1 - alpha, ONE, ONE, alpha - 1),
         )
         return IntervalMap(pieces, name=f"rotation({exact_str(alpha)})")
+    if name in ("doubling", "tent") and param is not None:
+        raise ValueError(f"{name} takes no parameter")
     if name == "doubling":
         half = Fraction(1, 2)
         pieces = (Piece(ZERO, half, Fraction(2), ZERO), Piece(half, ONE, Fraction(2), -ONE))
@@ -374,8 +360,6 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
             if highpos not in succs[lowpos]:
                 succs[lowpos].add(highpos)
                 indeg[highpos] += 1
-    import heapq
-
     ready = [i for i in range(ell) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
@@ -480,16 +464,15 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    from .flows import as_flow, flow_face  # deferred: only realization needs flows
+    from .flows import as_flow  # deferred: only realization needs flows
 
     flow = as_flow(mu)
     n = flow.n
-    H = flow_face(flow)
-    comps = strongly_connected_components(H)
+    H = Subgraph(n - 1, frozenset(flow.mass))  # the support of a conserving flow is a face
     built: list[tuple[Fraction, IntervalMap]] = []
-    for comp in comps:
+    for comp in face_components(H):
         try:
-            delta = synthesize_totally_driftless_loop(Subgraph(H.n, comp.edges))
+            delta = _synthesize(Subgraph(H.n, comp.edges), IndexReach(H.n, comp.edges))
         except DriftObstruction as exc:
             raise NotRealizable(f"component at {min(comp.vertices)} drifts") from exc
         mass = sum((flow(e) for e in comp.edges), ZERO)
@@ -555,6 +538,9 @@ def map_to_json(f: IntervalMap) -> str:
 
 def map_from_json(text: str) -> IntervalMap:
     payload = load_json(text, "map", {"pieces"})
+    name = payload.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError(f"map JSON 'name' must be a string, got {name!r}")
     if not isinstance(payload["pieces"], list):
         raise FormatError("map JSON 'pieces' must be a list")
     pieces = []
@@ -572,6 +558,6 @@ def map_from_json(text: str) -> IntervalMap:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"piece {i}: {exc}") from exc
     try:
-        return IntervalMap(tuple(pieces), name=payload.get("name", ""))
+        return IntervalMap(tuple(pieces), name=name)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Collection, Iterator, Literal, Sequence
 
 from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_LEVEL_MAX
@@ -345,7 +346,6 @@ def linear_extensions(P: PathPoset, mode: Literal["count", "enumerate"] = "count
     if mode == "count":
         if P.m > EXTENSION_COUNT_MAX:
             raise CapExceeded(f"extension counting reached m = {P.m}, cap {EXTENSION_COUNT_MAX}")
-        from functools import lru_cache
 
         @lru_cache(maxsize=None)
         def count(placed: int) -> int:

@@ -322,6 +322,8 @@ def parse_mass(raw, where: str) -> Exact | float:
     try:
         if isinstance(raw, str) and ("/" in raw or "sqrt2" in raw or raw.lstrip("+-").isdigit()):
             return parse_exact(raw)
+        if isinstance(raw, bool):  # JSON true / false, which float() reads as 1.0 / 0.0
+            raise TypeError("a boolean is not a mass")
         value = float(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"{where}: mass {raw!r} is not a number") from exc

@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 from hashlib import blake2b
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from exact_oracle import oracle_distribution
 from isometries import lattice_maps
+from shift_oracle import doubling_patterns
 from orderflow.analysis import (
     ExclusionRow,
     empirical_distribution,
@@ -177,14 +177,8 @@ def permutation_maps(draw):
 
 
 def _generic(f, n):
-    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take.
-
-    The frame is read from ``IntervalMap.frame``; a property on the class
-    overrides a frame the map was built with or has already computed.
-    """
-    with mock.patch.object(IntervalMap, "frame", property(lambda g: (1, g.pieces))):
-        assert f.frame == (1, f.pieces)
-        return exact_distribution(f, n)
+    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take."""
+    return exact_distribution(IntervalMap.from_frame(1, f.pieces, f.name), n)
 
 
 def _outcome(compute, f, n):
@@ -267,6 +261,27 @@ class TestExactOracleProperty:
     @given(permutation_maps(), st.integers(1, 5))
     def test_random_permutation_maps(self, f, n):
         _same_as_oracle(f, n)
+
+
+class TestShiftOracle:
+    """The doubling map's realized patterns against Elizalde's symbol count for the binary shift."""
+
+    def test_realized_sets(self, doubling):
+        counts = []
+        for n in range(2, 9):
+            realized = frozenset(exact_distribution(doubling, n).distribution.mass)
+            assert realized == doubling_patterns(n)
+            counts.append(len(realized))
+        assert counts == [2, 6, 18, 48, 126, 306, 738]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_forbidden_patterns(self, doubling, n):
+        forbidden, _ = forbidden_patterns(doubling, n)
+        assert forbidden == frozenset(all_perms(n)) - doubling_patterns(n)
+
+    def test_entropy_counts(self, doubling):
+        counts = [(n, count) for n, count, _ in entropy_estimate(doubling, 8)]
+        assert counts == [(n, len(doubling_patterns(n))) for n in range(2, 9)]
 
 
 class TestEmpiricalDistribution:

@@ -345,6 +345,29 @@ class TestBoundary:
         code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
         assert code == 1 and err["error"] == "FormatError" and "'abc'" in err["detail"]
 
+    def test_boolean_weight(self, tmp_path, capsys):
+        # float(True) is 1.0, so a JSON true would otherwise read as a mass of 1.
+        flow = tmp_path / "flow.json"
+        flow.write_text('{"n": 3, "weights": {"123": true}}')
+        detail = "weight of 123: mass True is not a number"
+        code, stdout, _ = run(capsys, "validate", "--kind", "flow", str(flow))
+        assert code == 0 and json.loads(stdout)["diagnostics"] == [detail]
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
+        assert code == 1 and err == {"error": "FormatError", "detail": detail}
+
+    @pytest.mark.parametrize("name", ["5", "[1]"])
+    def test_map_name_not_a_string(self, name, tmp_path, capsys):
+        f = tmp_path / "map.json"
+        f.write_text(f'{{"name": {name}, "pieces": [{{"lo": "0", "hi": "1", "a": "1", "b": "0"}}]}}')
+        code, err = run_error(capsys, "exact", "--map", str(f), "--n", "3", "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and err == {"error": "FormatError", "detail": f"map JSON 'name' must be a string, got {name}"}
+
+    @pytest.mark.parametrize("spec", ["doubling:5", "tent:1/2"])
+    def test_parameter_on_a_map_without_one(self, spec, tmp_path, capsys):
+        code, err = run_error(capsys, "exact", "--map", spec, "--n", "3", "--out", str(tmp_path / "x.csv"))
+        name = spec.partition(":")[0]
+        assert code == 1 and err == {"error": "FormatError", "detail": f"map spec {spec!r}: {name} takes no parameter"}
+
     @pytest.mark.parametrize("query", [("0", "9"), ("1", "6"), ("-1", "2")])
     def test_poset_query_outside_the_path(self, query, tmp_path, capsys, loop_132_321_213):
         f = tmp_path / "p.json"

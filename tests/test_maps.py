@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import json
 import random
 from decimal import Decimal, localcontext
@@ -12,7 +15,8 @@ from conftest import all_paths
 from cyclic_oracle import oracle_cyclic_lift, oracle_ranking_realizes
 from isometries import lattice_maps, unit_points
 from orderflow.cantor import assemble_truncated_map, build_interval_tree, uniform_tower
-from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
+from orderflow import digraph
+from orderflow.digraph import PermDigraph, Subgraph, embedded_loops, subgraph
 from orderflow.drift import (
     DRIFTLESS,
     TOTALLY_DRIFTLESS,
@@ -601,6 +605,13 @@ class TestPermutationMap:
         with pytest.raises(ValueError, match="is empty"):
             IntervalMap.from_frame(6, (Piece(0, 6, 1, 0), Piece(6, 6, 1, 0)))
 
+    def test_held_only_as_its_frame(self):
+        # The Q(sqrt2) pieces are a cached view of the frame, not a second stored form.
+        assert [field.name for field in dataclasses.fields(IntervalMap)] == ["frame", "name"]
+        cls = ast.parse(inspect.getsource(IntervalMap)).body[0]
+        defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+        assert defined.isdisjoint({"__setattr__", "__eq__", "__hash__", "__repr__", "frame"})
+
     def test_frame_built_map_equals_piece_built(self, loop_132_321_213):
         f = permutation_map(cyclic_lift(loop_132_321_213))
         g = IntervalMap(f.pieces, name=f.name)
@@ -636,6 +647,15 @@ class TestRealizeFlow:
         monkeypatch.setattr(flows, "flow_residual", lambda mu: calls.append(mu) or residual(mu))
         realize_flow(PatternDistribution.uniform(3), 0.05)
         assert len(calls) == 1
+
+    def test_components_found_once(self):
+        # Two driftless components on disjoint vertex triples of G_3, glued by one block sum.
+        mu = interior_flow(subgraph(3, ["1234", "2341", "3412", "4123", "1324", "2431", "3142", "4213"]))
+        scc = digraph.strongly_connected_components
+        with mock.patch.object(digraph, "strongly_connected_components", wraps=scc) as counted:
+            f = realize_flow(mu, 0.05)
+        assert counted.call_count == 1
+        assert f.name.startswith("block_sum(permutation_map(")
 
     def test_vertices_not_realizable(self):
         with pytest.raises(NotRealizable):

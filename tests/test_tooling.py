@@ -19,6 +19,8 @@ SRC = ROOT / "src" / "orderflow"
 BENCH = ROOT / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 README_COMMANDS = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("orderflow ")]
+# Modules the CLI loads only inside the command that needs them.
+DEFERRED = {"orderflow.flows", "orderflow.maps", "orderflow.analysis", "orderflow.cantor", "hashlib"}
 
 
 def _tree(module: str) -> ast.Module:
@@ -69,6 +71,33 @@ def _enclosing(tree: ast.Module, lineno: int) -> str:
         and node.lineno <= lineno <= node.end_lineno
     ]
     return ".".join(scopes) or "<module>"
+
+
+def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The modules an import statement loads, package modules named as ``orderflow.<name>``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    names = [node.module] if node.module else [alias.name for alias in node.names]
+    return [f"orderflow.{name}" for name in names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_inside_functions_only_defer_layers(module):
+    # An import inside a function is there to defer a layer the CLI loads on
+    # demand; any other import belongs at the top of its module.
+    tree = _tree(module)
+    inner = {
+        f"{_enclosing(tree, node.lineno)} imports {name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported(node)
+        if name not in DEFERRED
+    }
+    assert inner == set(), f"{module}: {sorted(inner)}; move these imports to module top"
 
 
 def test_permutations_only_in_all_perms():
@@ -251,8 +280,7 @@ def test_cli_loads_the_cache_holders_and_defers_the_rest():
     loaded = _loaded_after("import orderflow.cli")
     holders = _cache_holders()
     assert {"orderflow.perms", "orderflow.digraph", "orderflow.drift"} <= holders <= loaded
-    deferred = {"orderflow.flows", "orderflow.maps", "orderflow.analysis", "orderflow.cantor", "hashlib"}
-    assert deferred & loaded == set()
+    assert DEFERRED & loaded == set()
 
 
 def test_package_import_loads_no_module():
