@@ -9,6 +9,14 @@ ranked between those two ranks cross it, at sorted points.  A final cell's
 order is its pattern; masses are exact interval lengths and this is the
 oracle the rest of the package is checked against.
 
+A piecewise translation, whose every piece has slope 1 (permutation maps,
+their block sums, rotations), takes the translation route instead, chosen
+from the slopes of its frame.  Its iterates x -> x + b_k never cross, so a
+cell is cut only where its last iterate meets a piece bound and carries
+just its intercepts; a final cell's order is one sort of its n intercepts,
+with no crossing search.  Both routes stream the same cells and raise the
+same errors with the same texts at the same cells.
+
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
 on the interval (0, S), and reads the affine test there too.  A map is held
 only as its frame, so the subdivision never needs its Q(sqrt2) pieces.  A
@@ -89,8 +97,16 @@ class PatternReport:
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
 # values there; no two iterates meet inside a cell.  Cells stream through
 # one generator per iterate, in x order, so no level is ever held whole.
-# ``one`` is the frame's scale S, and ``show`` gives a value's Q(sqrt2) form
-# for error texts.
+# On the translation route a cell (lo, hi, intercepts) holds only the b of
+# each iterate x -> x + b.  ``one`` is the frame's scale S, and ``show``
+# gives a value's Q(sqrt2) form for error texts.
+
+
+def _escape(k: int, lo, hi, ylo, yhi, show) -> EscapesInterval:
+    """The error for iterate k mapping (lo, hi) onto (ylo, yhi), which leaves [0, one)."""
+    return EscapesInterval(
+        f"iterate {k} maps ({show(lo)}, {show(hi)}) onto ({show(ylo)}, {show(yhi)}), outside [0, 1)"
+    )
 
 
 def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int, one, show):
@@ -108,9 +124,7 @@ def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, 
         return
     ylo, yhi = _image_span(a, b, lo, hi)
     if ylo < 0 or yhi > one:
-        raise EscapesInterval(
-            f"iterate {k} maps ({show(lo)}, {show(hi)}) onto ({show(ylo)}, {show(yhi)}), outside [0, 1)"
-        )
+        raise _escape(k, lo, hi, ylo, yhi, show)
     first = bisect_right(bounds, ylo) - 1
     last = bisect_left(bounds, yhi)
     xs = [exact_div(c - b, a) for c in bounds[first + 1 : last]]
@@ -186,13 +200,54 @@ def _add_iterate(cells, pieces, k: int, one, show):
             raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {SUBDIVISION_MAX}")
 
 
+def _crossing_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search."""
+    cells = [(0, one, ((1, 0),), (0,))]
+    for k in range(1, n):
+        cells = _add_iterate(cells, pieces, k, one, show)
+    return cells
+
+
+def _translate_iterate(cells, pieces, k: int, one, show):
+    """The cells of ``cells`` cut where iterate k - 1 meets a piece bound, each given iterate k's intercept."""
+    bounds = [p.lo for p in pieces]
+    shifts = [p.b for p in pieces]
+    count = 0
+    for lo, hi, bs in cells:
+        b = bs[-1]
+        ylo, yhi = lo + b, hi + b
+        if ylo < 0 or yhi > one:
+            raise _escape(k - 1, lo, hi, ylo, yhi, show)
+        last = bisect_left(bounds, yhi)
+        left = lo
+        for j in range(bisect_right(bounds, ylo) - 1, last):
+            right = hi if j == last - 1 else bounds[j + 1] - b
+            new = b + shifts[j]
+            if new in bs:
+                raise DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(left)}, {show(right)})")
+            count += 1
+            yield left, right, bs + (new,)
+            left = right
+        if count > SUBDIVISION_MAX:
+            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {SUBDIVISION_MAX}")
+
+
+def _translation_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept."""
+    cells = [(0, one, (0,))]
+    for k in range(1, n):
+        cells = _translate_iterate(cells, pieces, k, one, show)
+    return ((lo, hi, bs, tuple(sorted(range(n), key=bs.__getitem__))) for lo, hi, bs in cells)
+
+
 def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     """Exact pattern distribution of the first n iterates.
 
     Requires every piece affine (coefficients may lie in Q(sqrt2)); regions
     where two iterates coincide identically would make the pattern undefined
     on positive measure and are reported as a degeneracy instead of guessed.
-    A piecewise isometry is subdivided on the lattice Z[sqrt2].
+    A piecewise isometry is subdivided on the lattice Z[sqrt2], and a
+    piecewise translation (every slope 1) by the translation route.
     """
     if n < 1:
         raise ValueError("pattern length must be at least 1")
@@ -200,12 +255,15 @@ def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     one, pieces = f.frame
     if any(not p.affine for p in pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
+    return _subdivided(f, n, _translation_route if all(p.a == 1 for p in pieces) else _crossing_route)
+
+
+def _subdivided(f: IntervalMap, n: int, route) -> PatternReport:
+    """The distribution of the final cells that ``route`` streams for f's frame, checked to cover it."""
+    one, pieces = f.frame
     show = partial(from_lattice, scale=one)
-    cells = [(0, one, ((1, 0),), (0,))]
-    for k in range(1, n):
-        cells = _add_iterate(cells, pieces, k, one, show)
     by_order: dict[tuple[int, ...], Exact] = {}
-    for lo, hi, _, order in cells:
+    for lo, hi, _, order in route(pieces, n, one, show):
         by_order[order] = by_order.get(order, 0) + (hi - lo)
     total = sum(by_order.values())
     if total != one:

@@ -6,8 +6,12 @@ output is exact rational strings unless ``--float`` is given.  Exit codes:
 0 ok, 1 domain error, 2 usage error; an error prints one JSON line
 ``{"error": ..., "detail": ...}`` to stderr instead.
 
-Each subcommand's arguments are declared once, in ``_COMMANDS``; ``main``
-builds the parser of the invoked subcommand only.
+Each subcommand's arguments are declared once, in ``_COMMANDS``.
+``build_parser`` puts every subcommand under the top-level ``orderflow``
+parser; ``main`` reads its arguments through ``parse_args``, which parses a
+named subcommand with that subcommand's parser alone and falls back to the
+full parser for help, a missing command or an unknown one.  Either way the
+namespace and every usage error are the full parser's.
 
 Importing this module loads ``perms``, ``digraph`` and ``drift``, which
 hold the package's process-wide ``functools`` caches, and what they import
@@ -16,9 +20,8 @@ hold the package's process-wide ``functools`` caches, and what they import
 in-process caller (a benchmark, a notebook) clears those caches right after
 importing the CLI, so that each call costs what a fresh process pays; a
 cache holder loaded later would keep its cache from call to call.  A whole
-``python -m orderflow.cli census --n 2`` process takes about 0.15 s without
-a bytecode cache (0.19 s when every module loaded up front) and 0.12 s with
-one (0.14 s), on a 2-vCPU VM with Python 3.11.
+``python -m orderflow.cli census --n 2`` process takes about 0.14 s with or
+without a bytecode cache of the package, on a 2-vCPU VM with Python 3.11.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # The cache holders load with the CLI, the other layers in their handlers
 # (see the module docstring).
@@ -57,12 +60,17 @@ def _error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
+def _usage_error(message: str, prog: str = "orderflow") -> NoReturn:
+    """Report a usage error as the one-line JSON error and exit with code 2."""
+    _error("UsageError", f"{prog}: {message}")
+    raise SystemExit(2)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as the one-line JSON error, exit code 2."""
 
     def error(self, message):
-        _error("UsageError", f"{self.prog}: {message}")
-        raise SystemExit(2)
+        _usage_error(message, self.prog)
 
 
 # argparse reports a ValueError raised by these as an invalid value (exit 2).
@@ -448,8 +456,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with ``command`` alone."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand."""
     # allow_abbrev=False: a flag prefix such as --m must not silently mean --mode.
     top = _Parser(
         prog="orderflow",
@@ -458,40 +466,59 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
     for name, (summary, handler, declare) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary, allow_abbrev=False)
-            declare(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        declare(p)
+        p.set_defaults(func=handler)
     return top
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, or the same usage error.
+
+    A named subcommand is parsed by its own parser alone, which is the
+    parser the full one hands its arguments to; what that parser leaves over
+    is reported under the top-level prog, as the full parser reports it.
+    Anything else (help, no command, a typo) gets the full parser, whose
+    help and errors list every subcommand.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    _, handler, declare = _COMMANDS[name]
+    p = _Parser(prog=f"orderflow {name}", allow_abbrev=False)
+    declare(p)
+    p.set_defaults(command=name, func=handler)
+    args, rest = p.parse_known_args(argv[1:])
+    if rest:
+        _usage_error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Building every subparser costs ~3 ms, as much as a small job; build only
-    # the one named.  Anything else (help, no command, a typo) gets the full
-    # parser, whose help and errors list every subcommand.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    # Building every subcommand's parser takes ~2.5 ms, as much as a small
+    # job; parsing a named one with its parser alone takes ~0.25 ms (2-vCPU
+    # VM, Python 3.11).
+    args = parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
         perm_cap_setting()
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
-        parser.error("--seed is required for cantor verify")
+        _usage_error("--seed is required for cantor verify")
     if getattr(args, "mode", "exact") == "empirical" and args.seed is None:
-        parser.error("--seed is required for empirical mode")
+        _usage_error("--seed is required for empirical mode")
     if args.command == "cantor" and not args.uniform and not args.dists:
-        parser.error("cantor needs --uniform N or --dists files")
+        _usage_error("cantor needs --uniform N or --dists files")
     if args.command == "drift" and args.action == "loop" and not args.path:
-        parser.error("--path is required for drift loop")
+        _usage_error("--path is required for drift loop")
     if args.command == "drift" and args.action != "loop" and not args.edges:
-        parser.error(f"--edges is required for drift {args.action}")
+        _usage_error(f"--edges is required for drift {args.action}")
     if args.command == "census" and args.n < 2:
-        parser.error(f"census needs --n at least 2, got {args.n}")
+        _usage_error(f"census needs --n at least 2, got {args.n}")
     if args.command == "entropy" and args.n_max < 2:
-        parser.error(f"entropy needs --n-max at least 2, got {args.n_max}")
+        _usage_error(f"entropy needs --n-max at least 2, got {args.n_max}")
     if args.command == "exclusion" and args.m_max <= args.n:
-        parser.error(f"exclusion needs --m-max greater than --n, got {args.m_max} <= {args.n}")
+        _usage_error(f"exclusion needs --m-max greater than --n, got {args.m_max} <= {args.n}")
     try:
         payload = args.func(args)
     except OrderflowError as exc:

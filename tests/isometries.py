@@ -2,7 +2,9 @@
 
 Every map drawn here has pieces of slope +1 or -1, so exact subdivision
 takes the integer-lattice route; tests compare it with the generic route
-and with the three-stage oracle.  Values mix rationals and a + b*sqrt2.
+and with the three-stage oracle.  Drawn without flips, an exchange has
+slope 1 throughout and takes the translation route.  Values mix rationals
+and a + b*sqrt2.
 """
 
 from __future__ import annotations
@@ -28,19 +30,19 @@ def unit_points(draw):
 
 
 @st.composite
-def interval_exchanges(draw, max_pieces: int = 4):
-    """[0, 1) cut at drawn points; the pieces are permuted, some flipped, then all shifted mod 1."""
+def interval_exchanges(draw, max_pieces: int = 4, flips: bool = True):
+    """[0, 1) cut at drawn points; the pieces are permuted, some flipped (if ``flips``), then all shifted mod 1."""
     cuts = sorted(set(draw(st.lists(unit_points(), max_size=max_pieces - 1))))
     bounds = [Fraction(0), *cuts, Fraction(1)]
     spans = list(zip(bounds, bounds[1:]))
     targets = draw(st.permutations(range(len(spans))))
-    flips = draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
+    flipped = draw(st.lists(st.booleans() if flips else st.just(False), min_size=len(spans), max_size=len(spans)))
     shift = draw(st.just(Fraction(0)) | unit_points())
     start, pieces = Fraction(0), []
     for i in targets:
         lo, hi = spans[i]
         # x -> a x + b maps [lo, hi) onto [start, start + hi - lo), reversed if flipped.
-        a, b = (Fraction(-1), start + hi) if flips[i] else (Fraction(1), start - lo)
+        a, b = (Fraction(-1), start + hi) if flipped[i] else (Fraction(1), start - lo)
         start += hi - lo
         b += shift
         wrap = (1 - b) / a  # where the shifted image crosses 1

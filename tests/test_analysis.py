@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 from hashlib import blake2b
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracle import oracle_distribution
-from isometries import lattice_maps
+from isometries import interval_exchanges, lattice_maps, unit_points
 from shift_oracle import doubling_patterns
+from orderflow import analysis
 from orderflow.analysis import (
     ExclusionRow,
     empirical_distribution,
@@ -249,6 +251,78 @@ class TestIsometryLattice:
         half = Fraction(1, 2)
         ints = IntervalMap((Piece(0, half, 2, 0), Piece(half, 1, 2, -1)))
         assert exact_distribution(ints, 5).distribution.mass == exact_distribution(doubling, 5).distribution.mass
+
+
+# Piecewise translations: exchanges without flips, permutation maps and block sums of two, rotations.
+translations = st.one_of(
+    interval_exchanges(flips=False),
+    permutation_maps(),
+    st.builds(block_sum, permutation_maps(), permutation_maps(), unit_points()),
+    st.builds(lambda alpha: builtin("rotation", alpha), unit_points()),
+)
+
+
+def _via(route):
+    """The distribution that ``route`` subdivides for a map's frame, no switch between routes."""
+    return lambda f, n: analysis._subdivided(f, n, route)
+
+
+ESCAPING_TRANSLATION = (
+    '{"pieces": [{"lo": "0", "hi": "-1+1*sqrt2", "a": "1", "b": "1/2"},'
+    ' {"lo": "-1+1*sqrt2", "hi": "1", "a": "1", "b": "1/4"}]}'
+)
+
+
+class TestTranslationRoute:
+    """Slope-1 maps skip the crossing search: same masses, same error texts, no _insert."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(translations)
+    def test_equals_crossing_search_and_oracle(self, f):
+        assert all(p.a == 1 for p in f.frame[1])
+        for n in range(1, 7):
+            translated = _outcome(_via(analysis._translation_route), f, n)
+            assert translated == _outcome(_via(analysis._crossing_route), f, n)
+            assert translated == _outcome(exact_distribution, f, n)
+            oracle = _outcome(oracle_distribution, f, n)
+            if isinstance(translated, dict):
+                assert translated == oracle
+            else:
+                assert translated[0] is oracle[0] is DegenerateTie
+                break
+
+    @pytest.mark.parametrize(
+        "f, n, cap, error, text",
+        [
+            (
+                map_from_json(ESCAPING_TRANSLATION), 3, None, EscapesInterval,
+                "iterate 1 maps (Sqrt2(Fraction(-1, 1), Fraction(1, 1)), 1) onto "
+                "(Sqrt2(Fraction(-3, 4), Fraction(1, 1)), 5/4), outside [0, 1)",
+            ),
+            (builtin("rotation", Fraction(1, 3)), 4, None, DegenerateTie, "iterates 0 and 3 coincide on (0, 1/3)"),
+            (
+                builtin("rotation", exact(-1, 1)), 8, 4, CapExceeded,
+                "exact subdivision reached 5 cells at iterate 7, cap 4",
+            ),
+            (
+                permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 5, CapExceeded,
+                "exact subdivision reached 6 cells at iterate 5, cap 5",
+            ),
+        ],
+    )
+    def test_error_texts_match_crossing_search(self, f, n, cap, error, text, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", cap)
+        for compute in (exact_distribution, _via(analysis._translation_route), _via(analysis._crossing_route)):
+            assert _outcome(compute, f, n) == (error, text)
+
+    def test_only_other_slopes_search_crossings(self, doubling, loop_132_321_213):
+        with mock.patch.object(analysis, "_insert", wraps=analysis._insert) as insert:
+            for f in (permutation_map(cyclic_lift(loop_132_321_213)), builtin("rotation", exact(-1, 1))):
+                exact_distribution(f, 6)
+            assert insert.call_count == 0
+            exact_distribution(doubling, 3)
+            assert insert.call_count > 0
 
 
 class TestExactOracleProperty:

@@ -575,10 +575,10 @@ COMMANDS = [
 ]
 
 
-def parse_outcome(parser, argv, capsys):
-    """What ``parser.parse_args(argv)`` returns or exits with, and what it prints."""
+def parse_outcome(parse, argv, capsys):
+    """What ``parse(argv)`` returns or exits with, and what it prints."""
     try:
-        result = parser.parse_args(argv)
+        result = parse(argv)
     except SystemExit as exc:
         result = ("exit", exc.code)
     out = capsys.readouterr()
@@ -586,7 +586,7 @@ def parse_outcome(parser, argv, capsys):
 
 
 class TestOneCommandParser:
-    """main builds only the named subparser; it must behave as the full parser."""
+    """main parses a named subcommand with its parser alone; it must behave as the full parser."""
 
     def test_top_level_help_lists_every_command(self, capsys):
         full = build_parser().format_help()
@@ -600,9 +600,9 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_subcommand_help_identical(self, command, capsys):
         argv = [command, "--help"]
-        full = parse_outcome(build_parser(), argv, capsys)
+        full = parse_outcome(build_parser().parse_args, argv, capsys)
         assert full[0] == ("exit", 0) and full[1].startswith(f"usage: orderflow {command} ")
-        assert parse_outcome(build_parser(command), argv, capsys) == full
+        assert parse_outcome(cli.parse_args, argv, capsys) == full
 
     @pytest.mark.parametrize(
         "argv",
@@ -628,7 +628,7 @@ class TestOneCommandParser:
     )
     def test_namespaces_equal(self, argv):
         args = build_parser().parse_args(argv)
-        assert build_parser(argv[0]).parse_args(argv) == args
+        assert cli.parse_args(argv) == args
 
     @pytest.mark.parametrize(
         "argv, detail",
@@ -683,7 +683,7 @@ class TestOneCommandParser:
         sub.write_text(subgraph_to_json(driftless_triple))
         code, stdout, _ = run(capsys, "drift", "subgraph", "--edges", str(sub))
         assert code == 0 and json.loads(stdout)["verdict"] == "driftless"
-        assert built == ["orderflow", "orderflow drift"]
+        assert built == ["orderflow drift"]
 
         built.clear()
         with pytest.raises(SystemExit):
