@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from isometries import lattice_maps
 from orderflow import cli, maps
 from orderflow.cli import build_parser, main
-from orderflow.digraph import subgraph_from_json, subgraph_to_json
+from orderflow.digraph import build, subgraph, subgraph_from_json, subgraph_to_json
 from orderflow.flows import flow_to_json, interior_flow
 from orderflow.maps import builtin, map_from_json, map_to_json
 from orderflow.paths import path, path_to_json
@@ -78,6 +78,63 @@ class TestDrift:
         code, _, stderr = run(capsys, "drift", "synthesize", "--edges", str(sub))
         assert code == 1
         assert json.loads(stderr)["error"] == "DriftObstruction"
+
+
+class TestRankedOutputPins:
+    """Byte pins of the outputs whose order follows the sorted vertex ranking of a subgraph."""
+
+    # Two-component faces of G_3: the second component drifts (least vertex 321), and neither does.
+    DRIFTS = "1243 1324 1423 2143 2314 2413 3124 4231 4321"
+    DRIFTLESS = "1324 1342 2413 2431 3124 3142 3214 4123 4213 4231 4321"
+    # A strongly connected driftless face of G_3; the other component synthesized is all of G_3.
+    ONE_FACE = "1234 1324 1342 1423 1432 3124 3142 3214 3241 3421 4132 4213 4231 4312"
+
+    @staticmethod
+    def _spec(tmp_path, edges):
+        spec = tmp_path / "sub.json"
+        H = build(3).full_subgraph() if edges is None else subgraph(3, edges.split())
+        spec.write_text(subgraph_to_json(H))
+        return str(spec)
+
+    @staticmethod
+    def _assert_pinned(capsys, tmp_path, argv, stdout_sha, out_sha):
+        out = tmp_path / "out"
+        code, stdout, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+
+    @pytest.mark.parametrize(
+        "action, edges, stdout_sha, out_sha",
+        [
+            ("subgraph", DRIFTS, "04f817dc00bc56d53b610c5338063743583903a256a64d90a7a56bcae605f785",
+             "f848af730910d3839c5c9402f8d4794454fa448c0bfd05dd11771a21b5689cc3"),
+            ("subgraph", DRIFTLESS, "623390d396853e58a50944e60d4a6f4b69068416eea57496372d0048abfb1466",
+             "f3a90b8a7f4a8080d390e620f71462f52c44bcaf3cf96f36a43980c85d162cec"),
+            ("synthesize", ONE_FACE, "39e35d802a040ae1cd059e509a692f271516f81367d8301d4ad05d5a61d89641",
+             "d6814f6c6e1d1fef2c5b7d5cd10ff82d02e0b3d69edf4903b59bca2446769001"),
+            ("synthesize", None, "b5a7f167f8407a5819c3ee1bdedecea5f5d99bd8f2b4875e071b3eabf74ddf00",
+             "10a4a83700144653618c18cd46b662e6becf25dc24c0fd52450c587774bfeb9b"),
+        ],
+        ids=["drifts", "driftless", "synthesize_face", "synthesize_g3"],
+    )
+    def test_drift(self, tmp_path, capsys, action, edges, stdout_sha, out_sha):
+        argv = ("drift", action, "--edges", self._spec(tmp_path, edges))
+        self._assert_pinned(capsys, tmp_path, argv, stdout_sha, out_sha)
+
+    def test_census(self, tmp_path, capsys):
+        self._assert_pinned(
+            capsys, tmp_path, ("census", "--n", "3"),
+            "93d69a7f0c950f2d68789b93d7cb07a2305685daa8abf5898bde5b4d71c36d5a",
+            "7a896cfc78a9f96a4f64e9d0c0e820343e83df94f8d2aafd4b7968964e19d53f",
+        )
+
+    def test_dot(self, tmp_path, capsys):
+        self._assert_pinned(
+            capsys, tmp_path, ("digraph", "--edges", self._spec(tmp_path, self.DRIFTS), "--format", "dot"),
+            "4933910b01119e4d9977ce4211ff0c18c7c51a93be0d7f390d2ecfa5c044016d",
+            "9aceabd5b3812903a92b9c12b68248409fd61040444abb9523e844e641de9577",
+        )
 
 
 class TestDistributions:
