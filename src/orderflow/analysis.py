@@ -411,8 +411,8 @@ def partially_driftless_in(H: Subgraph) -> DiPath | None:
     for comp in strongly_connected_components(H):
         if not comp.edges:
             continue
-        reach = IndexReach(H.n, comp.edges)
-        for v in sorted(comp.vertices):
+        reach = IndexReach(Subgraph(H.n, comp.edges))
+        for v in reach.graph.vertices():
             found = [reach.first_loop(v, j, {SIGN_ZERO}) for j in range(1, H.n + 1)]
             found = [loop for loop in found if loop is not None]
             if found:

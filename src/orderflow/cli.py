@@ -13,9 +13,11 @@ named subcommand with that subcommand's parser alone and falls back to the
 full parser for help, a missing command or an unknown one.  Either way the
 namespace and every usage error are the full parser's.
 
-Importing this module loads ``perms``, ``digraph`` and ``drift``, which
-hold the package's process-wide ``functools`` caches, and what they import
-(``paths``, ``caps``, ``errors``, ``exactnum``); the handlers import
+Importing this module loads ``perms`` and ``drift``, which hold the
+package's process-wide ``functools`` caches, and what they import
+(``digraph``, ``paths``, ``caps``, ``errors``, ``exactnum``).  ``digraph``
+holds none, since each subgraph ranks its own vertices there; it loads
+because ``drift`` and the subgraph commands need it.  The handlers import
 ``flows``, ``maps``, ``analysis`` and ``cantor`` when they run.  An
 in-process caller (a benchmark, a notebook) clears those caches right after
 importing the CLI, so that each call costs what a fresh process pays; a
@@ -33,8 +35,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-# The cache holders load with the CLI, the other layers in their handlers
-# (see the module docstring).
+# The cache holders and digraph load with the CLI, the other layers in their
+# handlers (see the module docstring).
 from . import digraph, drift, paths, perms
 from .caps import perm_cap_setting
 from .errors import FormatError, OrderflowError

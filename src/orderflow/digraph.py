@@ -4,18 +4,24 @@ G_n has vertex set S_n and edge set S_{n+1}; an edge sigma runs from its
 head-restriction (drop the last entry) to its tail-restriction (drop the
 first).  G_n itself is not stored: all structure derives from ``restrict``,
 whose bounded cache holds both endpoints of every edge up to G_6 (5040
-edges), so a walk over a subgraph re-ranks each edge once.  Subgraphs are
-plain edge sets; their vertex sets are derived.
+edges).  Subgraphs are plain edge sets; their vertex sets are derived.
+
+This module alone ranks a subgraph's vertices: ``Subgraph.ranking`` sorts
+them once, on first use, and every graph walk of the package (SCCs, shortest
+paths, loops, the drift search, the Euler walk, the census mask walk) runs on
+their places.  The ranking lives on its subgraph; no cache here outlives it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from itertools import count
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
 from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, PERM_CAP
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
@@ -64,6 +70,14 @@ def build(n: int) -> PermDigraph:
     return PermDigraph(n)
 
 
+class Ranking(NamedTuple):
+    """Sorted vertices, each one's place, and per place its sorted out-edges with their tails' places."""
+
+    vertices: tuple[Perm, ...]
+    place: dict[Perm, int]
+    out: tuple[tuple[tuple[Perm, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class Subgraph:
     """A sub-digraph of G_n given by its edge set (vertices are derived)."""
@@ -76,12 +90,21 @@ class Subgraph:
             if e.n != self.n + 1:
                 raise ValueError(f"edge {e} has length {e.n}, expected {self.n + 1}")
 
-    def vertices(self) -> frozenset[Perm]:
-        verts = set()
-        for e in self.edges:
-            verts.add(head(e))
-            verts.add(tail(e))
-        return frozenset(verts)
+    @cached_property
+    def ranking(self) -> Ranking:
+        """The vertices ranked once, on first use; every walk over the subgraph reads it."""
+        by_word = attrgetter("word")  # Perm's order, without calling Perm's comparison
+        ends = [(e, restrict(e, HEAD), restrict(e, TAIL)) for e in sorted(self.edges, key=by_word)]
+        vertices = tuple(sorted({h for _, h, _ in ends}.union(t for _, _, t in ends), key=by_word))
+        place = {v: k for k, v in enumerate(vertices)}
+        out: list[list[tuple[Perm, int]]] = [[] for _ in vertices]
+        for e, h, t in ends:
+            out[place[h]].append((e, place[t]))
+        return Ranking(vertices, place, tuple(map(tuple, out)))
+
+    def vertices(self) -> tuple[Perm, ...]:
+        """The vertices in sorted order."""
+        return self.ranking.vertices
 
     def __contains__(self, e: Perm) -> bool:
         return e in self.edges
@@ -96,15 +119,6 @@ def subgraph(n: int, edges) -> Subgraph:
     return Subgraph(n, frozenset(perm(e) for e in edges))
 
 
-@functools.lru_cache(maxsize=256)
-def adjacency(H: Subgraph) -> dict[Perm, tuple[Perm, ...]]:
-    """Out-edges per vertex, sorted for determinism."""
-    out: dict[Perm, list[Perm]] = {v: [] for v in H.vertices()}
-    for e in sorted(H.edges):
-        out[head(e)].append(e)
-    return {v: tuple(es) for v, es in out.items()}
-
-
 @dataclass(frozen=True)
 class Component:
     """One strongly connected component with its induced edge set."""
@@ -114,64 +128,55 @@ class Component:
 
 
 def strongly_connected_components(H: Subgraph) -> list[Component]:
-    """Tarjan's algorithm, iterative, on the derived vertex set.
+    """Tarjan's algorithm, iterative, on the places of H's ranking.
 
-    Components come back sorted by their least vertex; induced edges are the
-    edges of H with both endpoints inside the component.
+    Components come back sorted by their least vertex, each with its induced
+    edges: the out-edges of its places whose tails stay inside it.
     """
-    adj = adjacency(H)
-    index: dict[Perm, int] = {}
-    low: dict[Perm, int] = {}
-    on_stack: set[Perm] = set()
-    stack: list[Perm] = []
-    comps: list[frozenset[Perm]] = []
-    counter = 0
+    verts, _, out = H.ranking
+    index = [-1] * len(verts)  # discovery number, -1 before the visit
+    low = [0] * len(verts)
+    comp_of = [-1] * len(verts)  # -1 while the place is unvisited or on the stack
+    stack: list[int] = []
+    work: list[tuple[int, Iterator[tuple[Perm, int]]]] = []
+    comps: list[list[int]] = []
+    numbers = count()
 
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+    def enter(v: int) -> None:
+        index[v] = low[v] = next(numbers)
+        stack.append(v)
+        work.append((v, iter(out[v])))
+
+    for root in range(len(verts)):
+        if index[root] < 0:
+            enter(root)
         while work:
             v, it = work[-1]
-            advanced = False
-            for e in it:
-                w = tail(e)
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+            for _, w in it:
+                if index[w] < 0:
+                    enter(w)
                     break
-                if w in on_stack:
+                if comp_of[w] < 0:  # visited and not yet in a component: on the stack
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp_of[stack[-1]] = len(comps)
+                        comp.append(stack.pop())
+                    comps.append(comp)
 
-    out = []
-    for comp in comps:
-        induced = frozenset(e for e in H.edges if head(e) in comp and tail(e) in comp)
-        out.append(Component(comp, induced))
-    out.sort(key=lambda c: min(c.vertices))
-    return out
+    return [
+        Component(
+            frozenset(verts[v] for v in places),
+            frozenset(e for v in places for e, w in out[v] if comp_of[w] == comp_of[v]),
+        )
+        for places in sorted(comps, key=min)
+    ]
 
 
 def face_components(H: Subgraph) -> list[Component]:
@@ -204,17 +209,18 @@ def shortest_path(H: Subgraph, src: Perm, dst: Perm) -> tuple[Perm, ...]:
     """Edges of a shortest path from src to dst in H, breadth first over sorted out-edges."""
     if src == dst:
         return ()
-    adj = adjacency(H)
-    seen = {src: ()}
-    frontier = deque([src])
+    _, place, out = H.ranking
+    start, goal = place[src], place.get(dst)
+    found: list[tuple[Perm, ...] | None] = [None] * len(out)
+    found[start] = ()
+    frontier = deque([start])
     while frontier:
         v = frontier.popleft()
-        for e in adj[v]:
-            w = tail(e)
-            if w not in seen:
-                seen[w] = seen[v] + (e,)
-                if w == dst:
-                    return seen[w]
+        for e, w in out[v]:
+            if found[w] is None:
+                found[w] = found[v] + (e,)
+                if w == goal:
+                    return found[w]
                 frontier.append(w)
     raise NotStronglyConnected(f"no path from {src} to {dst}")
 
@@ -223,38 +229,36 @@ def embedded_loops(H: Subgraph) -> list[tuple[Perm, ...]]:
     """All embedded loops of H, one canonical representative per rotation class.
 
     An embedded loop visits distinct vertices except for its endpoints.  The
-    DFS roots at each vertex in sorted order and only explores vertices that
-    are not smaller than the root, so each vertex cycle is found exactly once;
-    parallel edges give distinct loops.  The representative is the
-    lexicographically least rotation of the edge word.
+    DFS roots at each place of H's ranking in turn and only explores places
+    not below the root, so each vertex cycle is found exactly once; parallel
+    edges give distinct loops.  The representative is the lexicographically
+    least rotation of the edge word.
     """
-    verts = sorted(H.vertices())
+    verts, _, out = H.ranking
     if len(verts) > LOOP_ENUM_VERTEX_MAX:
         raise CapExceeded(f"{len(verts)} vertices exceeds embedded-loop cap {LOOP_ENUM_VERTEX_MAX}")
-    rank = {v: i for i, v in enumerate(verts)}
-    adj = adjacency(H)
     loops: list[tuple[Perm, ...]] = []
+    on_path = [False] * len(verts)
 
     def canonical(word: tuple[Perm, ...]) -> tuple[Perm, ...]:
         rotations = (word[i:] + word[:i] for i in range(len(word)))
         return min(rotations)
 
-    def dfs(root: Perm, v: Perm, path: list[Perm], on_path: set[Perm]):
-        for e in adj.get(v, ()):
-            w = tail(e)
+    def dfs(root: int, v: int, path: list[Perm]):
+        for e, w in out[v]:
             if w == root:
                 loops.append(canonical(tuple(path) + (e,)))
                 continue
-            if w in on_path or rank.get(w, -1) < rank[root]:
+            if w < root or on_path[w]:
                 continue
-            on_path.add(w)
+            on_path[w] = True
             path.append(e)
-            dfs(root, w, path, on_path)
+            dfs(root, w, path)
             path.pop()
-            on_path.discard(w)
+            on_path[w] = False
 
-    for root in verts:
-        dfs(root, root, [], {root})
+    for root in range(len(verts)):
+        dfs(root, root, [])
     loops.sort()
     return loops
 
@@ -275,7 +279,7 @@ def export_dot(obj) -> str:
     """DOT text for a Subgraph or a whole PermDigraph."""
     H = obj.full_subgraph() if isinstance(obj, PermDigraph) else obj
     lines = ["digraph G {"]
-    for v in sorted(H.vertices()):
+    for v in H.vertices():
         lines.append(f'  "{v}";')
     for e in sorted(H.edges):
         lines.append(f'  "{head(e)}" -> "{tail(e)}" [label="{e}"];')

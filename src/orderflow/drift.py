@@ -258,21 +258,17 @@ class IndexReach:
     minmap_e[b]), so the loops at v realize exactly the diagonal signs at j
     read off the reachable states at vertex v.  Each edge's step is computed
     once, and each (v, j) is one breadth-first pass.  States name vertices by
-    their rank in sorted order, which keeps hashing them cheap.
+    their places in the ranking of the strongly connected ``graph``, which
+    keeps hashing them cheap.
 
     Drift is all-or-none over the vertices (see the module docstring), so
     the verdict takes the n passes at the least vertex.  Those passes are
     kept, and loops asked for at the least vertex reuse them.
     """
 
-    def __init__(self, n: int, edges):
-        self.n = n
-        profiles = [(e, edge_profile(e)) for e in sorted(edges)]
-        self.vertices = sorted({p.start for _, p in profiles} | {p.end for _, p in profiles})
-        self._rank = {v: k for k, v in enumerate(self.vertices)}
-        self.steps: list[list[tuple[Perm, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in self.vertices]
-        for e, p in profiles:
-            self.steps[self._rank[p.start]].append((e, self._rank[p.end], *_edge_tables(e)))
+    def __init__(self, graph: Subgraph):
+        self.graph = graph
+        self.steps = [[(e, w, *_edge_tables(e)) for e, w in row] for row in graph.ranking.out]
         self._at_least: dict[int, dict] = {}
 
     def search(self, v: Perm, j: int) -> dict:
@@ -284,7 +280,7 @@ class IndexReach:
         by (length, edge word).
         """
         parent: dict = {}
-        order = [(self._rank[v], j, j)]
+        order = [(self.graph.ranking.place[v], j, j)]
         for state in order:  # grows while it is walked: a FIFO queue
             w, a, b = state
             for e, x, up, down in self.steps[w]:
@@ -296,7 +292,7 @@ class IndexReach:
 
     def _reached(self, v: Perm, j: int) -> dict:
         """``search(v, j)``, run once per index at the least vertex."""
-        if v != self.vertices[0]:
+        if v != self.graph.vertices()[0]:
             return self.search(v, j)
         if j not in self._at_least:
             self._at_least[j] = self.search(v, j)
@@ -305,7 +301,7 @@ class IndexReach:
     def first_loop(self, v: Perm, j: int, signs) -> DiPath | None:
         """The shortest, then least in edge order, loop at v whose diagonal sign at j is in ``signs``."""
         parent = self._reached(v, j)
-        start = (self._rank[v], j, j)
+        start = (self.graph.ranking.place[v], j, j)
         for state in parent:
             w, a, b = state
             if w == start[0] and _sign(v, a, b, j) in signs:
@@ -314,7 +310,7 @@ class IndexReach:
                 # expanded first, so a pointer to it always means depth 0.
                 while (state := parent[state][0]) != start:
                     edges.append(parent[state][1])
-                return DiPath(self.n, tuple(reversed(edges)))
+                return DiPath(self.graph.n, tuple(reversed(edges)))
         return None
 
     def verdict(self) -> DriftVerdict:
@@ -323,8 +319,8 @@ class IndexReach:
         By the all-or-none argument this is also the first (vertex, index)
         in sorted order over every vertex.
         """
-        v = self.vertices[0]
-        for j in range(1, self.n + 1):
+        v = self.graph.vertices()[0]
+        for j in range(1, self.graph.n + 1):
             signs = {_sign(v, a, b, j) for w, a, b in self._reached(v, j) if w == 0}
             if len(signs) == 1 and ZERO not in signs:
                 return DriftVerdict((v, j, signs.pop()))
@@ -340,7 +336,7 @@ def subgraph_drifts(H: Subgraph) -> DriftVerdict:
     (vertex, index, sign) order is reported.
     """
     for comp in face_components(H):
-        verdict = IndexReach(H.n, comp.edges).verdict()
+        verdict = IndexReach(Subgraph(H.n, comp.edges)).verdict()
         if verdict.drifts:
             return verdict
     return DriftVerdict()
@@ -382,20 +378,19 @@ def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:
     bound in the base-vertex order, so both phases finish within n steps,
     after which monotonicity of the profile maps forces every entry free.
     """
-    comps = face_components(H)
-    if len(comps) != 1:
+    if len(face_components(H)) != 1:
         raise NotStronglyConnected("synthesis needs one strongly connected piece")
-    return _synthesize(H, IndexReach(H.n, comps[0].edges))
+    return _synthesize(IndexReach(H))  # one component and no loose edge: H is strongly connected
 
 
-def _synthesize(H: Subgraph, reach: IndexReach) -> DiPath:
-    """The synthesis for a strongly connected H whose edges ``reach`` searches."""
-    n = H.n
+def _synthesize(reach: IndexReach) -> DiPath:
+    """The synthesis for the strongly connected subgraph that ``reach`` searches."""
+    H, n = reach.graph, reach.graph.n
     verdict = reach.verdict()
     if verdict.drifts:
         raise DriftObstruction(f"subgraph drifts with witness {verdict.witness}")
 
-    base = reach.vertices[0]  # the least vertex, whose searches the verdict kept
+    base = H.vertices()[0]  # the least vertex, whose searches the verdict kept
     gamma = _cover_walk(H, base)
     if gamma.length > SYNTHESIS_LENGTH_MAX:
         raise CapExceeded(f"edge-covering walk reached {gamma.length} edges, cap {SYNTHESIS_LENGTH_MAX}")

@@ -159,7 +159,8 @@ def census(n: int, dimensions=None) -> list[CensusRow]:
 def _face_walk(edges: list[Perm]) -> Iterator[tuple[int, int, bool]]:
     """(mask, dimension, realizable) of every face among the subsets of ``edges``, by increasing mask.
 
-    Bit k of a mask stands for ``edges[k]``; the edges all lie in one G_m.
+    Bit k of a mask stands for ``edges[k]``; the edges all lie in one G_m,
+    and a vertex is named by its place in their ``Subgraph``'s ranking.
     Reachability in a mask is closed on one int of |V| rows of |V| bits (bit
     w of row v: a nonempty path leads from v to w), which starts as the
     adjacency rows of the mask's two halves, looked up by submask.  Above
@@ -183,10 +184,11 @@ def _face_walk(edges: list[Perm]) -> Iterator[tuple[int, int, bool]]:
     driftless C makes H driftless, and a component of a marked H - e is such
     a C.
     """
-    verts = sorted({head(e) for e in edges} | {tail(e) for e in edges})
-    nv, half = len(verts), len(edges) // 2
+    m = edges[0].n - 1
+    place = Subgraph(m, frozenset(edges)).ranking.place
+    nv, half = len(place), len(edges) // 2
     row, column = (1 << nv) - 1, sum(1 << nv * v for v in range(nv))
-    ends = [(verts.index(head(e)), verts.index(tail(e))) for e in edges]
+    ends = [(place[head(e)], place[tail(e)]) for e in edges]
     bits = [1 << k for k in range(len(edges))]
     inside = [sum(b for b, (h, _) in zip(bits, ends) if vs >> h & 1) for vs in range(1 << nv)]
     low, high = [0], [0]
@@ -205,7 +207,7 @@ def _face_walk(edges: list[Perm]) -> Iterator[tuple[int, int, bool]]:
             ok = all(marked[mask & inside[c]] for c in comps)
         else:
             ok = any(marked[mask ^ b] for b in bits if mask & b)
-            ok = ok or not IndexReach(edges[0].n - 1, [e for b, e in zip(bits, edges) if mask & b]).verdict().drifts
+            ok = ok or not IndexReach(Subgraph(m, frozenset(e for b, e in zip(bits, edges) if mask & b))).verdict().drifts
         marked[mask] = ok
         yield mask, mask.bit_count() - sum(c.bit_count() for c in comps) + len(comps) - 1, ok
 

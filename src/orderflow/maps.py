@@ -33,7 +33,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .caps import CYCLIC_LIFT_MAX
-from .digraph import Subgraph, face_components, head, tail
+from .digraph import Subgraph, face_components
 from .drift import DRIFTLESS, TOTALLY_DRIFTLESS, IndexReach, _synthesize, classify_loop
 from .errors import (
     CapExceeded,
@@ -417,38 +417,29 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
 # -- realization of flows ------------------------------------------------------
 
 
-def _euler_circuit(edges_mult: dict[Perm, int], base: Perm, n: int) -> DiPath:
-    """Closed walk from base using each edge exactly its multiplicity (Hierholzer).
+def _euler_circuit(H: Subgraph, mult: dict[Perm, int]) -> DiPath:
+    """Closed walk from H's least vertex using each edge exactly its multiplicity (Hierholzer).
 
     Conservation of the scaled flow balances in- and out-multiplicity at every
-    vertex and the component is strongly connected, so the circuit exists.
+    vertex and the component H is strongly connected, so the circuit exists.
     """
-    remaining = dict(edges_mult)
-    adj: dict[Perm, list[Perm]] = {}
-    for e in sorted(remaining, reverse=True):
-        adj.setdefault(head(e), []).append(e)  # pop() consumes in sorted order
-
-    v_stack: list[Perm] = [base]
-    e_stack: list[Perm] = []
+    # Each edge once per unit of multiplicity, so that pop() takes the least edge first.
+    unused = [[(e, w) for e, w in reversed(row) for _ in range(mult[e])] for row in H.ranking.out]
+    stack: list[tuple[int, Perm | None]] = [(0, None)]  # (place, the edge walked into it)
     circuit: list[Perm] = []
-    while v_stack:
-        v = v_stack[-1]
-        out = adj.get(v, [])
-        while out and remaining[out[-1]] == 0:
-            out.pop()
-        if out:
-            e = out[-1]
-            remaining[e] -= 1
-            v_stack.append(tail(e))
-            e_stack.append(e)
+    while stack:
+        v, into = stack[-1]
+        if unused[v]:
+            e, w = unused[v].pop()
+            stack.append((w, e))
         else:
-            v_stack.pop()
-            if e_stack:
-                circuit.append(e_stack.pop())
+            stack.pop()
+            if into is not None:
+                circuit.append(into)
     circuit.reverse()
-    if any(remaining.values()):
-        raise InvariantViolation(f"Euler walk from {base} leaves edges unused: component not connected")
-    return DiPath(n, tuple(circuit))
+    if any(unused):
+        raise InvariantViolation(f"Euler walk from {H.vertices()[0]} leaves edges unused: component not connected")
+    return DiPath(H.n, tuple(circuit))
 
 
 def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
@@ -471,17 +462,17 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     H = Subgraph(n - 1, frozenset(flow.mass))  # the support of a conserving flow is a face
     built: list[tuple[Fraction, IntervalMap]] = []
     for comp in face_components(H):
+        piece = Subgraph(H.n, comp.edges)
         try:
-            delta = _synthesize(Subgraph(H.n, comp.edges), IndexReach(H.n, comp.edges))
+            delta = _synthesize(IndexReach(piece))
         except DriftObstruction as exc:
-            raise NotRealizable(f"component at {min(comp.vertices)} drifts") from exc
+            raise NotRealizable(f"component at {piece.vertices()[0]} drifts") from exc
         mass = sum((flow(e) for e in comp.edges), ZERO)
         weights = {e: flow(e) / mass for e in comp.edges}
         denom = math.lcm(*(w.denominator for w in weights.values()))
         mult = {e: int(w * denom) for e, w in weights.items()}
         total = sum(mult.values())
-        base = min(comp.vertices)
-        beta = _euler_circuit(mult, base, H.n)
+        beta = _euler_circuit(piece, mult)
         # With k repetitions edge e has frequency (k m_e + d_e) / (k T + D),
         # where weights[e] = m_e / T, so its error is
         # |d_e T - m_e D| / (T (k T + D)): the sup error C / (T (k T + D))

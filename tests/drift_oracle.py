@@ -165,8 +165,8 @@ def partially_driftless_in(H: Subgraph) -> DiPath | None:
 def drifting_vertices(reach: IndexReach) -> list[tuple[Perm, int, str]]:
     """Every vertex's first (index, sign) witness, from one search per (vertex, index)."""
     found = []
-    for k, v in enumerate(reach.vertices):
-        for j in range(1, reach.n + 1):
+    for k, v in enumerate(reach.graph.vertices()):
+        for j in range(1, reach.graph.n + 1):
             signs = {_sign(v, a, b, j) for w, a, b in reach.search(v, j) if w == k}
             if len(signs) == 1 and ZERO not in signs:
                 found.append((v, j, signs.pop()))
@@ -182,7 +182,7 @@ def all_vertex_verdict(reach: IndexReach) -> DriftVerdict:
 
 def all_vertex_subgraph_drifts(H: Subgraph) -> DriftVerdict:
     for comp in face_components(H):
-        verdict = all_vertex_verdict(IndexReach(H.n, comp.edges))
+        verdict = all_vertex_verdict(IndexReach(Subgraph(H.n, comp.edges)))
         if verdict.drifts:
             return verdict
     return DriftVerdict()

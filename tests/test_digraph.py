@@ -1,19 +1,26 @@
+import itertools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderflow.digraph import (
     Subgraph,
     build,
     embedded_loops,
     export_dot,
+    face_components,
     face_dimension,
     is_face_subgraph,
+    shortest_path,
     strongly_connected_components,
     subgraph,
     subgraph_from_json,
     subgraph_to_json,
 )
-from orderflow.errors import CapExceeded, FormatError, NotFaceSubgraph
-from orderflow.perms import HEAD, TAIL, perm, restrict
+from orderflow.errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
+from orderflow.perms import HEAD, TAIL, all_perms, perm, restrict
 
 
 class TestBuild:
@@ -131,3 +138,101 @@ class TestSerialization:
             subgraph_from_json("not json")
         with pytest.raises(FormatError):
             subgraph_from_json('{"n": 2}')
+
+
+# -- the walks against independent oracles ---------------------------------------
+
+
+@st.composite
+def edge_sets(draw):
+    """A random edge set of G_2 or G_3, each edge kept on a coin flip."""
+    n = draw(st.sampled_from([2, 3]))
+    edges = sorted(all_perms(n + 1))
+    kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Subgraph(n, frozenset(e for e, keep in zip(edges, kept) if keep))
+
+
+def _ends(H: Subgraph) -> dict:
+    return {e: (restrict(e, HEAD), restrict(e, TAIL)) for e in H.edges}
+
+
+def _distances(H: Subgraph) -> dict:
+    """Floyd-Warshall path lengths over H's vertices; a pair that no path joins is absent."""
+    ends = _ends(H)
+    verts = {v for pair in ends.values() for v in pair}
+    dist = {(v, v): 0 for v in verts}
+    for h, t in ends.values():
+        if h != t:
+            dist[h, t] = 1
+    for k, i, j in itertools.product(verts, repeat=3):
+        if (i, k) in dist and (k, j) in dist and dist[i, k] + dist[k, j] < dist.get((i, j), len(verts)):
+            dist[i, j] = dist[i, k] + dist[k, j]
+    return dist
+
+
+def _classes(H: Subgraph) -> set[frozenset]:
+    """The classes of mutual reachability in H's transitive closure."""
+    dist = _distances(H)
+    verts = {v for v, _ in dist}
+    return {frozenset(w for w in verts if (v, w) in dist and (w, v) in dist) for v in verts}
+
+
+def _simple_cycles(H: Subgraph) -> list[tuple]:
+    """Every embedded loop as its least rotation, by brute force over distinct-vertex cycles."""
+    ends = _ends(H)
+    verts = sorted({v for pair in ends.values() for v in pair})
+    loops = []
+    for k in range(1, len(verts) + 1):
+        for cycle in itertools.permutations(verts, k):
+            if cycle[0] != min(cycle):
+                continue
+            hops = zip(cycle, cycle[1:] + cycle[:1])
+            choices = [[e for e, pair in ends.items() if pair == hop] for hop in hops]
+            for word in itertools.product(*choices):
+                loops.append(min(word[i:] + word[:i] for i in range(k)))
+    return sorted(loops)
+
+
+class TestWalksAgainstOracles:
+    @settings(max_examples=150)
+    @given(edge_sets())
+    def test_components_are_the_mutual_reachability_classes(self, H):
+        comps = strongly_connected_components(H)
+        assert {c.vertices for c in comps} == _classes(H)
+        assert [min(c.vertices) for c in comps] == sorted(min(c.vertices) for c in comps)
+        for c in comps:
+            assert c.edges == {e for e, (h, t) in _ends(H).items() if h in c.vertices and t in c.vertices}
+
+    @settings(max_examples=150)
+    @given(edge_sets())
+    def test_face_components_names_the_least_loose_edge(self, H):
+        classes = _classes(H)
+        loose = sorted(e for e, (h, t) in _ends(H).items() if not any(h in c and t in c for c in classes))
+        if not loose:
+            assert {c.vertices for c in face_components(H)} == classes
+            return
+        with pytest.raises(NotFaceSubgraph, match=f"edge {re.escape(str(loose[0]))} lies on no loop"):
+            face_components(H)
+
+    @settings(max_examples=150)
+    @given(edge_sets())
+    def test_shortest_path_is_a_path_of_bfs_length(self, H):
+        dist = _distances(H)
+        verts = sorted({v for v, _ in dist})
+        for src, dst in itertools.product(verts, repeat=2):
+            if (src, dst) not in dist:
+                with pytest.raises(NotStronglyConnected):
+                    shortest_path(H, src, dst)
+                continue
+            path = shortest_path(H, src, dst)
+            assert len(path) == dist[src, dst]
+            at = src
+            for e in path:
+                assert e in H and restrict(e, HEAD) == at
+                at = restrict(e, TAIL)
+            assert at == dst
+
+    @settings(max_examples=100)
+    @given(edge_sets())
+    def test_embedded_loops_are_the_simple_cycles(self, H):
+        assert embedded_loops(H) == _simple_cycles(H)

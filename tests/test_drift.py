@@ -415,9 +415,9 @@ def _assert_matches_all_vertices(H: Subgraph) -> None:
     for comp in strongly_connected_components(H):
         if not comp.edges:
             continue
-        reach = IndexReach(H.n, comp.edges)
+        reach = IndexReach(Subgraph(H.n, comp.edges))
         drifting = drift_oracle.drifting_vertices(reach)
-        assert len(drifting) in (0, len(reach.vertices))
+        assert len(drifting) in (0, len(reach.graph.vertices()))
         assert reach.verdict() == drift_oracle.all_vertex_verdict(reach)
     assert subgraph_drifts(H) == drift_oracle.all_vertex_subgraph_drifts(H)
 

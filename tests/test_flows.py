@@ -230,7 +230,7 @@ class TestJoinStructure:
                 faces.append(H)
         for H in faces:
             for K in faces:
-                if H.vertices() & K.vertices():
+                if set(H.vertices()) & set(K.vertices()):
                     continue
                 union = Subgraph(2, H.edges | K.edges)
                 assert face_dimension(union) == face_dimension(H) + face_dimension(K) + 1

@@ -689,7 +689,7 @@ class TestRealizeFlow:
     def test_euler_walk_checks_it_used_every_edge(self):
         # 321 is a self-loop at 21, unreachable from the base vertex 12.
         with pytest.raises(InvariantViolation):
-            _euler_circuit({perm("123"): 1, perm("321"): 1}, perm("12"), 2)
+            _euler_circuit(subgraph(2, ["123", "321"]), {perm("123"): 1, perm("321"): 1})
 
     def test_interior_of_an_edge_face(self, driftless_triple):
         mu = interior_flow(driftless_triple)
