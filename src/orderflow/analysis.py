@@ -43,6 +43,7 @@ they keep, so every length sees exactly the orbits a separate call would.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -52,7 +53,7 @@ from .caps import ENTROPY_N_MAX, PERM_CAP, SUBDIVISION_MAX
 from .digraph import Subgraph, strongly_connected_components
 from .drift import IndexReach, ZERO as SIGN_ZERO, loop_drift
 from .errors import (
-    CapExceeded, DegenerateTie, EscapesInterval, InvariantViolation, NotPiecewiseAffine, OrderflowError,
+    CapExceeded, DegenerateTie, EscapesInterval, FormatError, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
 )
 from .exactnum import Exact, exact_div, from_lattice
@@ -280,25 +281,49 @@ def _pattern(order: tuple[int, ...]) -> Perm:
 
 # -- deterministic sampling ----------------------------------------------------
 
+_BLOCK = 4096  # digests unpacked at once
+_UNIT = 2.0**-64
+
 
 def unit_samples(seed, count: int) -> Iterable[float]:
     """Uniform floats in [0, 1) keyed by (seed, index); order-independent.
 
-    Sample i is the blake2b digest of the text f"{seed}:{i}".
+    Sample i is the 8-byte blake2b digest of the text f"{seed}:{i}", read
+    as a big-endian integer and divided by 2**64, as it has been since the
+    first version.  It is drawn from one hash state fed f"{seed}:" once and
+    copied per index, and each block of at most ``_BLOCK`` digests is read
+    by one ``struct.unpack`` and scaled by 2**-64: scaling by a power of two
+    is exact, so each float is still the correctly rounded int / 2**64.
+    Only one block is held at a time.
     """
     from hashlib import blake2b
 
-    prefix = f"{seed}:".encode()
-    for i in range(count):
-        digest = blake2b(prefix + b"%d" % i, digest_size=8).digest()
-        yield int.from_bytes(digest, "big") / 2**64
+    keyed = blake2b(f"{seed}:".encode(), digest_size=8)
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        digests = []
+        for i in range(start, stop):
+            h = keyed.copy()
+            h.update(b"%d" % i)
+            digests.append(h.digest())
+        yield from map(_UNIT.__mul__, struct.unpack(f">{stop - start}Q", b"".join(digests)))
 
 
 def _float_pieces(f: IntervalMap):
-    los = [float(p.lo) for p in f.pieces]
-    polys = [(float(p.c), float(p.a), float(p.b)) for p in f.pieces]
-    his = [float(p.hi) for p in f.pieces]
-    return los, his, polys
+    """Bounds and (c, a, b) of f's pieces as floats; a coefficient past float range is a FormatError."""
+    polys = []
+    for k, p in enumerate(f.pieces):
+        row = []
+        for field in ("c", "a", "b"):
+            try:
+                x = float(getattr(p, field))
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise FormatError(f"{f.name or 'map'} piece {k}: coefficient {field} is beyond float range")
+            row.append(x)
+        polys.append(tuple(row))
+    return [float(p.lo) for p in f.pieces], [float(p.hi) for p in f.pieces], polys
 
 
 def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> dict[int, PatternReport]:
@@ -307,7 +332,9 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
     Each orbit is iterated once, up to the longest length, and stops at its
     first escape from the domain or exact repeat: its kept prefix.  It
     counts at every length up to that prefix's, under the prefix's pattern
-    restricted to the length.
+    restricted to the length.  When every piece is affine (c = 0.0) a step
+    is a*x + b, equal to (0.0*x + a)*x + b for every finite x: the two can
+    differ only in the sign of a zero, which no comparison here sees.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -316,16 +343,23 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
     # The first length over the cap fails once one orbit is kept that long.
     n_min, n_max = lengths[0], next((n for n in lengths if n > PERM_CAP), lengths[-1])
     los, his, polys = _float_pieces(f)
+    lines = [(a, b) for c, a, b in polys] if all(c == 0.0 for c, _, _ in polys) else None
+    steps = range(n_max - 1)
+    places = [range(k) for k in range(n_max + 1)]
     # ends[k]: orbits whose kept prefix has length k, by the prefix's order.
     ends: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
     for x in unit_samples(seed, samples):
         values = [x]
-        for _ in range(n_max - 1):
+        for _ in steps:
             idx = bisect_right(los, x) - 1
             if idx < 0 or x >= his[idx]:
                 break
-            c, a, b = polys[idx]
-            x = (c * x + a) * x + b
+            if lines:
+                a, b = lines[idx]
+                x = a * x + b
+            else:
+                c, a, b = polys[idx]
+                x = (c * x + a) * x + b
             if x in values:
                 break
             values.append(x)
@@ -333,7 +367,7 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
         if k >= n_min:
             if k == n_max > PERM_CAP:
                 _check_length(k)
-            order = tuple(sorted(range(k), key=values.__getitem__))
+            order = tuple(sorted(places[k], key=values.__getitem__))
             tally = ends[k]
             tally[order] = tally.get(order, 0) + 1
     reports = {}

@@ -57,7 +57,7 @@ from .errors import (
     InvariantViolation,
     NotStronglyConnected,
 )
-from .paths import DiPath, build_poset
+from .paths import DiPath, build_poset, concat
 from .perms import Perm
 
 # Loop classifications, weakest to strongest.
@@ -403,7 +403,7 @@ def _synthesize(reach: IndexReach) -> DiPath:
         loop = reach.first_loop(base, k, {PLUS, MINUS, ZERO} - {sign})
         if loop is None:  # a driftless verdict leaves one at every (vertex, index)
             raise InvariantViolation(f"every loop at {base} has drift {sign} at index {k}")
-        gamma = DiPath(n, gamma.edges + loop.edges)
+        gamma = concat(gamma, loop)
         if gamma.length > SYNTHESIS_LENGTH_MAX:
             raise CapExceeded(f"synthesized loop reached {gamma.length} edges, cap {SYNTHESIS_LENGTH_MAX}")
         prof = compose(prof, path_profile(loop))

@@ -485,7 +485,7 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
                 f"reaching tolerance {tol} needs a loop of {reps * total + D} edges, "
                 f"cap {CYCLIC_LIFT_MAX}"
             )
-        loop = DiPath(H.n, beta.edges * reps + delta.edges)
+        loop = beta**reps * delta
         ranking = cyclic_lift(loop)
         built.append((mass, permutation_map(ranking)))
 

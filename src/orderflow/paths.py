@@ -80,17 +80,29 @@ class DiPath:
         self.require_loop()
         if k < 1:
             raise ValueError("loop powers need k >= 1")
-        return DiPath(self.n, self.edges * k)
+        return _joined(self.n, self.edges * k)
 
     def rotate(self, k: int) -> "DiPath":
         """The same loop traversed starting k edges later."""
         self.require_loop()
         k %= self.length
-        return DiPath(self.n, self.edges[k:] + self.edges[:k])
+        return _joined(self.n, self.edges[k:] + self.edges[:k])
 
 
 def path(n: int, edges: Sequence, start=None) -> DiPath:
     return DiPath(n, tuple(perm(e) for e in edges), None if start is None else perm(start))
+
+
+def _joined(n: int, edges: tuple[Perm, ...]) -> DiPath:
+    """A nonempty path joined from checked paths whose seams were checked.
+
+    Skips ``DiPath.__post_init__``, which would check every edge pair again.
+    """
+    p = object.__new__(DiPath)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "edges", edges)
+    object.__setattr__(p, "start", None)
+    return p
 
 
 def concat(p: DiPath, q: DiPath) -> DiPath:
@@ -98,9 +110,11 @@ def concat(p: DiPath, q: DiPath) -> DiPath:
         raise EndpointMismatch(f"paths live on G_{p.n} and G_{q.n}")
     if p.last_vertex != q.first_vertex:
         raise EndpointMismatch(f"cannot join at {p.last_vertex} != {q.first_vertex}")
-    if not p.edges and not q.edges:
+    if not q.edges:
         return p
-    return DiPath(p.n, p.edges + q.edges)
+    if not p.edges:
+        return q
+    return _joined(p.n, p.edges + q.edges)
 
 
 def _one_step_down(p: DiPath) -> DiPath:

@@ -335,7 +335,7 @@ def parse_mass(raw, where: str) -> Exact | float:
 def distribution_from_csv(text: str) -> PatternDistribution:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip() for c in rows[0]] != ["perm", "mass"]:
-        raise LengthMismatch("distribution CSV must start with header 'perm,mass'")
+        raise FormatError("distribution CSV must start with header 'perm,mass'")
     mass: dict[Perm, object] = {}
     n = None
     for line, row in enumerate(rows[1:], start=2):

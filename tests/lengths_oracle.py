@@ -2,9 +2,9 @@
 
 This is the straightforward route to the statistics over several pattern
 lengths: every length gets its own exact subdivision or its own sampling
-run, and the sampler iterates each orbit, checks it and ranks its values
-afresh per length.  The package serves all lengths from one pass to the
-longest and projects down; tests compare the two exactly.
+run (``sample_oracle.oracle_sampled``).  The package serves all lengths
+from one pass to the longest and projects down; tests compare the two
+exactly.
 
 The lift and exclusion-preimage oracles scan all of S_m, window by window,
 where the package grows patterns one last value at a time.
@@ -13,44 +13,12 @@ where the package grows patterns one last value at a time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
-from orderflow.analysis import PatternReport, exact_distribution, unit_samples
+from orderflow.analysis import PatternReport, exact_distribution
 from orderflow.digraph import Subgraph
-from orderflow.errors import CapExceeded, SamplesDiscarded
-from orderflow.perms import PatternDistribution, all_perms, order_pattern
-
-
-def oracle_sampled(f, n: int, samples: int, seed) -> PatternReport:
-    """One sampling run at length n: iterate, check and rank every orbit."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    los = [float(p.lo) for p in f.pieces]
-    his = [float(p.hi) for p in f.pieces]
-    polys = [(float(p.c), float(p.a), float(p.b)) for p in f.pieces]
-    counts = {}
-    discards = 0
-    for x in unit_samples(seed, samples):
-        values = [x]
-        ok = True
-        for _ in range(n - 1):
-            v = values[-1]
-            idx = bisect_right(los, v) - 1
-            if idx < 0 or v >= his[idx]:
-                ok = False
-                break
-            c, a, b = polys[idx]
-            values.append((c * v + a) * v + b)
-        if not ok or len(set(values)) != n:
-            discards += 1
-            continue
-        sigma = order_pattern(values)
-        counts[sigma] = counts.get(sigma, 0) + 1
-    kept = samples - discards
-    if kept == 0:
-        raise SamplesDiscarded("all samples were discarded")
-    dist = PatternDistribution(n, {s: c / kept for s, c in counts.items()})
-    return PatternReport(dist, samples, counts)
+from orderflow.errors import CapExceeded
+from orderflow.perms import all_perms, order_pattern
+from sample_oracle import oracle_sampled
 
 
 def oracle_report(f, n: int, mode: str, samples: int = 100_000, seed=0) -> PatternReport:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from hashlib import blake2b
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from exact_oracle import oracle_distribution
 from isometries import interval_exchanges, lattice_maps, unit_points
+from sample_oracle import oracle_sampled, oracle_unit_samples
 from shift_oracle import doubling_patterns
 from orderflow import analysis
 from orderflow.analysis import (
@@ -27,6 +29,7 @@ from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
 from orderflow.drift import loop_drift
 from orderflow.errors import (
     CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine, NotRealizable, OrderflowError,
+    SamplesDiscarded,
 )
 from orderflow.exactnum import exact
 from orderflow.flows import flow_residual
@@ -394,6 +397,86 @@ class TestEmpiricalDistribution:
         for f in (doubling, rotation_3_10, tent):
             report = empirical_distribution(f, 4, 100_000, seed=17)
             assert report.discards / 100_000 < 1e-4
+
+
+# A slope or intercept of 1e-400 rounds to a float zero, -0.0 when negative.
+_TINY = Fraction(1, 10**400)
+
+
+@st.composite
+def sampled_maps(draw):
+    """A map of [0, 1) whose pieces escape, repeat exactly, are flat, bend (logistic) or map affinely."""
+    unit = st.fractions(0, 1, max_denominator=12)
+    cuts = sorted(set(draw(st.lists(unit, max_size=4))) - {0, 1})
+    bounds = [Fraction(0), *cuts, Fraction(1)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        kind = draw(st.sampled_from(["escape", "identity", "flat", "logistic", "affine", "affine"]))
+        if kind == "escape":
+            pieces.append(Piece(lo, hi, 1, 1))
+        elif kind == "identity":
+            pieces.append(Piece(lo, hi, 1, 0))
+        elif kind == "flat":
+            a, b = draw(st.sampled_from([_TINY, -_TINY])), draw(st.sampled_from([0, -_TINY, Fraction(1, 3)]))
+            pieces.append(Piece(lo, hi, a, b))
+        elif kind == "logistic":  # x -> k x (1 - x) + b, into [0, 1) save x = 1/2 at k = 4
+            k = draw(st.sampled_from([1, 2, 3, Fraction(7, 2), 4]))
+            b = draw(st.sampled_from([0, Fraction(1, 8)])) if k <= 3 else 0
+            pieces.append(Piece(lo, hi, k, b, -k))
+        else:  # onto [u, v), or reversed onto (u, v]
+            u, v = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+            a = (v - u) / (hi - lo) * draw(st.sampled_from([1, -1]))
+            pieces.append(Piece(lo, hi, a, (u if a > 0 else v) - a * lo))
+    return IntervalMap(tuple(pieces), name="drawn")
+
+
+seeds = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6), st.floats())
+
+
+class TestSamplerOracle:
+    """The block-unpacked stream and the affine step against the first route (``sample_oracle``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097, 8193]), st.integers(0, 200)))
+    def test_stream_matches_bit_for_bit(self, seed, count):
+        assert [x.hex() for x in unit_samples(seed, count)] == [x.hex() for x in oracle_unit_samples(seed, count)]
+
+    # Orbits that repeat exactly in floats: a rotation by k/8 once the orbit is on
+    # the grid of 2**-53, and x^2 - x + 3/4 once it reaches its superattracting 1/2.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sampled_maps()
+        | st.builds(lambda k: builtin("rotation", Fraction(k, 8)), st.integers(1, 7))
+        | st.just(IntervalMap((Piece(0, 1, -1, Fraction(3, 4), 1),), name="superattracting")),
+        st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        st.integers(1, 300),
+        seeds,
+    )
+    def test_reports_match_per_length_runs(self, f, lengths, samples, seed):
+        lengths = sorted(set(lengths))
+        try:
+            reports = analysis._sampled_reports(f, lengths, samples, seed)
+        except SamplesDiscarded:
+            # The longest length keeps the fewest orbits, so it is the one left empty.
+            with pytest.raises(SamplesDiscarded):
+                oracle_sampled(f, lengths[-1], samples, seed)
+            return
+        for n in lengths:
+            ours, oracle = reports[n], oracle_sampled(f, n, samples, seed)
+            assert ours.counts == oracle.counts
+            assert ours.discards == oracle.discards
+            assert dict(ours.distribution.mass) == dict(oracle.distribution.mass)
+
+    def test_memory_stays_bounded(self):
+        # Holding 100,000 floats in a list takes about 3.2 MB; the stream holds one block at a time.
+        tracemalloc.start()
+        try:
+            for _ in unit_samples(3, 100_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestStatisticalInvariants:

@@ -425,6 +425,25 @@ class TestBoundary:
         name = spec.partition(":")[0]
         assert code == 1 and err == {"error": "FormatError", "detail": f"map spec {spec!r}: {name} takes no parameter"}
 
+    # The sampler runs on floats, so a coefficient with no finite float is a schema error.
+    @pytest.mark.parametrize(
+        "field, value, argv",
+        [
+            ("a", "1e400", ("simulate", "--n", "3", "--seed", "1", "--out", "o.csv")),
+            ("a", "1e400", ("forbidden", "--n", "3", "--mode", "empirical", "--seed", "1")),
+            ("a", "1e400", ("exclusion", "--n", "2", "--m-max", "3", "--mode", "empirical", "--seed", "1")),
+            ("c", "1e999999", ("entropy", "--n-max", "3", "--mode", "empirical", "--seed", "1", "--out", "e.txt")),
+        ],
+    )
+    def test_sampled_coefficient_beyond_float_range(self, field, value, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        big = {"lo": "0", "hi": "1/2", "a": "0", "b": "0", field: value}
+        Path("map.json").write_text(json.dumps({"pieces": [big, {"lo": "1/2", "hi": "1", "a": "1", "b": "-1/2"}]}))
+        code, err = run_error(capsys, argv[0], "--map", "map.json", *argv[1:])
+        detail = f"map piece 0: coefficient {field} is beyond float range"
+        assert code == 1 and err == {"error": "FormatError", "detail": detail}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json"]
+
     @pytest.mark.parametrize("query", [("0", "9"), ("1", "6"), ("-1", "2")])
     def test_poset_query_outside_the_path(self, query, tmp_path, capsys, loop_132_321_213):
         f = tmp_path / "p.json"

@@ -11,8 +11,8 @@ from lengths_oracle import (
     oracle_exclusion,
     oracle_forbidden,
     oracle_realized,
-    oracle_sampled,
 )
+from sample_oracle import oracle_sampled
 from orderflow.analysis import (
     empirical_distribution,
     exact_distribution,

@@ -55,6 +55,20 @@ class TestConcat:
         with pytest.raises(EndpointMismatch):
             concat(path(2, ["132"]), path(2, ["132"]))
 
+    def test_joins_equal_checked_paths(self, loop_132_321_213):
+        # concat, powers and rotations check only their seams; the result is the checked path.
+        rng = random.Random(7)
+        for _ in range(40):
+            p = random_path(rng, rng.choice([2, 3]), rng.randrange(2, 8))
+            k = rng.randrange(1, p.length)
+            joined = concat(DiPath(p.n, p.edges[:k]), DiPath(p.n, p.edges[k:]))
+            assert joined == p and hash(joined) == hash(p)
+        gamma = loop_132_321_213
+        for k in range(1, 4):
+            assert gamma**k == DiPath(2, gamma.edges * k)
+            assert gamma.rotate(k) == DiPath(2, gamma.edges[k:] + gamma.edges[:k])
+        assert concat(gamma, DiPath(2, (), gamma.first_vertex)) is gamma
+
 
 class TestProject:
     def test_single_step(self):

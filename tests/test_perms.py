@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from orderflow.analysis import exact_distribution
 from orderflow.caps import DEFAULT_PERM_CAP, perm_cap_setting
-from orderflow.errors import CapExceeded, DuplicateValue, LengthMismatch, LengthTooSmall
+from orderflow.errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
 from orderflow.perms import (
     HEAD,
     TAIL,
@@ -303,7 +303,7 @@ class TestCsv:
         assert again.close_to(mu)
 
     def test_header_required(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(FormatError):
             distribution_from_csv("oops,mass\n12,1\n")
 
 
