@@ -122,19 +122,11 @@ def identity_profile(v: Perm) -> DriftProfile:
 def edge_profile(e: Perm) -> DriftProfile:
     """Profile of the length-1 path along edge e (a totally ordered window).
 
-    Memoised like ``restrict``: profiles are immutable, and loops and
-    reachability searches revisit the same edges.
+    Memoised like ``restrict``.  Path folds and reachability searches read
+    the padded tables of ``_edge_tables`` and build no profile per edge.
     """
-    n = e.n - 1
-    word = e.word
-    maxmap = []
-    minmap = []
-    for i in range(1, n + 1):
-        above = [j for j in range(1, n + 1) if word[j] >= word[i - 1]]
-        below = [j for j in range(1, n + 1) if word[j] <= word[i - 1]]
-        maxmap.append(min(above, key=lambda j: word[j]) if above else n + 1)
-        minmap.append(max(below, key=lambda j: word[j]) if below else 0)
-    return DriftProfile(head(e), tail(e), tuple(maxmap), tuple(minmap))
+    up, down = _edge_tables(e)
+    return DriftProfile(head(e), tail(e), up[1:-1], down[1:-1])
 
 
 def _padded(p: DriftProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -168,8 +160,21 @@ def compose(a: DriftProfile, b: DriftProfile) -> DriftProfile:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _edge_tables(e: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Edge e's maxmap and minmap, padded."""
-    return _padded(edge_profile(e))
+    """Edge e's maxmap and minmap, padded as by ``_padded``.
+
+    The window x_0..x_n of e puts initial value i at x_{i-1} and final value
+    j at x_j, so for i >= 2 the initial value i is the final value i - 1
+    itself, and both maps send i to i - 1.  Only x_0 lies outside the final
+    window: the least final value above it is the slot of the value one
+    larger in e's word (n+1 when there is none), and the greatest below it
+    the slot of the value one smaller (0 when there is none).
+    """
+    word = e.word
+    n, first = len(word) - 1, word[0]
+    inner = tuple(range(1, n))
+    up = word.index(first + 1) if first <= n else n + 1
+    down = word.index(first - 1) if first > 1 else 0
+    return (0, up, *inner, n + 1), (0, down, *inner, n + 1)
 
 
 def path_profile(p: DiPath) -> DriftProfile:

@@ -32,7 +32,7 @@ from .digraph import (
 )
 from .drift import IndexReach, subgraph_drifts
 from .errors import CapExceeded, FormatError, InvariantViolation, LengthTooSmall, NotAFlow
-from .exactnum import Sqrt2
+from .exactnum import Sqrt2, from_lattice, lattice_scale, to_lattice
 from .paths import DiPath
 from .perms import (
     HEAD,
@@ -55,20 +55,22 @@ SNAP_DENOMINATOR = 10**6
 def flow_residual(mu: PatternDistribution):
     """Largest conservation violation over the vertices of G_{n-1}.
 
-    Zero iff mu is a flow.  Length-1 distributions are vacuously flows.
+    Zero iff mu is a flow.  Length-1 distributions are vacuously flows.  An
+    exact table is summed on its common denominator, as the ints (or Z[sqrt2]
+    values) ``to_lattice`` gives, and the largest gap is divided back.
     """
-    zero = Fraction(0) if mu.exact else 0.0
     if mu.n < 2:
-        return zero
-    # The two pushforwards' masses, summed straight from mu's validated table.
-    down = push_mass(mu.mass, HEAD)
-    up = push_mass(mu.mass, TAIL)
-    worst = zero
-    for v in down.keys() | up.keys():
-        gap = abs(down.get(v, zero) - up.get(v, zero))
-        if gap > worst:
-            worst = gap
-    return worst
+        return Fraction(0) if mu.exact else 0.0
+    if mu.exact:
+        scale = lattice_scale(mu.mass.values())
+        mass = {s: to_lattice(m, scale) for s, m in mu.mass.items()}
+    else:
+        mass = mu.mass
+    # The two pushforwards' masses, summed straight from the table.
+    down = push_mass(mass, HEAD)
+    up = push_mass(mass, TAIL)
+    worst = max(abs(down.get(v, 0) - up.get(v, 0)) for v in down.keys() | up.keys())
+    return from_lattice(worst, scale) if mu.exact else worst
 
 
 def snap_to_exact(mu: PatternDistribution) -> tuple[PatternDistribution, float]:

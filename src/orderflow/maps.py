@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -338,28 +339,34 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     an obstruction rather than glossed over.  Each window adds only its w-1
     comparisons of consecutive values, whose transitive closure is the
     window's total order, so the partial order and the least ranking the
-    min-heap sort picks are those of all pairwise comparisons.
+    min-heap sort picks are those of all pairwise comparisons.  A comparison
+    two windows share is listed twice and counted twice in the in-degree, so
+    a position is still ready exactly when all its predecessors are ranked.
+
+    A loop that drifts is refused with its drift class, before any other
+    error.  The class is worked out only when the lift fails: a ranking that
+    realizes every window is a periodic lift, x_{l+j} = x_j, of the loop's
+    windows.  Every relation the loop's poset forces holds strictly in any
+    lift, so no chain of window inequalities can force x_j < x_{l+j} or
+    x_j > x_{l+j}, and the drift diagonal is all 0: the loop is driftless.
     """
     gamma.require_loop()
-    cls = classify_loop(gamma)
-    if cls not in (DRIFTLESS, TOTALLY_DRIFTLESS):
-        raise CyclicObstruction(f"loop classifies as {cls}; it cannot close up cyclically")
     ell = gamma.length
     if ell > CYCLIC_LIFT_MAX:
-        raise CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {CYCLIC_LIFT_MAX}")
+        raise _lift_refusal(gamma, CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {CYCLIC_LIFT_MAX}"))
     if ell < gamma.n + 1:
-        raise CyclicObstruction("a window wraps onto itself (loop shorter than window)")
-    succs: list[set[int]] = [set() for _ in range(ell)]
+        raise _lift_refusal(gamma, CyclicObstruction("a window wraps onto itself (loop shorter than window)"))
+    succs: list[list[int]] = [[] for _ in range(ell)]
     indeg = [0] * ell
-    orders: dict[Perm, list[int]] = {}
+    steps: dict[Perm, list[tuple[int, int]]] = {}
     for b, e in enumerate(gamma.edges):
-        if e not in orders:
-            orders[e] = _value_order(e)
-        chain = [(b + s) % ell for s in orders[e]]
-        for lowpos, highpos in zip(chain, chain[1:]):
-            if highpos not in succs[lowpos]:
-                succs[lowpos].add(highpos)
-                indeg[highpos] += 1
+        if e not in steps:
+            slots = _value_order(e)
+            steps[e] = list(zip(slots, slots[1:]))
+        for low, high in steps[e]:
+            high = (b + high) % ell
+            succs[(b + low) % ell].append(high)
+            indeg[high] += 1
     ready = [i for i in range(ell) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
@@ -371,14 +378,22 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
             if indeg[u] == 0:
                 heapq.heappush(ready, u)
     if len(order) < ell:
-        raise CyclicObstruction("window constraints force a cyclic chain of inequalities")
+        raise _lift_refusal(gamma, CyclicObstruction("window constraints force a cyclic chain of inequalities"))
     rank = [0] * ell
     for position_rank, pos in enumerate(order, start=1):
         rank[pos] = position_rank
     ranking = CyclicRanking(tuple(rank))
     if not ranking_realizes(ranking, gamma):
-        raise InvariantViolation("cyclic ranking does not reproduce the loop's windows")
+        raise _lift_refusal(gamma, InvariantViolation("cyclic ranking does not reproduce the loop's windows"))
     return ranking
+
+
+def _lift_refusal(gamma: DiPath, error: Exception) -> Exception:
+    """The error ``cyclic_lift`` raises: the drift obstruction when gamma drifts, else ``error``."""
+    cls = classify_loop(gamma)
+    if cls not in (DRIFTLESS, TOTALLY_DRIFTLESS):
+        return CyclicObstruction(f"loop classifies as {cls}; it cannot close up cyclically")
+    return error
 
 
 def permutation_map(r: CyclicRanking) -> IntervalMap:
@@ -446,8 +461,9 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     """A measure-preserving map whose exact pattern distribution is tol-close to mu.
 
     Per connected component of the support: scale the flow to integer edge
-    multiplicities, walk an Eulerian circuit beta through them, synthesize a
-    totally driftless loop delta in the component, and realize beta^N delta
+    multiplicities, synthesize a totally driftless loop delta in the
+    component, check the loop length against ``CYCLIC_LIFT_MAX``, walk an
+    Eulerian circuit beta through the multiplicities, and realize beta^N delta
     as a permutation map with N chosen so the loop's counting measure lands
     within tol of the component flow (the appended delta keeps the whole loop
     totally driftless, hence cyclically rankable).  Components are then glued
@@ -459,6 +475,10 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
 
     flow = as_flow(mu)
     n = flow.n
+    # The masses as ints q[e] = scale * flow(e) on a common denominator, and tol as tol_p / tol_q.
+    scale = lattice_scale(flow.mass.values())
+    q = {e: to_lattice(m, scale) for e, m in flow.mass.items()}
+    tol_p, tol_q = Fraction(tol).as_integer_ratio()
     H = Subgraph(n - 1, frozenset(flow.mass))  # the support of a conserving flow is a face
     built: list[tuple[Fraction, IntervalMap]] = []
     for comp in face_components(H):
@@ -467,27 +487,27 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
             delta = _synthesize(IndexReach(piece))
         except DriftObstruction as exc:
             raise NotRealizable(f"component at {piece.vertices()[0]} drifts") from exc
-        mass = sum((flow(e) for e in comp.edges), ZERO)
-        weights = {e: flow(e) / mass for e in comp.edges}
-        denom = math.lcm(*(w.denominator for w in weights.values()))
-        mult = {e: int(w * denom) for e, w in weights.items()}
+        # The component's weights q[e] / sum(q) in least terms are m_e / T with
+        # m_e = q[e] / g and T = sum(m), g the gcd of the q[e].
+        g = math.gcd(*(q[e] for e in comp.edges))
+        mult = {e: q[e] // g for e in comp.edges}
         total = sum(mult.values())
-        beta = _euler_circuit(piece, mult)
-        # With k repetitions edge e has frequency (k m_e + d_e) / (k T + D),
-        # where weights[e] = m_e / T, so its error is
-        # |d_e T - m_e D| / (T (k T + D)): the sup error C / (T (k T + D))
-        # falls with k, and the least k meeting tol is explicit.
+        # With k repetitions edge e has frequency (k m_e + d_e) / (k T + D), so
+        # its error is |d_e T - m_e D| / (T (k T + D)): the sup error
+        # C / (T (k T + D)) falls with k, and the least k meeting tol is
+        # explicit, ceil((C / (T tol) - D) / T), here in ints.
         D = delta.length
-        C = max(abs(delta.edges.count(e) * total - mult[e] * D) for e in comp.edges)
-        reps = max(1, math.ceil((C / (total * Fraction(tol)) - D) / total))
+        counts = Counter(delta.edges)
+        C = max(abs(counts[e] * total - mult[e] * D) for e in comp.edges)
+        reps = max(1, -((D * total * tol_p - C * tol_q) // (total * total * tol_p)))
         if reps * total + D > CYCLIC_LIFT_MAX:
             raise CapExceeded(
                 f"reaching tolerance {tol} needs a loop of {reps * total + D} edges, "
                 f"cap {CYCLIC_LIFT_MAX}"
             )
-        loop = beta**reps * delta
+        loop = _euler_circuit(piece, mult) ** reps * delta
         ranking = cyclic_lift(loop)
-        built.append((mass, permutation_map(ranking)))
+        built.append((Fraction(g * total, scale), permutation_map(ranking)))
 
     def glue(parts: list[tuple[Fraction, IntervalMap]]) -> IntervalMap:
         if len(parts) == 1:

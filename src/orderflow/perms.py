@@ -350,7 +350,7 @@ def distribution_from_csv(text: str) -> PatternDistribution:
         n = sigma.n if n is None else n
         mass[sigma] = parse_mass(row[1].strip(), f"distribution CSV line {line}")
     if n is None:
-        raise LengthMismatch("distribution CSV has no rows")
+        raise FormatError("distribution CSV has no rows")
     return parsed_distribution(n, mass)
 
 

@@ -1,4 +1,8 @@
-"""Two slower drift decisions, kept as test oracles.
+"""Slower drift routes, kept as test oracles.
+
+``scanned_edge_profile`` is the edge profile read off the edge's window by
+comparing each initial value with every final value, the O(n^2) scan the
+package's closed-form edge tables replaced.
 
 The all-vertex search runs the package's index-state search at every
 (vertex, index) of a component, where the package searches only the least
@@ -27,6 +31,7 @@ from orderflow.drift import (
     ZERO,
     DriftVerdict,
     IndexReach,
+    DriftProfile,
     _cover_walk,
     _sign,
     compose,
@@ -36,6 +41,20 @@ from orderflow.drift import (
 from orderflow.errors import DriftObstruction, NotStronglyConnected
 from orderflow.paths import DiPath
 from orderflow.perms import Perm
+
+
+def scanned_edge_profile(e: Perm) -> DriftProfile:
+    """Profile of the length-1 path along e: for each initial value, the nearest final values above and below."""
+    n = e.n - 1
+    word = e.word
+    maxmap = []
+    minmap = []
+    for i in range(1, n + 1):
+        above = [j for j in range(1, n + 1) if word[j] >= word[i - 1]]
+        below = [j for j in range(1, n + 1) if word[j] <= word[i - 1]]
+        maxmap.append(min(above, key=lambda j: word[j]) if above else n + 1)
+        minmap.append(max(below, key=lambda j: word[j]) if below else 0)
+    return DriftProfile(head(e), tail(e), tuple(maxmap), tuple(minmap))
 
 
 def _diagonal(v: Perm, maxmap: tuple[int, ...], minmap: tuple[int, ...], j: int) -> str:

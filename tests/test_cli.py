@@ -402,6 +402,27 @@ class TestBoundary:
         code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
         assert code == 1 and err["error"] == "FormatError" and "'abc'" in err["detail"]
 
+    def test_realize_large_denominators_refused_by_the_cap(self, tmp_path, capsys):
+        # A 174-byte flow whose multiplicities need a loop of six million edges is refused from them alone.
+        flow = tmp_path / "flow.json"
+        heavy, light = "1876543/6000000", "123457/6000000"
+        weights = {s: heavy if s in ("132", "321", "213") else light for s in ("123", "132", "213", "231", "312", "321")}
+        flow.write_text(json.dumps({"n": 3, "weights": weights}, sort_keys=True))
+        assert len(flow.read_bytes()) == 174
+        out = tmp_path / "m.json"
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--tol", "0.05", "--out", str(out))
+        detail = "reaching tolerance 0.05 needs a loop of 6000008 edges, cap 4096"
+        assert code == 1 and err == {"error": "CapExceeded", "detail": detail}
+        assert not out.exists()
+
+    def test_distribution_csv_without_rows(self, tmp_path, capsys):
+        dist = tmp_path / "d.csv"
+        dist.write_text("perm,mass\n")
+        code, stdout, _ = run(capsys, "validate", "--kind", "dist", str(dist))
+        assert code == 0 and json.loads(stdout) == {
+            "command": "validate", "diagnostics": ["distribution CSV has no rows"], "kind": "dist", "ok": False,
+        }
+
     def test_boolean_weight(self, tmp_path, capsys):
         # float(True) is 1.0, so a JSON true would otherwise read as a mass of 1.
         flow = tmp_path / "flow.json"

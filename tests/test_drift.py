@@ -17,6 +17,8 @@ from orderflow.drift import (
     DriftProfile,
     DriftVerdict,
     IndexReach,
+    _edge_tables,
+    _padded,
     classify_loop,
     compose,
     edge_profile,
@@ -67,6 +69,14 @@ class TestEdgeProfiles:
         for n in (2, 3):
             for e in all_perms(n + 1):
                 assert edge_profile(e) == poset_profile(path(n, [e]))
+
+    def test_tables_match_the_scan_on_g1_to_g6(self):
+        # Every edge of G_1..G_6: the closed-form tables against the old O(n^2) scan.
+        for m in range(1, 7):
+            for e in all_perms(m + 1):
+                scanned = drift_oracle.scanned_edge_profile(e)
+                assert _edge_tables(e) == _padded(scanned)
+                assert edge_profile(e) == scanned
 
     @settings(max_examples=150)
     @given(st.integers(2, 8).flatmap(lambda m: st.permutations(range(1, m + 1))))

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderflow import flows
 from orderflow.digraph import (
@@ -32,7 +35,8 @@ from orderflow.flows import (
     snap_to_exact,
     support_face,
 )
-from orderflow.perms import PatternDistribution, all_perms, perm
+from orderflow.exactnum import Sqrt2, exact
+from orderflow.perms import HEAD, TAIL, PatternDistribution, all_perms, perm, restrict
 
 
 def dist(n, **masses):
@@ -54,6 +58,39 @@ class TestResidual:
     def test_as_flow_gate(self):
         with pytest.raises(NotAFlow):
             as_flow(PatternDistribution(3, {perm("132"): Fraction(1)}))
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(st.integers(0, 50), min_size=math.factorial(n), max_size=math.factorial(n))
+        ),
+        st.sampled_from(["fraction", "sqrt2", "float"]),
+    )
+    def test_equals_the_sum_in_fractions(self, weights, kind):
+        # The int route against the masses summed as they are, gap by gap.
+        n = {2: 2, 6: 3, 24: 4}[len(weights)]
+        if not any(weights):
+            weights = [1] + weights[1:]
+        total = sum(weights)
+        mass = {s: Fraction(w, total) for s, w in zip(all_perms(n), weights) if w}
+        if kind == "sqrt2" and len(mass) > 1:
+            # Move an irrational sliver from one mass to another: still exact, still total 1.
+            (a, ma), (b, mb) = sorted(mass.items())[:2]
+            eps = exact(0, min(ma, mb) / 4)
+            mass[a], mass[b] = ma + eps, mb - eps
+        if kind == "float":
+            mass = {s: float(m) for s, m in mass.items()}
+        mu = PatternDistribution(n, mass)
+        zero = Fraction(0) if mu.exact else 0.0
+        down, up = {}, {}
+        for sigma, m in mu.mass.items():
+            down[restrict(sigma, HEAD)] = down.get(restrict(sigma, HEAD), zero) + m
+            up[restrict(sigma, TAIL)] = up.get(restrict(sigma, TAIL), zero) + m
+        expected = max(abs(down.get(v, zero) - up.get(v, zero)) for v in down.keys() | up.keys())
+        got = flow_residual(mu)
+        assert got == expected and type(got) is type(expected)
+        if isinstance(got, Sqrt2):
+            assert type(got.a) is type(got.b) is Fraction
 
     def test_float_snapping(self):
         mu = PatternDistribution(3, {s: 1 / 6 for s in all_perms(3)})

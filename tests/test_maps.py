@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -535,6 +536,47 @@ class TestOnePassRanking:
                 verdicts.append(verdict)
         assert verdicts.count(True) > 600 and verdicts.count(False) > 1200
 
+    def test_drift_refused_before_a_lower_cap(self, cases, monkeypatch):
+        # Over a cap of 4 edges a drifting loop is still refused by its drift class, a driftless one by the cap.
+        monkeypatch.setattr("orderflow.maps.CYCLIC_LIFT_MAX", 4)
+        monkeypatch.setattr("cyclic_oracle.CYCLIC_LIFT_MAX", 4)
+        long = [g for g in cases if g.length > 4]
+        outcomes = [(_outcome(cyclic_lift, g), _outcome(oracle_cyclic_lift, g)) for g in long]
+        assert all(mine == oracle for mine, oracle in outcomes)
+        classes = [classify_loop(g) for g in long]
+        drifting = [cls not in (DRIFTLESS, TOTALLY_DRIFTLESS) for cls in classes]
+        assert sum(drifting) > 20 and len(drifting) - sum(drifting) > 20
+        for g, cls, drifts, (mine, _) in zip(long, classes, drifting, outcomes):
+            if drifts:
+                assert mine == (CyclicObstruction, f"loop classifies as {cls}; it cannot close up cyclically")
+            else:
+                assert mine == (CapExceeded, f"loop length {g.length} exceeds cyclic ranking cap 4")
+
+    def test_short_and_cyclic_refusals_name_the_drift_first(self, cases):
+        # A loop shorter than its window, or one whose windows close a cycle, reports its drift class if it drifts.
+        # Every short loop drifts (x_0 and x_l share the first window), so the wrap text never shows.
+        seen = {"short drifts": 0, "chain drifts": 0, "chain driftless": 0}
+        for g in cases:
+            cls = classify_loop(g)
+            mine = _outcome(cyclic_lift, g)
+            assert mine == _outcome(oracle_cyclic_lift, g)
+            drifts = cls not in (DRIFTLESS, TOTALLY_DRIFTLESS)
+            if drifts:
+                assert mine == (CyclicObstruction, f"loop classifies as {cls}; it cannot close up cyclically")
+            short = g.length < g.n + 1
+            assert drifts or not short
+            seen[("short " if short else "chain ") + ("drifts" if drifts else "driftless")] += 1
+        assert min(seen.values()) > 40
+
+    def test_lifted_loops_are_not_classified(self, cases, monkeypatch):
+        # A ranking that realizes every window proves the loop driftless, so a lift that succeeds never classifies.
+        lifted = [g for g in cases if isinstance(_outcome(cyclic_lift, g), CyclicRanking)]
+        assert all(classify_loop(g) in (DRIFTLESS, TOTALLY_DRIFTLESS) for g in lifted)
+        calls = []
+        monkeypatch.setattr("orderflow.maps.classify_loop", lambda g: calls.append(g) or DRIFTLESS)
+        assert all(cyclic_lift(g) == oracle_cyclic_lift(g) for g in lifted)
+        assert calls == []
+
 
 class TestPermutationMap:
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 7, 16, 17, 64, 129, 200, 257])
@@ -672,6 +714,43 @@ class TestRealizeFlow:
         with pytest.raises(CapExceeded, match=r"reaching tolerance 1e-06 needs a loop of 666668 edges, cap 4096$"):
             realize_flow(PatternDistribution.uniform(3), 1e-6)
 
+    @pytest.mark.parametrize(
+        "lam, edges",
+        [(Fraction(123457, 10**6), 6000008), (Fraction(62831853, 2 * 10**8), 1200000008)],
+    )
+    def test_cap_checked_before_the_euler_walk(self, lam, edges, monkeypatch):
+        # lam * uniform + (1 - lam) * the loop 132 321 213: denominators of 10^6 and more are refused
+        # from the multiplicities alone, before the walk would list millions of edges.
+        monkeypatch.setattr("orderflow.maps._euler_circuit", mock.Mock(side_effect=RuntimeError("the walk ran")))
+        with pytest.raises(CapExceeded, match=rf"^reaching tolerance 0.05 needs a loop of {edges} edges, cap 4096$"):
+            realize_flow(_uniform_and_triple(lam), 0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=5, max_size=5),
+        st.sampled_from([0.05, 0.01, 1e-3, 2.5, Fraction(1, 3), Fraction(2, 7)]),
+    )
+    @example([6, 4, 2, 8, 10], 0.05)  # a common factor in the weights
+    def test_loop_length_is_the_fraction_formula(self, weights, tol):
+        # Five loops of G_2 with random weights cover all of G_2, one driftless component.  With the cap
+        # at 0 the loop length the ints give is reported; it must be the one worked out in Fractions.
+        loops = [["132", "321", "213"], ["123"], ["321"], ["231", "312"], ["132", "213"]]
+        count = {}
+        for w, loop in zip(weights, loops):
+            for e in loop:
+                count[perm(e)] = count.get(perm(e), 0) + w
+        mu = PatternDistribution(3, {e: Fraction(c, sum(count.values())) for e, c in count.items()})
+        delta = synthesize_totally_driftless_loop(Subgraph(2, frozenset(mu.mass)))
+        denom = math.lcm(*(x.denominator for x in mu.mass.values()))
+        m = {e: int(x * denom) for e, x in mu.mass.items()}
+        T, D = sum(m.values()), delta.length
+        C = max(abs(delta.edges.count(e) * T - m[e] * D) for e in m)
+        reps = max(1, math.ceil((C / (T * Fraction(tol)) - D) / T))
+        with mock.patch("orderflow.maps.CYCLIC_LIFT_MAX", 0):
+            with pytest.raises(CapExceeded) as refused:
+                realize_flow(mu, tol)
+        assert str(refused.value) == f"reaching tolerance {tol} needs a loop of {reps * T + D} edges, cap 0"
+
     @pytest.mark.parametrize("tol", [0, -0.1, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
@@ -700,6 +779,12 @@ class TestRealizeFlow:
         gap = max(abs(got(s) - mu(s)) for s in all_perms(3))
         assert gap <= Fraction(1, 50)
         assert got.support() == mu.support()
+
+
+def _uniform_and_triple(lam: Fraction) -> PatternDistribution:
+    """lam * uniform(3) + (1 - lam) * the counting measure of the loop 132 321 213."""
+    loop = {perm("132"), perm("321"), perm("213")}
+    return PatternDistribution(3, {s: lam / 6 + ((1 - lam) / 3 if s in loop else 0) for s in all_perms(3)})
 
 
 def _piece_text(f: IntervalMap) -> str:

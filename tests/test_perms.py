@@ -306,6 +306,11 @@ class TestCsv:
         with pytest.raises(FormatError):
             distribution_from_csv("oops,mass\n12,1\n")
 
+    @pytest.mark.parametrize("text", ["perm,mass\n", "perm,mass\n\n\n", "perm,mass"])
+    def test_header_without_rows_is_a_format_error(self, text):
+        with pytest.raises(FormatError, match="^distribution CSV has no rows$"):
+            distribution_from_csv(text)
+
 
 class TestFastPaths:
     """The trusted constructor and the memoised restriction against their plain routes."""
