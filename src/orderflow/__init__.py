@@ -18,20 +18,19 @@ _EXPORTS = {
         "order_pattern", "perm", "preimages", "pushforward", "restrict",
     ),
     "digraph": (
-        "PermDigraph", "Subgraph", "build", "embedded_loops", "face_dimension", "is_face_subgraph",
-        "strongly_connected_components", "subgraph",
+        "PermDigraph", "Subgraph", "build", "embedded_loops", "is_face_subgraph", "strongly_connected_components",
+        "subgraph",
     ),
     "paths": (
-        "DiPath", "PathPoset", "build_poset", "comparability", "concat", "lifts",
-        "linear_extensions", "path", "project",
+        "DiPath", "PathPoset", "build_poset", "comparability", "concat", "lift_count", "lifts", "path",
+        "project",
     ),
     "drift": (
         "DriftMatrix", "DriftProfile", "classify_loop", "compose", "edge_profile", "loop_drift",
         "path_profile", "subgraph_drifts", "synthesize_totally_driftless_loop",
     ),
     "flows": (
-        "as_flow", "census", "cycle_decompose", "face_realizable", "flow_residual", "interior_flow",
-        "polytope_dimension", "support_face",
+        "as_flow", "census", "cycle_decompose", "face_realizable", "flow_residual", "support_face",
     ),
     "maps": (
         "CyclicRanking", "IntervalMap", "Piece", "block_sum", "builtin", "cyclic_lift", "iterate",
@@ -39,8 +38,7 @@ _EXPORTS = {
     ),
     "analysis": (
         "PatternReport", "empirical_distribution", "entropy_estimate", "exact_distribution",
-        "exclusion_type_test", "forbidden_patterns", "growth_check", "partially_driftless_in",
-        "pattern_graph", "realized_patterns",
+        "exclusion_type_test", "forbidden_patterns", "realized_patterns",
     ),
     "cantor": (
         "IntervalTree", "SeparatorTree", "assemble_truncated_map", "build_interval_tree",

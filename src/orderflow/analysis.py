@@ -50,15 +50,13 @@ from functools import partial
 from typing import Iterable, Literal
 
 from .caps import ENTROPY_N_MAX, PERM_CAP, SUBDIVISION_MAX
-from .digraph import Subgraph, strongly_connected_components
-from .drift import IndexReach, ZERO as SIGN_ZERO, loop_drift
 from .errors import (
     CapExceeded, DegenerateTie, EscapesInterval, FormatError, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
 )
 from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span
-from .paths import DiPath, allowed_counts, build_poset, linear_extensions
+from .paths import allowed_counts
 from .perms import (
     HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
 )
@@ -430,30 +428,6 @@ def realized_patterns(
 # -- derived statistics ---------------------------------------------------------
 
 
-def pattern_graph(f: IntervalMap, n: int, mode: Mode = "exact", samples: int = 100_000, seed=0) -> Subgraph:
-    """The subgraph of G_n whose edges are the realized (n+1)-patterns."""
-    return Subgraph(n, realized_patterns(f, [n + 1], mode, samples, seed)[n + 1])
-
-
-def partially_driftless_in(H: Subgraph) -> DiPath | None:
-    """Some loop in H with a zero diagonal drift entry, or None.
-
-    Searches the index states of each strongly connected piece; the witness
-    is the shortest, then least in edge order, such loop at the least vertex
-    that has one.
-    """
-    for comp in strongly_connected_components(H):
-        if not comp.edges:
-            continue
-        reach = IndexReach(Subgraph(H.n, comp.edges))
-        for v in reach.graph.vertices():
-            found = [reach.first_loop(v, j, {SIGN_ZERO}) for j in range(1, H.n + 1)]
-            found = [loop for loop in found if loop is not None]
-            if found:
-                return min(found, key=lambda loop: (loop.length, loop.edges))
-    return None
-
-
 def entropy_estimate(
     f: IntervalMap, n_max: int, mode: Mode = "exact", samples: int = 100_000, seed=0
 ) -> list[tuple[int, int, float]]:
@@ -525,22 +499,4 @@ def exclusion_type_test(
         realized = realized_by_len[m]
         outside = {s for s in realized if restrict(s, HEAD) in outside or order_pattern(s.word[-n - 1 :]) not in edges}
         rows.append(ExclusionRow(m, allowed - len(realized) + len(outside), len(outside)))
-    return rows
-
-
-def growth_check(gamma: DiPath, k_max: int) -> list[tuple[int, int, int]]:
-    """Lift counts of loop powers against the factorial lower bound.
-
-    For a loop with a zero diagonal drift entry, the k-th power admits at
-    least k! lifts.  Each power's lifts are counted as the linear extensions
-    of its poset.
-    """
-    gamma.require_loop()
-    diag = loop_drift(gamma).diagonal()
-    if SIGN_ZERO not in diag:
-        raise ValueError("growth bound needs a loop with a zero diagonal drift entry")
-    rows = []
-    for k in range(1, k_max + 1):
-        count = linear_extensions(build_poset(gamma**k), "count")
-        rows.append((k, count, math.factorial(k)))
     return rows

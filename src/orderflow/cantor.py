@@ -14,7 +14,6 @@ truncation error bounded explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from .perms import (
     Perm,
     all_perms,
     is_compatible,
-    order_pattern,
     preimages,
     push_mass,
     restrict,
@@ -215,12 +213,6 @@ def _free_gaps(spans: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fractio
     return gaps
 
 
-def separator_order_ok(tree: SeparatorTree, sigma: Perm) -> bool:
-    """Midpoints of sigma's chain intervals must realize sigma itself."""
-    mids = [tree.intervals[s].midpoint() for s in _chain(sigma)]
-    return order_pattern(mids) == sigma
-
-
 def assemble_truncated_map(tree: IntervalTree, scale_depth: int) -> IntervalMap:
     """The finite-depth map: affine hops I -> K_2 -> ... -> K_N plus shells.
 
@@ -386,16 +378,6 @@ def verify_construction(
         )
         rows.append(VerificationRow(n, worst, bound))
     return VerificationReport(rows, samples, excluded)
-
-
-def tree_to_json(tree: IntervalTree | SeparatorTree) -> str:
-    payload = {
-        "depth": tree.depth,
-        "intervals": {
-            str(s): [str(rec.lo), str(rec.hi)] for s, rec in sorted(tree.intervals.items())
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def uniform_tower(depth: int) -> list[PatternDistribution]:

@@ -14,12 +14,9 @@ import os
 DEFAULT_PERM_CAP = 12
 
 # Most patterns one level of ``paths.lifts`` may hold: 9! = 362880, all of
-# S_9; also the most states one step of ``paths.allowed_counts`` may hold.
+# S_9; also the most states one step of the transfer count may hold, for
+# ``paths.lift_count`` and ``paths.allowed_counts``.
 LIFT_LEVEL_MAX = 362_880
-# Listing linear extensions by backtracking stops at m = 9.
-EXTENSION_ENUM_MAX = 9
-# Counting linear extensions by downset DP is feasible a bit further.
-EXTENSION_COUNT_MAX = 14
 
 # Building every edge of G_n: `digraph --n 7` (40,320 edges) writes in ~4 s
 # on a 2-vCPU VM under Python 3.11, `--n 8` (362,880 edges) in ~40 s.
@@ -44,7 +41,6 @@ CENSUS_N_MAX = 4
 
 SEPARATOR_DEPTH_MAX = 6
 SCALE_DEPTH_MAX = 24
-POLYTOPE_DIM_MAX = 6
 
 # The drift decision itself needs no cap: its reachability search visits at
 # most |V| (n+2)^2 index states per (vertex, index).  Only the loops that

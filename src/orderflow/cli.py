@@ -163,8 +163,7 @@ def cmd_lifts(args) -> dict:
     p = _load_path(args.path)
     m = p.length + p.n
     if args.mode == "count":
-        count = paths.linear_extensions(paths.build_poset(p), "count")
-        return {"command": "lifts", "m": m, "count": count}
+        return {"command": "lifts", "m": m, "count": paths.lift_count(p)}
     found = paths.lifts(p)
     if args.out:
         payload = json.dumps({"m": m, "lifts": [str(s) for s in found]}, sort_keys=True)

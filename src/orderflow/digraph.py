@@ -263,15 +263,6 @@ def embedded_loops(H: Subgraph) -> list[tuple[Perm, ...]]:
     return loops
 
 
-def face_dimension(H: Subgraph) -> int:
-    """Dimension of the polytope face that H corresponds to.
-
-    One less than the rank of the first homology of H, i.e.
-    |E| - |V| + #components - 1.
-    """
-    return len(H.edges) - len(H.vertices()) + len(face_components(H)) - 1
-
-
 # -- serialization ----------------------------------------------------------
 
 

@@ -13,7 +13,8 @@ is scaled onto the integer lattice Z[sqrt2] of :mod:`.exactnum`, and any
 other map keeps its pieces at scale 1.  A map built from pieces is put in its
 frame by :func:`lattice_frame` when it is built; a permutation map is built
 in its frame by :meth:`IntervalMap.from_frame`, which checks that its lattice
-pieces at scale 2l tile [0, 2l).  Exact work on a map (the subdivision, the
+pieces at scale 2l tile [0, 2l) and that 2l is the scale :func:`lattice_frame`
+would pick.  Exact work on a map (the subdivision, the
 measure check) and :func:`map_to_json` run on the frame.  The Q(sqrt2)
 pieces are derived from it only when something reads them: a block sum
 gluing components, the sampler, or a caller.
@@ -96,9 +97,26 @@ class IntervalMap:
 
     @classmethod
     def from_frame(cls, one: int, pieces, name: str = "") -> "IntervalMap":
-        """The map whose frame is (one, pieces): its pieces conjugated by x -> one x, tiling [0, one)."""
+        """The map whose frame is (one, pieces): its pieces conjugated by x -> one x, tiling [0, one).
+
+        The frame must be the one :func:`lattice_frame` gives the map, so that
+        a map has one frame and equal maps compare equal.  A piecewise
+        isometry's scale and the int parts of its bounds and intercepts have
+        gcd 2; any other map has scale 1.  Another frame is a ValueError.
+        """
+        tiles = _tiling(pieces, one)
+        if not all(p.c == 0 and (p.a == 1 or p.a == -1) for p in tiles):
+            if one != 1:
+                raise ValueError(f"frame scale {one} of a map that is not a piecewise isometry must be 1")
+        else:
+            parts = [one]
+            for p in tiles:
+                for v in (p.lo, p.hi, p.b):
+                    parts += (v.a, v.b) if type(v) is Sqrt2 else (v,)
+            if any(type(v) is not int for v in parts) or math.gcd(*parts) != 2:
+                raise ValueError(f"frame scale {one} is not the lattice scale of this piecewise isometry")
         f = object.__new__(cls)
-        f.__dict__.update(frame=(one, _tiling(pieces, one)), name=name)
+        f.__dict__.update(frame=(one, tiles), name=name)
         return f
 
     @cached_property
@@ -354,8 +372,8 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     ell = gamma.length
     if ell > CYCLIC_LIFT_MAX:
         raise _lift_refusal(gamma, CapExceeded(f"loop length {ell} exceeds cyclic ranking cap {CYCLIC_LIFT_MAX}"))
-    if ell < gamma.n + 1:
-        raise _lift_refusal(gamma, CyclicObstruction("a window wraps onto itself (loop shorter than window)"))
+    if ell < gamma.n + 1:  # x_0 and x_ell share the first window, which forces a drift
+        raise _lift_refusal(gamma, InvariantViolation(f"a loop of length {ell} shorter than its window must drift"))
     succs: list[list[int]] = [[] for _ in range(ell)]
     indeg = [0] * ell
     steps: dict[Perm, list[tuple[int, int]]] = {}

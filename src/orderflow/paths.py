@@ -5,7 +5,9 @@ S_{n+1}, consecutive windows agreeing); it constrains l + n real values, and
 the poset of forced order relations among them decides exactly which
 permutations of S_{l+n} project onto the path.  Lifts of a path are the
 linear extensions of its poset, which is the central oracle equivalence the
-test suite leans on.
+test suite leans on: the package lists lifts window by window and counts
+them by the transfer count, and the tests compare both with the poset's
+extensions.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Collection, Iterator, Literal, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .caps import EXTENSION_COUNT_MAX, EXTENSION_ENUM_MAX, LIFT_LEVEL_MAX
+from .caps import LIFT_LEVEL_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
 from .perms import HEAD, TAIL, Perm, json_length, load_json, order_pattern, perm, preimages, restrict
 
@@ -139,19 +140,25 @@ def project(obj: Perm | DiPath, n: int) -> DiPath:
     return p
 
 
-def allowed_counts(edges: Collection[Perm], n: int, m_max: int) -> Iterator[int]:
-    """|A_m| for m = n+1..m_max: the patterns of S_m whose every (n+1)-window is in ``edges``.
-
-    The transfer count of Elizalde & Noy (2003): patterns grow by a new last
-    value, as in :func:`lifts`, but each state, the ranks of the last n values
-    among those placed, keeps only a count.  No step may hold more than
-    ``LIFT_LEVEL_MAX`` states.
-    """
-    gaps: dict[tuple[int, ...], list[int]] = {}  # head pattern -> how many of its values lie below the last
+def _edge_gaps(edges: Iterable[Perm]) -> dict[tuple[int, ...], list[int]]:
+    """Head pattern -> how many of its values lie below the last, one entry per edge."""
+    gaps: dict[tuple[int, ...], list[int]] = {}
     for e in edges:
         gaps.setdefault(order_pattern(e.word[:-1]).word, []).append(e.word[-1] - 1)
-    counts = dict.fromkeys(gaps, 1)
-    for i in range(n, m_max):
+    return gaps
+
+
+def _transfer_counts(n: int, start: Iterable[tuple[int, ...]], steps: Iterable[dict]) -> Iterator[int]:
+    """The transfer count for consecutive patterns (Elizalde & Noy 2003), one total per step.
+
+    Patterns grow by a new last value, as in :func:`lifts`, but each state,
+    the ranks of the last n values among those placed, keeps only a count.
+    Each start state counts once; a step maps a state's pattern to the
+    allowed gaps of its new value (see :func:`_edge_gaps`).  No step may hold
+    more than ``LIFT_LEVEL_MAX`` states.
+    """
+    counts = dict.fromkeys(start, 1)
+    for i, gaps in enumerate(steps, start=n):
         grown: dict[tuple[int, ...], int] = {}
         for s, c in counts.items():
             bounds = (0, *sorted(s), i + 1)
@@ -163,6 +170,28 @@ def allowed_counts(edges: Collection[Perm], n: int, m_max: int) -> Iterator[int]
             raise CapExceeded(f"window count in S_{i + 1} reached {len(grown)} states, cap {LIFT_LEVEL_MAX}")
         counts = grown
         yield sum(counts.values())
+
+
+def allowed_counts(edges: Collection[Perm], n: int, m_max: int) -> Iterator[int]:
+    """|A_m| for m = n+1..m_max: the patterns of S_m whose every (n+1)-window is in ``edges``.
+
+    Every step of the transfer count allows every edge, from every head pattern.
+    """
+    gaps = _edge_gaps(edges)
+    return _transfer_counts(n, gaps, itertools.repeat(gaps, m_max - n))
+
+
+def lift_count(p: DiPath) -> int:
+    """How many permutations of S_m, m = length + n, project onto p.
+
+    The transfer count from p's first vertex with step b allowing only edge
+    b: the number of lifts of p, which is also the number of linear
+    extensions of :func:`build_poset` (p).
+    """
+    if not p.edges:
+        return 1
+    *_, count = _transfer_counts(p.n, [p.first_vertex.word], (_edge_gaps([e]) for e in p.edges))
+    return count
 
 
 def lifts(p: DiPath) -> list[Perm]:
@@ -188,28 +217,6 @@ def lifts(p: DiPath) -> list[Perm]:
     if not level:
         raise InvariantViolation(f"no lift of a path of length {p.length} on G_{p.n}; lifting is surjective")
     return sorted(level)
-
-
-def edges_between(u: Perm, w: Perm) -> list[Perm]:
-    """All edges of G_n from u to w (both in S_n)."""
-    return [e for e in preimages(u, HEAD) if restrict(e, TAIL) == w]
-
-
-def lift_paths_one_step(p: DiPath) -> list[DiPath]:
-    """All paths on G_{n+1} projecting onto p (one level up).
-
-    The lifted vertices are forced (they are p's edges); only the lifted
-    edges vary.  Defined for paths of length >= 1; the lift has length l - 1.
-    """
-    if p.length < 1:
-        raise ValueError("only paths of positive length lift downward-determined")
-    if p.length == 1:
-        return [DiPath(p.n + 1, (), p.edges[0])]
-    choices = [edges_between(a, b) for a, b in zip(p.edges, p.edges[1:])]
-    out = []
-    for combo in itertools.product(*choices):
-        out.append(DiPath(p.n + 1, combo))
-    return out
 
 
 # -- the poset of a path -----------------------------------------------------
@@ -339,63 +346,6 @@ def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:
         if brute != answer:
             raise InvariantViolation(f"poset says {answer}, lift oracle says {brute}")
     return answer
-
-
-def linear_extensions(P: PathPoset, mode: Literal["count", "enumerate"] = "count"):
-    """Count or list the total-order extensions of a path poset.
-
-    Counting runs a downset DP (memoized on the placed-set bitmask); listing
-    backtracks and reports each extension as the permutation assigning ranks,
-    which for a path poset is exactly a lift of the path.
-    """
-    preds = []
-    for i in range(P.m):
-        mask = 0
-        for k in range(P.m):
-            if k != i and P.leq[k] >> i & 1:
-                mask |= 1 << k
-        preds.append(mask)
-    full = (1 << P.m) - 1
-
-    if mode == "count":
-        if P.m > EXTENSION_COUNT_MAX:
-            raise CapExceeded(f"extension counting reached m = {P.m}, cap {EXTENSION_COUNT_MAX}")
-
-        @lru_cache(maxsize=None)
-        def count(placed: int) -> int:
-            if placed == full:
-                return 1
-            total = 0
-            for i in range(P.m):
-                if placed >> i & 1 == 0 and preds[i] & ~placed == 0:
-                    total += count(placed | 1 << i)
-            return total
-
-        return count(0)
-
-    if mode == "enumerate":
-        if P.m > EXTENSION_ENUM_MAX:
-            raise CapExceeded(f"extension enumeration reached m = {P.m}, cap {EXTENSION_ENUM_MAX}")
-        out: list[Perm] = []
-        order: list[int] = []
-
-        def walk(placed: int):
-            if placed == full:
-                word = [0] * P.m
-                for rank, elt in enumerate(order, start=1):
-                    word[elt] = rank
-                out.append(Perm(tuple(word)))
-                return
-            for i in range(P.m):
-                if placed >> i & 1 == 0 and preds[i] & ~placed == 0:
-                    order.append(i)
-                    walk(placed | 1 << i)
-                    order.pop()
-
-        walk(0)
-        return out
-
-    raise ValueError(f"mode must be 'count' or 'enumerate', got {mode!r}")
 
 
 # -- serialization ----------------------------------------------------------

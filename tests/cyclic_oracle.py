@@ -49,8 +49,8 @@ def oracle_cyclic_lift(gamma: DiPath) -> CyclicRanking:
         for cslot in range(w):
             for dslot in range(cslot + 1, w):
                 p1, p2 = (b + cslot) % ell, (b + dslot) % ell
-                if p1 == p2:
-                    raise CyclicObstruction("a window wraps onto itself (loop shorter than window)")
+                if p1 == p2:  # a window wraps onto itself, which forces a drift
+                    raise InvariantViolation(f"a loop of length {ell} shorter than its window must drift")
                 lowpos, highpos = (p1, p2) if word[cslot] < word[dslot] else (p2, p1)
                 if highpos not in succs[lowpos]:
                     succs[lowpos].add(highpos)

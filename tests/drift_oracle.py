@@ -17,6 +17,10 @@ quantifier over infinitely many loops becomes a scan of that set.  The set
 can grow exponentially with the component (full G_4 holds 548,314
 profiles), so tests run it at n <= 3 only, against the package's
 index-state reachability.
+
+``reach_partially_driftless_in`` finds a loop with a zero diagonal entry
+by the package's index-state search instead; tests check it against the
+saturation route's ``partially_driftless_in``.
 """
 
 from __future__ import annotations
@@ -205,3 +209,22 @@ def all_vertex_subgraph_drifts(H: Subgraph) -> DriftVerdict:
         if verdict.drifts:
             return verdict
     return DriftVerdict()
+
+
+def reach_partially_driftless_in(H: Subgraph) -> DiPath | None:
+    """Some loop in H with a zero diagonal drift entry, or None.
+
+    Searches the index states of each strongly connected piece; the witness
+    is the shortest, then least in edge order, such loop at the least vertex
+    that has one.
+    """
+    for comp in strongly_connected_components(H):
+        if not comp.edges:
+            continue
+        reach = IndexReach(Subgraph(H.n, comp.edges))
+        for v in reach.graph.vertices():
+            found = [reach.first_loop(v, j, {ZERO}) for j in range(1, H.n + 1)]
+            found = [loop for loop in found if loop is not None]
+            if found:
+                return min(found, key=lambda loop: (loop.length, loop.edges))
+    return None

@@ -14,12 +14,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_paths, random_path
+from flow_oracle import face_dimension, polytope_dimension
+from poset_oracle import edges_between, growth_check, linear_extensions
 from orderflow.analysis import (
     entropy_estimate,
     exact_distribution,
     exclusion_type_test,
     forbidden_patterns,
-    growth_check,
     unit_samples,
 )
 from orderflow.cantor import (
@@ -28,12 +29,12 @@ from orderflow.cantor import (
     uniform_tower,
     verify_construction,
 )
-from orderflow.digraph import Subgraph, embedded_loops, face_dimension
+from orderflow.digraph import Subgraph, embedded_loops
 from orderflow.drift import DRIFTLESS, classify_loop, loop_drift
 from orderflow.errors import NotRealizable
-from orderflow.flows import census, face_realizable, flow_residual, polytope_dimension
+from orderflow.flows import census, face_realizable, flow_residual
 from orderflow.maps import cyclic_lift, permutation_map, realize_flow
-from orderflow.paths import build_poset, comparability, edges_between, lifts, linear_extensions
+from orderflow.paths import build_poset, comparability, lifts
 from orderflow.perms import HEAD, PatternDistribution, all_perms, perm, pushforward
 
 

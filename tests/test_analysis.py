@@ -2,14 +2,17 @@ import math
 import tracemalloc
 from fractions import Fraction
 from hashlib import blake2b
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drift_oracle import reach_partially_driftless_in
 from exact_oracle import oracle_distribution
 from isometries import interval_exchanges, lattice_maps, unit_points
+from poset_oracle import growth_check, linear_extensions
 from sample_oracle import oracle_sampled, oracle_unit_samples
 from shift_oracle import doubling_patterns
 from orderflow import analysis
@@ -20,9 +23,7 @@ from orderflow.analysis import (
     exact_distribution,
     exclusion_type_test,
     forbidden_patterns,
-    growth_check,
-    partially_driftless_in,
-    pattern_graph,
+    realized_patterns,
     unit_samples,
 )
 from orderflow.digraph import PermDigraph, Subgraph, embedded_loops
@@ -45,7 +46,7 @@ from orderflow.maps import (
     permutation_map,
     realize_flow,
 )
-from orderflow.paths import allowed_counts, path
+from orderflow.paths import allowed_counts, build_poset, lift_count, lifts, path
 from orderflow.perms import HEAD, TAIL, PatternDistribution, all_perms, perm, pushforward, restrict
 
 DOUBLING_MU3 = {
@@ -182,8 +183,12 @@ def permutation_maps(draw):
 
 
 def _generic(f, n):
-    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take."""
-    return exact_distribution(IntervalMap.from_frame(1, f.pieces, f.name), n)
+    """exact_distribution in the unscaled frame, with the Fraction / Sqrt2 values other slopes take.
+
+    ``IntervalMap.from_frame`` builds only the frame ``lattice_frame`` picks,
+    so a stand-in with the map's ``frame`` and ``name`` carries the scale-1 one.
+    """
+    return exact_distribution(SimpleNamespace(frame=(1, f.pieces), name=f.name), n)
 
 
 def _outcome(compute, f, n):
@@ -515,6 +520,11 @@ class TestStatisticalInvariants:
                 assert {restrict(s, TAIL) for s in upper} <= lower
 
 
+def pattern_graph(f, n: int) -> Subgraph:
+    """The subgraph of G_n whose edges are the realized (n+1)-patterns."""
+    return Subgraph(n, realized_patterns(f, [n + 1], "exact")[n + 1])
+
+
 class TestPatternGraph:
     def test_doubling_covers_everything(self, doubling, G2_full):
         assert pattern_graph(doubling, 2).edges == G2_full.edges
@@ -533,16 +543,16 @@ class TestPatternGraph:
 
 class TestPartiallyDriftless:
     def test_found_in_full_graph(self, doubling, G2_full):
-        loop = partially_driftless_in(pattern_graph(doubling, 2))
+        loop = reach_partially_driftless_in(pattern_graph(doubling, 2))
         assert loop is not None
         assert "0" in loop_drift(loop).diagonal()
 
     def test_absent_in_forced_cycle(self, two_cycle):
-        assert partially_driftless_in(two_cycle) is None
+        assert reach_partially_driftless_in(two_cycle) is None
 
     def test_found_in_figure_support(self, figure_loop):
         H = Subgraph(3, frozenset(figure_loop.edges))
-        loop = partially_driftless_in(H)
+        loop = reach_partially_driftless_in(H)
         assert loop is not None
         assert "0" in loop_drift(loop).diagonal()
 
@@ -636,11 +646,9 @@ class TestGrowth:
         assert rows[0][1] == 4
 
     def test_counting_routes_agree_on_a_loop_power(self, loop_132_321_213):
-        # Brute force and downset counting must agree where both apply.
-        from orderflow.paths import build_poset, lifts, linear_extensions
-
+        # Brute force, the transfer count and downset counting must agree where all apply.
         power = loop_132_321_213**2
-        assert len(lifts(power)) == linear_extensions(build_poset(power), "count")
+        assert len(lifts(power)) == lift_count(power) == linear_extensions(build_poset(power), "count")
 
     def test_figure_loop(self, figure_loop):
         rows = growth_check(figure_loop, 1)

@@ -8,18 +8,23 @@ from orderflow.cantor import (
     IntervalTree,
     VerificationReport,
     VerificationRow,
+    _chain,
     _check_interval_invariants,
     assemble_truncated_map,
     build_interval_tree,
     build_separator_tree,
-    separator_order_ok,
-    tree_to_json,
     uniform_tower,
     verify_construction,
 )
 from orderflow.errors import CapExceeded, IncompatibleSequence, InvariantViolation
 from orderflow.maps import iterate
 from orderflow.perms import PatternDistribution, Perm, all_perms, order_pattern, perm
+
+
+def separator_order_ok(tree, sigma: Perm) -> bool:
+    """Midpoints of sigma's chain intervals must realize sigma itself."""
+    mids = [tree.intervals[s].midpoint() for s in _chain(sigma)]
+    return order_pattern(mids) == sigma
 
 
 def tower_from_top(mu_top):
@@ -204,13 +209,3 @@ class TestDerivedValues:
         assert VerificationRow(2, 0.25, 0.25).passed and not VerificationRow(2, 0.2500001, 0.25).passed
         failing = VerificationReport([VerificationRow(1, 0.0, 0.1), VerificationRow(2, 0.3, 0.1)], 10, 0)
         assert not failing.passed
-
-
-class TestSerialization:
-    def test_tree_json(self):
-        tree = build_interval_tree(uniform_tower(2))
-        import json
-
-        payload = json.loads(tree_to_json(tree))
-        assert payload["depth"] == 2
-        assert payload["intervals"]["12"] == ["1/4", "1/2"]

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_path
+from flow_oracle import flow_to_json, interior_flow
 from isometries import lattice_maps
 from orderflow import cli, maps
 from orderflow.cli import build_parser, main
 from orderflow.digraph import build, subgraph, subgraph_from_json, subgraph_to_json
-from orderflow.flows import flow_to_json, interior_flow
 from orderflow.maps import builtin, map_from_json, map_to_json
 from orderflow.paths import path, path_to_json
 from orderflow.exactnum import exact
@@ -950,3 +951,56 @@ class TestLoaderFuzz:
         argv = ["cantor", "verify", "--dists", *files, "--scale-depth", "4", "--samples", "200", "--seed", "1"]
         code, payload = one_json_line(argv)
         assert payload.get("command") == "cantor" if code == 0 else "error" in payload
+
+
+@st.composite
+def path_json(draw):
+    """A path of G_1..G_3 with 1 to 5 edges as JSON, with up to two fields replaced or edges dropped."""
+    n = draw(st.integers(1, 3))
+    payload = json.loads(path_to_json(random_path(draw(st.randoms(use_true_random=False)), n, draw(st.integers(1, 5)))))
+    edges = payload["edges"]
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["n", "edges", "start", "edge", "drop"]))
+        if key in ("edge", "drop"):
+            k = draw(st.integers(0, len(edges) - 1)) if edges else None
+            if k is not None and key == "drop":
+                edges.pop(k)
+            elif k is not None:
+                edges[k] = draw(json_leaves)
+        else:
+            payload[key] = draw(field)
+    return json.dumps(payload)
+
+
+path_texts = st.text(max_size=40) | artifacts | path_json()
+index_flags = st.integers(-3, 12).map(str) | st.sampled_from(["x", "1.5", "", "-0", "99999999999999999999999"])
+
+
+class TestPathFuzz:
+    """Each command that reads a path prints one JSON line, whatever the file and the numeric flags."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=path_texts, mode=st.sampled_from(["count", "enumerate"]))
+    def test_lifts(self, tmp_path_factory, text, mode):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "path.json").write_text(text)
+        code, payload = one_json_line(["lifts", "--path", str(tmp / "path.json"), "--mode", mode, "--out", str(tmp / "l.json")])
+        assert payload.get("command") == "lifts" if code == 0 else "error" in payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=path_texts, query=st.none() | st.tuples(index_flags, index_flags), oracle=st.booleans())
+    def test_poset(self, tmp_path_factory, text, query, oracle):
+        f = tmp_path_factory.mktemp("fuzz") / "path.json"
+        f.write_text(text)
+        argv = ["poset", "--path", str(f), *(["--query", *query] if query else []), *(["--oracle"] if oracle else [])]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "poset" if code == 0 else "error" in payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=path_texts, method=st.sampled_from(["profile", "poset"]))
+    def test_drift_loop(self, tmp_path_factory, text, method):
+        f = tmp_path_factory.mktemp("fuzz") / "path.json"
+        f.write_text(text)
+        code, payload = one_json_line(["drift", "loop", "--path", str(f), "--method", method])
+        assert payload.get("command") == "drift" if code == 0 else "error" in payload
+

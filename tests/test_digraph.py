@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import face_dimension
 from orderflow.digraph import (
     Subgraph,
     build,
     embedded_loops,
     export_dot,
     face_components,
-    face_dimension,
     is_face_subgraph,
     shortest_path,
     strongly_connected_components,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import drift_oracle
 from conftest import all_paths, random_path
-from orderflow.analysis import partially_driftless_in
 from orderflow.digraph import PermDigraph, Subgraph, is_face_subgraph, strongly_connected_components, tail
 from orderflow.drift import (
     DRIFTLESS,
@@ -389,7 +388,7 @@ def _random_face_subgraph(rng: random.Random, n: int, p: float) -> Subgraph:
 
 def _assert_matches_saturation(H: Subgraph) -> None:
     assert subgraph_drifts(H) == drift_oracle.subgraph_drifts(H)
-    assert partially_driftless_in(H) == drift_oracle.partially_driftless_in(H)
+    assert drift_oracle.reach_partially_driftless_in(H) == drift_oracle.partially_driftless_in(H)
     for comp in strongly_connected_components(H):
         K = Subgraph(H.n, comp.edges)
         if comp.edges and not drift_oracle.subgraph_drifts(K).drifts:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_oracle import face_dimension, flow_to_json, interior_flow, polytope_dimension
 from orderflow import flows
 from orderflow.digraph import (
     Subgraph,
     build,
     embedded_loops,
     face_components,
-    face_dimension,
     head,
     is_face_subgraph,
     strongly_connected_components,
@@ -29,9 +29,6 @@ from orderflow.flows import (
     face_realizable,
     flow_from_json,
     flow_residual,
-    flow_to_json,
-    interior_flow,
-    polytope_dimension,
     snap_to_exact,
     support_face,
 )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import all_paths
 from cyclic_oracle import oracle_cyclic_lift, oracle_ranking_realizes
+from flow_oracle import interior_flow
 from isometries import lattice_maps, unit_points
 from orderflow.cantor import assemble_truncated_map, build_interval_tree, uniform_tower
 from orderflow import digraph
@@ -34,7 +35,7 @@ from orderflow.errors import (
     UnknownBuiltin,
 )
 from orderflow.exactnum import Sqrt2, exact, exact_div, exact_str, from_lattice, lattice_str, parse_exact
-from orderflow.flows import flow_residual, interior_flow
+from orderflow.flows import flow_residual
 from orderflow.maps import (
     CyclicRanking,
     _euler_circuit,
@@ -554,7 +555,7 @@ class TestOnePassRanking:
 
     def test_short_and_cyclic_refusals_name_the_drift_first(self, cases):
         # A loop shorter than its window, or one whose windows close a cycle, reports its drift class if it drifts.
-        # Every short loop drifts (x_0 and x_l share the first window), so the wrap text never shows.
+        # Every short loop drifts (x_0 and x_l share the first window), so its fallback error never shows.
         seen = {"short drifts": 0, "chain drifts": 0, "chain driftless": 0}
         for g in cases:
             cls = classify_loop(g)
@@ -567,6 +568,16 @@ class TestOnePassRanking:
             assert drifts or not short
             seen[("short " if short else "chain ") + ("drifts" if drifts else "driftless")] += 1
         assert min(seen.values()) > 40
+
+    def test_a_short_loop_that_did_not_drift_breaks_an_invariant(self, cases, monkeypatch):
+        # The fallback after the drift class: were a short loop driftless, the proof that it drifts would be wrong.
+        short = [g for g in cases if g.length < g.n + 1]
+        monkeypatch.setattr("orderflow.maps.classify_loop", lambda g: DRIFTLESS)
+        monkeypatch.setattr("cyclic_oracle.classify_loop", lambda g: DRIFTLESS)
+        for g in short:
+            text = f"a loop of length {g.length} shorter than its window must drift"
+            assert _outcome(cyclic_lift, g) == _outcome(oracle_cyclic_lift, g) == (InvariantViolation, text)
+        assert len(short) > 40
 
     def test_lifted_loops_are_not_classified(self, cases, monkeypatch):
         # A ranking that realizes every window proves the loop driftless, so a lift that succeeds never classifies.
@@ -646,6 +657,20 @@ class TestPermutationMap:
     def test_frame_pieces_must_be_nonempty(self):
         with pytest.raises(ValueError, match="is empty"):
             IntervalMap.from_frame(6, (Piece(0, 6, 1, 0), Piece(6, 6, 1, 0)))
+
+    def test_only_the_lattice_frame(self):
+        # One map, one frame: the scale-1 frame of a permutation map, or its frame at twice the scale, is refused.
+        f = permutation_map(CyclicRanking((1, 3, 2)))
+        assert IntervalMap.from_frame(*f.frame, f.name) == f
+        with pytest.raises(ValueError, match="frame scale 1 is not the lattice scale"):
+            IntervalMap.from_frame(1, f.pieces, f.name)
+        doubled = [Piece(2 * p.lo, 2 * p.hi, p.a, 2 * p.b) for p in f.frame[1]]
+        with pytest.raises(ValueError, match="frame scale 12 is not the lattice scale"):
+            IntervalMap.from_frame(12, doubled)
+        with pytest.raises(ValueError, match="frame scale 2 of a map that is not a piecewise isometry must be 1"):
+            IntervalMap.from_frame(2, (Piece(0, 1, 2, 0), Piece(1, 2, 2, -2)))
+        doubling = builtin("doubling")
+        assert IntervalMap.from_frame(*doubling.frame, doubling.name) == doubling
 
     def test_held_only_as_its_frame(self):
         # The Q(sqrt2) pieces are a cached view of the frame, not a second stored form.

@@ -3,11 +3,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_paths, random_path
 from lengths_oracle import oracle_lifts
+from poset_oracle import edges_between, lift_paths_one_step, linear_extensions
 from orderflow.errors import CapExceeded, EndpointMismatch, FormatError
 from orderflow.paths import (
     DiPath,
@@ -16,10 +17,8 @@ from orderflow.paths import (
     build_poset,
     comparability,
     concat,
-    edges_between,
-    lift_paths_one_step,
+    lift_count,
     lifts,
-    linear_extensions,
     path,
     path_from_json,
     path_to_json,
@@ -30,10 +29,12 @@ from orderflow.perms import HEAD, TAIL, Perm, all_perms, order_pattern, perm, pr
 
 
 @st.composite
-def drawn_paths(draw):
-    """A path on G_3 or G_4 whose lifts lie in S_m, m = length + n <= 9."""
-    n = draw(st.sampled_from([3, 4]))
-    length = draw(st.integers(1, 9 - n))
+def drawn_paths(draw, levels=(3, 4), min_length=1, m_max=lambda n: 9):
+    """A path on G_n, n in levels, whose lifts lie in S_m, m = length + n <= m_max(n)."""
+    n = draw(st.sampled_from(levels))
+    length = draw(st.integers(min_length, m_max(n) - n))
+    if length == 0:
+        return DiPath(n, (), draw(st.sampled_from(list(all_perms(n)))))
     edges = [draw(st.sampled_from(list(all_perms(n + 1))))]
     while len(edges) < length:
         edges.append(draw(st.sampled_from(preimages(restrict(edges[-1], TAIL), HEAD))))
@@ -157,6 +158,25 @@ class TestLifts:
     def test_edges_between(self):
         assert {str(e) for e in edges_between(perm("231"), perm("312"))} == {"2413", "3412"}
         assert {str(e) for e in edges_between(perm("312"), perm("231"))} == {"4231"}
+
+
+class TestLiftCount:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn_paths(levels=(1, 2, 3, 4), min_length=0, m_max=lambda n: min(13, 7 + 2 * n)))
+    def test_matches_the_poset_and_the_list(self, set_perm_cap, p):
+        # m <= 7 + 2n keeps the lifts of low levels few enough to list; lifts scans preimages in S_m.
+        set_perm_cap(13)
+        assert lift_count(p) == linear_extensions(build_poset(p), "count") == len(lifts(p))
+
+    def test_past_the_poset_cap(self, loop_132_321_213):
+        # m = 26, far past the downset DP's m <= 14; the DP run without its cap gives the same number.
+        assert lift_count(loop_132_321_213**8) == 1_471_538_236_712_544_000
+
+    def test_cap(self, loop_132_321_213, monkeypatch):
+        # A step holds one count per pair of ranks of the last two values: 104 pairs at S_16.
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
+        with pytest.raises(CapExceeded, match=r"^window count in S_16 reached 104 states, cap 100$"):
+            lift_count(loop_132_321_213**8)
 
 
 @functools.lru_cache(maxsize=None)
