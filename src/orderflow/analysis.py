@@ -15,7 +15,8 @@ from the slopes of its frame.  Its iterates x -> x + b_k never cross, so a
 cell is cut only where its last iterate meets a piece bound and carries
 just its intercepts; a final cell's order is one sort of its n intercepts,
 with no crossing search.  Both routes stream the same cells and raise the
-same errors with the same texts at the same cells.
+same errors with the same texts at the same cells, and only their work, the
+``SUBDIVISION_MAX`` cell entries, bounds a length.
 
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
 on the interval (0, S), and reads the affine test there too.  A map is held
@@ -28,9 +29,9 @@ cross at points with varying denominators, so their maps keep S = 1 and
 Fraction / Sqrt2 values.  Masses and error texts are converted back to
 Q(sqrt2) by ``from_lattice``.
 
-The empirical
-route samples a counter-based deterministic stream, so runs are reproducible
-per seed and parallelizable by index range.
+The empirical route samples a counter-based deterministic stream, so runs
+are reproducible per seed and parallelizable by index range, and each pass
+is bounded by its orbit values, ``ORBIT_VALUES_MAX``, before the first draw.
 
 Statistics over several lengths take one pass to the longest and project
 down along head restrictions, as the tower mu_n = restrict_* mu_{n+1} does:
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Literal
 
-from .caps import ENTROPY_N_MAX, PERM_CAP, SUBDIVISION_MAX
+from .caps import ORBIT_VALUES_MAX, SUBDIVISION_MAX
 from .errors import (
     CapExceeded, DegenerateTie, EscapesInterval, FormatError, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
@@ -58,7 +59,7 @@ from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span
 from .paths import allowed_counts
 from .perms import (
-    HEAD, PatternDistribution, Perm, _check_length, _trusted, all_perms, order_pattern, push_mass, restrict,
+    HEAD, PatternDistribution, Perm, _trusted, all_perms, order_pattern, push_mass, restrict,
 )
 
 Mode = Literal["exact", "empirical"]
@@ -94,11 +95,37 @@ class PatternReport:
 
 # A cell is an open interval (lo, hi) of [0, one) with the affine maps (a, b)
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
-# values there; no two iterates meet inside a cell.  Cells stream through
-# one generator per iterate, in x order, so no level is ever held whole.
-# On the translation route a cell (lo, hi, intercepts) holds only the b of
-# each iterate x -> x + b.  ``one`` is the frame's scale S, and ``show``
-# gives a value's Q(sqrt2) form for error texts.
+# values there; no two iterates meet inside a cell.  ``_final_cells`` walks a
+# route's cells depth first, one iterator per iterate, so no level is held
+# whole and no depth nests a call.  On the translation route a cell (lo, hi,
+# intercepts) holds only the b of each iterate x -> x + b.  ``one`` is the
+# frame's scale S, and ``show`` gives a value's Q(sqrt2) form for error texts.
+
+
+def _final_cells(root, children, n: int):
+    """The cells at iterate n - 1 inside ``root``, the cell at iterate 0, in x order.
+
+    ``children(cell, k)`` streams the cells at iterate k inside a cell at
+    iterate k - 1.  Each cell adds the iterates it carries to the entries,
+    checked as each cell's children end, and first for n (n + 1) / 2.
+    """
+    least = n * (n + 1) // 2
+    if least > SUBDIVISION_MAX:
+        raise CapExceeded(f"exact subdivision of length {n} needs at least {least} entries, cap {SUBDIVISION_MAX}")
+    entries, stack = 0, [iter((root,))]
+    while stack:
+        k = len(stack) - 1
+        cell = next(stack[-1], None)
+        if cell is None:
+            stack.pop()
+            if entries > SUBDIVISION_MAX:
+                raise CapExceeded(f"exact subdivision reached {entries} entries at iterate {k}, cap {SUBDIVISION_MAX}")
+        elif k == n - 1:
+            entries += n
+            yield cell
+        else:
+            entries += k + 1
+            stack.append(children(cell, k + 1))
 
 
 def _escape(k: int, lo, hi, ylo, yhi, show) -> EscapesInterval:
@@ -182,37 +209,32 @@ def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Ex
     yield left, hi, end
 
 
-def _add_iterate(cells, pieces, k: int, one, show):
-    """The cells of ``cells`` refined so that iterate k, too, keeps its order."""
+def _crossing_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search."""
     bounds = [p.lo for p in pieces]
-    count = 0
-    for lo, hi, comps, order in cells:
+
+    def children(cell, k):
+        # Cut where iterate k - 1 crosses a piece bound, then where iterate k crosses the others.
+        lo, hi, comps, order = cell
         a, b = comps[-1]
         for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1, one, show):
             p = pieces[j]
             new = (p.a * a, p.a * b + p.b)
             grown = comps + (new,)
             for x0, x1, rank in _insert(comps, order, *new, left, right, show):
-                count += 1
                 yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
-        if count > SUBDIVISION_MAX:
-            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {SUBDIVISION_MAX}")
+
+    return _final_cells((0, one, ((1, 0),), (0,)), children, n)
 
 
-def _crossing_route(pieces, n: int, one, show):
-    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search."""
-    cells = [(0, one, ((1, 0),), (0,))]
-    for k in range(1, n):
-        cells = _add_iterate(cells, pieces, k, one, show)
-    return cells
-
-
-def _translate_iterate(cells, pieces, k: int, one, show):
-    """The cells of ``cells`` cut where iterate k - 1 meets a piece bound, each given iterate k's intercept."""
+def _translation_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept."""
     bounds = [p.lo for p in pieces]
     shifts = [p.b for p in pieces]
-    count = 0
-    for lo, hi, bs in cells:
+
+    def children(cell, k):
+        # Cut where iterate k - 1 meets a piece bound; each part gets iterate k's intercept.
+        lo, hi, bs = cell
         b = bs[-1]
         ylo, yhi = lo + b, hi + b
         if ylo < 0 or yhi > one:
@@ -224,18 +246,10 @@ def _translate_iterate(cells, pieces, k: int, one, show):
             new = b + shifts[j]
             if new in bs:
                 raise DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(left)}, {show(right)})")
-            count += 1
             yield left, right, bs + (new,)
             left = right
-        if count > SUBDIVISION_MAX:
-            raise CapExceeded(f"exact subdivision reached {count} cells at iterate {k}, cap {SUBDIVISION_MAX}")
 
-
-def _translation_route(pieces, n: int, one, show):
-    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept."""
-    cells = [(0, one, (0,))]
-    for k in range(1, n):
-        cells = _translate_iterate(cells, pieces, k, one, show)
+    cells = _final_cells((0, one, (0,)), children, n)
     return ((lo, hi, bs, tuple(sorted(range(n), key=bs.__getitem__))) for lo, hi, bs in cells)
 
 
@@ -250,7 +264,6 @@ def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     """
     if n < 1:
         raise ValueError("pattern length must be at least 1")
-    _check_length(n)
     one, pieces = f.frame
     if any(not p.affine for p in pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
@@ -273,8 +286,7 @@ def _subdivided(f: IntervalMap, n: int, route) -> PatternReport:
 
 def _pattern(order: tuple[int, ...]) -> Perm:
     """The pattern whose entries, sorted by value, are at positions ``order``."""
-    # Entry i's rank is one more than its place in the order.
-    return _trusted(tuple(order.index(i) + 1 for i in range(len(order))))
+    return _trusted(tuple(place + 1 for place in sorted(range(len(order)), key=order.__getitem__)))
 
 
 # -- deterministic sampling ----------------------------------------------------
@@ -327,27 +339,35 @@ def _float_pieces(f: IntervalMap):
 def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> dict[int, PatternReport]:
     """Histograms at every length of ``lengths`` from one pass over the orbits.
 
-    Each orbit is iterated once, up to the longest length, and stops at its
-    first escape from the domain or exact repeat: its kept prefix.  It
-    counts at every length up to that prefix's, under the prefix's pattern
-    restricted to the length.  When every piece is affine (c = 0.0) a step
-    is a*x + b, equal to (0.0*x + a)*x + b for every finite x: the two can
-    differ only in the sign of a zero, which no comparison here sees.
+    Each orbit is iterated up to the longest length; its kept prefix ends at
+    its first escape from the domain or exact repeat.  It counts at every
+    length up to that prefix's, under the prefix's pattern restricted to the
+    length.  When every piece is affine (c = 0.0) a step is a*x + b, equal
+    to (0.0*x + a)*x + b for every finite x: the two can differ only in the
+    sign of a zero, which no comparison here sees.  ``ORBIT_VALUES_MAX``
+    bounds the orbit values of the pass before the first draw.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if lengths[0] < 1:
         raise SamplesDiscarded("all samples were discarded")  # no orbit has a shorter pattern
-    # The first length over the cap fails once one orbit is kept that long.
-    n_min, n_max = lengths[0], next((n for n in lengths if n > PERM_CAP), lengths[-1])
+    n_min, n_max = lengths[0], lengths[-1]
+    needed = samples * (n_min + n_max) * (n_max - n_min + 1) // 2
+    if needed > ORBIT_VALUES_MAX:
+        raise CapExceeded(
+            f"sampling needs {needed} orbit values ({samples} samples, lengths {n_min} to {n_max}), "
+            f"cap {ORBIT_VALUES_MAX}"
+        )
     los, his, polys = _float_pieces(f)
     lines = [(a, b) for c, a, b in polys] if all(c == 0.0 for c, _, _ in polys) else None
     steps = range(n_max - 1)
-    places = [range(k) for k in range(n_max + 1)]
-    # ends[k]: orbits whose kept prefix has length k, by the prefix's order.
-    ends: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+    places = {k: list(range(k)) for k in range(n_min, n_max + 1)}  # whose ints every order shares
+    # A list scan finds a repeat as the orbit grows; past length 8 one set after the loop is faster.
+    scanned = n_max <= 8
+    ends: dict[tuple[int, ...], int] = {}  # orbits by the order of their kept prefix
     for x in unit_samples(seed, samples):
         values = [x]
+        seen = values if scanned else ()
         for _ in steps:
             idx = bisect_right(los, x) - 1
             if idx < 0 or x >= his[idx]:
@@ -358,23 +378,24 @@ def _sampled_reports(f: IntervalMap, lengths: list[int], samples: int, seed) -> 
             else:
                 c, a, b = polys[idx]
                 x = (c * x + a) * x + b
-            if x in values:
+            if x in seen:
                 break
             values.append(x)
         k = len(values)
+        if not scanned and len(set(values)) < k:  # past its first repeat an orbit only cycles
+            firsts = {}
+            k = next(j for j, x in enumerate(values) if firsts.setdefault(x, j) != j)
         if k >= n_min:
-            if k == n_max > PERM_CAP:
-                _check_length(k)
             order = tuple(sorted(places[k], key=values.__getitem__))
-            tally = ends[k]
-            tally[order] = tally.get(order, 0) + 1
+            ends[order] = ends.get(order, 0) + 1
     reports = {}
     counts: dict[Perm, int] = {}
     for n in range(n_max, n_min - 1, -1):
         counts = push_mass(counts, HEAD)
-        for order, c in ends[n].items():
-            sigma = _pattern(order)
-            counts[sigma] = counts.get(sigma, 0) + c
+        for order, c in ends.items():
+            if len(order) == n:
+                sigma = _pattern(order)
+                counts[sigma] = counts.get(sigma, 0) + c
         kept = sum(counts.values())
         if n in lengths:
             if kept == 0:
@@ -402,10 +423,13 @@ def realized_patterns(
     """The realized patterns at each of ``lengths``, from one pass to the longest.
 
     Each set equals the ``realized`` of a separate ``exact_distribution`` or
-    ``empirical_distribution`` call, and a failure raises what the shortest
-    failing length raises alone.
+    ``empirical_distribution`` call.  The pass is bounded as a whole: one
+    over its cap (the longest length's cell entries, or the orbit values of
+    all the lengths) raises that refusal, and any other failure raises what
+    the shortest failing length raises alone.  A range of lengths, too long
+    to list before a cap refuses it, is kept as it is.
     """
-    lengths = sorted(set(lengths))
+    lengths = lengths if isinstance(lengths, range) and lengths.step == 1 else sorted(set(lengths))
     if not lengths:
         return {}
     if mode == "empirical":
@@ -416,6 +440,8 @@ def realized_patterns(
         realized = {lengths[-1]: exact_distribution(f, lengths[-1]).realized}
         for n in range(lengths[-1] - 1, lengths[0] - 1, -1):
             realized[n] = frozenset(restrict(s, HEAD) for s in realized[n + 1])
+    except CapExceeded:
+        raise
     except (OrderflowError, ValueError):
         # A failing length fails the longest too, possibly first at a deeper
         # iterate: rerun the shorter ones so the shortest failure is raised.
@@ -436,8 +462,6 @@ def entropy_estimate(
     The statistic log|realized_n| / (n-1) converges to the topological
     entropy for piecewise continuous, piecewise monotone maps.
     """
-    if n_max > ENTROPY_N_MAX:
-        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap {ENTROPY_N_MAX}")
     realized = realized_patterns(f, range(2, n_max + 1), mode, samples, seed)
     return [(n, len(r), math.log(len(r)) / (n - 1)) for n, r in realized.items()]
 
@@ -451,8 +475,9 @@ def forbidden_patterns(
     itself forbidden at its own length, so it is not explained by a shorter
     obstruction.
     """
+    candidates = all_perms(n)  # refuses an n past PERM_CAP before any subdivision or sampling
     realized_by_len = realized_patterns(f, range(min(n, 2), n + 1), mode, samples, seed)
-    forbidden = frozenset(s for s in all_perms(n) if s not in realized_by_len[n])
+    forbidden = frozenset(s for s in candidates if s not in realized_by_len[n])
     basic = []
     for sigma in forbidden:
         explained = False

@@ -381,4 +381,6 @@ def verify_construction(
 
 
 def uniform_tower(depth: int) -> list[PatternDistribution]:
+    if depth > SEPARATOR_DEPTH_MAX:
+        raise CapExceeded(f"separator tree reached depth {depth}, cap {SEPARATOR_DEPTH_MAX}")
     return [PatternDistribution.uniform(n) for n in range(1, depth + 1)]

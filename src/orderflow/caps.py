@@ -1,25 +1,24 @@
-"""Global size caps.
+"""Global size caps, one per route, each on the quantity that makes it expensive.
 
-Everything downstream of S_n enumeration blows up factorially, so the caps
-here are deliberate and the operations that honor them raise
-:class:`~orderflow.errors.CapExceeded` rather than grind.  The pattern-length
-cap can be overridden with the ``ORDERFLOW_CAP`` environment variable, which
-is read once, when this module is imported.
+An operation past a cap raises :class:`~orderflow.errors.CapExceeded`, naming
+the quantity, the value reached and the cap, rather than grind.  Only listing
+S_n is bounded by n; every other route by its own work (cell entries, states,
+ranks, orbit values, edges, loop lengths).  Timings: 2-vCPU VM, Python 3.11.
 """
 
-from __future__ import annotations
+# Longest n that ``perms.all_perms`` lists S_n for: 12! = 479,001,600
+# permutations.  It bounds ``forbidden``, the full digraph and the cantor
+# towers, the only routes that list S_n.
+PERM_CAP = 12
 
-import os
-
-DEFAULT_PERM_CAP = 12
-
-# Most patterns one level of ``paths.lifts`` may hold: 9! = 362880, all of
-# S_9; also the most states one step of the transfer count may hold, for
-# ``paths.lift_count`` and ``paths.allowed_counts``.
+# Most states one step of the transfer count may hold (9! = 362,880), as windows
+# of n ranks (``paths.lift_count``, ``paths.allowed_counts``), or as many ranks
+# in whole patterns (``paths.lifts``): (132, 321, 213)^4 on G_2 is refused at
+# 60,484 patterns of S_12 in ~0.2 s and ~30 MiB.
 LIFT_LEVEL_MAX = 362_880
 
-# Building every edge of G_n: `digraph --n 7` (40,320 edges) writes in ~4 s
-# on a 2-vCPU VM under Python 3.11, `--n 8` (362,880 edges) in ~40 s.
+# Building every edge of G_n: `digraph --n 7` (40,320 edges) writes in ~4 s,
+# `--n 8` (362,880 edges) in ~40 s.
 FULL_DIGRAPH_N_MAX = 7
 
 # Embedded-loop DFS refuses subgraphs with more vertices than this.
@@ -29,12 +28,16 @@ LOOP_ENUM_VERTEX_MAX = 24
 # bounds the length of the loop a realization ranks and turns into a map.
 CYCLIC_LIFT_MAX = 4096
 
-# Longest pattern length in an entropy estimate's table.
-ENTROPY_N_MAX = 10
+# Cell entries of one exact subdivision: each cell adds the iterates it
+# carries, so length n needs at least n (n + 1) / 2.  Doubling at n = 14
+# makes 2.12M entries (~9 s), the rotation by sqrt2 - 1 at n = 200 2.67M
+# (~0.5 s); a refusal at the cap takes up to ~10 s (block sum, n = 14).
+SUBDIVISION_MAX = 3_000_000
 
-# Cells of [0,1) (intervals where the iterates keep one order) in one exact
-# subdivision, checked after each iterate is added.
-SUBDIVISION_MAX = 500_000
+# Orbit values of one sampling pass: each sample's pattern at every length
+# of the pass, samples x (n_min + ... + n_max); 100,000 samples reach n = 10.
+# At the cap 1.2M orbits of length 5 take ~4 s, one of length 6M ~20 s, 1 GiB.
+ORBIT_VALUES_MAX = 6_000_000
 
 # The face census walks all 2^(n!) edge masks of G_{n-1}: 2^24 at n = 4, 2^120 at n = 5.
 CENSUS_N_MAX = 4
@@ -46,29 +49,3 @@ SCALE_DEPTH_MAX = 24
 # most |V| (n+2)^2 index states per (vertex, index).  Only the loops that
 # synthesis concatenates from the search's shortest loops are bounded.
 SYNTHESIS_LENGTH_MAX = 100_000
-
-
-def perm_cap_setting() -> int:
-    """The pattern-length cap ``ORDERFLOW_CAP`` sets, or the default when it is unset.
-
-    A value that is not a positive integer is a ValueError.
-    """
-    raw = os.environ.get("ORDERFLOW_CAP")
-    if raw is None:
-        return DEFAULT_PERM_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ORDERFLOW_CAP must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"ORDERFLOW_CAP must be positive, got {raw!r}")
-    return value
-
-
-# The pattern-length cap, read once.  A malformed setting leaves the default
-# here, so that importing the package never fails; ``cli.main`` reads the
-# setting again and refuses it with a usage error.
-try:
-    PERM_CAP = perm_cap_setting()
-except ValueError:
-    PERM_CAP = DEFAULT_PERM_CAP

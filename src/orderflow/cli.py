@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, NoReturn
 # The cache holders and digraph load with the CLI, the other layers in their
 # handlers (see the module docstring).
 from . import digraph, drift, paths, perms
-from .caps import perm_cap_setting
 from .errors import FormatError, OrderflowError
 from .exactnum import exact_str
 
@@ -333,7 +332,7 @@ def cmd_validate(args) -> dict:
         elif args.kind == "map":
             from . import maps
 
-            maps.map_from_json(text)
+            diagnostics += maps.escaping_pieces(maps.map_from_json(text))
         elif args.kind == "dist":
             perms.distribution_from_csv(text)
     except (FormatError, OrderflowError, ValueError) as exc:
@@ -500,10 +499,6 @@ def main(argv=None) -> int:
     # job; parsing a named one with its parser alone takes ~0.25 ms (2-vCPU
     # VM, Python 3.11).
     args = parse_args(list(sys.argv[1:] if argv is None else argv))
-    try:
-        perm_cap_setting()
-    except ValueError as exc:
-        _usage_error(str(exc))
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         _usage_error("--seed is required for cantor verify")
     if getattr(args, "mode", "exact") == "empirical" and args.seed is None:

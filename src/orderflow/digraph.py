@@ -23,7 +23,7 @@ from itertools import count
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX, PERM_CAP
+from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
 from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, perm, restrict
 
@@ -45,8 +45,6 @@ class PermDigraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.n + 1 > PERM_CAP:
-            raise CapExceeded(f"edges of G_{self.n} live in S_{self.n + 1}, beyond cap {PERM_CAP}")
 
     def vertices(self) -> Iterator[Perm]:
         return all_perms(self.n)

@@ -213,6 +213,19 @@ def _image_span(a: Exact, b: Exact, lo: Exact, hi: Exact) -> tuple[Exact, Exact]
     return (yhi, ylo) if a < 0 else (ylo, yhi)
 
 
+def escaping_pieces(f: IntervalMap) -> list[str]:
+    """One line per piece of f whose exact image, with a degree-2 piece's vertex inside it, leaves [0, 1]."""
+    out = []
+    for k, p in enumerate(f.pieces):
+        ylo, yhi = _image_span(p.a, p.b, p.lo, p.hi) if p.c == 0 else sorted((p(p.lo), p(p.hi)))
+        if p.c != 0 and p.lo < (vertex := -p.a / (2 * p.c)) < p.hi:
+            ylo, yhi = min(ylo, p(vertex)), max(yhi, p(vertex))
+        if ylo < 0 or yhi > 1:
+            lo, hi, ylo, yhi = map(exact_str, (p.lo, p.hi, ylo, yhi))
+            out.append(f"piece {k} maps [{lo}, {hi}) onto [{ylo}, {yhi}], outside [0, 1]")
+    return out
+
+
 def lattice_frame(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]:
     """A scale S and the pieces conjugated by x -> S x, which maps [0, 1) to [0, S).
 

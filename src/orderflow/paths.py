@@ -5,21 +5,20 @@ S_{n+1}, consecutive windows agreeing); it constrains l + n real values, and
 the poset of forced order relations among them decides exactly which
 permutations of S_{l+n} project onto the path.  Lifts of a path are the
 linear extensions of its poset, which is the central oracle equivalence the
-test suite leans on: the package lists lifts window by window and counts
-them by the transfer count, and the tests compare both with the poset's
+test suite leans on: the package lists and counts lifts by one growth step
+of the transfer count, and the tests compare both with the poset's
 extensions.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .caps import LIFT_LEVEL_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
-from .perms import HEAD, TAIL, Perm, json_length, load_json, order_pattern, perm, preimages, restrict
+from .perms import HEAD, TAIL, Perm, _trusted, json_length, load_json, order_pattern, perm, restrict
 
 
 @dataclass(frozen=True)
@@ -148,75 +147,72 @@ def _edge_gaps(edges: Iterable[Perm]) -> dict[tuple[int, ...], list[int]]:
     return gaps
 
 
-def _transfer_counts(n: int, start: Iterable[tuple[int, ...]], steps: Iterable[dict]) -> Iterator[int]:
-    """The transfer count for consecutive patterns (Elizalde & Noy 2003), one total per step.
+def _lift_step(states: dict[tuple[int, ...], int], n: int, i: int, gaps: dict, drop: int) -> dict:
+    """One step of the transfer count for consecutive patterns (Elizalde & Noy 2003).
 
-    Patterns grow by a new last value, as in :func:`lifts`, but each state,
-    the ranks of the last n values among those placed, keeps only a count.
-    Each start state counts once; a step maps a state's pattern to the
-    allowed gaps of its new value (see :func:`_edge_gaps`).  No step may hold
-    more than ``LIFT_LEVEL_MAX`` states.
+    A state, ranks among the i values placed, counts the patterns it stands
+    for.  It grows by a last value in each gap (see :func:`_edge_gaps`) its
+    last n ranks' pattern allows, and drops its first ``drop`` ranks.  As
+    they grow, a step's states may hold as many ranks as ``LIFT_LEVEL_MAX``
+    windows of n ranks (drop=1) do; whole patterns (drop=0) hold i + 1 each.
     """
-    counts = dict.fromkeys(start, 1)
-    for i, gaps in enumerate(steps, start=n):
-        grown: dict[tuple[int, ...], int] = {}
-        for s, c in counts.items():
-            bounds = (0, *sorted(s), i + 1)
-            for k in gaps.get(order_pattern(s).word, ()):
-                for r in range(bounds[k] + 1, bounds[k + 1] + 1):
-                    t = (*(x + (x >= r) for x in s[1:]), r)  # ranks >= r move up by one
-                    grown[t] = grown.get(t, 0) + c
-        if len(grown) > LIFT_LEVEL_MAX:
+    grown: dict[tuple[int, ...], int] = {}
+    cap = LIFT_LEVEL_MAX * n
+    for s, c in states.items():
+        window = s[-n:]
+        bounds = (0, *sorted(window), i + 1)
+        for k in gaps.get(order_pattern(window).word, ()):
+            for r in range(bounds[k] + 1, bounds[k + 1] + 1):
+                t = (*(x + (x >= r) for x in s[drop:]), r)  # ranks >= r move up by one
+                grown[t] = grown.get(t, 0) + c
+        if drop and len(grown) > LIFT_LEVEL_MAX:
             raise CapExceeded(f"window count in S_{i + 1} reached {len(grown)} states, cap {LIFT_LEVEL_MAX}")
-        counts = grown
-        yield sum(counts.values())
+        if not drop and (held := len(grown) * (i + 1)) > cap:
+            raise CapExceeded(f"lift level in S_{i + 1} reached {held} ranks ({len(grown)} patterns), cap {cap}")
+    return grown
 
 
 def allowed_counts(edges: Collection[Perm], n: int, m_max: int) -> Iterator[int]:
     """|A_m| for m = n+1..m_max: the patterns of S_m whose every (n+1)-window is in ``edges``.
 
-    Every step of the transfer count allows every edge, from every head pattern.
+    The transfer count from every head pattern, with every step allowing every edge.
     """
     gaps = _edge_gaps(edges)
-    return _transfer_counts(n, gaps, itertools.repeat(gaps, m_max - n))
+    counts = dict.fromkeys(gaps, 1)
+    for i in range(n, m_max):
+        counts = _lift_step(counts, n, i, gaps, drop=1)
+        yield sum(counts.values())
+
+
+def _lift_states(p: DiPath, drop: int) -> dict[tuple[int, ...], int]:
+    """The transfer count from p's first vertex after every edge of p, step b allowing only edge b."""
+    states = {p.first_vertex.word: 1}
+    for i, e in enumerate(p.edges, start=p.n):
+        states = _lift_step(states, p.n, i, _edge_gaps([e]), drop)
+    return states
 
 
 def lift_count(p: DiPath) -> int:
     """How many permutations of S_m, m = length + n, project onto p.
 
-    The transfer count from p's first vertex with step b allowing only edge
-    b: the number of lifts of p, which is also the number of linear
+    Its states keep the last n ranks; the total is also the number of linear
     extensions of :func:`build_poset` (p).
     """
-    if not p.edges:
-        return 1
-    *_, count = _transfer_counts(p.n, [p.first_vertex.word], (_edge_gaps([e]) for e in p.edges))
-    return count
+    return sum(_lift_states(p, drop=1).values())
 
 
 def lifts(p: DiPath) -> list[Perm]:
     """All permutations of S_m, m = length + n, projecting onto p, in lexicographic order.
 
-    A lift is a single permutation whose (n+1)-windows realize the edges of
-    p in order; it is grown from the first edge by one new last value at a
-    time, and no level may hold more than ``LIFT_LEVEL_MAX`` patterns.
-    Surjectivity of the projection guarantees the result is never empty.
+    The same steps as :func:`lift_count`, each state keeping all its ranks,
+    so only the ranks a step holds bound the work, not m: the zig-zag path
+    (132, 312)^20 132 has one lift in S_43.  Surjectivity of the projection
+    guarantees the result is never empty.
     """
-    if not p.edges:
-        return [p.start]
-    level = [p.edges[0]]
-    for e in p.edges[1:]:
-        grown = []
-        for sigma in level:
-            grown += (child for child in preimages(sigma, HEAD) if order_pattern(child.word[-e.n :]) == e)
-            if len(grown) > LIFT_LEVEL_MAX:
-                raise CapExceeded(
-                    f"lift level in S_{sigma.n + 1} reached {LIFT_LEVEL_MAX + 1} patterns, cap {LIFT_LEVEL_MAX}"
-                )
-        level = grown
-    if not level:
+    words = _lift_states(p, drop=0)
+    if not words:
         raise InvariantViolation(f"no lift of a path of length {p.length} on G_{p.n}; lifting is surjective")
-    return sorted(level)
+    return [_trusted(w) for w in sorted(words)]
 
 
 # -- the poset of a path -----------------------------------------------------

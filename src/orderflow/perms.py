@@ -8,12 +8,12 @@ in.
 
 ``Perm(...)``, ``Perm.parse`` and ``perm`` validate their input; words the
 package builds as permutations itself (order patterns, S_n enumeration,
-preimages) skip that check after one length check per call.  Either way a
-``Perm`` stores its hash when it is built, the value the dataclass hash
-would compute on every lookup, so sets and dicts of patterns keep their
-order.  ``restrict`` is
-memoised in a bounded cache that holds both restrictions of every edge of
-G_6, so walking a digraph edge by edge re-ranks each edge once.
+preimages) skip that check.  Only ``all_perms``, which lists S_n, caps a
+length, at ``caps.PERM_CAP``.  Either way a ``Perm`` stores its hash when it
+is built, the value the dataclass hash would compute on every lookup, so
+sets and dicts of patterns keep their order.  ``restrict`` is memoised in a
+bounded cache that holds both restrictions of every edge of G_6, so walking
+a digraph edge by edge re-ranks each edge once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .caps import PERM_CAP
 from .errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
-from .exactnum import Exact, exact_str, parse_exact
+from .exactnum import Exact, exact_str, lattice_scale, parse_exact, to_lattice
 
 HEAD = "head"
 TAIL = "tail"
@@ -48,7 +48,8 @@ class Perm:
 
     def __post_init__(self):
         n = len(self.word)
-        _check_length(n)
+        if n < 1:
+            raise ValueError("a permutation needs length at least 1")
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"{self.word} is not a permutation of 1..{n}")
         object.__setattr__(self, "_hash", hash((self.word,)))
@@ -86,16 +87,8 @@ class Perm:
         return cls(tuple(int(ch) for ch in s))
 
 
-def _check_length(n: int) -> None:
-    """A permutation length must be positive and within the current cap."""
-    if n < 1:
-        raise ValueError("a permutation needs length at least 1")
-    if n > PERM_CAP:
-        raise CapExceeded(f"permutation length {n} exceeds cap {PERM_CAP}")
-
-
 def _trusted(word: tuple[int, ...]) -> Perm:
-    """A Perm of a word the package built as a permutation of a checked length.
+    """A Perm of a nonempty word the package built as a permutation.
 
     Skips ``Perm.__post_init__``; the public constructors validate instead.
     """
@@ -120,7 +113,8 @@ def order_pattern(values: Sequence) -> Perm:
     Entry i of the result is the rank of ``values[i]`` (1 = smallest).
     """
     n = len(values)
-    _check_length(n)
+    if n < 1:
+        raise ValueError("a permutation needs length at least 1")
     order = sorted(range(n), key=values.__getitem__)
     for a, b in zip(order, order[1:]):
         if not values[a] < values[b]:
@@ -152,13 +146,12 @@ def restrict(sigma: Perm, side: str) -> Perm:
 
 
 def all_perms(n: int) -> Iterator[Perm]:
-    """S_n in lexicographic order."""
+    """S_n in lexicographic order, listed lazily; n is checked against ``PERM_CAP`` at the call."""
     if n > PERM_CAP:
         raise CapExceeded(f"S_{n} enumeration exceeds cap {PERM_CAP}")
     if n < 1:
         raise ValueError("a permutation needs length at least 1")
-    for word in itertools.permutations(range(1, n + 1)):
-        yield _trusted(word)
+    return map(_trusted, itertools.permutations(range(1, n + 1)))
 
 
 def preimages(sigma: Perm, side: str) -> list[Perm]:
@@ -170,7 +163,6 @@ def preimages(sigma: Perm, side: str) -> list[Perm]:
     n = sigma.n
     if side not in (HEAD, TAIL):
         raise ValueError(f"side must be {HEAD!r} or {TAIL!r}, got {side!r}")
-    _check_length(n + 1)
     out = []
     for v in range(1, n + 2):
         bumped = tuple(w + 1 if w >= v else w for w in sigma.word)
@@ -192,13 +184,14 @@ def _validate_masses(n: int, mass: Mapping[Perm, object]) -> tuple[dict, bool]:
         exact = exact and not isinstance(m, float)
         if m != 0:
             clean[sigma] = m
-    if not exact:
-        clean = {s: float(m) for s, m in clean.items()}
-    total = sum(clean.values(), Fraction(0) if exact else 0.0)
     if exact:
-        if total != 1:
-            raise ValueError(f"total mass {total} != 1")
-    elif abs(total - 1.0) > FLOAT_TOTAL_TOL:
+        scale = lattice_scale(clean.values())
+        if sum(to_lattice(m, scale) for m in clean.values()) != scale:
+            raise ValueError(f"total mass {sum(clean.values(), Fraction(0))} != 1")
+        return clean, exact
+    clean = {s: float(m) for s, m in clean.items()}
+    total = math.fsum(clean.values())
+    if abs(total - 1.0) > FLOAT_TOTAL_TOL:
         raise ValueError(f"total mass {total} deviates from 1 beyond {FLOAT_TOTAL_TOL}")
     return clean, exact
 

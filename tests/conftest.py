@@ -18,9 +18,9 @@ settings.load_profile("orderflow")
 
 @pytest.fixture
 def set_perm_cap(monkeypatch):
-    """A setter of the pattern-length cap in every orderflow module that binds ``PERM_CAP``.
+    """A setter of the cap on listing S_n in every orderflow module that binds ``PERM_CAP``.
 
-    ``ORDERFLOW_CAP`` is read once, at import, so a test changes the constant.
+    The cap is a constant that nothing reads from the environment, so a test changes it.
     """
 
     def set_cap(cap: int) -> None:

@@ -16,7 +16,6 @@ import math
 
 from orderflow.analysis import PatternReport, exact_distribution
 from orderflow.digraph import Subgraph
-from orderflow.errors import CapExceeded
 from orderflow.perms import all_perms, order_pattern
 from sample_oracle import oracle_sampled
 
@@ -32,8 +31,6 @@ def oracle_realized(f, lengths, mode, samples=100_000, seed=0) -> dict:
 
 
 def oracle_entropy(f, n_max, mode="exact", samples=100_000, seed=0):
-    if n_max > 10:
-        raise CapExceeded(f"entropy estimate reached n_max = {n_max}, cap 10")
     rows = []
     for n in range(2, n_max + 1):
         realized = oracle_report(f, n, mode, samples, seed).realized

@@ -208,8 +208,8 @@ def test_criterion_10_known_map_statistics(doubling, rotation_3_10):
     reason=(
         "exact counts for the doubling map are 2, 6, 18, 48, 126, 306, 738 for "
         "n = 2..8, so log(738)/7 = 0.943 sits 36% above log 2; the 15% band "
-        "at n = 8 is unreachable, and even exact n = 14 (95,310 patterns under "
-        "ORDERFLOW_CAP=14) gives log(95,310)/13 = 1.272 log 2, still 27% above"
+        "at n = 8 is unreachable, and even exact n = 14 (95,310 patterns, within "
+        "the subdivision cap) gives log(95,310)/13 = 1.272 log 2, still 27% above"
     ),
 )
 def test_criterion_11a_doubling_entropy_band(doubling):

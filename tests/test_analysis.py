@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from hashlib import blake2b
@@ -104,9 +105,26 @@ class TestExactDistribution:
             exact_distribution(rotation_3_10, 11)
 
     def test_subdivision_cap(self, doubling, monkeypatch):
-        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 10)
-        with pytest.raises(CapExceeded, match=r"exact subdivision reached \d+ cells at iterate \d+, cap 10"):
+        # The cap counts cell entries, each cell adding the iterates it carries.
+        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 60)
+        with pytest.raises(CapExceeded, match=r"^exact subdivision reached 92 entries at iterate 7, cap 60$"):
             exact_distribution(doubling, 8)
+        # One cell per iterate already takes n (n + 1) / 2 = 36 entries: refused before any cell is cut.
+        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 35)
+        with mock.patch.object(analysis, "_piece_cells", wraps=analysis._piece_cells) as cut:
+            with pytest.raises(CapExceeded, match=r"^exact subdivision of length 8 needs at least 36 entries, cap 35$"):
+                exact_distribution(doubling, 8)
+            assert cut.call_count == 0
+
+    def test_length_is_bounded_by_entries_alone(self):
+        # The rotation by sqrt2 - 1 has n patterns of length n.  The walk holds
+        # one iterator per iterate, so a depth far past the recursion limit is
+        # refused by its entries, not by a RecursionError.
+        rotation = builtin("rotation", exact(-1, 1))
+        assert len(exact_distribution(rotation, 60).realized) == 60
+        assert sys.getrecursionlimit() < 2000
+        with pytest.raises(CapExceeded, match=r"^exact subdivision reached \d+ entries at iterate 1999, cap 3000000$"):
+            exact_distribution(rotation, 2000)
 
     def test_escaping_map(self):
         # x -> 3x on [0, 1/2) sends (1/3, 1/2) past 1.
@@ -244,8 +262,8 @@ class TestIsometryLattice:
     @pytest.mark.parametrize(
         "f, n, cap, text",
         [
-            (builtin("rotation", exact(-1, 1)), 8, 4, "exact subdivision reached 5 cells at iterate 7, cap 4"),
-            (permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 5, "exact subdivision reached 6 cells at iterate 5, cap 5"),
+            (builtin("rotation", exact(-1, 1)), 8, 40, "exact subdivision reached 44 entries at iterate 7, cap 40"),
+            (permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 25, "exact subdivision reached 36 entries at iterate 5, cap 25"),
         ],
     )
     def test_cap_text(self, f, n, cap, text, monkeypatch):
@@ -309,12 +327,12 @@ class TestTranslationRoute:
             ),
             (builtin("rotation", Fraction(1, 3)), 4, None, DegenerateTie, "iterates 0 and 3 coincide on (0, 1/3)"),
             (
-                builtin("rotation", exact(-1, 1)), 8, 4, CapExceeded,
-                "exact subdivision reached 5 cells at iterate 7, cap 4",
+                builtin("rotation", exact(-1, 1)), 8, 40, CapExceeded,
+                "exact subdivision reached 44 entries at iterate 7, cap 40",
             ),
             (
-                permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 5, CapExceeded,
-                "exact subdivision reached 6 cells at iterate 5, cap 5",
+                permutation_map(CyclicRanking((2, 5, 1, 4, 3))), 6, 25, CapExceeded,
+                "exact subdivision reached 36 entries at iterate 5, cap 25",
             ),
         ],
     )
@@ -570,9 +588,16 @@ class TestEntropy:
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] < 0.4
 
-    def test_cap(self, doubling):
-        with pytest.raises(CapExceeded, match=r"entropy estimate reached n_max = 11, cap 10$"):
-            entropy_estimate(doubling, 11)
+    def test_cap(self, monkeypatch):
+        # No cap of its own: the subdivision's entries bound the exact mode, orbit values the sampled one.
+        rotation = builtin("rotation", exact(-1, 1))
+        assert [(n, c) for n, c, _ in entropy_estimate(rotation, 40)] == [(n, n) for n in range(2, 41)]
+        monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 1000)
+        with pytest.raises(CapExceeded, match=r"^exact subdivision of length 50 needs at least 1275 entries, cap 1000$"):
+            entropy_estimate(rotation, 50)
+        monkeypatch.setattr("orderflow.analysis.ORBIT_VALUES_MAX", 1000)
+        with pytest.raises(CapExceeded, match=r"^sampling needs 30576 orbit values \(24 samples, lengths 2 to 50\), cap 1000$"):
+            entropy_estimate(rotation, 50, "empirical", 24, 1)
 
 
 class TestForbidden:

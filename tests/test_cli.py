@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -320,6 +322,29 @@ class TestValidate:
         assert not payload["ok"]
         assert any("132" in d for d in payload["diagnostics"])
 
+    def test_map_leaving_the_interval(self, tmp_path, capsys):
+        # Every piece whose exact image leaves [0, 1] is named; the vertex of a degree-2 piece counts.
+        f = tmp_path / "m.json"
+        f.write_text('{"pieces": [{"lo": "0", "hi": "1", "a": "2", "b": "0"}]}')
+        code, stdout, _ = run(capsys, "validate", "--kind", "map", str(f))
+        assert code == 0 and json.loads(stdout) == {
+            "command": "validate", "kind": "map", "ok": False,
+            "diagnostics": ["piece 0 maps [0, 1) onto [0, 2], outside [0, 1]"],
+        }
+        f.write_text(
+            '{"pieces": [{"lo": "0", "hi": "1/4", "a": "1", "b": "-1/4"},'
+            ' {"lo": "1/4", "hi": "3/4", "c": "-5", "a": "5", "b": "0"},'
+            ' {"lo": "3/4", "hi": "1", "a": "1", "b": "0"}]}'
+        )
+        code, stdout, _ = run(capsys, "validate", "--kind", "map", str(f))
+        assert json.loads(stdout)["diagnostics"] == [
+            "piece 0 maps [0, 1/4) onto [-1/4, 0], outside [0, 1]",
+            "piece 1 maps [1/4, 3/4) onto [15/16, 5/4], outside [0, 1]",
+        ]
+        f.write_text(map_to_json(builtin("logistic")))
+        code, stdout, _ = run(capsys, "validate", "--kind", "map", str(f))
+        assert json.loads(stdout)["ok"]
+
     def test_entropy_and_forbidden_and_exclusion(self, tmp_path, capsys):
         out = tmp_path / "e.txt"
         code, stdout, _ = run(capsys, "entropy", "--map", "rotation:3/10", "--n-max", "4", "--out", str(out))
@@ -373,19 +398,13 @@ class TestBoundary:
         code, err = run_error(capsys, "exact", "--map", "doubling", "--n", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err["error"] == "UsageError" and "--n" in err["detail"]
 
-    @pytest.mark.parametrize(
-        "raw, argv, detail",
-        [
-            ("abc", ("exact", "--map", "doubling", "--n", "3"), "ORDERFLOW_CAP must be an integer, got 'abc'"),
-            ("0", ("census", "--n", "2"), "ORDERFLOW_CAP must be positive, got '0'"),
-        ],
-    )
-    def test_malformed_cap_setting(self, raw, argv, detail, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("raw", ["abc", "0", "5"])
+    def test_cap_setting_is_ignored(self, raw, tmp_path, monkeypatch, capsys):
+        # No cap is read from the environment: a length past the cap on listing S_n runs.
         monkeypatch.setenv("ORDERFLOW_CAP", raw)
         out = tmp_path / "out.csv"
-        code, err = run_error(capsys, *argv, "--out", str(out))
-        assert code == 2 and err == {"error": "UsageError", "detail": f"orderflow: {detail}"}
-        assert not out.exists()
+        code, stdout, _ = run(capsys, "exact", "--map", "rotation:-1+1*sqrt2", "--n", "13", "--out", str(out))
+        assert code == 0 and len(json.loads(stdout)["mass"]) == 13 and out.exists()
 
     def test_exact_malformed_rotation(self, tmp_path, capsys):
         code, err = run_error(capsys, "exact", "--map", "rotation:abc", "--n", "3", "--out", str(tmp_path / "x.csv"))
@@ -1004,3 +1023,146 @@ class TestPathFuzz:
         code, payload = one_json_line(["drift", "loop", "--path", str(f), "--method", method])
         assert payload.get("command") == "drift" if code == 0 else "error" in payload
 
+
+
+small_flags = st.integers(-2, 6).map(str) | st.sampled_from(["x", "", "1.5", "-0", "99999999999999999999999"])
+map_specs = st.sampled_from(
+    ["doubling", "tent", "logistic", "rotation:3/10", "rotation:1/3", "rotation:-1+1*sqrt2", "rotation:2", "bogus"]
+)
+modes = st.sampled_from(["exact", "empirical"])
+sample_flags = st.sampled_from(["1", "7", "40", "0", "-3", "x", "99999999999999999999999"])
+tolerances = st.sampled_from(["0", "-1", "1/0", "x", "1e400", "1/40", "2", "0.5", "1e-9", "inf", "nan"])
+
+
+class TestCommandFuzz:
+    """The remaining subcommands print one JSON line and exit 0, 1 or 2, whatever their files and numeric flags."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.text(max_size=40) | artifacts, fmt=st.sampled_from(["dot", "json"]))
+    def test_digraph_edges(self, tmp_path_factory, text, fmt):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "sub.json").write_text(text)
+        argv = ["digraph", "--edges", str(tmp / "sub.json"), "--format", fmt, "--out", str(tmp / "g")]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "digraph" if code == 0 else "error" in payload
+
+    @settings(max_examples=40, deadline=None)
+    @given(tol=tolerances)
+    def test_realize_tol(self, tmp_path_factory, driftless_triple, tol):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "flow.json").write_text(flow_to_json(interior_flow(driftless_triple)))
+        code, payload = one_json_line(["realize", "--flow", str(tmp / "flow.json"), "--tol", tol, "--out", str(tmp / "m")])
+        assert payload.get("command") == "realize" if code == 0 else "error" in payload
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=map_specs, n=small_flags, samples=sample_flags, seed=small_flags)
+    def test_simulate(self, tmp_path_factory, spec, n, samples, seed):
+        out = tmp_path_factory.mktemp("fuzz") / "s.csv"
+        argv = ["simulate", "--map", spec, "--n", n, "--samples", samples, "--seed", seed, "--out", str(out)]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "simulate" if code == 0 else "error" in payload
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=map_specs, n=small_flags, mode=modes, samples=sample_flags, seed=st.none() | small_flags)
+    def test_entropy(self, tmp_path_factory, spec, n, mode, samples, seed):
+        out = tmp_path_factory.mktemp("fuzz") / "e.txt"
+        argv = ["entropy", "--map", spec, "--n-max", n, "--mode", mode, "--samples", samples, "--out", str(out)]
+        code, payload = one_json_line(argv + (["--seed", seed] if seed is not None else []))
+        assert payload.get("command") == "entropy" if code == 0 else "error" in payload
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=map_specs, n=small_flags, mode=modes, samples=sample_flags, seed=st.none() | small_flags)
+    def test_forbidden(self, spec, n, mode, samples, seed):
+        argv = ["forbidden", "--map", spec, "--n", n, "--mode", mode, "--samples", samples]
+        code, payload = one_json_line(argv + (["--seed", seed] if seed is not None else []))
+        assert payload.get("command") == "forbidden" if code == 0 else "error" in payload
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=map_specs, n=small_flags, m=small_flags, mode=modes, samples=sample_flags)
+    def test_exclusion(self, spec, n, m, mode, samples):
+        argv = ["exclusion", "--map", spec, "--n", n, "--m-max", m, "--mode", mode, "--samples", samples, "--seed", "1"]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "exclusion" if code == 0 else "error" in payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        uniform=st.none() | st.integers(-1, 4).map(str) | st.just("99999999999999999999999"),
+        depth=small_flags | st.just("24"),
+        texts=st.lists(st.text(max_size=40) | csv_text, max_size=3),
+    )
+    def test_cantor_build(self, tmp_path_factory, uniform, depth, texts):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        files = []
+        for k, text in enumerate(texts):
+            files.append(str(tmp / f"d{k}.csv"))
+            Path(files[-1]).write_text(text)
+        argv = ["cantor", "build", "--scale-depth", depth, "--out", str(tmp / "c.json")]
+        argv += ["--uniform", uniform] if uniform is not None else ["--dists", *files]
+        code, payload = one_json_line(argv)
+        assert payload.get("command") == "cantor" if code == 0 else "error" in payload
+
+
+HUGE = "1000000000"
+
+
+class TestResourceRefusals:
+    """Inputs past a route's work cap are refused with one CapExceeded line, in a process of bounded memory.
+
+    Each runs in a fresh interpreter limited to 1 GiB of address space and
+    30 s; the detail names the quantity, the value reached and the cap.
+    """
+
+    REFUSALS = {
+        "exact-deep": (["exact", "--map", "rotation:-1+1*sqrt2", "--n", "2000", "--out", "x.csv"],
+                       r"exact subdivision reached \d+ entries at iterate 1999, cap 3000000"),
+        "exact-huge-n": (["exact", "--map", "rotation:-1+1*sqrt2", "--n", "1000000", "--out", "x.csv"],
+                         r"exact subdivision of length 1000000 needs at least 500000500000 entries, cap 3000000"),
+        "exact-wide": (["exact", "--map", "doubling", "--n", "100", "--out", "x.csv"],
+                       r"exact subdivision reached \d+ entries at iterate 99, cap 3000000"),
+        "simulate-huge-samples": (
+            ["simulate", "--map", "doubling", "--n", "5", "--samples", HUGE, "--seed", "1", "--out", "x.csv"],
+            r"sampling needs 5000000000 orbit values \(1000000000 samples, lengths 5 to 5\), cap 6000000"),
+        "simulate-huge-n": (["simulate", "--map", "logistic", "--n", HUGE, "--seed", "1", "--out", "x.csv"],
+                            r"sampling needs \d+ orbit values \(100000 samples, lengths 1000000000 to 1000000000\), "
+                            r"cap 6000000"),
+        "entropy-huge-n-max": (["entropy", "--map", "doubling", "--n-max", HUGE, "--out", "e.txt"],
+                               r"exact subdivision of length 1000000000 needs at least \d+ entries, cap 3000000"),
+        "entropy-sampled-huge-n-max": (
+            ["entropy", "--map", "logistic", "--n-max", HUGE, "--mode", "empirical", "--seed", "1", "--out", "e.txt"],
+            r"sampling needs \d+ orbit values \(100000 samples, lengths 2 to 1000000000\), cap 6000000"),
+        "forbidden-past-s12": (["forbidden", "--map", "doubling", "--n", "13"], r"S_13 enumeration exceeds cap 12"),
+        "exclusion-huge-m-max": (["exclusion", "--map", "doubling", "--n", "2", "--m-max", HUGE],
+                                 r"exact subdivision of length 1000000000 needs at least \d+ entries, cap 3000000"),
+        "exclusion-sampled-huge": (
+            ["exclusion", "--map", "tent", "--n", "2", "--m-max", HUGE, "--mode", "empirical", "--samples", HUGE,
+             "--seed", "1"],
+            r"sampling needs \d+ orbit values \(1000000000 samples, lengths 3 to 1000000000\), cap 6000000"),
+        "cantor-huge-uniform": (["cantor", "build", "--uniform", HUGE, "--out", "c.json"],
+                                r"separator tree reached depth 1000000000, cap 6"),
+        "digraph-huge-n": (["digraph", "--n", HUGE], r"full digraph reached n = 1000000000, cap 7"),
+        # A zig-zag path pins one lift of ~1000 values; each branching edge after it then allows
+        # hundreds of ranks for the new value, so the next step's whole patterns pass the cap at once.
+        "lifts-long-then-branching": (["lifts", "--path", "long.json"],
+                                      r"lift level in S_1005 reached \d+ ranks \(\d+ patterns\), cap 725760"),
+        "poset-oracle-then-branching": (["poset", "--path", "mid.json", "--query", "1", "2", "--oracle"],
+                                        r"lift level in S_126 reached \d+ ranks \(\d+ patterns\), cap 725760"),
+    }
+
+    PATHS = {"long.json": 500, "mid.json": 60}  # zig-zag (132, 312)^k 132, then (321, 213, 132)^3
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_within_bounds(self, case, tmp_path):
+        argv, detail = self.REFUSALS[case]
+        for name, k in self.PATHS.items():
+            (tmp_path / name).write_text(path_to_json(path(2, ["132", "312"] * k + ["132"] + ["321", "213", "132"] * 3)))
+        limit = 1 << 30
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderflow.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "CapExceeded" and re.fullmatch(detail, err["detail"])

@@ -31,8 +31,11 @@ class TestBuild:
         assert len(list(G.vertices())) == v and len(list(G.edges())) == e
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            build(12)
+        # The handle holds only n; listing its edges, all of S_13, is what the cap refuses.
+        G = build(12)
+        assert G.edge_count() == 6_227_020_800
+        with pytest.raises(CapExceeded, match=r"^S_13 enumeration exceeds cap 12$"):
+            G.edges()
 
     def test_endpoints_and_degrees_exhaustive(self):
         for n in range(1, 6):

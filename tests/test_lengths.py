@@ -81,8 +81,10 @@ def _outcome(compute, *args, **kwargs):
 class TestSampler:
     @pytest.mark.parametrize("name", sorted(SAMPLED_MAPS))
     def test_every_length_matches_a_separate_run(self, name):
+        # Past length 8 the sampler finds an orbit's first repeat once, by a set, not as it
+        # grows; float doubling orbits first repeat (at 0) around step 50.
         f = SAMPLED_MAPS[name]
-        for n in range(1, 9):
+        for n in (*range(1, 10), 17, 50):
             for seed in (3, "s"):
                 assert _outcome(empirical_distribution, f, n, 1_500, seed) == _outcome(oracle_sampled, f, n, 1_500, seed)
 
@@ -165,12 +167,12 @@ class TestRealizedPatterns:
         assert got == _outcome(oracle_realized, f, lengths, mode, 500, 2)
 
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
-    def test_length_cap(self, set_perm_cap, mode):
+    def test_length_cap(self, set_perm_cap, monkeypatch, mode):
+        # Lengths past the cap on listing S_n run: only the pass's own work is bounded.
         set_perm_cap(5)
         f = builtin("tent")
         got = _outcome(realized_patterns, f, range(2, 9), mode, 500, 2)
-        assert got == ("CapExceeded", "permutation length 6 exceeds cap 5")
-        assert got == _outcome(oracle_realized, f, range(2, 9), mode, 500, 2)
+        assert got == _outcome(oracle_realized, f, range(2, 9), mode, 500, 2) and len(got[8]) > 1
         # No orbit of a period-3 rotation is kept past length 3.
         rotation = builtin("rotation", Fraction(1, 3))
         got = _outcome(realized_patterns, rotation, [7], "empirical", 500, 2)
@@ -180,6 +182,20 @@ class TestRealizedPatterns:
         got = _outcome(realized_patterns, builtin("doubling"), [2, 70], "empirical", 200, 2)
         assert got == ("SamplesDiscarded", "all samples were discarded")
         assert got == _outcome(oracle_realized, builtin("doubling"), [2, 70], "empirical", 200, 2)
+        # A pass over its cap raises its own refusal: the longest length's
+        # cell entries, or the orbit values of every length of the pass.
+        refusal = {
+            "exact": ("SUBDIVISION_MAX", "exact subdivision reached 126 entries at iterate 8, cap 100"),
+            "empirical": ("ORBIT_VALUES_MAX", "sampling needs 2200 orbit values (50 samples, lengths 2 to 9), cap 100"),
+        }
+        cap, text = refusal[mode]
+        monkeypatch.setattr(f"orderflow.analysis.{cap}", 100)
+        assert _outcome(realized_patterns, f, range(2, 10), mode, 50, 2) == ("CapExceeded", text)
+        # It comes before the failure of a shorter length alone: an escape at
+        # length 3, or every orbit of a period-3 rotation discarded at length 7.
+        g, n = (_escaping(), 3) if mode == "exact" else (builtin("rotation", Fraction(1, 3)), 7)
+        assert _outcome(oracle_realized, g, [n], mode, 50, 2)[0] in ("EscapesInterval", "SamplesDiscarded")
+        assert _outcome(realized_patterns, g, range(n, 40), mode, 50, 2)[0] == "CapExceeded"
 
 
 class TestStatistics:

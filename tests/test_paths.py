@@ -111,10 +111,19 @@ class TestLifts:
         assert perm("25314") in found
 
     def test_cap(self, loop_132_321_213, monkeypatch):
-        # The levels of the squared loop hold 1, 2, 4, 12, 42 and 136 patterns.
+        # The steps of the squared loop hold 1, 2, 4, 12, 42 and 136 patterns.
+        # A step may hold as many ranks as 100 windows of 2 ranks: at S_7 that
+        # is passed by the 30th pattern of 7 ranks, as the step grows.
         monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 100)
-        with pytest.raises(CapExceeded, match=r"^lift level in S_8 reached 101 patterns, cap 100$"):
+        with pytest.raises(CapExceeded, match=r"^lift level in S_7 reached 210 ranks \(30 patterns\), cap 200$"):
             lifts(loop_132_321_213**2)
+        # The last step holds 136 x 8 = 1088 ranks: 544 windows' worth fit, 543 do not.
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 544)
+        assert len(lifts(loop_132_321_213**2)) == 136
+        monkeypatch.setattr("orderflow.paths.LIFT_LEVEL_MAX", 543)
+        with pytest.raises(CapExceeded, match=r"^lift level in S_8 reached 1088 ranks \(136 patterns\), cap 1086$"):
+            lifts(loop_132_321_213**2)
+
 
     def test_past_s9(self, loop_132_321_213):
         # The cap bounds one level, not m: the cubed loop lifts into S_11.
@@ -138,9 +147,10 @@ class TestLifts:
 
     def test_alternating_path_has_singleton_lifts(self):
         # The zig-zag path alternating 132 / 312 pins its lift completely:
-        # the unique lift interleaves from the outside in.
+        # the unique lift interleaves from the outside in.  Each step holds
+        # one pattern, so no length of S_m bounds it: m = 43 lifts too.
         edges = ["132", "312"]
-        for length in range(1, 5):
+        for length in (*range(1, 5), 41):
             p = path(2, [edges[i % 2] for i in range(length)])
             m = length + 2
             found = lifts(p)
@@ -163,9 +173,8 @@ class TestLifts:
 class TestLiftCount:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(drawn_paths(levels=(1, 2, 3, 4), min_length=0, m_max=lambda n: min(13, 7 + 2 * n)))
-    def test_matches_the_poset_and_the_list(self, set_perm_cap, p):
-        # m <= 7 + 2n keeps the lifts of low levels few enough to list; lifts scans preimages in S_m.
-        set_perm_cap(13)
+    def test_matches_the_poset_and_the_list(self, p):
+        # m <= 7 + 2n keeps the lifts of low levels few enough to list.
         assert lift_count(p) == linear_extensions(build_poset(p), "count") == len(lifts(p))
 
     def test_past_the_poset_cap(self, loop_132_321_213):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderflow.analysis import exact_distribution
-from orderflow.caps import DEFAULT_PERM_CAP, perm_cap_setting
 from orderflow.errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
 from orderflow.perms import (
     HEAD,
@@ -107,39 +106,47 @@ class TestPerm:
             Perm(())
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            Perm(tuple(range(1, 14)))
+        # A Perm has no length cap; only listing S_n has one.
+        long = Perm(tuple(range(1, 44)))
+        assert long.n == 43 and Perm.parse(str(long)) == long
+        with pytest.raises(CapExceeded, match=r"^S_13 enumeration exceeds cap 12$"):
+            all_perms(13)
 
-    def test_cap_env_override(self, set_perm_cap):
-        set_perm_cap(14)
-        assert Perm(tuple(range(1, 14))).n == 13
-        set_perm_cap(5)
-        with pytest.raises(CapExceeded):
-            Perm(tuple(range(1, 7)))
-
-    @pytest.mark.parametrize("raw, cap", [("14", 14), ("5", 5), ("abc", 12), ("0", 12)])
-    def test_cap_env_is_read_at_import(self, raw, cap):
-        # A malformed value leaves the default; the CLI refuses it (test_cli TestBoundary).
+    @pytest.mark.parametrize("raw", ["14", "5", "abc", "0"])
+    def test_cap_env_is_ignored_at_import(self, raw):
+        # The environment sets no cap, at import or later: PERM_CAP is a
+        # constant, which tests patch.
         code = "import orderflow.caps, orderflow.perms as p; print(orderflow.caps.PERM_CAP, p.PERM_CAP)"
         env = {**os.environ, "ORDERFLOW_CAP": raw, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.split() == [str(cap), str(cap)]
+        assert done.stdout.split() == ["12", "12"]
 
-    @pytest.mark.parametrize(
-        "raw, text",
-        [("abc", "ORDERFLOW_CAP must be an integer, got 'abc'"), ("0", "ORDERFLOW_CAP must be positive, got '0'")],
-    )
-    def test_cap_setting_refuses_malformed_values(self, monkeypatch, raw, text):
-        monkeypatch.setenv("ORDERFLOW_CAP", raw)
-        with pytest.raises(ValueError, match=f"^{text}$"):
-            perm_cap_setting()
-        monkeypatch.setenv("ORDERFLOW_CAP", "14")
-        assert perm_cap_setting() == 14
-        monkeypatch.delenv("ORDERFLOW_CAP")
-        assert perm_cap_setting() == DEFAULT_PERM_CAP
+    def test_cap_env_override(self, set_perm_cap):
+        set_perm_cap(5)
+        assert len(list(all_perms(5))) == 120
+        with pytest.raises(CapExceeded, match=r"^S_6 enumeration exceeds cap 5$"):
+            all_perms(6)
 
 
 class TestDistributions:
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(1, 9), min_size=2, max_size=6), st.booleans(), st.integers(0, 2))
+    def test_exact_total_on_one_denominator(self, weights, irrational, shift):
+        # Rational or Q(sqrt2) masses, their total off 1 by shift/7: the total
+        # is checked on the lattice, and the text names the sum in Q(sqrt2).
+        masses = [Fraction(w, sum(weights)) for w in weights]
+        if irrational:
+            moved = masses[0] * exact(-1, 1) / 10
+            masses[0], masses[1] = masses[0] - moved, masses[1] + moved
+        masses[-1] += Fraction(shift, 7)
+        table = dict(zip(all_perms(3), masses))
+        if shift == 0:
+            assert PatternDistribution(3, table).mass == table
+        else:
+            with pytest.raises(ValueError) as caught:
+                PatternDistribution(3, table)
+            assert str(caught.value) == f"total mass {sum(masses, Fraction(0))} != 1"
+
     def test_pushforward_uniform(self):
         assert pushforward(PatternDistribution.uniform(3), HEAD).close_to(
             PatternDistribution.uniform(2)
@@ -359,16 +366,14 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("cap", [3, 5])
     def test_trusted_paths_keep_the_cap(self, set_perm_cap, cap):
+        # Of the paths that build Perms without validating them, only all_perms,
+        # which lists S_n, keeps the cap, and it refuses at the call.
         set_perm_cap(cap)
-        assert order_pattern(range(cap)).n == cap
-        with pytest.raises(CapExceeded, match=rf"permutation length {cap + 1} exceeds cap {cap}$"):
-            order_pattern(range(cap + 1))
-        with pytest.raises(CapExceeded):
-            list(all_perms(cap + 1))
-        with pytest.raises(CapExceeded):
-            preimages(Perm(tuple(range(1, cap + 1))), HEAD)
-        with pytest.raises(CapExceeded):
-            exact_distribution(builtin("doubling"), cap + 1)
+        with pytest.raises(CapExceeded, match=rf"^S_{cap + 1} enumeration exceeds cap {cap}$"):
+            all_perms(cap + 1)
+        assert order_pattern(range(cap + 1)).n == cap + 1
+        assert len(preimages(Perm(tuple(range(1, cap + 1))), HEAD)) == cap + 1
+        assert exact_distribution(builtin("doubling"), cap + 1).n == cap + 1
 
     def test_all_perms_and_preimages_are_validated_perms(self):
         for sigma in all_perms(4):

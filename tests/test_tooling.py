@@ -118,6 +118,33 @@ def test_permutations_only_in_all_perms():
     assert uses == [("perms.py", "all_perms")]
 
 
+def test_perm_cap_read_only_in_all_perms():
+    # Only listing S_n is bounded by the pattern length; every other route is
+    # bounded by its own work (cell entries, states, orbit values).
+    reads = []
+    for module in MODULES:
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "PERM_CAP" and isinstance(node.ctx, ast.Load):
+                reads.append((module, _enclosing(tree, node.lineno)))
+            elif isinstance(node, ast.Attribute) and node.attr == "PERM_CAP":
+                reads.append((module, _enclosing(tree, node.lineno)))
+    assert sorted(set(reads)) == [("perms.py", "all_perms")]
+
+
+def test_caps_are_constants():
+    # caps.py imports nothing, so no cap is read from the environment; it holds
+    # its docstring and one constant per assignment.  Nothing in src/ reads the
+    # environment either.
+    tree = _tree("caps.py")
+    assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
+    assert all(isinstance(node.value, ast.Constant) for node in tree.body)
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            named = {node.id} if isinstance(node, ast.Name) else {node.attr} if isinstance(node, ast.Attribute) else set()
+            assert not named & {"environ", "getenv", "environb"}, f"{module} reads the environment"
+
+
 def _bound_at_module_level(tree: ast.Module) -> set[str]:
     """Names a module's own top-level statements define: functions, classes and assigned names."""
     names = set()
