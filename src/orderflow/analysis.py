@@ -46,11 +46,10 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Literal
 
-from .caps import ORBIT_VALUES_MAX, SUBDIVISION_MAX
+from .caps import LIFT_LEVEL_MAX, ORBIT_VALUES_MAX, SUBDIVISION_MAX
 from .errors import (
     CapExceeded, DegenerateTie, EscapesInterval, FormatError, InvariantViolation, NotPiecewiseAffine, OrderflowError,
     SamplesDiscarded,
@@ -59,19 +58,24 @@ from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span
 from .paths import allowed_counts
 from .perms import (
-    HEAD, PatternDistribution, Perm, _trusted, all_perms, order_pattern, push_mass, restrict,
+    HEAD, PatternDistribution, Perm, _Record, _trusted, all_perms, order_pattern, push_mass, restrict,
 )
 
 Mode = Literal["exact", "empirical"]
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(_Record):
     """Distribution plus bookkeeping for one (map, n) query."""
 
+    __slots__ = ("distribution", "samples", "counts")
     distribution: PatternDistribution
     samples: int | None  # None marks an exact computation
-    counts: dict[Perm, int] | None = None  # the sampled histogram; None when exact
+    counts: dict[Perm, int] | None  # the sampled histogram; None when exact
+
+    def __init__(self, distribution: PatternDistribution, samples: int | None, counts: dict[Perm, int] | None = None):
+        object.__setattr__(self, "distribution", distribution)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def exact(self) -> bool:
@@ -473,9 +477,13 @@ def forbidden_patterns(
 
     A forbidden pattern is basic when no proper consecutive window of it is
     itself forbidden at its own length, so it is not explained by a shorter
-    obstruction.
+    obstruction.  The scan lists all of S_n, so n! past ``LIFT_LEVEL_MAX``
+    (n > 9) is refused, like an n past ``PERM_CAP``, before any subdivision
+    or sampling.
     """
-    candidates = all_perms(n)  # refuses an n past PERM_CAP before any subdivision or sampling
+    candidates = all_perms(n)
+    if math.factorial(n) > LIFT_LEVEL_MAX:
+        raise CapExceeded(f"forbidden-pattern scan of S_{n} needs {math.factorial(n)} patterns, cap {LIFT_LEVEL_MAX}")
     realized_by_len = realized_patterns(f, range(min(n, 2), n + 1), mode, samples, seed)
     forbidden = frozenset(s for s in candidates if s not in realized_by_len[n])
     basic = []
@@ -494,11 +502,16 @@ def forbidden_patterns(
     return forbidden, frozenset(basic)
 
 
-@dataclass(frozen=True)
-class ExclusionRow:
+class ExclusionRow(_Record):
+    __slots__ = ("m", "missing", "extra")
     m: int
     missing: int  # lift preimage members the map does not realize
     extra: int  # realized patterns outside the lift preimage
+
+    def __init__(self, m: int, missing: int, extra: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "extra", extra)
 
     @property
     def equal(self) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import SCALE_DEPTH_MAX, SEPARATOR_DEPTH_MAX
@@ -26,6 +25,7 @@ from .perms import (
     HEAD,
     PatternDistribution,
     Perm,
+    _Record,
     all_perms,
     is_compatible,
     preimages,
@@ -39,12 +39,16 @@ QUARTER = Fraction(1, 4)
 CONFIDENCE_DELTA = 1e-3  # failure probability the sampling term of a verification bound allows
 
 
-@dataclass(frozen=True)
-class IntervalRec:
+class IntervalRec(_Record):
     """A half-open interval (lo, hi]; may be empty (lo == hi)."""
 
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
@@ -54,8 +58,7 @@ class IntervalRec:
         return (self.lo + self.hi) / 2
 
 
-@dataclass(frozen=True)
-class IntervalTree:
+class IntervalTree(_Record):
     """Nested intervals I_sigma in (1/4, 3/4], one per pattern up to depth N.
 
     Level n partitions (1/4, 3/4] left-to-right in lexicographic order with
@@ -64,7 +67,11 @@ class IntervalTree:
     the longest pattern.
     """
 
+    __slots__ = ("intervals",)
     intervals: dict[Perm, IntervalRec]
+
+    def __init__(self, intervals: dict[Perm, IntervalRec]):
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def depth(self) -> int:
@@ -74,8 +81,7 @@ class IntervalTree:
         return sorted(p for p in preimages(sigma, HEAD) if p in self.intervals)
 
 
-@dataclass(frozen=True)
-class SeparatorTree:
+class SeparatorTree(_Record):
     """Disjoint open intervals J_sigma in [1/8, 7/8] ordering compatible chains.
 
     Points x_i drawn from J of the i-th chain element always realize the
@@ -83,7 +89,11 @@ class SeparatorTree:
     pattern up to the depth has an interval, so the depth is the longest.
     """
 
+    __slots__ = ("intervals",)
     intervals: dict[Perm, IntervalRec]
+
+    def __init__(self, intervals: dict[Perm, IntervalRec]):
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def depth(self) -> int:
@@ -321,22 +331,32 @@ def assemble_truncated_map(tree: IntervalTree, scale_depth: int) -> IntervalMap:
     return IntervalMap(tuple(pieces), name=f"cantor(depth={N}, shells={M})")
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(_Record):
+    __slots__ = ("n", "deviation", "bound")
     n: int
     deviation: float
     bound: float
+
+    def __init__(self, n: int, deviation: float, bound: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def passed(self) -> bool:
         return self.deviation <= self.bound
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    __slots__ = ("rows", "samples", "excluded")
     rows: list[VerificationRow]
     samples: int
     excluded: int
+
+    def __init__(self, rows: list[VerificationRow], samples: int, excluded: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "excluded", excluded)
 
     @property
     def passed(self) -> bool:

@@ -7,14 +7,18 @@ ranks, orbit values, edges, loop lengths).  Timings: 2-vCPU VM, Python 3.11.
 """
 
 # Longest n that ``perms.all_perms`` lists S_n for: 12! = 479,001,600
-# permutations.  It bounds ``forbidden``, the full digraph and the cantor
-# towers, the only routes that list S_n.
+# permutations.  Every route that lists S_n has a tighter cap of its own
+# (``forbidden`` LIFT_LEVEL_MAX, the full digraph FULL_DIGRAPH_N_MAX, the
+# cantor towers SEPARATOR_DEPTH_MAX), so this one refuses n > 12 first, with
+# its own message, and bounds library callers of ``all_perms``.
 PERM_CAP = 12
 
 # Most states one step of the transfer count may hold (9! = 362,880), as windows
 # of n ranks (``paths.lift_count``, ``paths.allowed_counts``), or as many ranks
 # in whole patterns (``paths.lifts``): (132, 321, 213)^4 on G_2 is refused at
-# 60,484 patterns of S_12 in ~0.2 s and ~30 MiB.
+# 60,484 patterns of S_12 in ~0.2 s and ~30 MiB.  It also bounds the S_n that
+# ``analysis.forbidden_patterns`` scans, to n <= 9: at n = 10 the scan ran out
+# of 1 GiB of address space after ~14 s.
 LIFT_LEVEL_MAX = 362_880
 
 # Building every edge of G_n: `digraph --n 7` (40,320 edges) writes in ~4 s,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from operator import attrgetter
@@ -25,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX
 from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
-from .perms import HEAD, TAIL, Perm, all_perms, json_length, load_json, perm, restrict
+from .perms import HEAD, TAIL, Perm, _Record, all_perms, json_length, load_json, perm, restrict
 
 
 def head(e: Perm) -> Perm:
@@ -36,15 +35,16 @@ def tail(e: Perm) -> Perm:
     return restrict(e, TAIL)
 
 
-@dataclass(frozen=True)
-class PermDigraph:
+class PermDigraph(_Record):
     """Implicit handle on G_n: vertices S_n, edges S_{n+1}."""
 
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("n must be positive")
+        object.__setattr__(self, "n", n)
 
     def vertices(self) -> Iterator[Perm]:
         return all_perms(self.n)
@@ -76,17 +76,18 @@ class Ranking(NamedTuple):
     out: tuple[tuple[tuple[Perm, int], ...], ...]
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(_Record):
     """A sub-digraph of G_n given by its edge set (vertices are derived)."""
 
     n: int
     edges: frozenset[Perm]
 
-    def __post_init__(self):
-        for e in self.edges:
-            if e.n != self.n + 1:
-                raise ValueError(f"edge {e} has length {e.n}, expected {self.n + 1}")
+    def __init__(self, n: int, edges: frozenset[Perm]):
+        for e in edges:
+            if e.n != n + 1:
+                raise ValueError(f"edge {e} has length {e.n}, expected {n + 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def ranking(self) -> Ranking:
@@ -117,12 +118,16 @@ def subgraph(n: int, edges) -> Subgraph:
     return Subgraph(n, frozenset(perm(e) for e in edges))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One strongly connected component with its induced edge set."""
 
+    __slots__ = ("vertices", "edges")
     vertices: frozenset[Perm]
     edges: frozenset[Perm]
+
+    def __init__(self, vertices: frozenset[Perm], edges: frozenset[Perm]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def strongly_connected_components(H: Subgraph) -> list[Component]:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
 from .caps import SYNTHESIS_LENGTH_MAX
 from .digraph import Subgraph, face_components, head, shortest_path, tail
@@ -58,7 +57,7 @@ from .errors import (
     NotStronglyConnected,
 )
 from .paths import DiPath, build_poset, concat
-from .perms import Perm
+from .perms import Perm, _Record
 
 # Loop classifications, weakest to strongest.
 DRIFTS = "drifts"
@@ -86,8 +85,7 @@ def _sign(end: Perm, above: int, below: int, j: int) -> str:
     return ZERO
 
 
-@dataclass(frozen=True)
-class DriftProfile:
+class DriftProfile(_Record):
     """Max/Min data of a path, with its endpoint vertices.
 
     Values are indices into the final vertex, with 0 standing for "minus
@@ -95,10 +93,17 @@ class DriftProfile:
     composition.
     """
 
+    __slots__ = ("start", "end", "maxmap", "minmap")
     start: Perm
     end: Perm
     maxmap: tuple[int, ...]
     minmap: tuple[int, ...]
+
+    def __init__(self, start: Perm, end: Perm, maxmap: tuple[int, ...], minmap: tuple[int, ...]):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "maxmap", maxmap)
+        object.__setattr__(self, "minmap", minmap)
 
     @property
     def n(self) -> int:
@@ -184,11 +189,14 @@ def path_profile(p: DiPath) -> DriftProfile:
     return _fold(p.first_vertex, p.last_vertex, map(_edge_tables, p.edges))
 
 
-@dataclass(frozen=True)
-class DriftMatrix:
+class DriftMatrix(_Record):
     """All pairwise drift signs of a loop."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, ...], ...]
+
+    def __init__(self, entries: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -247,9 +255,12 @@ def classify_loop(gamma: DiPath, method: str = "profile") -> str:
 # -- index-state reachability over a strongly connected edge set ----------------
 
 
-@dataclass(frozen=True)
-class DriftVerdict:
-    witness: tuple[Perm, int, str] | None = None  # (vertex, index, sign) of a drift
+class DriftVerdict(_Record):
+    __slots__ = ("witness",)
+    witness: tuple[Perm, int, str] | None  # (vertex, index, sign) of a drift
+
+    def __init__(self, witness: tuple[Perm, int, str] | None = None):
+        object.__setattr__(self, "witness", witness)
 
     @property
     def drifts(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -35,6 +34,7 @@ from .perms import (
     TAIL,
     PatternDistribution,
     Perm,
+    _Record,
     json_length,
     load_json,
     parse_mass,
@@ -121,11 +121,16 @@ def face_realizable(H: Subgraph) -> bool:
     return not subgraph_drifts(H).drifts
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(_Record):
+    __slots__ = ("dimension", "total", "realizable")
     dimension: int
     total: int
     realizable: int
+
+    def __init__(self, dimension: int, total: int, realizable: int):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "realizable", realizable)
 
 
 def census(n: int, dimensions=None) -> list[CensusRow]:

@@ -30,7 +30,6 @@ import json
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -50,25 +49,30 @@ from .exactnum import (
     Exact, Sqrt2, exact, exact_str, from_lattice, lattice_scale, lattice_str, parse_exact, to_lattice,
 )
 from .paths import DiPath
-from .perms import PatternDistribution, Perm, load_json
+from .perms import PatternDistribution, Perm, _Record, load_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Record):
     """One half-open piece [lo, hi) with map x -> c x^2 + a x + b."""
 
+    __slots__ = ("lo", "hi", "a", "b", "c")
     lo: Exact
     hi: Exact
     a: Exact
     b: Exact
-    c: Exact = ZERO
+    c: Exact
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"piece [{self.lo}, {self.hi}) is empty")
+    def __init__(self, lo: Exact, hi: Exact, a: Exact, b: Exact, c: Exact = ZERO):
+        if not lo < hi:
+            raise ValueError(f"piece [{lo}, {hi}) is empty")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def __call__(self, x):
         if self.c == 0:
@@ -80,8 +84,7 @@ class Piece:
         return self.c == 0
 
 
-@dataclass(frozen=True, init=False)
-class IntervalMap:
+class IntervalMap(_Record):
     """A self-map of [0,1), held as its frame: a scale S and pieces that tile [0, S).
 
     It is built from pieces that partition [0, 1), which :func:`lattice_frame`
@@ -322,15 +325,16 @@ def block_sum(f: IntervalMap, g: IntervalMap, t) -> IntervalMap:
 # -- cyclic rankings and permutation maps -------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicRanking:
+class CyclicRanking(_Record):
     """A bijection of cycle positions to ranks realizing a loop's windows."""
 
+    __slots__ = ("rank",)
     rank: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.rank) != list(range(1, self.length + 1)):
+    def __init__(self, rank: tuple[int, ...]):
+        if sorted(rank) != list(range(1, len(rank) + 1)):
             raise ValueError("rank must be a bijection onto 1..length")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def length(self) -> int:

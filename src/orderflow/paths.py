@@ -13,37 +13,38 @@ extensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .caps import LIFT_LEVEL_MAX
 from .errors import CapExceeded, EndpointMismatch, FormatError, InvariantViolation, LengthMismatch, NotALoop
-from .perms import HEAD, TAIL, Perm, _trusted, json_length, load_json, order_pattern, perm, restrict
+from .perms import HEAD, TAIL, Perm, _Record, _trusted, json_length, load_json, order_pattern, perm, restrict
 
 
-@dataclass(frozen=True)
-class DiPath:
+class DiPath(_Record):
     """A path on G_n as an edge sequence; a length-0 path stores its vertex."""
 
+    __slots__ = ("n", "edges", "start")
     n: int
     edges: tuple[Perm, ...]
-    start: Perm | None = None
+    start: Perm | None
 
-    def __post_init__(self):
-        if not self.edges:
-            if self.start is None or self.start.n != self.n:
+    def __init__(self, n: int, edges: tuple[Perm, ...], start: Perm | None = None):
+        if not edges:
+            if start is None or start.n != n:
                 raise ValueError("a length-0 path needs its single vertex of length n")
-            return
-        if self.start is not None:
-            if self.start != restrict(self.edges[0], HEAD):
+        else:
+            if start is not None and start != restrict(edges[0], HEAD):
                 raise ValueError("explicit start vertex disagrees with the first edge")
-            object.__setattr__(self, "start", None)  # derived; keep equality canonical
-        for e in self.edges:
-            if e.n != self.n + 1:
-                raise ValueError(f"edge {e} has length {e.n}, expected {self.n + 1}")
-        for a, b in zip(self.edges, self.edges[1:]):
-            if restrict(a, TAIL) != restrict(b, HEAD):
-                raise ValueError(f"consecutive edges {a}, {b} disagree on their shared vertex")
+            start = None  # derived; keep equality canonical
+            for e in edges:
+                if e.n != n + 1:
+                    raise ValueError(f"edge {e} has length {e.n}, expected {n + 1}")
+            for a, b in zip(edges, edges[1:]):
+                if restrict(a, TAIL) != restrict(b, HEAD):
+                    raise ValueError(f"consecutive edges {a}, {b} disagree on their shared vertex")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "start", start)
 
     @property
     def length(self) -> int:
@@ -96,7 +97,7 @@ def path(n: int, edges: Sequence, start=None) -> DiPath:
 def _joined(n: int, edges: tuple[Perm, ...]) -> DiPath:
     """A nonempty path joined from checked paths whose seams were checked.
 
-    Skips ``DiPath.__post_init__``, which would check every edge pair again.
+    Skips the checks of ``DiPath.__init__``, which would check every edge pair again.
     """
     p = object.__new__(DiPath)
     object.__setattr__(p, "n", n)
@@ -218,8 +219,7 @@ def lifts(p: DiPath) -> list[Perm]:
 # -- the poset of a path -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathPoset:
+class PathPoset(_Record):
     """Forced order relations among the m values realizing a path.
 
     ``leq`` is a tuple of m bitmasks: bit j of row i is set iff element i+1
@@ -227,16 +227,18 @@ class PathPoset:
     reflexive, antisymmetric, and transitively closed.
     """
 
+    __slots__ = ("leq",)
     leq: tuple[int, ...]
 
-    def __post_init__(self):
-        for i, row in enumerate(self.leq):
+    def __init__(self, leq: tuple[int, ...]):
+        for i, row in enumerate(leq):
             if not row >> i & 1:
                 raise ValueError("leq must be reflexive")
-        _check_antisymmetry(self.leq)
-        closed = _transitive_closure(self.leq)
-        if tuple(closed) != tuple(self.leq):
+        _check_antisymmetry(leq)
+        closed = _transitive_closure(leq)
+        if tuple(closed) != tuple(leq):
             raise ValueError("leq must be transitively closed")
+        object.__setattr__(self, "leq", leq)
 
     @property
     def m(self) -> int:

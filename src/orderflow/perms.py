@@ -10,10 +10,10 @@ in.
 package builds as permutations itself (order patterns, S_n enumeration,
 preimages) skip that check.  Only ``all_perms``, which lists S_n, caps a
 length, at ``caps.PERM_CAP``.  Either way a ``Perm`` stores its hash when it
-is built, the value the dataclass hash would compute on every lookup, so
-sets and dicts of patterns keep their order.  ``restrict`` is memoised in a
-bounded cache that holds both restrictions of every edge of G_6, so walking
-a digraph edge by edge re-ranks each edge once.
+is built, the hash of its fields that ``_Record`` would compute on every
+lookup, so sets and dicts of patterns keep their order.  ``restrict`` is
+memoised in a bounded cache that holds both restrictions of every edge of
+G_6, so walking a digraph edge by edge re-ranks each edge once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -40,11 +39,60 @@ FLOAT_TOTAL_TOL = 1e-12
 FLOAT_ENTRY_TOL = 1e-9
 
 
-@dataclass(frozen=True, order=True)
-class Perm:
+class _Record:
+    """Base of the package's immutable value classes, each a plain class whose annotations name its fields.
+
+    A record equals only a record of its own class with equal fields, hashes
+    as the tuple of its fields, shows them in its repr, and refuses to assign
+    or delete an attribute; its ``__init__`` sets the fields through
+    ``object.__setattr__``.  Plain classes keep the package's import free of
+    generated code.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Restore the fields past the refusal to assign when ``copy`` or ``pickle`` rebuilds a record.
+
+        The state is the ``__dict__`` of a class without slots, else (None, slot values).
+        """
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            object.__setattr__(self, name, value)
+
+
+class Perm(_Record):
     """A permutation of [n] = {1, ..., n} in one-line notation."""
 
+    __slots__ = ("word", "_hash")
     word: tuple[int, ...]
+
+    def __init__(self, word: tuple[int, ...]):
+        object.__setattr__(self, "word", word)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.word)
@@ -60,6 +108,17 @@ class Perm:
     def __eq__(self, other) -> bool:
         if other.__class__ is Perm:
             return self.word == other.word
+        return NotImplemented
+
+    # Perms sort by their words; p > q and p >= q reflect to q < p and q <= p.
+    def __lt__(self, other) -> bool:
+        if other.__class__ is Perm:
+            return self.word < other.word
+        return NotImplemented
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is Perm:
+            return self.word <= other.word
         return NotImplemented
 
     @property
@@ -196,8 +255,7 @@ def _validate_masses(n: int, mass: Mapping[Perm, object]) -> tuple[dict, bool]:
     return clean, exact
 
 
-@dataclass(frozen=True)
-class PatternDistribution:
+class PatternDistribution(_Record):
     """A probability distribution on S_n.
 
     ``exact`` is derived from the masses: int, Fraction and Q(sqrt2) masses
@@ -206,12 +264,14 @@ class PatternDistribution:
     masses are not stored.
     """
 
+    __slots__ = ("n", "mass", "exact")
     n: int
     mass: Mapping[Perm, Exact | float]
-    exact: bool = field(init=False)
+    exact: bool
 
-    def __post_init__(self):
-        clean, exact = _validate_masses(self.n, self.mass)
+    def __init__(self, n: int, mass: Mapping[Perm, Exact | float]):
+        clean, exact = _validate_masses(n, mass)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mass", clean)
         object.__setattr__(self, "exact", exact)
 

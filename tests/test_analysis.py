@@ -620,6 +620,17 @@ class TestForbidden:
         forbidden, basic = forbidden_patterns(rotation_3_10, 4)
         assert basic < forbidden
 
+    @pytest.mark.parametrize("mode", ["exact", "empirical"])
+    def test_scan_cap_refuses_before_any_pass(self, doubling, monkeypatch, mode):
+        # The scan lists S_n whole, so n! past the cap is refused before the map is subdivided or sampled.
+        monkeypatch.setattr("orderflow.analysis.LIFT_LEVEL_MAX", 23)
+        with mock.patch.object(analysis, "realized_patterns") as passes:
+            with pytest.raises(CapExceeded, match=r"^forbidden-pattern scan of S_5 needs 120 patterns, cap 23$"):
+                forbidden_patterns(doubling, 5, mode)
+        assert not passes.called
+        monkeypatch.setattr("orderflow.analysis.LIFT_LEVEL_MAX", 24)
+        assert forbidden_patterns(doubling, 4, mode) == forbidden_patterns(doubling, 4)
+
 
 class TestExclusion:
     def test_doubling(self, doubling):

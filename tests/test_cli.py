@@ -1131,6 +1131,11 @@ class TestResourceRefusals:
             ["entropy", "--map", "logistic", "--n-max", HUGE, "--mode", "empirical", "--seed", "1", "--out", "e.txt"],
             r"sampling needs \d+ orbit values \(100000 samples, lengths 2 to 1000000000\), cap 6000000"),
         "forbidden-past-s12": (["forbidden", "--map", "doubling", "--n", "13"], r"S_13 enumeration exceeds cap 12"),
+        "forbidden-past-lift-level": (["forbidden", "--map", "doubling", "--n", "10"],
+                                      r"forbidden-pattern scan of S_10 needs 3628800 patterns, cap 362880"),
+        "forbidden-sampled-past-lift-level": (
+            ["forbidden", "--map", "doubling", "--n", "10", "--mode", "empirical", "--seed", "1"],
+            r"forbidden-pattern scan of S_10 needs 3628800 patterns, cap 362880"),
         "exclusion-huge-m-max": (["exclusion", "--map", "doubling", "--n", "2", "--m-max", HUGE],
                                  r"exact subdivision of length 1000000000 needs at least \d+ entries, cap 3000000"),
         "exclusion-sampled-huge": (

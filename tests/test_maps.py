@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import json
 import math
@@ -672,9 +671,16 @@ class TestPermutationMap:
         doubling = builtin("doubling")
         assert IntervalMap.from_frame(*doubling.frame, doubling.name) == doubling
 
-    def test_held_only_as_its_frame(self):
-        # The Q(sqrt2) pieces are a cached view of the frame, not a second stored form.
-        assert [field.name for field in dataclasses.fields(IntervalMap)] == ["frame", "name"]
+    def test_held_only_as_its_frame(self, loop_132_321_213):
+        # The Q(sqrt2) pieces are a cached view of the frame, not a second stored form:
+        # a map stores its frame and name alone, and equality and hashing read only those.
+        f = permutation_map(cyclic_lift(loop_132_321_213))
+        g = IntervalMap.from_frame(*f.frame, f.name)
+        assert set(vars(g)) == {"frame", "name"}
+        assert f.pieces and f.measure_preserving
+        assert set(vars(f)) == {"frame", "name", "pieces", "measure_preserving"}
+        assert f == g and hash(f) == hash(g) == hash((f.frame, f.name))
+        assert f != IntervalMap.from_frame(*f.frame, f.name + "'")
         cls = ast.parse(inspect.getsource(IntervalMap)).body[0]
         defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
         assert defined.isdisjoint({"__setattr__", "__eq__", "__hash__", "__repr__", "frame"})

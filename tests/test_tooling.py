@@ -63,6 +63,20 @@ def test_imports_only_stdlib(module):
     assert foreign == [], f"{module} imports {foreign}, which are neither relative nor in the standard library"
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dataclasses(module):
+    # dataclasses loads inspect, ast and dis, and compiles each class's methods
+    # through exec at import, about a third of a small command's cold start.
+    # The value classes are plain classes on perms._Record instead.
+    imports = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert imports == [], f"{module} imports dataclasses at lines {imports}"
+
+
 def _enclosing(tree: ast.Module, lineno: int) -> str:
     scopes = [
         node.name
@@ -332,6 +346,19 @@ def test_cli_loads_the_cache_holders_and_defers_the_rest():
     loaded = _loaded_after("import orderflow.cli")
     assert {name.rsplit(".", 1)[0] for name in caches} <= loaded
     assert DEFERRED & loaded == set()
+
+
+@pytest.mark.parametrize("argv", [["census", "--n", "2"], ["exact", "--map", "doubling", "--n", "6"]])
+def test_benchmark_warmups_load_no_code_generation(argv, tmp_path):
+    # The benchmark's two warm-up jobs, whole commands in a fresh process, load neither dataclasses nor inspect.
+    code = f"""
+import contextlib, io, json, sys
+import orderflow.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = orderflow.cli.main({argv + ["--out", str(tmp_path / "out")]!r})
+print(json.dumps([code, sorted({{"dataclasses", "inspect"}} & set(sys.modules))]))
+"""
+    assert _fresh(code) == [0, []]
 
 
 def test_package_import_loads_no_module():
