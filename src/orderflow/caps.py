@@ -16,9 +16,12 @@ PERM_CAP = 12
 # Most states one step of the transfer count may hold (9! = 362,880), as windows
 # of n ranks (``paths.lift_count``, ``paths.allowed_counts``), or as many ranks
 # in whole patterns (``paths.lifts``): (132, 321, 213)^4 on G_2 is refused at
-# 60,484 patterns of S_12 in ~0.2 s and ~30 MiB.  It also bounds the S_n that
-# ``analysis.forbidden_patterns`` scans, to n <= 9: at n = 10 the scan ran out
-# of 1 GiB of address space after ~14 s.
+# 60,484 patterns of S_12 in ~0.2 s and ~30 MiB.  A window step may also make
+# at most 10 x 9! transitions (states x allowed ranks), what 9! states of a
+# step into S_10 can make: after the zig-zag (132, 312)^300 132 the count of
+# (321, 213, 132)^3 is refused in S_606 in ~3 s; unbounded, it ran past 25 s.
+# It also bounds the S_n that ``analysis.forbidden_patterns`` scans, to n <= 9:
+# at n = 10 the scan ran out of 1 GiB of address space after ~14 s.
 LIFT_LEVEL_MAX = 362_880
 
 # Building every edge of G_n: `digraph --n 7` (40,320 edges) writes in ~4 s,

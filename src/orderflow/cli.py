@@ -6,12 +6,25 @@ output is exact rational strings unless ``--float`` is given.  Exit codes:
 0 ok, 1 domain error, 2 usage error; an error prints one JSON line
 ``{"error": ..., "detail": ...}`` to stderr instead.
 
-Each subcommand's arguments are declared once, in ``_COMMANDS``.
-``build_parser`` puts every subcommand under the top-level ``orderflow``
-parser; ``main`` reads its arguments through ``parse_args``, which parses a
-named subcommand with that subcommand's parser alone and falls back to the
-full parser for help, a missing command or an unknown one.  Either way the
-namespace and every usage error are the full parser's.
+Each subcommand's arguments are declared once, in ``_COMMANDS``, as a
+function that calls ``add_argument`` on whatever it is given.  ``main``
+reads its arguments through ``parse_args``, which has two paths:
+
+- A well-formed command line for a named subcommand is read by ``_read``,
+  straight from that subcommand's declarations, which it records afresh on
+  each call: every token is a declared flag or a value for it or a declared
+  positional, each flag at most once and with no ``nargs``, no value starts
+  with ``-``, every type and choice check passes and every required argument
+  is there.  It builds no parser and returns an ``_Args``, equal to the
+  ``argparse.Namespace`` argparse would return.
+- Anything else goes to argparse, unchanged: a named subcommand is parsed by
+  its own parser alone, help, no command or an unknown one by the full
+  parser of ``build_parser``.  Either way the namespace, the help text and
+  every usage error are the full parser's.
+
+``argparse`` (with ``gettext``, which it loads) is imported only on the
+second path and in the type functions' error branches, so a well-formed
+command never loads it.
 
 Importing this module loads ``perms`` and ``drift``, which hold the
 package's process-wide ``functools`` caches, and what they import
@@ -33,11 +46,11 @@ interpreter (54 ms with dataclasses), and the whole process about 87 ms
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
 # The cache holders and digraph load with the CLI, the other layers in their
@@ -47,6 +60,8 @@ from .errors import FormatError, OrderflowError
 from .exactnum import exact_str
 
 if TYPE_CHECKING:
+    import argparse
+
     from .analysis import PatternReport
     from .maps import IntervalMap
 
@@ -72,18 +87,33 @@ def _usage_error(message: str, prog: str = "orderflow") -> NoReturn:
     raise SystemExit(2)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as the one-line JSON error, exit code 2."""
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """An argparse parser that reports usage errors as the one-line JSON error, exit code 2.
 
-    def error(self, message):
-        _usage_error(message, self.prog)
+    Its subparsers are of its class too.  argparse loads here, when a help
+    text or a usage error needs it.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _usage_error(message, self.prog)
+
+    return Parser(allow_abbrev=False, **kwargs)
+
+
+def _type_error(message: str) -> Exception:
+    """The error a type function raises for argparse to report as ``message`` (exit 2)."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 # argparse reports a ValueError raised by these as an invalid value (exit 2).
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise _type_error(f"must be a positive integer, got {value}")
     return value
 
 
@@ -92,11 +122,11 @@ def _tolerance(text: str) -> float:
     try:
         value = float(Fraction(text))
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text}") from None
+        raise _type_error(f"zero denominator in {text}") from None
     except OverflowError:
-        raise argparse.ArgumentTypeError(f"out of float range: {text}") from None
+        raise _type_error(f"out of float range: {text}") from None
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise _type_error(f"must be positive, got {text}")
     return value
 
 
@@ -104,7 +134,7 @@ def _dimensions(text: str) -> list[int]:
     """Comma-separated non-negative integers."""
     dims = [int(d) for d in text.split(",")]
     if min(dims) < 0:
-        raise argparse.ArgumentTypeError(f"dimensions must be non-negative, got {text}")
+        raise _type_error(f"dimensions must be non-negative, got {text}")
     return dims
 
 
@@ -464,9 +494,8 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser with every subcommand."""
     # allow_abbrev=False: a flag prefix such as --m must not silently mean --mode.
-    top = _Parser(
+    top = _parser(
         prog="orderflow",
-        allow_abbrev=False,
         description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -477,20 +506,98 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
+class _Args(SimpleNamespace):
+    """The arguments ``_read`` found; equal to the ``argparse.Namespace`` of the same attributes."""
+
+    def __eq__(self, other):
+        argparse = sys.modules.get("argparse")  # an argparse.Namespace exists only once argparse has loaded
+        if isinstance(other, SimpleNamespace) or (argparse and isinstance(other, argparse.Namespace)):
+            return vars(self) == vars(other)
+        return NotImplemented
+
+
+class _Declared:
+    """The arguments one ``_<name>_args`` declares, recorded as plain specs: flag -> spec, and positionals in order."""
+
+    def __init__(self):
+        self.flags: dict[str, dict] = {}
+        self.positionals: list[dict] = []
+
+    def add_argument(self, name: str, **spec) -> None:
+        if name.startswith("-"):
+            self.flags[name] = {"dest": name.lstrip("-").replace("-", "_"), **spec}
+        else:
+            self.positionals.append({"dest": name, "required": True, **spec})
+
+
+def _read(name: str, argv: list[str]) -> _Args | None:
+    """The arguments of a well-formed ``argv`` for subcommand ``name``, or None to leave it to argparse.
+
+    Reads the subset argparse reads the same way (see the module docstring)
+    and converts defaults as argparse does: a string default through its
+    flag's type, ``store_true`` to False, anything else as declared.
+    """
+    _, handler, declare = _COMMANDS[name]
+    declared = _Declared()
+    declare(declared)
+    found = {}
+    positionals = iter(declared.positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            spec = declared.flags.get(token)
+            if spec is None or spec["dest"] in found or "nargs" in spec:
+                return None
+            if spec.get("action") == "store_true":
+                found[spec["dest"]] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        else:
+            spec, value = next(positionals, None), token
+            if spec is None:
+                return None
+        try:
+            value = spec["type"](value) if "type" in spec else value
+        except Exception:  # argparse reports it, or raises what the type function raised
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        found[spec["dest"]] = value
+    for spec in [*declared.flags.values(), *declared.positionals]:
+        if spec["dest"] in found:
+            continue
+        if spec.get("required"):
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        if isinstance(default, str) and "type" in spec:
+            try:
+                default = spec["type"](default)
+            except Exception:
+                return None
+        found[spec["dest"]] = default
+    return _Args(**found, command=name, func=handler)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace | _Args:
     """What ``build_parser().parse_args(argv)`` returns, or the same usage error.
 
-    A named subcommand is parsed by its own parser alone, which is the
-    parser the full one hands its arguments to; what that parser leaves over
-    is reported under the top-level prog, as the full parser reports it.
-    Anything else (help, no command, a typo) gets the full parser, whose
-    help and errors list every subcommand.
+    A well-formed command line for a named subcommand is read by ``_read``
+    without argparse.  Otherwise a named subcommand is parsed by its own
+    parser alone, which is the parser the full one hands its arguments to;
+    what that parser leaves over is reported under the top-level prog, as
+    the full parser reports it.  Anything else (help, no command, a typo)
+    gets the full parser, whose help and errors list every subcommand.
     """
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     name = argv[0]
+    args = _read(name, argv[1:])
+    if args is not None:
+        return args
     _, handler, declare = _COMMANDS[name]
-    p = _Parser(prog=f"orderflow {name}", allow_abbrev=False)
+    p = _parser(prog=f"orderflow {name}")
     declare(p)
     p.set_defaults(command=name, func=handler)
     args, rest = p.parse_known_args(argv[1:])
@@ -500,10 +607,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # A small command is mostly cold start: import plus `census --n 2` takes
-    # ~39 ms in a fresh interpreter (~54 ms with dataclasses, 2-vCPU VM,
-    # Python 3.11), against 1-3 ms for a loaded job, so a named subcommand is
-    # parsed with its own parser alone.
+    # A loaded job takes 1-3 ms, of which building even one subcommand's
+    # argparse parser took about 0.25 ms, so a well-formed command line is
+    # read without one (see the module docstring).
     args = parse_args(list(sys.argv[1:] if argv is None else argv))
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         _usage_error("--seed is required for cantor verify")

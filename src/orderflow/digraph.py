@@ -2,14 +2,19 @@
 
 G_n has vertex set S_n and edge set S_{n+1}; an edge sigma runs from its
 head-restriction (drop the last entry) to its tail-restriction (drop the
-first).  G_n itself is not stored: all structure derives from ``restrict``,
-whose bounded cache holds both endpoints of every edge up to G_6 (5040
-edges).  Subgraphs are plain edge sets; their vertex sets are derived.
+first).  G_n itself is not stored: all structure derives from these two
+restrictions (``restrict``, whose bounded cache holds both endpoints of
+every edge up to G_6, 5040 edges).  Subgraphs are plain edge sets; their
+vertex sets are derived.
 
 This module alone ranks a subgraph's vertices: ``Subgraph.ranking`` sorts
 them once, on first use, and every graph walk of the package (SCCs, shortest
 paths, loops, the drift search, the Euler walk, the census mask walk) runs on
-their places.  The ranking lives on its subgraph; no cache here outlives it.
+their places.  The ranking reads each edge's head and tail words off the
+edge's own word in one pass, without a ``restrict`` lookup per edge end.  A
+strongly connected component's subgraph (``Subgraph.component``) takes its
+ranking from its parent's, which already orders its vertices, instead of
+sorting again.  A ranking lives on its subgraph; no cache here outlives it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .caps import FULL_DIGRAPH_N_MAX, LOOP_ENUM_VERTEX_MAX
-from .errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
-from .perms import HEAD, TAIL, Perm, _Record, all_perms, json_length, load_json, perm, restrict
+from .errors import CapExceeded, FormatError, NotFaceSubgraph
+from .perms import HEAD, TAIL, Perm, _Record, _trusted, all_perms, json_length, load_json, perm, restrict
 
 
 def head(e: Perm) -> Perm:
@@ -91,15 +96,45 @@ class Subgraph(_Record):
 
     @cached_property
     def ranking(self) -> Ranking:
-        """The vertices ranked once, on first use; every walk over the subgraph reads it."""
-        by_word = attrgetter("word")  # Perm's order, without calling Perm's comparison
-        ends = [(e, restrict(e, HEAD), restrict(e, TAIL)) for e in sorted(self.edges, key=by_word)]
-        vertices = tuple(sorted({h for _, h, _ in ends}.union(t for _, _, t in ends), key=by_word))
-        place = {v: k for k, v in enumerate(vertices)}
-        out: list[list[tuple[Perm, int]]] = [[] for _ in vertices]
+        """The vertices ranked once, on first use; every walk over the subgraph reads it.
+
+        Each edge's head and tail words are its word without the last or the
+        first entry, re-ranked as ``restrict`` re-ranks them.
+        """
+        ends = []
+        for e in sorted(self.edges, key=attrgetter("word")):  # Perm's order, without calling Perm's comparison
+            word = e.word
+            first, last = word[0], word[-1]
+            ends.append((e, tuple([r - (r > last) for r in word[:-1]]), tuple([r - (r > first) for r in word[1:]])))
+        words = sorted({h for _, h, _ in ends}.union(t for _, _, t in ends))
+        at = {word: k for k, word in enumerate(words)}
+        out: list[list[tuple[Perm, int]]] = [[] for _ in words]
         for e, h, t in ends:
-            out[place[h]].append((e, place[t]))
-        return Ranking(vertices, place, tuple(map(tuple, out)))
+            out[at[h]].append((e, at[t]))
+        vertices = tuple(map(_trusted, words))
+        return Ranking(vertices, dict(zip(vertices, range(len(vertices)))), tuple(map(tuple, out)))
+
+    def component(self, comp: "Component") -> "Subgraph":
+        """The subgraph of one of this subgraph's strongly connected components, ranked from this ranking.
+
+        The component's places keep their order here, and its out-edges are
+        theirs whose tails stay inside it, so its ranking needs no sort.
+        """
+        if not comp.edges:  # a vertex on no loop, which an edge set alone does not hold
+            return Subgraph(self.n, comp.edges)
+        verts, _, out = self.ranking
+        if len(comp.vertices) == len(verts):  # every vertex, so every edge
+            return self
+        piece = Subgraph(self.n, comp.edges)
+        places = [k for k, v in enumerate(verts) if v in comp.vertices]
+        renumber = dict(zip(places, range(len(places))))
+        vertices = tuple([verts[k] for k in places])
+        piece.__dict__["ranking"] = Ranking(  # what the cached property would compute
+            vertices,
+            dict(zip(vertices, range(len(vertices)))),
+            tuple(tuple([(e, renumber[w]) for e, w in out[k] if w in renumber]) for k in places),
+        )
+        return piece
 
     def vertices(self) -> tuple[Perm, ...]:
         """The vertices in sorted order."""
@@ -208,12 +243,14 @@ def is_face_subgraph(H: Subgraph) -> bool:
     return True
 
 
-def shortest_path(H: Subgraph, src: Perm, dst: Perm) -> tuple[Perm, ...]:
-    """Edges of a shortest path from src to dst in H, breadth first over sorted out-edges."""
-    if src == dst:
-        return ()
+def shortest_paths(H: Subgraph, src: Perm) -> list[tuple[Perm, ...] | None]:
+    """Per place of H's ranking, the edges of a shortest path from src to it, or None when there is none.
+
+    Breadth first over sorted out-edges: each place keeps the path by which
+    it was first reached.
+    """
     _, place, out = H.ranking
-    start, goal = place[src], place.get(dst)
+    start = place[src]
     found: list[tuple[Perm, ...] | None] = [None] * len(out)
     found[start] = ()
     frontier = deque([start])
@@ -222,10 +259,8 @@ def shortest_path(H: Subgraph, src: Perm, dst: Perm) -> tuple[Perm, ...]:
         for e, w in out[v]:
             if found[w] is None:
                 found[w] = found[v] + (e,)
-                if w == goal:
-                    return found[w]
                 frontier.append(w)
-    raise NotStronglyConnected(f"no path from {src} to {dst}")
+    return found
 
 
 def embedded_loops(H: Subgraph) -> list[tuple[Perm, ...]]:

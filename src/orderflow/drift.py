@@ -39,15 +39,29 @@ image: loops g_r with G_{g_r}(r) < r push the chain down to 0.
 So the least vertex drifts whenever any vertex does, and the first
 (vertex, index, sign) witness in sorted order always lies at the least
 vertex: ``IndexReach.verdict`` searches its n indices and no others.
+
+The search runs on the component's ``Subgraph.ranking``, which a face's
+component takes from the face's own ranking (``Subgraph.component``), so a
+decision ranks its vertices once.  A state (place, a, b) is one int, with
+a and b the max- and min-index among 0..n+1, and each place's transition
+row is built once for all n searches.  A search is a breadth-first pass
+that runs only as far as its reader asks: the verdict stops a pass at the
+first zero sign or the second nonzero sign at the least vertex, and
+synthesis resumes the same passes for its loops.  Discovery order and
+parent pointers are those of the whole pass, so witnesses and loops are
+the same as a full search gives; ``tests/drift_oracle.py`` keeps the
+tuple-state search as a second route.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from operator import itemgetter
+from typing import Iterator
 
 from .caps import SYNTHESIS_LENGTH_MAX
-from .digraph import Subgraph, face_components, head, shortest_path, tail
+from .digraph import Subgraph, face_components, head, shortest_paths, tail
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -56,7 +70,7 @@ from .errors import (
     InvariantViolation,
     NotStronglyConnected,
 )
-from .paths import DiPath, build_poset, concat
+from .paths import DiPath, _joined, build_poset, concat
 from .perms import Perm, _Record
 
 # Loop classifications, weakest to strongest.
@@ -149,8 +163,8 @@ def _fold(start: Perm, end: Perm, tables) -> DriftProfile:
     tables = iter(tables)
     up, down = next(tables)
     for up_e, down_e in tables:
-        up = tuple([up_e[k] for k in up])
-        down = tuple([down_e[k] for k in down])
+        up = itemgetter(*up)(up_e)  # a tuple: the padding gives at least three indices
+        down = itemgetter(*down)(down_e)
     return DriftProfile(start, end, up[1:-1], down[1:-1])
 
 
@@ -267,65 +281,103 @@ class DriftVerdict(_Record):
         return self.witness is not None
 
 
+class _Search:
+    """One breadth-first pass over index states from one start state, run only as far as its readers ask.
+
+    Iterating yields the states nonempty paths reach, in discovery order,
+    expanding the queue just far enough for the next one; every iteration
+    reads the same pass.  ``parent[t]`` is the state whose expansion first
+    reached t, -1 before that.  Out-edges are tried in sorted order, so the
+    pointers trace the shortest path to the state that comes first in edge
+    order, and discovery order sorts those paths by (length, edge word).
+    """
+
+    def __init__(self, rows: list, width: int, start: int):
+        self.rows, self.width = rows, width  # an IndexReach's, which holds the pass: no reference cycle
+        self.order = [start]  # the start state, then each state as it is discovered
+        self.parent = [-1] * (len(rows) * width**2)
+        self.expanded = 0
+
+    def __iter__(self) -> Iterator[int]:
+        order, parent, rows, width = self.order, self.parent, self.rows, self.width
+        block = width**2
+        k = 1
+        while True:
+            while k < len(order):
+                yield order[k]
+                k += 1
+            if self.expanded == len(order):
+                return
+            s = order[self.expanded]
+            self.expanded += 1
+            w, r = divmod(s, block)
+            a, b = divmod(r, width)
+            for x, up, down in rows[w]:
+                t = x + up[a] * width + down[b]
+                if parent[t] < 0:
+                    parent[t] = s
+                    order.append(t)
+
+
 class IndexReach:
     """Which (vertex, max-index, min-index) states paths from v reach, tracking index j.
 
     Along an edge e a state (w, a, b) moves to (tail(e), maxmap_e[a],
     minmap_e[b]), so the loops at v realize exactly the diagonal signs at j
-    read off the reachable states at vertex v.  Each edge's step is computed
-    once, and each (v, j) is one breadth-first pass.  States name vertices by
-    their places in the ranking of the strongly connected ``graph``, which
-    keeps hashing them cheap.
+    read off the reachable states at vertex v.  A state is coded as one int,
+    (place * width + a) * width + b with width = n + 2, places being those of
+    the ranking of the strongly connected ``graph``.  Each place's transition
+    row, per out-edge in sorted order the code of its tail's (0, 0) state and
+    the edge's padded max- and min-index tables, is built once and serves
+    every search; each (v, j) is one breadth-first pass, run as far as the
+    question needs.
 
     Drift is all-or-none over the vertices (see the module docstring), so
     the verdict takes the n passes at the least vertex.  Those passes are
-    kept, and loops asked for at the least vertex reuse them.
+    kept, and loops asked for at the least vertex resume them.
     """
 
     def __init__(self, graph: Subgraph):
         self.graph = graph
-        self.steps = [[(e, w, *_edge_tables(e)) for e, w in row] for row in graph.ranking.out]
-        self._at_least: dict[int, dict] = {}
+        self.width = graph.n + 2
+        self.block = block = self.width**2  # states per place
+        out = graph.ranking.out
+        self.edges = [[e for e, _ in row] for row in out]
+        self.rows = [[(w * block, *_edge_tables(e)) for e, w in row] for row in out]
+        self._at_least: dict[int, _Search] = {}
 
-    def search(self, v: Perm, j: int) -> dict:
-        """States reached from (v, j, j) by nonempty paths, in breadth-first order.
+    def search(self, v: Perm, j: int) -> _Search:
+        """The breadth-first pass from the state (v, j, j)."""
+        return _Search(self.rows, self.width, self.graph.ranking.place[v] * self.block + j * self.width + j)
 
-        Each state maps to (previous state, edge).  Out-edges are tried in
-        sorted order, so the pointers trace the shortest path to the state
-        that comes first in edge order, and discovery order sorts those paths
-        by (length, edge word).
-        """
-        parent: dict = {}
-        order = [(self.graph.ranking.place[v], j, j)]
-        for state in order:  # grows while it is walked: a FIFO queue
-            w, a, b = state
-            for e, x, up, down in self.steps[w]:
-                nxt = (x, up[a], down[b])
-                if nxt not in parent:
-                    parent[nxt] = (state, e)
-                    order.append(nxt)
-        return parent
-
-    def _reached(self, v: Perm, j: int) -> dict:
-        """``search(v, j)``, run once per index at the least vertex."""
+    def _reached(self, v: Perm, j: int) -> _Search:
+        """``search(v, j)``, made once per index at the least vertex."""
         if v != self.graph.vertices()[0]:
             return self.search(v, j)
         if j not in self._at_least:
             self._at_least[j] = self.search(v, j)
         return self._at_least[j]
 
+    def _edge(self, s: int, t: int) -> Perm:
+        """The first out-edge, in sorted order, that takes state s to state t."""
+        w, r = divmod(s, self.block)
+        a, b = divmod(r, self.width)
+        return self.edges[w][[x + up[a] * self.width + down[b] for x, up, down in self.rows[w]].index(t)]
+
     def first_loop(self, v: Perm, j: int, signs) -> DiPath | None:
         """The shortest, then least in edge order, loop at v whose diagonal sign at j is in ``signs``."""
-        parent = self._reached(v, j)
-        start = (self.graph.ranking.place[v], j, j)
-        for state in parent:
-            w, a, b = state
-            if w == start[0] and _sign(v, a, b, j) in signs:
-                edges = [parent[state][1]]
+        search = self._reached(v, j)
+        start = search.order[0]
+        base = start - start % self.block  # the code of (v, 0, 0)
+        for state in search:
+            if base <= state < base + self.block and _sign(v, *divmod(state - base, self.width), j) in signs:
+                edges = []
                 # The start state's out-steps were all recorded when it was
                 # expanded first, so a pointer to it always means depth 0.
-                while (state := parent[state][0]) != start:
-                    edges.append(parent[state][1])
+                while (prev := search.parent[state]) != start:
+                    edges.append(self._edge(prev, state))  # the edge that recorded the pointer
+                    state = prev
+                edges.append(self._edge(start, state))
                 return DiPath(self.graph.n, tuple(reversed(edges)))
         return None
 
@@ -333,11 +385,17 @@ class IndexReach:
         """The first index of the least vertex where every loop has the same nonzero sign.
 
         By the all-or-none argument this is also the first (vertex, index)
-        in sorted order over every vertex.
+        in sorted order over every vertex.  Each pass stops once a zero sign
+        or both nonzero signs have shown at the least vertex.
         """
-        v = self.graph.vertices()[0]
+        v = self.graph.vertices()[0]  # place 0, whose states are the codes below one block
         for j in range(1, self.graph.n + 1):
-            signs = {_sign(v, a, b, j) for w, a, b in self._reached(v, j) if w == 0}
+            signs = set()
+            for s in self._reached(v, j):
+                if s < self.block:
+                    signs.add(_sign(v, *divmod(s, self.width), j))
+                    if ZERO in signs or len(signs) == 2:
+                        break
             if len(signs) == 1 and ZERO not in signs:
                 return DriftVerdict((v, j, signs.pop()))
         return DriftVerdict()
@@ -352,7 +410,7 @@ def subgraph_drifts(H: Subgraph) -> DriftVerdict:
     (vertex, index, sign) order is reported.
     """
     for comp in face_components(H):
-        verdict = IndexReach(Subgraph(H.n, comp.edges)).verdict()
+        verdict = IndexReach(H.component(comp)).verdict()
         if verdict.drifts:
             return verdict
     return DriftVerdict()
@@ -373,15 +431,31 @@ def verdict_to_json(verdict: DriftVerdict) -> str:
 
 
 def _cover_walk(H: Subgraph, base: Perm) -> DiPath:
-    """A loop at ``base`` using every edge of H at least once."""
+    """A loop at ``base`` using every edge of H at least once.
+
+    It takes the edges in sorted order, each after a shortest path from
+    where the walk stands to its head, then a shortest path back to
+    ``base``.  Head and tail are read off H's ranking, and the shortest
+    paths from each place come from one breadth-first search.  The pieces
+    meet at places by construction, so the path skips ``DiPath``'s check of
+    every edge pair.
+    """
+    verts, place, out = H.ranking
+    paths: dict[int, list] = {}
+
+    def to(a: int, b: int) -> tuple[Perm, ...]:
+        if a not in paths:
+            paths[a] = shortest_paths(H, verts[a])
+        return paths[a][b]
+
     walk: list[Perm] = []
-    at = base
-    for e in sorted(H.edges):
-        walk.extend(shortest_path(H, at, head(e)))
+    at = place[base]
+    for e, h, t in sorted(((e, h, t) for h, row in enumerate(out) for e, t in row), key=lambda x: x[0].word):
+        walk.extend(to(at, h))
         walk.append(e)
-        at = tail(e)
-    walk.extend(shortest_path(H, at, base))
-    return DiPath(H.n, tuple(walk))
+        at = t
+    walk.extend(to(at, place[base]))
+    return _joined(H.n, tuple(walk))  # each seam joins a place's out-edge to a path from that edge's tail
 
 
 def synthesize_totally_driftless_loop(H: Subgraph) -> DiPath:

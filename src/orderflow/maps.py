@@ -517,7 +517,7 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     H = Subgraph(n - 1, frozenset(flow.mass))  # the support of a conserving flow is a face
     built: list[tuple[Fraction, IntervalMap]] = []
     for comp in face_components(H):
-        piece = Subgraph(H.n, comp.edges)
+        piece = H.component(comp)
         try:
             delta = _synthesize(IndexReach(piece))
         except DriftObstruction as exc:

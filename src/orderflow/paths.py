@@ -156,13 +156,29 @@ def _lift_step(states: dict[tuple[int, ...], int], n: int, i: int, gaps: dict, d
     last n ranks' pattern allows, and drops its first ``drop`` ranks.  As
     they grow, a step's states may hold as many ranks as ``LIFT_LEVEL_MAX``
     windows of n ranks (drop=1) do; whole patterns (drop=0) hold i + 1 each.
+
+    Windows merge, so a window step's work, its transitions (each state
+    times the ranks it allows), can pass its states by far once i is large.
+    It may make as many as ``LIFT_LEVEL_MAX`` states of a step into S_10 can,
+    each allowing at most 10 ranks, and is refused before a state that would
+    pass that is grown.  Each transition of whole patterns is a new pattern,
+    which the bound on ranks already counts.
     """
     grown: dict[tuple[int, ...], int] = {}
     cap = LIFT_LEVEL_MAX * n
+    work_cap = LIFT_LEVEL_MAX * 10
+    made = 0
     for s, c in states.items():
         window = s[-n:]
         bounds = (0, *sorted(window), i + 1)
-        for k in gaps.get(order_pattern(window).word, ()):
+        allowed = gaps.get(order_pattern(window).word, ())
+        if drop:
+            made += sum(bounds[k + 1] - bounds[k] for k in allowed)
+            if made > work_cap:
+                raise CapExceeded(
+                    f"window count in S_{i + 1} reached {made} transitions (states x allowed ranks), cap {work_cap}"
+                )
+        for k in allowed:
             for r in range(bounds[k] + 1, bounds[k + 1] + 1):
                 t = (*(x + (x >= r) for x in s[drop:]), r)  # ranks >= r move up by one
                 grown[t] = grown.get(t, 0) + c

@@ -134,16 +134,12 @@ class Perm(_Record):
         return self.word.index(rank) + 1
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+        return ("" if len(self.word) <= 9 else ",").join(map(str, self.word))
 
     @classmethod
     def parse(cls, text: str) -> "Perm":
         s = text.strip()
-        if "," in s:
-            return cls(tuple(int(t) for t in s.split(",")))
-        return cls(tuple(int(ch) for ch in s))
+        return cls(tuple(map(int, s.split(",") if "," in s else s)))
 
 
 def _trusted(word: tuple[int, ...]) -> Perm:

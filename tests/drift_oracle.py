@@ -21,6 +21,12 @@ index-state reachability.
 ``reach_partially_driftless_in`` finds a loop with a zero diagonal entry
 by the package's index-state search instead; tests check it against the
 saturation route's ``partially_driftless_in``.
+
+``TupleReach`` is the index-state search as the package ran it before its
+states became int codes: each state a (place, max-index, min-index) tuple,
+each search a dict from state to (previous state, edge), and each step
+computed afresh from the edge tables.  Tests check that both give the same
+verdicts, witnesses, loops and synthesized loops.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from orderflow.drift import (
     IndexReach,
     DriftProfile,
     _cover_walk,
+    _edge_tables,
     _sign,
     compose,
     edge_profile,
@@ -190,7 +197,8 @@ def drifting_vertices(reach: IndexReach) -> list[tuple[Perm, int, str]]:
     found = []
     for k, v in enumerate(reach.graph.vertices()):
         for j in range(1, reach.graph.n + 1):
-            signs = {_sign(v, a, b, j) for w, a, b in reach.search(v, j) if w == k}
+            states = [divmod(s % reach.block, reach.width) for s in reach.search(v, j) if s // reach.block == k]
+            signs = {_sign(v, a, b, j) for a, b in states}
             if len(signs) == 1 and ZERO not in signs:
                 found.append((v, j, signs.pop()))
                 break
@@ -228,3 +236,55 @@ def reach_partially_driftless_in(H: Subgraph) -> DiPath | None:
             if found:
                 return min(found, key=lambda loop: (loop.length, loop.edges))
     return None
+
+
+# -- the tuple-state search ---------------------------------------------------
+
+
+class TupleReach:
+    """The index-state search with (place, max-index, min-index) tuples as states; ``IndexReach``'s interface."""
+
+    def __init__(self, graph: Subgraph):
+        self.graph = graph
+        self.steps = [[(e, w, *_edge_tables(e)) for e, w in row] for row in graph.ranking.out]
+        self._at_least: dict[int, dict] = {}
+
+    def search(self, v: Perm, j: int) -> dict:
+        """States reached from (v, j, j) by nonempty paths, in breadth-first order, each with (previous state, edge)."""
+        parent: dict = {}
+        order = [(self.graph.ranking.place[v], j, j)]
+        for state in order:  # grows while it is walked: a FIFO queue
+            w, a, b = state
+            for e, x, up, down in self.steps[w]:
+                nxt = (x, up[a], down[b])
+                if nxt not in parent:
+                    parent[nxt] = (state, e)
+                    order.append(nxt)
+        return parent
+
+    def _reached(self, v: Perm, j: int) -> dict:
+        if v != self.graph.vertices()[0]:
+            return self.search(v, j)
+        if j not in self._at_least:
+            self._at_least[j] = self.search(v, j)
+        return self._at_least[j]
+
+    def first_loop(self, v: Perm, j: int, signs) -> DiPath | None:
+        parent = self._reached(v, j)
+        start = (self.graph.ranking.place[v], j, j)
+        for state in parent:
+            w, a, b = state
+            if w == start[0] and _sign(v, a, b, j) in signs:
+                edges = [parent[state][1]]
+                while (state := parent[state][0]) != start:
+                    edges.append(parent[state][1])
+                return DiPath(self.graph.n, tuple(reversed(edges)))
+        return None
+
+    def verdict(self) -> DriftVerdict:
+        v = self.graph.vertices()[0]
+        for j in range(1, self.graph.n + 1):
+            signs = {_sign(v, a, b, j) for w, a, b in self._reached(v, j) if w == 0}
+            if len(signs) == 1 and ZERO not in signs:
+                return DriftVerdict((v, j, signs.pop()))
+        return DriftVerdict()

@@ -12,7 +12,7 @@ import json
 import math
 from fractions import Fraction
 
-from orderflow.digraph import Subgraph, face_components, head, shortest_path, tail
+from orderflow.digraph import Subgraph, face_components, head, shortest_paths, tail
 from orderflow.errors import CapExceeded, InvariantViolation
 from orderflow.perms import PatternDistribution, Perm, all_perms
 
@@ -38,7 +38,7 @@ def interior_flow(H: Subgraph) -> PatternDistribution:
     face_components(H)  # raises NotFaceSubgraph when an edge lies on no loop
     counts: dict[Perm, int] = {}
     for e in sorted(H.edges):
-        loop = (e,) + shortest_path(H, tail(e), head(e))
+        loop = (e,) + shortest_paths(H, tail(e))[H.ranking.place[head(e)]]
         for f in loop:
             counts[f] = counts.get(f, 0) + 1
     total = sum(counts.values())

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -788,24 +790,135 @@ class TestOneCommandParser:
         assert code == 2 and err == {"error": "UsageError", "detail": detail}
 
     def test_builds_only_the_named_subparser(self, tmp_path, capsys, monkeypatch, driftless_triple):
+        # A well-formed command builds no parser; a malformed one only its own.
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        class Recording(cli._Parser):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self.prog)
+        def recording(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
 
-        monkeypatch.setattr(cli, "_Parser", Recording)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
         sub = tmp_path / "sub.json"
         sub.write_text(subgraph_to_json(driftless_triple))
         code, stdout, _ = run(capsys, "drift", "subgraph", "--edges", str(sub))
         assert code == 0 and json.loads(stdout)["verdict"] == "driftless"
+        assert built == []
+
+        code, err = run_error(capsys, "drift", "subgraph", "--edges", str(sub), "--bogus")
+        assert code == 2 and err["detail"] == "orderflow: unrecognized arguments: --bogus"
         assert built == ["orderflow drift"]
 
         built.clear()
         with pytest.raises(SystemExit):
             main(["--help"])
         assert built == ["orderflow"] + [f"orderflow {name}" for name in COMMANDS]
+
+
+def _declared(name: str) -> cli._Declared:
+    declared = cli._Declared()
+    cli._COMMANDS[name][2](declared)
+    return declared
+
+
+# A value that each type accepts, and values that one or another type, choice or flag reader refuses.
+VALID = {cli._positive_int: "3", int: "7", cli._tolerance: "1/40", cli._dimensions: "0,2", None: "in.json"}
+ODD = ["0", "-1", "-5", "x", "", "-", "1/0", "0,-1", "1e999", " 4", "--", "-h", "--n", "count"]
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it prints, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's argv drawn from its declared flags: well formed, or bent in one of the ways argparse reads."""
+    name = draw(st.sampled_from(COMMANDS))
+    declared = _declared(name)
+
+    def value(spec):
+        good = [str(c) for c in spec.get("choices", ())] or [VALID[spec.get("type")]]
+        return draw(st.sampled_from(ODD) if draw(st.integers(0, 5)) == 0 else st.sampled_from(good))
+
+    tokens = []
+    for spec in declared.positionals:
+        tokens.append([value(spec)])
+    for flag, spec in declared.flags.items():
+        if spec.get("required") or draw(st.booleans()):
+            if spec.get("action") == "store_true":
+                tokens.append([flag])
+            elif "nargs" in spec:
+                count = spec["nargs"] if isinstance(spec["nargs"], int) else draw(st.integers(0, 2))
+                tokens.append([flag, *(value(spec) for _ in range(count))])
+            elif draw(st.integers(0, 9)) == 0:
+                tokens.append([f"{flag}={value(spec)}"])
+            else:
+                tokens.append([flag, value(spec)])
+    flags = list(declared.flags)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bent = draw(st.sampled_from(["repeat", "prefix", "unknown", "drop", "extra", "dashdash", "help"]))
+        if bent == "repeat":
+            flag = draw(st.sampled_from(flags))
+            tokens.append([flag] if declared.flags[flag].get("action") else [flag, value(declared.flags[flag])])
+        elif bent == "prefix":
+            flag = draw(st.sampled_from(flags))
+            tokens.append([flag[: draw(st.integers(1, len(flag) - 1))], "1"])
+        elif bent == "unknown":
+            tokens.append(["--bogus"])
+        elif bent == "drop" and tokens:
+            tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+        elif bent == "extra":
+            tokens.append(["extra"])
+        elif bent == "dashdash":
+            tokens.append(["--"])
+        elif bent == "help":
+            tokens.append([draw(st.sampled_from(["-h", "--help"]))])
+    order = draw(st.permutations(range(len(tokens))))
+    return [name, *(token for k in order for token in tokens[k])]
+
+
+def _no_parser(*args, **kwargs):
+    raise AssertionError("an argparse parser was built")
+
+
+class TestArgvReader:
+    """``parse_args`` reads well-formed argv without argparse; every argv parses as the full parser parses it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_same_as_the_full_parser(self, argv):
+        assert _outcome(cli.parse_args, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_required_arguments_alone_build_no_parser(self, name, monkeypatch):
+        declared = _declared(name)
+        argv = [name]
+        for spec in declared.positionals:
+            argv.append(str(spec["choices"][0]) if "choices" in spec else VALID[None])
+        for flag, spec in declared.flags.items():
+            if spec.get("required"):
+                argv += [flag, str(spec["choices"][0]) if "choices" in spec else VALID[spec.get("type")]]
+        expected = build_parser().parse_args(argv)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
+        assert cli.parse_args(argv) == expected
+
+    def test_benchmark_jobs_build_no_parser(self, tmp_path, monkeypatch):
+        # Read bench/gen.py as tests/test_tooling.py does; every job the two seed-777 plans run is well formed.
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        gen = importlib.import_module("gen")
+        jobs = [*gen.WARMUPS.values()]
+        for workload, seconds in (("patterns", 3), ("flows", 0.5)):
+            jobs += gen.plan(workload, 777, tmp_path / workload, seconds).jobs
+        expected = [build_parser().parse_args(job.argv(tmp_path)) for job in jobs]
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
+        assert [cli.parse_args(job.argv(tmp_path)) for job in jobs] == expected
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1151,9 +1264,17 @@ class TestResourceRefusals:
                                       r"lift level in S_1005 reached \d+ ranks \(\d+ patterns\), cap 725760"),
         "poset-oracle-then-branching": (["poset", "--path", "mid.json", "--query", "1", "2", "--oracle"],
                                         r"lift level in S_126 reached \d+ ranks \(\d+ patterns\), cap 725760"),
+        # The window count keeps few states after the zig-zag, but each allows hundreds of ranks:
+        # its work passes the bound on transitions while its states stay under theirs.
+        "lifts-count-long-then-branching": (["lifts", "--path", "long.json", "--mode", "count"],
+                                            r"window count in S_1006 reached \d+ states, cap 362880"),
+        "lifts-count-then-branching": (["lifts", "--path", "wide.json", "--mode", "count"],
+                                       r"window count in S_606 reached \d+ transitions \(states x allowed ranks\), "
+                                       r"cap 3628800"),
     }
 
-    PATHS = {"long.json": 500, "mid.json": 60}  # zig-zag (132, 312)^k 132, then (321, 213, 132)^3
+    # zig-zag (132, 312)^k 132, then (321, 213, 132)^3
+    PATHS = {"long.json": 500, "wide.json": 300, "mid.json": 60}
 
     @pytest.mark.parametrize("case", REFUSALS)
     def test_refused_within_bounds(self, case, tmp_path):

@@ -13,13 +13,13 @@ from orderflow.digraph import (
     export_dot,
     face_components,
     is_face_subgraph,
-    shortest_path,
+    shortest_paths,
     strongly_connected_components,
     subgraph,
     subgraph_from_json,
     subgraph_to_json,
 )
-from orderflow.errors import CapExceeded, FormatError, NotFaceSubgraph, NotStronglyConnected
+from orderflow.errors import CapExceeded, FormatError, NotFaceSubgraph
 from orderflow.perms import HEAD, TAIL, all_perms, perm, restrict
 
 
@@ -223,11 +223,10 @@ class TestWalksAgainstOracles:
         dist = _distances(H)
         verts = sorted({v for v, _ in dist})
         for src, dst in itertools.product(verts, repeat=2):
+            path = shortest_paths(H, src)[H.ranking.place[dst]]
             if (src, dst) not in dist:
-                with pytest.raises(NotStronglyConnected):
-                    shortest_path(H, src, dst)
+                assert path is None
                 continue
-            path = shortest_path(H, src, dst)
             assert len(path) == dist[src, dst]
             at = src
             for e in path:
@@ -239,3 +238,23 @@ class TestWalksAgainstOracles:
     @given(edge_sets())
     def test_embedded_loops_are_the_simple_cycles(self, H):
         assert embedded_loops(H) == _simple_cycles(H)
+
+    @settings(max_examples=150)
+    @given(edge_sets())
+    def test_ranking_reads_the_restrictions(self, H):
+        # The ranking reads head and tail words off each edge's word; restrict is the oracle.
+        verts, place, out = H.ranking
+        assert list(verts) == sorted({v for pair in _ends(H).values() for v in pair})
+        assert place == {v: k for k, v in enumerate(verts)}
+        for k, row in enumerate(out):
+            assert [e for e, _ in row] == sorted(e for e, (h, _) in _ends(H).items() if h == verts[k])
+            assert all(verts[w] == restrict(e, TAIL) for e, w in row)
+
+    @settings(max_examples=150)
+    @given(edge_sets())
+    def test_component_ranking_is_its_own(self, H):
+        # A component's subgraph takes its ranking from H's; ranked afresh it must come out the same.
+        for comp in strongly_connected_components(H):
+            piece = H.component(comp)
+            assert piece == Subgraph(H.n, comp.edges)
+            assert piece.ranking == Subgraph(H.n, comp.edges).ranking

@@ -7,17 +7,28 @@ from hypothesis import strategies as st
 
 import drift_oracle
 from conftest import all_paths, random_path
-from orderflow.digraph import PermDigraph, Subgraph, is_face_subgraph, strongly_connected_components, tail
+from orderflow.digraph import (
+    PermDigraph,
+    Subgraph,
+    face_components,
+    is_face_subgraph,
+    strongly_connected_components,
+    tail,
+)
 from orderflow.drift import (
     DRIFTLESS,
     DRIFTS,
+    MINUS,
     PARTIALLY_DRIFTLESS,
+    PLUS,
     TOTALLY_DRIFTLESS,
+    ZERO,
     DriftProfile,
     DriftVerdict,
     IndexReach,
     _edge_tables,
     _padded,
+    _synthesize,
     classify_loop,
     compose,
     edge_profile,
@@ -528,3 +539,76 @@ class TestSynthesisProperty:
         assert gamma.is_loop
         assert frozenset(gamma.edges) == H.edges
         assert classify_loop(gamma, method="poset") == TOTALLY_DRIFTLESS
+
+
+SIGN_SETS = [{PLUS}, {MINUS}, {ZERO}, {MINUS, ZERO}, {PLUS, ZERO}, {PLUS, MINUS}]
+
+
+def _synthesized(reach) -> DiPath | str:
+    """The synthesized loop, or the text of the drift that refuses it."""
+    try:
+        return _synthesize(reach)
+    except DriftObstruction as exc:
+        return str(exc)
+
+
+def _assert_routes_agree(H: Subgraph, every_vertex: bool = True) -> None:
+    """Int-state and tuple-state searches give the same verdicts, witnesses, first loops and synthesized loops.
+
+    The int route runs its passes only as far as each question needs, so it
+    is asked in both orders: the verdict first, and the loops first.
+    """
+    for comp in face_components(H):
+        K = H.component(comp)
+        tuples = drift_oracle.TupleReach(Subgraph(H.n, comp.edges))
+        verdict_first, loops_first = IndexReach(K), IndexReach(K)
+        assert verdict_first.verdict() == tuples.verdict()
+        verts = K.vertices()
+        for v in verts if every_vertex else {verts[0], verts[len(verts) // 2], verts[-1]}:
+            for j in range(1, H.n + 1):
+                for signs in SIGN_SETS:
+                    loop = tuples.first_loop(v, j, signs)
+                    assert verdict_first.first_loop(v, j, signs) == loop
+                    assert loops_first.first_loop(v, j, signs) == loop
+        assert loops_first.verdict() == tuples.verdict()
+        assert _synthesized(IndexReach(K)) == _synthesized(drift_oracle.TupleReach(K))
+
+
+@st.composite
+def face_subgraphs(draw):
+    """The edges on loops of a random edge set of G_3 or G_4."""
+    n = draw(st.sampled_from([3, 4]))
+    edges = sorted(PermDigraph(n).edges())
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    comps = strongly_connected_components(Subgraph(n, frozenset(e for e, k in zip(edges, keep) if k)))
+    H = Subgraph(n, frozenset().union(*(c.edges for c in comps)))
+    if not H.edges:
+        reject()
+    return H
+
+
+class TestIntStatesAgainstTuples:
+    """The int-coded search against the tuple-state search it replaced (``drift_oracle.TupleReach``)."""
+
+    def test_every_face_subgraph_of_g2(self):
+        faces = list(_face_subgraphs_g2())
+        assert len(faces) == 39
+        for H in faces:
+            _assert_routes_agree(H)
+
+    @settings(max_examples=40, deadline=None)
+    @given(face_subgraphs())
+    def test_face_subgraphs_of_g3_and_g4(self, H):
+        _assert_routes_agree(H, every_vertex=H.n == 3)
+
+    def test_subgraph_drifts(self):
+        rng = random.Random("int-states")
+        for n, p in [(3, 0.4), (3, 0.7), (4, 0.3), (4, 0.6)]:
+            for _ in range(10):
+                H = _random_face_subgraph(rng, n, p)
+                expected = DriftVerdict()
+                for comp in face_components(H):
+                    expected = drift_oracle.TupleReach(Subgraph(n, comp.edges)).verdict()
+                    if expected.drifts:
+                        break
+                assert subgraph_drifts(H) == expected

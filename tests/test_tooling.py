@@ -19,8 +19,8 @@ SRC = ROOT / "src" / "orderflow"
 BENCH = ROOT / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 README_COMMANDS = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("orderflow ")]
-# Modules the CLI loads only inside the command that needs them.
-DEFERRED = {"orderflow.flows", "orderflow.maps", "orderflow.analysis", "orderflow.cantor", "hashlib"}
+# Modules the CLI loads only inside the command that needs them; argparse only for help and usage errors.
+DEFERRED = {"orderflow.flows", "orderflow.maps", "orderflow.analysis", "orderflow.cantor", "hashlib", "argparse"}
 
 
 def _tree(module: str) -> ast.Module:
@@ -348,17 +348,31 @@ def test_cli_loads_the_cache_holders_and_defers_the_rest():
     assert DEFERRED & loaded == set()
 
 
-@pytest.mark.parametrize("argv", [["census", "--n", "2"], ["exact", "--map", "doubling", "--n", "6"]])
-def test_benchmark_warmups_load_no_code_generation(argv, tmp_path):
-    # The benchmark's two warm-up jobs, whole commands in a fresh process, load neither dataclasses nor inspect.
+WARMUPS = [["census", "--n", "2"], ["exact", "--map", "doubling", "--n", "6"]]
+
+
+def _warmup_loads(argv: list[str], tmp_path: Path, names: set[str]) -> list:
+    """The exit code of one of the benchmark's warm-up jobs, a whole command in a fresh process, and which of ``names`` it loaded."""
     code = f"""
 import contextlib, io, json, sys
 import orderflow.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = orderflow.cli.main({argv + ["--out", str(tmp_path / "out")]!r})
-print(json.dumps([code, sorted({{"dataclasses", "inspect"}} & set(sys.modules))]))
+print(json.dumps([code, sorted(set({sorted(names)!r}).intersection(sys.modules))]))
 """
-    assert _fresh(code) == [0, []]
+    return _fresh(code)
+
+
+@pytest.mark.parametrize("argv", WARMUPS)
+def test_benchmark_warmups_load_no_code_generation(argv, tmp_path):
+    # dataclasses loads inspect; neither is needed by a whole command.
+    assert _warmup_loads(argv, tmp_path, {"dataclasses", "inspect"}) == [0, []]
+
+
+@pytest.mark.parametrize("argv", WARMUPS)
+def test_benchmark_warmups_load_no_argparse(argv, tmp_path):
+    # A well-formed command is read without argparse, which also loads gettext.
+    assert _warmup_loads(argv, tmp_path, {"argparse", "gettext"}) == [0, []]
 
 
 def test_package_import_loads_no_module():
