@@ -58,7 +58,8 @@ from .exactnum import Exact, exact_div, from_lattice
 from .maps import IntervalMap, _image_span
 from .paths import allowed_counts
 from .perms import (
-    HEAD, PatternDistribution, Perm, _Record, _trusted, all_perms, order_pattern, push_mass, restrict,
+    HEAD, TAIL, PatternDistribution, Perm, _Record, _trusted, all_perms, order_pattern, preimages, push_mass,
+    restrict,
 )
 
 Mode = Literal["exact", "empirical"]
@@ -430,8 +431,8 @@ def realized_patterns(
     ``empirical_distribution`` call.  The pass is bounded as a whole: one
     over its cap (the longest length's cell entries, or the orbit values of
     all the lengths) raises that refusal, and any other failure raises what
-    the shortest failing length raises alone.  A range of lengths, too long
-    to list before a cap refuses it, is kept as it is.
+    the shortest failing length, found by bisection, raises alone.  A range
+    of lengths, too long to list before a cap refuses it, is kept as it is.
     """
     lengths = lengths if isinstance(lengths, range) and lengths.step == 1 else sorted(set(lengths))
     if not lengths:
@@ -446,12 +447,22 @@ def realized_patterns(
             realized[n] = frozenset(restrict(s, HEAD) for s in realized[n + 1])
     except CapExceeded:
         raise
-    except (OrderflowError, ValueError):
-        # A failing length fails the longest too, possibly first at a deeper
-        # iterate: rerun the shorter ones so the shortest failure is raised.
-        for n in lengths[:-1]:
-            exact_distribution(f, n)
-        raise
+    except (OrderflowError, ValueError) as exc:
+        # A length that fails alone, refused included, fails every longer
+        # one too, possibly first at a deeper iterate: bisect for the
+        # shortest failing length and raise what it raises alone.
+        if lengths[0] < 1:
+            exact_distribution(f, lengths[0])  # refuses the length, and comes first
+        lo, hi = 0, len(lengths) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                exact_distribution(f, lengths[mid])
+            except (OrderflowError, ValueError) as failure:
+                hi, exc = mid, failure
+            else:
+                lo = mid + 1
+        raise exc
     return {n: realized[n] for n in lengths}
 
 
@@ -486,19 +497,17 @@ def forbidden_patterns(
         raise CapExceeded(f"forbidden-pattern scan of S_{n} needs {math.factorial(n)} patterns, cap {LIFT_LEVEL_MAX}")
     realized_by_len = realized_patterns(f, range(min(n, 2), n + 1), mode, samples, seed)
     forbidden = frozenset(s for s in candidates if s not in realized_by_len[n])
-    basic = []
-    for sigma in forbidden:
-        explained = False
-        for width in range(2, n):
-            for off in range(n - width + 1):
-                window = order_pattern(sigma.word[off : off + width])
-                if window not in realized_by_len[width]:
-                    explained = True
-                    break
-            if explained:
-                break
-        if not explained:
-            basic.append(sigma)
+    # Every proper window of a pattern is a window of its head or its tail.
+    # So W_k, the length-k patterns whose every window of length 2 to k is
+    # realized, is W_2 = R_2 and W_k = {pi in R_k : head, tail in W_(k-1)},
+    # and a forbidden pattern is basic when its head and tail are in W_(n-1).
+    # Only those grown from W_(n-1) by a last value have such a head.
+    if n < 3:
+        return forbidden, forbidden  # no proper window is as long as 2
+    whole = realized_by_len[2]
+    for k in range(3, n):
+        whole = {pi for pi in realized_by_len[k] if restrict(pi, HEAD) in whole and restrict(pi, TAIL) in whole}
+    basic = (s for pi in whole for s in preimages(pi, HEAD) if s in forbidden and restrict(s, TAIL) in whole)
     return forbidden, frozenset(basic)
 
 

@@ -6,25 +6,23 @@ output is exact rational strings unless ``--float`` is given.  Exit codes:
 0 ok, 1 domain error, 2 usage error; an error prints one JSON line
 ``{"error": ..., "detail": ...}`` to stderr instead.
 
-Each subcommand's arguments are declared once, in ``_COMMANDS``, as a
-function that calls ``add_argument`` on whatever it is given.  ``main``
-reads its arguments through ``parse_args``, which has two paths:
+Each subcommand's arguments are declared once, as data: ``_COMMANDS`` maps
+each argument to its ``add_argument`` keywords.  ``parse_args`` reads a
+command line on one of two paths, both from that table:
 
-- A well-formed command line for a named subcommand is read by ``_read``,
-  straight from that subcommand's declarations, which it records afresh on
-  each call: every token is a declared flag or a value for it or a declared
-  positional, each flag at most once and with no ``nargs``, no value starts
-  with ``-``, every type and choice check passes and every required argument
-  is there.  It builds no parser and returns an ``_Args``, equal to the
-  ``argparse.Namespace`` argparse would return.
-- Anything else goes to argparse, unchanged: a named subcommand is parsed by
-  its own parser alone, help, no command or an unknown one by the full
-  parser of ``build_parser``.  Either way the namespace, the help text and
-  every usage error are the full parser's.
+- ``_read`` reads a well-formed command line for a named subcommand: every
+  token is a declared flag, one of its values or a declared positional,
+  each flag at most once, no value starts with ``-``, every type and choice
+  check passes and every required argument is there.  It builds no parser
+  and returns a ``SimpleNamespace`` with the attributes of the namespace
+  argparse would return.
+- Anything else (help, no command or an unknown one, a usage error) goes to
+  the full parser of ``build_parser``, so help texts and usage errors are
+  argparse's.
 
-``argparse`` (with ``gettext``, which it loads) is imported only on the
-second path and in the type functions' error branches, so a well-formed
-command never loads it.
+``argparse`` (with ``gettext``, which it loads) is imported only in
+``build_parser`` and in the type functions' error branches, so a
+well-formed command never loads it.
 
 Importing this module loads ``perms`` and ``drift``, which hold the
 package's process-wide ``functools`` caches, and what they import
@@ -85,21 +83,6 @@ def _usage_error(message: str, prog: str = "orderflow") -> NoReturn:
     """Report a usage error as the one-line JSON error and exit with code 2."""
     _error("UsageError", f"{prog}: {message}")
     raise SystemExit(2)
-
-
-def _parser(**kwargs) -> argparse.ArgumentParser:
-    """An argparse parser that reports usage errors as the one-line JSON error, exit code 2.
-
-    Its subparsers are of its class too.  argparse loads here, when a help
-    text or a usage error needs it.
-    """
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            _usage_error(message, self.prog)
-
-    return Parser(allow_abbrev=False, **kwargs)
 
 
 def _type_error(message: str) -> Exception:
@@ -375,241 +358,211 @@ def cmd_validate(args) -> dict:
     return {"command": "validate", "kind": args.kind, "ok": not diagnostics, "diagnostics": diagnostics}
 
 
-def _digraph_args(p):
-    p.add_argument("--n", type=_positive_int, default=2, help="ambient level (vertices are length-n patterns)")
-    p.add_argument("--edges", help="subgraph JSON file; omit for the full digraph")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--out", help="output file (default stdout)")
-
-
-def _poset_args(p):
-    p.add_argument("--path", required=True, help="path JSON file")
-    p.add_argument("--query", nargs=2, type=int, metavar=("I", "J"))
-    p.add_argument("--oracle", action="store_true", help="cross-check the query by lift enumeration")
-    p.add_argument("--out", help="write covering pairs JSON here")
-
-
-def _lifts_args(p):
-    p.add_argument("--path", required=True)
-    p.add_argument("--mode", choices=["enumerate", "count"], default="enumerate")
-    p.add_argument("--out")
-
-
-def _drift_args(p):
-    p.add_argument("action", choices=["loop", "subgraph", "synthesize"])
-    p.add_argument("--path", help="loop JSON (action=loop)")
-    p.add_argument("--edges", help="subgraph JSON (action=subgraph|synthesize)")
-    p.add_argument("--method", choices=["profile", "poset"], default="profile")
-    p.add_argument("--out")
-
-
-def _census_args(p):
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--dimensions", type=_dimensions, help="comma-separated dimensions to restrict to")
-    p.add_argument("--out", required=True, help="census CSV path")
-
-
-def _realize_args(p):
-    p.add_argument("--flow", required=True, help="flow JSON file")
-    p.add_argument("--tol", type=_tolerance, default="0.05")
-    p.add_argument("--out", required=True, help="map JSON path")
-
-
-def _simulate_args(p):
-    p.add_argument("--map", required=True, help="builtin name, 'rotation:3/10', or map JSON file")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="distribution CSV path")
-
-
-def _exact_args(p):
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--float", action="store_true", help="emit decimal masses instead of rationals")
-    p.add_argument("--out", required=True)
-
-
-def _entropy_args(p):
-    p.add_argument("--map", required=True)
-    p.add_argument("--n-max", type=_positive_int, default=8)
-    p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, help="required for empirical mode")
-    p.add_argument("--out", required=True, help="plain-text table path")
-
-
-def _forbidden_args(p):
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-
-def _exclusion_args(p):
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m-max", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=["exact", "empirical"], default="exact")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int)
-
-
-def _cantor_args(p):
-    p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--uniform", type=_positive_int, help="uniform tower of this depth")
-    p.add_argument("--dists", nargs="*", default=[], help="distribution CSVs for lengths 1..N")
-    p.add_argument("--scale-depth", type=_positive_int, default=16)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, help="required for verify")
-    p.add_argument("--out", help="map JSON path (action=build)")
-
-
-def _validate_args(p):
-    p.add_argument("--kind", choices=["flow", "path", "subgraph", "map", "dist"], required=True)
-    p.add_argument("file")
-
-
-# Every subcommand once: name -> (help line, handler, argument declarations),
-# in the order the top-level help lists them.
+# Every subcommand once: name -> (help line, handler, {argument: its
+# ``add_argument`` keywords}), in the order the top-level help lists them.
+# ``build_parser`` and ``_read`` both read this table.
 _COMMANDS = {
-    "digraph": ("build or export a permutation digraph / subgraph", cmd_digraph, _digraph_args),
-    "poset": ("build the poset of a path; optionally query one pair", cmd_poset, _poset_args),
-    "lifts": ("enumerate or count the permutations projecting onto a path", cmd_lifts, _lifts_args),
-    "drift": ("classify a loop, decide a subgraph, or synthesize a loop", cmd_drift, _drift_args),
-    "census": ("face census of the flow polytope", cmd_census, _census_args),
-    "realize": ("measure-preserving map realizing a flow within tolerance", cmd_realize, _realize_args),
-    "simulate": ("empirical pattern distribution of a map", cmd_simulate, _simulate_args),
-    "exact": ("exact pattern distribution of a piecewise-affine map", cmd_exact, _exact_args),
-    "entropy": ("realized-pattern counts and normalized log-counts", cmd_entropy, _entropy_args),
-    "forbidden": ("forbidden patterns and the basic subset", cmd_forbidden, _forbidden_args),
-    "exclusion": ("compare realized patterns against level-n path lifts", cmd_exclusion, _exclusion_args),
-    "cantor": ("build or verify a finite-depth arbitrary-tower map", cmd_cantor, _cantor_args),
-    "validate": ("schema-check a serialized artifact", cmd_validate, _validate_args),
+    "digraph": ("build or export a permutation digraph / subgraph", cmd_digraph, {
+        "--n": {"type": _positive_int, "default": 2, "help": "ambient level (vertices are length-n patterns)"},
+        "--edges": {"help": "subgraph JSON file; omit for the full digraph"},
+        "--format": {"choices": ["dot", "json"], "default": "dot"},
+        "--out": {"help": "output file (default stdout)"},
+    }),
+    "poset": ("build the poset of a path; optionally query one pair", cmd_poset, {
+        "--path": {"required": True, "help": "path JSON file"},
+        "--query": {"nargs": 2, "type": int, "metavar": ("I", "J")},
+        "--oracle": {"action": "store_true", "help": "cross-check the query by lift enumeration"},
+        "--out": {"help": "write covering pairs JSON here"},
+    }),
+    "lifts": ("enumerate or count the permutations projecting onto a path", cmd_lifts, {
+        "--path": {"required": True},
+        "--mode": {"choices": ["enumerate", "count"], "default": "enumerate"},
+        "--out": {},
+    }),
+    "drift": ("classify a loop, decide a subgraph, or synthesize a loop", cmd_drift, {
+        "action": {"choices": ["loop", "subgraph", "synthesize"]},
+        "--path": {"help": "loop JSON (action=loop)"},
+        "--edges": {"help": "subgraph JSON (action=subgraph|synthesize)"},
+        "--method": {"choices": ["profile", "poset"], "default": "profile"},
+        "--out": {},
+    }),
+    "census": ("face census of the flow polytope", cmd_census, {
+        "--n": {"type": _positive_int, "required": True},
+        "--dimensions": {"type": _dimensions, "help": "comma-separated dimensions to restrict to"},
+        "--out": {"required": True, "help": "census CSV path"},
+    }),
+    "realize": ("measure-preserving map realizing a flow within tolerance", cmd_realize, {
+        "--flow": {"required": True, "help": "flow JSON file"},
+        "--tol": {"type": _tolerance, "default": 0.05},
+        "--out": {"required": True, "help": "map JSON path"},
+    }),
+    "simulate": ("empirical pattern distribution of a map", cmd_simulate, {
+        "--map": {"required": True, "help": "builtin name, 'rotation:3/10', or map JSON file"},
+        "--n": {"type": _positive_int, "required": True},
+        "--samples": {"type": _positive_int, "default": 100_000},
+        "--seed": {"type": int, "required": True},
+        "--out": {"required": True, "help": "distribution CSV path"},
+    }),
+    "exact": ("exact pattern distribution of a piecewise-affine map", cmd_exact, {
+        "--map": {"required": True},
+        "--n": {"type": _positive_int, "required": True},
+        "--float": {"action": "store_true", "help": "emit decimal masses instead of rationals"},
+        "--out": {"required": True},
+    }),
+    "entropy": ("realized-pattern counts and normalized log-counts", cmd_entropy, {
+        "--map": {"required": True},
+        "--n-max": {"type": _positive_int, "default": 8},
+        "--mode": {"choices": ["exact", "empirical"], "default": "exact"},
+        "--samples": {"type": _positive_int, "default": 100_000},
+        "--seed": {"type": int, "help": "required for empirical mode"},
+        "--out": {"required": True, "help": "plain-text table path"},
+    }),
+    "forbidden": ("forbidden patterns and the basic subset", cmd_forbidden, {
+        "--map": {"required": True},
+        "--n": {"type": _positive_int, "required": True},
+        "--mode": {"choices": ["exact", "empirical"], "default": "exact"},
+        "--samples": {"type": _positive_int, "default": 100_000},
+        "--seed": {"type": int},
+        "--out": {},
+    }),
+    "exclusion": ("compare realized patterns against level-n path lifts", cmd_exclusion, {
+        "--map": {"required": True},
+        "--n": {"type": _positive_int, "required": True},
+        "--m-max": {"type": _positive_int, "required": True},
+        "--mode": {"choices": ["exact", "empirical"], "default": "exact"},
+        "--samples": {"type": _positive_int, "default": 100_000},
+        "--seed": {"type": int},
+    }),
+    "cantor": ("build or verify a finite-depth arbitrary-tower map", cmd_cantor, {
+        "action": {"choices": ["build", "verify"]},
+        "--uniform": {"type": _positive_int, "help": "uniform tower of this depth"},
+        "--dists": {"nargs": "*", "default": [], "help": "distribution CSVs for lengths 1..N"},
+        "--scale-depth": {"type": _positive_int, "default": 16},
+        "--samples": {"type": _positive_int, "default": 100_000},
+        "--seed": {"type": int, "help": "required for verify"},
+        "--out": {"help": "map JSON path (action=build)"},
+    }),
+    "validate": ("schema-check a serialized artifact", cmd_validate, {
+        "--kind": {"choices": ["flow", "path", "subgraph", "map", "dist"], "required": True},
+        "file": {},
+    }),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand."""
+    """The CLI parser with every subcommand, the only argparse parser the CLI builds.
+
+    Its usage errors are the one-line JSON error, exit code 2; argparse
+    loads here, when a help text or a usage error needs it.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _usage_error(message, self.prog)
+
     # allow_abbrev=False: a flag prefix such as --m must not silently mean --mode.
-    top = _parser(
+    top = Parser(
         prog="orderflow",
         description="Order patterns of interval maps: digraphs, drift, flow polytopes, realization.",
+        allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (summary, handler, declare) in _COMMANDS.items():
+    for name, (summary, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        declare(p)
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
         p.set_defaults(func=handler)
     return top
 
 
-class _Args(SimpleNamespace):
-    """The arguments ``_read`` found; equal to the ``argparse.Namespace`` of the same attributes."""
+def _reading(name: str, handler, arguments: dict) -> tuple:
+    """What ``_read`` needs of one subcommand, worked out once.
 
-    def __eq__(self, other):
-        argparse = sys.modules.get("argparse")  # an argparse.Namespace exists only once argparse has loaded
-        if isinstance(other, SimpleNamespace) or (argparse and isinstance(other, argparse.Namespace)):
-            return vars(self) == vars(other)
-        return NotImplemented
-
-
-class _Declared:
-    """The arguments one ``_<name>_args`` declares, recorded as plain specs: flag -> spec, and positionals in order."""
-
-    def __init__(self):
-        self.flags: dict[str, dict] = {}
-        self.positionals: list[dict] = []
-
-    def add_argument(self, name: str, **spec) -> None:
-        if name.startswith("-"):
-            self.flags[name] = {"dest": name.lstrip("-").replace("-", "_"), **spec}
-        else:
-            self.positionals.append({"dest": name, "required": True, **spec})
-
-
-def _read(name: str, argv: list[str]) -> _Args | None:
-    """The arguments of a well-formed ``argv`` for subcommand ``name``, or None to leave it to argparse.
-
-    Reads the subset argparse reads the same way (see the module docstring)
-    and converts defaults as argparse does: a string default through its
-    flag's type, ``store_true`` to False, anything else as declared.
+    Each argument as (dest, store_true, nargs, type, choices): the flags by
+    flag, the positionals in order.  Then the namespace of a command line
+    that gives no optional argument, ``command`` and ``func`` included, and
+    the dests a command line must give.
     """
-    _, handler, declare = _COMMANDS[name]
-    declared = _Declared()
-    declare(declared)
-    found = {}
-    positionals = iter(declared.positionals)
-    tokens = iter(argv)
-    for token in tokens:
-        if token.startswith("-"):
-            spec = declared.flags.get(token)
-            if spec is None or spec["dest"] in found or "nargs" in spec:
-                return None
-            if spec.get("action") == "store_true":
-                found[spec["dest"]] = True
-                continue
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
+    flags, positionals, defaults, required = {}, [], {"command": name, "func": handler}, set()
+    for argument, kw in arguments.items():
+        dest = argument.lstrip("-").replace("-", "_")
+        store_true = kw.get("action") == "store_true"
+        spec = dest, store_true, kw.get("nargs"), kw.get("type", str), kw.get("choices")
+        if argument.startswith("-"):
+            flags[argument] = spec
         else:
-            spec, value = next(positionals, None), token
-            if spec is None:
-                return None
-        try:
-            value = spec["type"](value) if "type" in spec else value
-        except Exception:  # argparse reports it, or raises what the type function raised
+            positionals.append(spec)
+        if kw.get("required") or not argument.startswith("-"):
+            required.add(dest)
+        else:
+            defaults[dest] = kw.get("default", False if store_true else None)
+    return flags, positionals, defaults, required
+
+
+_READING = {name: _reading(name, handler, arguments) for name, (_, handler, arguments) in _COMMANDS.items()}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed ``argv`` for a named subcommand, or None to leave it to argparse.
+
+    Reads the subset argparse reads the same way (see the module docstring).
+    """
+    reading = _READING.get(argv[0]) if argv else None
+    if reading is None:
+        return None
+    flags, positionals, defaults, required = reading
+    found = {}
+    positional = iter(positionals)
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        flag = token.startswith("-")
+        spec = flags.get(token) if flag else next(positional, None)
+        if spec is None or spec[0] in found:
             return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        found[spec["dest"]] = value
-    for spec in [*declared.flags.values(), *declared.positionals]:
-        if spec["dest"] in found:
+        dest, store_true, nargs, convert, choices = spec
+        if store_true:
+            found[dest] = True
             continue
-        if spec.get("required"):
-            return None
-        default = spec.get("default", False if spec.get("action") == "store_true" else None)
-        if isinstance(default, str) and "type" in spec:
-            try:
-                default = spec["type"](default)
-            except Exception:
+        texts = [token]
+        if flag:
+            start = i
+            if nargs == "*":
+                while i < end and not argv[i].startswith("-"):
+                    i += 1
+            else:
+                i += nargs or 1
+            if i > end:
                 return None
-        found[spec["dest"]] = default
-    return _Args(**found, command=name, func=handler)
+            texts = argv[start:i]
+        values = []
+        for text in texts:
+            if text.startswith("-"):
+                return None
+            try:
+                value = convert(text)
+            except Exception:  # argparse reports it, or raises what the type function raised
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values.append(value)
+        found[dest] = values if nargs is not None else values[0]
+    if not required <= found.keys():
+        return None
+    return SimpleNamespace(**{**defaults, **found})
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace | _Args:
+def parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """What ``build_parser().parse_args(argv)`` returns, or the same usage error.
 
-    A well-formed command line for a named subcommand is read by ``_read``
-    without argparse.  Otherwise a named subcommand is parsed by its own
-    parser alone, which is the parser the full one hands its arguments to;
-    what that parser leaves over is reported under the top-level prog, as
-    the full parser reports it.  Anything else (help, no command, a typo)
-    gets the full parser, whose help and errors list every subcommand.
+    ``_read`` reads a well-formed command line, the full parser anything else.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return build_parser().parse_args(argv)
-    name = argv[0]
-    args = _read(name, argv[1:])
-    if args is not None:
-        return args
-    _, handler, declare = _COMMANDS[name]
-    p = _parser(prog=f"orderflow {name}")
-    declare(p)
-    p.set_defaults(command=name, func=handler)
-    args, rest = p.parse_known_args(argv[1:])
-    if rest:
-        _usage_error(f"unrecognized arguments: {' '.join(rest)}")
-    return args
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    # A loaded job takes 1-3 ms, of which building even one subcommand's
-    # argparse parser took about 0.25 ms, so a well-formed command line is
-    # read without one (see the module docstring).
     args = parse_args(list(sys.argv[1:] if argv is None else argv))
     if args.command == "cantor" and args.action == "verify" and args.seed is None:
         _usage_error("--seed is required for cantor verify")

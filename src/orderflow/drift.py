@@ -137,12 +137,11 @@ def identity_profile(v: Perm) -> DriftProfile:
     return DriftProfile(v, v, ident, ident)
 
 
-@functools.lru_cache(maxsize=1 << 14)
 def edge_profile(e: Perm) -> DriftProfile:
     """Profile of the length-1 path along edge e (a totally ordered window).
 
-    Memoised like ``restrict``.  Path folds and reachability searches read
-    the padded tables of ``_edge_tables`` and build no profile per edge.
+    Built on the memoised ``_edge_tables``, which path folds and
+    reachability searches read without building a profile per edge.
     """
     up, down = _edge_tables(e)
     return DriftProfile(head(e), tail(e), up[1:-1], down[1:-1])

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -704,8 +705,30 @@ def parse_outcome(parse, argv, capsys):
     return result, out.out, out.err
 
 
+# Well-formed command lines of every subcommand, both nargs forms among them.
+NAMESPACE_ARGV = [
+    ["digraph"],
+    ["digraph", "--n", "3", "--format", "json", "--out", "g.json"],
+    ["poset", "--path", "p.json", "--query", "2", "7", "--oracle"],
+    ["lifts", "--path", "p.json", "--mode", "count"],
+    ["drift", "subgraph", "--edges", "s.json", "--out", "v.json"],
+    ["drift", "loop", "--path", "p.json", "--method", "poset"],
+    ["census", "--n", "4", "--dimensions", "0", "--out", "c.csv"],
+    ["realize", "--flow", "f.json", "--out", "m.json"],
+    ["realize", "--flow", "f.json", "--tol", "1/40", "--out", "m.json"],
+    ["simulate", "--map", "doubling", "--n", "3", "--seed", "1", "--out", "d.csv"],
+    ["exact", "--map", "rotation:3/10", "--n", "4", "--float", "--out", "d.csv"],
+    ["entropy", "--map", "tent", "--n-max", "5", "--mode", "empirical", "--seed", "2", "--out", "e.txt"],
+    ["forbidden", "--map", "doubling", "--n", "3"],
+    ["exclusion", "--map", "doubling", "--n", "2", "--m-max", "4", "--samples", "10"],
+    ["cantor", "verify", "--uniform", "3", "--scale-depth", "12", "--seed", "4"],
+    ["cantor", "build", "--dists", "a.csv", "b.csv", "--out", "c.json"],
+    ["validate", "--kind", "map", "m.json"],
+]
+
+
 class TestOneCommandParser:
-    """main parses a named subcommand with its parser alone; it must behave as the full parser."""
+    """``parse_args`` must behave as the full parser: the same namespaces, help texts and usage errors."""
 
     def test_top_level_help_lists_every_command(self, capsys):
         full = build_parser().format_help()
@@ -723,31 +746,9 @@ class TestOneCommandParser:
         assert full[0] == ("exit", 0) and full[1].startswith(f"usage: orderflow {command} ")
         assert parse_outcome(cli.parse_args, argv, capsys) == full
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["digraph"],
-            ["digraph", "--n", "3", "--format", "json", "--out", "g.json"],
-            ["poset", "--path", "p.json", "--query", "2", "7", "--oracle"],
-            ["lifts", "--path", "p.json", "--mode", "count"],
-            ["drift", "subgraph", "--edges", "s.json", "--out", "v.json"],
-            ["drift", "loop", "--path", "p.json", "--method", "poset"],
-            ["census", "--n", "4", "--dimensions", "0", "--out", "c.csv"],
-            ["realize", "--flow", "f.json", "--out", "m.json"],
-            ["realize", "--flow", "f.json", "--tol", "1/40", "--out", "m.json"],
-            ["simulate", "--map", "doubling", "--n", "3", "--seed", "1", "--out", "d.csv"],
-            ["exact", "--map", "rotation:3/10", "--n", "4", "--float", "--out", "d.csv"],
-            ["entropy", "--map", "tent", "--n-max", "5", "--mode", "empirical", "--seed", "2", "--out", "e.txt"],
-            ["forbidden", "--map", "doubling", "--n", "3"],
-            ["exclusion", "--map", "doubling", "--n", "2", "--m-max", "4", "--samples", "10"],
-            ["cantor", "verify", "--uniform", "3", "--scale-depth", "12", "--seed", "4"],
-            ["cantor", "build", "--dists", "a.csv", "b.csv", "--out", "c.json"],
-            ["validate", "--kind", "map", "m.json"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NAMESPACE_ARGV)
     def test_namespaces_equal(self, argv):
-        args = build_parser().parse_args(argv)
-        assert cli.parse_args(argv) == args
+        assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv, detail",
@@ -789,8 +790,8 @@ class TestOneCommandParser:
         code, err = run_error(capsys, *argv)
         assert code == 2 and err == {"error": "UsageError", "detail": detail}
 
-    def test_builds_only_the_named_subparser(self, tmp_path, capsys, monkeypatch, driftless_triple):
-        # A well-formed command builds no parser; a malformed one only its own.
+    def test_builds_the_full_parser_only_when_malformed(self, tmp_path, capsys, monkeypatch, driftless_triple):
+        # A well-formed command builds no parser; a malformed one the full parser, with every subcommand.
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -805,20 +806,21 @@ class TestOneCommandParser:
         assert code == 0 and json.loads(stdout)["verdict"] == "driftless"
         assert built == []
 
+        everything = ["orderflow"] + [f"orderflow {name}" for name in COMMANDS]
         code, err = run_error(capsys, "drift", "subgraph", "--edges", str(sub), "--bogus")
         assert code == 2 and err["detail"] == "orderflow: unrecognized arguments: --bogus"
-        assert built == ["orderflow drift"]
+        assert built == everything
 
         built.clear()
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert built == ["orderflow"] + [f"orderflow {name}" for name in COMMANDS]
+        assert built == everything
 
 
-def _declared(name: str) -> cli._Declared:
-    declared = cli._Declared()
-    cli._COMMANDS[name][2](declared)
-    return declared
+def _declared(name: str) -> tuple[dict, list]:
+    """A subcommand's flags (flag -> keywords) and positionals (keywords, in order), as ``_COMMANDS`` declares them."""
+    arguments = cli._COMMANDS[name][2].items()
+    return {a: kw for a, kw in arguments if a.startswith("-")}, [kw for a, kw in arguments if not a.startswith("-")]
 
 
 # A value that each type accepts, and values that one or another type, choice or flag reader refuses.
@@ -831,7 +833,7 @@ def _outcome(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(argv)
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -841,16 +843,16 @@ def _outcome(parse, argv):
 def command_lines(draw):
     """A subcommand's argv drawn from its declared flags: well formed, or bent in one of the ways argparse reads."""
     name = draw(st.sampled_from(COMMANDS))
-    declared = _declared(name)
+    flags, positionals = _declared(name)
 
     def value(spec):
         good = [str(c) for c in spec.get("choices", ())] or [VALID[spec.get("type")]]
         return draw(st.sampled_from(ODD) if draw(st.integers(0, 5)) == 0 else st.sampled_from(good))
 
     tokens = []
-    for spec in declared.positionals:
+    for spec in positionals:
         tokens.append([value(spec)])
-    for flag, spec in declared.flags.items():
+    for flag, spec in flags.items():
         if spec.get("required") or draw(st.booleans()):
             if spec.get("action") == "store_true":
                 tokens.append([flag])
@@ -861,14 +863,13 @@ def command_lines(draw):
                 tokens.append([f"{flag}={value(spec)}"])
             else:
                 tokens.append([flag, value(spec)])
-    flags = list(declared.flags)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         bent = draw(st.sampled_from(["repeat", "prefix", "unknown", "drop", "extra", "dashdash", "help"]))
         if bent == "repeat":
-            flag = draw(st.sampled_from(flags))
-            tokens.append([flag] if declared.flags[flag].get("action") else [flag, value(declared.flags[flag])])
+            flag = draw(st.sampled_from(list(flags)))
+            tokens.append([flag] if flags[flag].get("action") else [flag, value(flags[flag])])
         elif bent == "prefix":
-            flag = draw(st.sampled_from(flags))
+            flag = draw(st.sampled_from(list(flags)))
             tokens.append([flag[: draw(st.integers(1, len(flag) - 1))], "1"])
         elif bent == "unknown":
             tokens.append(["--bogus"])
@@ -888,40 +889,12 @@ def _no_parser(*args, **kwargs):
     raise AssertionError("an argparse parser was built")
 
 
-class TestArgvReader:
-    """``parse_args`` reads well-formed argv without argparse; every argv parses as the full parser parses it."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(command_lines())
-    def test_same_as_the_full_parser(self, argv):
-        assert _outcome(cli.parse_args, argv) == _outcome(build_parser().parse_args, argv)
-
-    @pytest.mark.parametrize("name", COMMANDS)
-    def test_required_arguments_alone_build_no_parser(self, name, monkeypatch):
-        declared = _declared(name)
-        argv = [name]
-        for spec in declared.positionals:
-            argv.append(str(spec["choices"][0]) if "choices" in spec else VALID[None])
-        for flag, spec in declared.flags.items():
-            if spec.get("required"):
-                argv += [flag, str(spec["choices"][0]) if "choices" in spec else VALID[spec.get("type")]]
-        expected = build_parser().parse_args(argv)
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
-        assert cli.parse_args(argv) == expected
-
-    def test_benchmark_jobs_build_no_parser(self, tmp_path, monkeypatch):
-        # Read bench/gen.py as tests/test_tooling.py does; every job the two seed-777 plans run is well formed.
-        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
-        gen = importlib.import_module("gen")
-        jobs = [*gen.WARMUPS.values()]
-        for workload, seconds in (("patterns", 3), ("flows", 0.5)):
-            jobs += gen.plan(workload, 777, tmp_path / workload, seconds).jobs
-        expected = [build_parser().parse_args(job.argv(tmp_path)) for job in jobs]
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
-        assert [cli.parse_args(job.argv(tmp_path)) for job in jobs] == expected
-
-
 SRC = Path(__file__).resolve().parent.parent / "src"
+README_ARGV = [
+    shlex.split(line)[1:]
+    for line in (SRC.parent / "README.md").read_text().splitlines()
+    if line.startswith("orderflow ")
+]
 
 # One small run of every subcommand; validate once per branch that loads a module.
 COLD_RUNS = {
@@ -940,6 +913,46 @@ COLD_RUNS = {
     "validate-flow": ["validate", "--kind", "flow", "flow.json"],
     "validate-map": ["validate", "--kind", "map", "map.json"],
 }
+
+
+class TestArgvReader:
+    """``parse_args`` reads well-formed argv without argparse; every argv parses as the full parser parses it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_same_as_the_full_parser(self, argv):
+        assert _outcome(cli.parse_args, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_required_arguments_alone_build_no_parser(self, name, monkeypatch):
+        flags, positionals = _declared(name)
+        argv = [name]
+        for spec in positionals:
+            argv.append(str(spec["choices"][0]) if "choices" in spec else VALID[None])
+        for flag, spec in flags.items():
+            if spec.get("required"):
+                argv += [flag, str(spec["choices"][0]) if "choices" in spec else VALID[spec.get("type")]]
+        expected = vars(build_parser().parse_args(argv))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
+        assert vars(cli.parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("argv", README_ARGV + list(COLD_RUNS.values()) + NAMESPACE_ARGV)
+    def test_documented_and_pinned_argv_build_no_parser(self, argv, monkeypatch):
+        # Both nargs forms among them: poset --query I J, cantor build --dists FILES.
+        expected = vars(build_parser().parse_args(argv))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
+        assert vars(cli.parse_args(argv)) == expected
+
+    def test_benchmark_jobs_build_no_parser(self, tmp_path, monkeypatch):
+        # Read bench/gen.py as tests/test_tooling.py does; every job the two seed-777 plans run is well formed.
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        gen = importlib.import_module("gen")
+        jobs = [*gen.WARMUPS.values()]
+        for workload, seconds in (("patterns", 3), ("flows", 0.5)):
+            jobs += gen.plan(workload, 777, tmp_path / workload, seconds).jobs
+        expected = [vars(build_parser().parse_args(job.argv(tmp_path))) for job in jobs]
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parser)
+        assert [vars(cli.parse_args(job.argv(tmp_path))) for job in jobs] == expected
 
 
 class TestColdStart:

@@ -92,10 +92,11 @@ class TestEdgeProfiles:
     @given(st.integers(2, 8).flatmap(lambda m: st.permutations(range(1, m + 1))))
     def test_memoised_matches_fresh(self, word):
         e = perm(word)
-        first = edge_profile(e)
-        assert first == edge_profile.__wrapped__(e)
-        # An equal edge built separately hits the cache and gets the same profile.
-        assert edge_profile(perm(tuple(word))) == first
+        first = _edge_tables(e)
+        assert first == _edge_tables.__wrapped__(e)
+        # An equal edge built separately hits the cache and gets the same tables and profile.
+        assert _edge_tables(perm(tuple(word))) == first
+        assert edge_profile(perm(tuple(word))) == edge_profile(e)
 
 
 class TestCompose:

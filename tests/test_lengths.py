@@ -1,5 +1,6 @@
 """One pass for every length against separate per-length runs (``lengths_oracle``)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from orderflow.cantor import (
 )
 from orderflow.exactnum import exact
 from orderflow.maps import IntervalMap, Piece, block_sum, builtin
+from orderflow.perms import TAIL, restrict
 
 
 def _escaping():
@@ -166,6 +168,20 @@ class TestRealizedPatterns:
         got = _outcome(realized_patterns, f, lengths, mode, 500, 2)
         assert got == _outcome(oracle_realized, f, lengths, mode, 500, 2)
 
+    def test_shortest_failing_length_by_bisection(self, monkeypatch):
+        # Rotation by 1/31 ties iterates 0 and 31: every length from 32 on fails.
+        f, lengths = builtin("rotation", Fraction(1, 31)), range(2, 200)
+        expected = _outcome(oracle_realized, f, lengths, "exact")
+        calls = []
+
+        def counted(g, n):
+            calls.append(n)
+            return exact_distribution(g, n)
+
+        monkeypatch.setattr("orderflow.analysis.exact_distribution", counted)
+        assert _outcome(realized_patterns, f, lengths, "exact") == expected
+        assert expected[0] == "DegenerateTie" and len(calls) <= math.ceil(math.log2(len(lengths))) + 1
+
     @pytest.mark.parametrize("mode", ["exact", "empirical"])
     def test_length_cap(self, set_perm_cap, monkeypatch, mode):
         # Lengths past the cap on listing S_n run: only the pass's own work is bounded.
@@ -228,6 +244,22 @@ class TestStatistics:
         expected = [(m, len(preimage - realized), len(realized - preimage)) for m, preimage, realized in oracle]
         assert [(row.m, row.missing, row.extra) for row in rows] == expected
         assert all(row.extra for row in rows[1:])
+
+    @pytest.mark.parametrize("name", ["doubling", "tent", "rotation 3/10", "rotation sqrt2-1", "block 5/7", "contracting"])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_basic_forbidden_against_every_window(self, name, n):
+        f = EXACT_MAPS[name]
+        assert forbidden_patterns(f, n) == oracle_forbidden(f, n)
+
+    @pytest.mark.parametrize("name", ["doubling", "logistic"])
+    def test_basic_forbidden_from_sparse_samples(self, name):
+        # Thirty orbits realize patterns whose windows they do not realize, so
+        # the realized sets are not closed under head and tail restrictions.
+        f = builtin(name)
+        realized = realized_patterns(f, range(2, 7), "empirical", 30, 5)
+        assert any(restrict(s, TAIL) not in realized[k - 1] for k in range(3, 7) for s in realized[k])
+        forbidden, basic = forbidden_patterns(f, 6, "empirical", 30, 5)
+        assert (forbidden, basic) == oracle_forbidden(f, 6, "empirical", 30, 5) and basic
 
     def test_entropy_below_length_two(self):
         assert entropy_estimate(builtin("doubling"), 1) == oracle_entropy(builtin("doubling"), 1) == []

@@ -342,7 +342,7 @@ def test_cli_loads_the_cache_holders_and_defers_the_rest():
     # the CLI; a cache holder loaded later would keep its cache across calls.
     # The set is pinned, so a new process-wide cache is a reviewed change.
     caches = _module_caches()
-    assert caches == {"orderflow.perms.restrict", "orderflow.drift.edge_profile", "orderflow.drift._edge_tables"}
+    assert caches == {"orderflow.perms.restrict", "orderflow.drift._edge_tables"}
     loaded = _loaded_after("import orderflow.cli")
     assert {name.rsplit(".", 1)[0] for name in caches} <= loaded
     assert DEFERRED & loaded == set()
