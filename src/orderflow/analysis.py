@@ -16,7 +16,9 @@ cell is cut only where its last iterate meets a piece bound and carries
 just its intercepts; a final cell's order is one sort of its n intercepts,
 with no crossing search.  Both routes stream the same cells and raise the
 same errors with the same texts at the same cells, and only their work, the
-``SUBDIVISION_MAX`` cell entries, bounds a length.
+``SUBDIVISION_MAX`` cell entries, bounds a length.  ``_final_cells`` drives
+only the crossing route, whose time is its Fraction arithmetic; the
+translation route walks its cells in one loop over a stack of cells.
 
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
 on the interval (0, S), and reads the affine test there too.  A map is held
@@ -26,8 +28,10 @@ the integer lattice Z[sqrt2] of :mod:`.exactnum`, so every bound,
 intercept, cut and crossing is an int or a Sqrt2 with int parts, and
 divisions go through ``exact_div``, which refuses a remainder.  Other slopes
 cross at points with varying denominators, so their maps keep S = 1 and
-Fraction / Sqrt2 values.  Masses and error texts are converted back to
-Q(sqrt2) by ``from_lattice``.
+Fraction / Sqrt2 values.  ``lattice_masses`` sums the masses per order on
+the lattice; ``exact_distribution`` converts them back to Q(sqrt2) by
+``from_lattice``, as error texts are, while ``maps.realize_flow`` checks its
+map against the flow in those lattice values.
 
 The empirical route samples a counter-based deterministic stream, so runs
 are reproducible per seed and parallelizable by index range, and each pass
@@ -100,11 +104,23 @@ class PatternReport(_Record):
 
 # A cell is an open interval (lo, hi) of [0, one) with the affine maps (a, b)
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
-# values there; no two iterates meet inside a cell.  ``_final_cells`` walks a
-# route's cells depth first, one iterator per iterate, so no level is held
-# whole and no depth nests a call.  On the translation route a cell (lo, hi,
-# intercepts) holds only the b of each iterate x -> x + b.  ``one`` is the
-# frame's scale S, and ``show`` gives a value's Q(sqrt2) form for error texts.
+# values there; no two iterates meet inside a cell.  ``_final_cells`` walks the
+# crossing route's cells depth first, one iterator per iterate, so no level is
+# held whole and no depth nests a call.  On the translation route a cell (lo,
+# hi, intercepts) holds only the b of each iterate x -> x + b, and one loop
+# walks a stack of such cells.  ``one`` is the frame's scale S, and ``show``
+# gives a value's Q(sqrt2) form for error texts.
+
+
+def _require_least_entries(n: int) -> None:
+    """Refuse a length whose one cell per iterate already takes n (n + 1) / 2 entries past the cap."""
+    least = n * (n + 1) // 2
+    if least > SUBDIVISION_MAX:
+        raise CapExceeded(f"exact subdivision of length {n} needs at least {least} entries, cap {SUBDIVISION_MAX}")
+
+
+def _entries_reached(entries: int, k: int) -> CapExceeded:
+    return CapExceeded(f"exact subdivision reached {entries} entries at iterate {k}, cap {SUBDIVISION_MAX}")
 
 
 def _final_cells(root, children, n: int):
@@ -114,9 +130,7 @@ def _final_cells(root, children, n: int):
     iterate k - 1.  Each cell adds the iterates it carries to the entries,
     checked as each cell's children end, and first for n (n + 1) / 2.
     """
-    least = n * (n + 1) // 2
-    if least > SUBDIVISION_MAX:
-        raise CapExceeded(f"exact subdivision of length {n} needs at least {least} entries, cap {SUBDIVISION_MAX}")
+    _require_least_entries(n)
     entries, stack = 0, [iter((root,))]
     while stack:
         k = len(stack) - 1
@@ -124,7 +138,7 @@ def _final_cells(root, children, n: int):
         if cell is None:
             stack.pop()
             if entries > SUBDIVISION_MAX:
-                raise CapExceeded(f"exact subdivision reached {entries} entries at iterate {k}, cap {SUBDIVISION_MAX}")
+                raise _entries_reached(entries, k)
         elif k == n - 1:
             entries += n
             yield cell
@@ -233,29 +247,72 @@ def _crossing_route(pieces, n: int, one, show):
 
 
 def _translation_route(pieces, n: int, one, show):
-    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept."""
+    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept.
+
+    One loop streams the cells, and counts the entries and raises the
+    errors at the same cells, that ``_final_cells`` would with a generator
+    of each cell's children.  A cell taken from the stack adds its iterates
+    to the entries and is cut where its last iterate meets a piece bound.  A
+    cell that stays in one piece has one child, taken at once; a cell at
+    iterate n - 2 streams its final cells at once and then checks the
+    entries, as ``_final_cells`` does when they end; any other stacks its
+    children in reverse x order.  A child that ties is stacked as its
+    error, raised when the walk reaches it.
+    """
+    _require_least_entries(n)
+    if n == 1:
+        yield 0, one, (0,), (0,)
+        return
     bounds = [p.lo for p in pieces]
     shifts = [p.b for p in pieces]
-
-    def children(cell, k):
-        # Cut where iterate k - 1 meets a piece bound; each part gets iterate k's intercept.
-        lo, hi, bs = cell
-        b = bs[-1]
-        ylo, yhi = lo + b, hi + b
-        if ylo < 0 or yhi > one:
-            raise _escape(k - 1, lo, hi, ylo, yhi, show)
-        last = bisect_left(bounds, yhi)
-        left = lo
-        for j in range(bisect_right(bounds, ylo) - 1, last):
-            right = hi if j == last - 1 else bounds[j + 1] - b
+    places, last = range(n), n - 1
+    entries, stack = 0, [(0, one, (0,))]
+    while stack:
+        lo, hi, bs = stack.pop()
+        if bs is None:
+            raise hi  # a child that ties, stacked as its error
+        while True:
+            k = len(bs)  # the iterate this cell's children add
+            entries += k
+            b = bs[-1]
+            ylo, yhi = lo + b, hi + b
+            if ylo < 0 or yhi > one:
+                raise _escape(k - 1, lo, hi, ylo, yhi, show)
+            start, end = bisect_right(bounds, ylo) - 1, bisect_left(bounds, yhi)
+            if k == last or end - start > 1:
+                break
+            new = b + shifts[start]
+            if new in bs:
+                raise _tie(bs, new, k, lo, hi, show)
+            bs += (new,)
+        left, children = lo, []
+        for j in range(start, end):
+            right = hi if j == end - 1 else bounds[j + 1] - b
             new = b + shifts[j]
             if new in bs:
-                raise DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(left)}, {show(right)})")
-            yield left, right, bs + (new,)
+                tie = _tie(bs, new, k, left, right, show)
+                if k == last:
+                    raise tie
+                children.append((None, tie, None))
+                break
+            grown = bs + (new,)
+            if k == last:
+                entries += n
+                yield left, right, grown, tuple(sorted(places, key=grown.__getitem__))
+            else:
+                children.append((left, right, grown))
             left = right
+        if k == last:
+            if entries > SUBDIVISION_MAX:
+                raise _entries_reached(entries, last)
+        else:
+            children.reverse()
+            stack += children
 
-    cells = _final_cells((0, one, (0,)), children, n)
-    return ((lo, hi, bs, tuple(sorted(range(n), key=bs.__getitem__))) for lo, hi, bs in cells)
+
+def _tie(bs: tuple, new, k: int, lo, hi, show) -> DegenerateTie:
+    """The error for iterate k, x -> x + new, meeting an earlier iterate of intercepts ``bs`` on (lo, hi)."""
+    return DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(lo)}, {show(hi)})")
 
 
 def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
@@ -265,18 +322,29 @@ def exact_distribution(f: IntervalMap, n: int) -> PatternReport:
     where two iterates coincide identically would make the pattern undefined
     on positive measure and are reported as a degeneracy instead of guessed.
     A piecewise isometry is subdivided on the lattice Z[sqrt2], and a
-    piecewise translation (every slope 1) by the translation route.
+    piecewise translation (every slope 1) by the translation route.  The
+    masses are those of :func:`lattice_masses`, read back into Q(sqrt2).
+    """
+    return _report(n, *lattice_masses(f, n))
+
+
+def lattice_masses(f: IntervalMap, n: int) -> tuple[int, dict[tuple[int, ...], Exact]]:
+    """The frame's scale S and the masses of f's final cells at length n on its lattice, by order.
+
+    An order lists the iterate indices by value, as ``_pattern`` reads it.
+    The masses are ints or Sqrt2s with int parts for a piecewise isometry
+    (Fractions at S = 1 for any other map), checked to cover [0, S).
     """
     if n < 1:
         raise ValueError("pattern length must be at least 1")
-    one, pieces = f.frame
+    pieces = f.frame[1]
     if any(not p.affine for p in pieces):
         raise NotPiecewiseAffine(f"{f.name or 'map'} has a non-affine piece")
     return _subdivided(f, n, _translation_route if all(p.a == 1 for p in pieces) else _crossing_route)
 
 
-def _subdivided(f: IntervalMap, n: int, route) -> PatternReport:
-    """The distribution of the final cells that ``route`` streams for f's frame, checked to cover it."""
+def _subdivided(f: IntervalMap, n: int, route) -> tuple[int, dict[tuple[int, ...], Exact]]:
+    """The masses by order of the final cells that ``route`` streams for f's frame, checked to cover it."""
     one, pieces = f.frame
     show = partial(from_lattice, scale=one)
     by_order: dict[tuple[int, ...], Exact] = {}
@@ -285,7 +353,12 @@ def _subdivided(f: IntervalMap, n: int, route) -> PatternReport:
     total = sum(by_order.values())
     if total != one:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {show(total)}, not 1")
-    dist = PatternDistribution(n, {_pattern(order): show(m) for order, m in by_order.items()})
+    return one, by_order
+
+
+def _report(n: int, one: int, by_order: dict[tuple[int, ...], Exact]) -> PatternReport:
+    """The exact report of masses by order on a lattice of scale ``one``."""
+    dist = PatternDistribution(n, {_pattern(order): from_lattice(m, one) for order, m in by_order.items()})
     return PatternReport(dist, samples=None)
 
 

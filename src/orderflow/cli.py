@@ -64,6 +64,14 @@ if TYPE_CHECKING:
     from .maps import IntervalMap
 
 
+def _input_text(file: str) -> str:
+    """The text of an input file, decoded as UTF-8; any other bytes are a FormatError naming the file."""
+    try:
+        return Path(file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input file {file} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -126,16 +134,16 @@ def _load_map(spec: str) -> IntervalMap:
 
     p = Path(spec)
     if p.suffix == ".json" and p.exists():
-        return maps.map_from_json(p.read_text())
+        return maps.map_from_json(_input_text(spec))
     return maps.parse_map_spec(spec)
 
 
 def _load_path(file: str) -> paths.DiPath:
-    return paths.path_from_json(Path(file).read_text())
+    return paths.path_from_json(_input_text(file))
 
 
 def _load_subgraph(file: str) -> digraph.Subgraph:
-    return digraph.subgraph_from_json(Path(file).read_text())
+    return digraph.subgraph_from_json(_input_text(file))
 
 
 def _dist_payload(report: PatternReport, as_float: bool) -> dict:
@@ -231,7 +239,7 @@ def cmd_census(args) -> dict:
 def cmd_realize(args) -> dict:
     from . import flows, maps
 
-    mu = flows.flow_from_json(Path(args.flow).read_text())
+    mu = flows.flow_from_json(_input_text(args.flow))
     f = maps.realize_flow(mu, args.tol)
     _write(args.out, maps.map_to_json(f) + "\n")
     return {"command": "realize", "n": mu.n, "pieces": len(f.frame[1]), "tol": args.tol}
@@ -305,7 +313,7 @@ def _load_tower(args) -> list[perms.PatternDistribution]:
 
     if args.uniform:
         return cantor.uniform_tower(args.uniform)
-    return [perms.distribution_from_csv(Path(f).read_text()) for f in args.dists]
+    return [perms.distribution_from_csv(_input_text(f)) for f in args.dists]
 
 
 def cmd_cantor(args) -> dict:
@@ -331,7 +339,7 @@ def cmd_cantor(args) -> dict:
 
 
 def cmd_validate(args) -> dict:
-    text = Path(args.file).read_text()
+    text = _input_text(args.file)
     diagnostics: list[str] = []
     try:
         if args.kind == "flow":

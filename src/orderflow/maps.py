@@ -32,6 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 
 from .caps import CYCLIC_LIFT_MAX
 from .digraph import Subgraph, face_components
@@ -116,7 +117,7 @@ class IntervalMap(_Record):
             for p in tiles:
                 for v in (p.lo, p.hi, p.b):
                     parts += (v.a, v.b) if type(v) is Sqrt2 else (v,)
-            if any(type(v) is not int for v in parts) or math.gcd(*parts) != 2:
+            if set(map(type, parts)) != {int} or math.gcd(*parts) != 2:
                 raise ValueError(f"frame scale {one} is not the lattice scale of this piecewise isometry")
         f = object.__new__(cls)
         f.__dict__.update(frame=(one, tiles), name=name)
@@ -153,7 +154,7 @@ class IntervalMap(_Record):
 
 def _tiling(pieces, one) -> tuple[Piece, ...]:
     """The pieces sorted by their left ends, checked to tile [0, one) with no gap or overlap."""
-    ps = sorted(pieces, key=lambda p: p.lo)
+    ps = sorted(pieces, key=attrgetter("lo"))
     if not ps:
         raise ValueError("a map needs at least one piece")
     if ps[0].lo != 0 or ps[-1].hi != one:
@@ -234,7 +235,8 @@ def lattice_frame(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]:
 
     A piecewise isometry (every piece affine with slope +1 or -1) lands on
     the lattice Z[sqrt2]: S is :func:`exactnum.lattice_scale` of the bounds
-    and intercepts, and the scaled slopes are the ints +-1.  Any other map
+    and intercepts, and the scaled slopes and the c = 0 of every piece are
+    ints, so tests on them compare ints.  Any other map
     keeps S = 1 and its pieces, with int coefficients read as Fractions:
     :func:`exactnum.exact_div` takes an int for a lattice value.
     """
@@ -243,7 +245,7 @@ def lattice_frame(pieces: tuple[Piece, ...]) -> tuple[int, tuple[Piece, ...]]:
         return 1, tuple(Piece(*(Fraction(v) if type(v) is int else v for v in vs)) for vs in fields)
     scale = lattice_scale(v for p in pieces for v in (p.lo, p.hi, p.b))
     return scale, tuple(
-        Piece(to_lattice(p.lo, scale), to_lattice(p.hi, scale), int(p.a), to_lattice(p.b, scale)) for p in pieces
+        Piece(to_lattice(p.lo, scale), to_lattice(p.hi, scale), int(p.a), to_lattice(p.b, scale), 0) for p in pieces
     )
 
 
@@ -350,18 +352,24 @@ def ranking_realizes(r: CyclicRanking, gamma: DiPath) -> bool:
     """Whether every cyclic window of ranks reproduces the matching edge.
 
     A window of distinct ranks has order pattern e exactly when its ranks
-    rise along e's slots in value order.
+    rise along e's slots in value order.  Each window is read from the ranks
+    written twice, and the first window that does not rise decides.
     """
     ell, rank = r.length, r.rank
-    if ell != gamma.length:
-        return False
+    if ell != gamma.length or 0 < ell <= gamma.n:
+        return False  # a window longer than the loop repeats a rank, so it never rises
+    doubled = rank + rank
     orders: dict[Perm, list[int]] = {}
     for b, e in enumerate(gamma.edges):
-        if e not in orders:
-            orders[e] = _value_order(e)
-        ranks = [rank[(b + s) % ell] for s in orders[e]]
-        if any(x >= y for x, y in zip(ranks, ranks[1:])):
-            return False
+        slots = orders.get(e)
+        if slots is None:
+            slots = orders[e] = _value_order(e)
+        below = 0  # ranks start at 1
+        for s in slots:
+            x = doubled[b + s]
+            if x <= below:
+                return False
+            below = x
     return True
 
 
@@ -395,10 +403,11 @@ def cyclic_lift(gamma: DiPath) -> CyclicRanking:
     indeg = [0] * ell
     steps: dict[Perm, list[tuple[int, int]]] = {}
     for b, e in enumerate(gamma.edges):
-        if e not in steps:
+        pairs = steps.get(e)
+        if pairs is None:
             slots = _value_order(e)
-            steps[e] = list(zip(slots, slots[1:]))
-        for low, high in steps[e]:
+            pairs = steps[e] = list(zip(slots, slots[1:]))
+        for low, high in pairs:
             high = (b + high) % ell
             succs[(b + low) % ell].append(high)
             indeg[high] += 1
@@ -444,19 +453,19 @@ def permutation_map(r: CyclicRanking) -> IntervalMap:
     a shift is 2(r(i+1) - r(i)) and the rotation is 2(sqrt2 - 1).  Its
     Q(sqrt2) pieces, the lattice ones divided by S, are derived only when read.
     """
-    ell = r.length
+    ell, rank = r.length, r.rank
     scale = 2 * ell
     delta = Sqrt2(-2, 2)  # (sqrt2 - 1) / ell, times the scale
     frame: list[Piece] = []
-    for i in range(ell):
-        src, dst = r.rank[i], r.rank[(i + 1) % ell]
+    for i in sorted(range(ell), key=rank.__getitem__):  # in x order, which the tiling check then keeps
+        src, dst = rank[i], rank[(i + 1) % ell]
         lo, hi, shift = 2 * (src - 1), 2 * src, 2 * (dst - src)
         if i < ell - 1:
-            frame.append(Piece(lo, hi, 1, shift))
+            frame.append(Piece(lo, hi, 1, shift, 0))
         else:
             cut = hi - delta
-            frame.append(Piece(lo, cut, 1, shift + delta))
-            frame.append(Piece(cut, hi, 1, shift + delta - 2))
+            frame.append(Piece(lo, cut, 1, shift + delta, 0))
+            frame.append(Piece(cut, hi, 1, shift + delta - 2, 0))
     label = ",".join(map(str, r.rank)) if ell <= 16 else f"{ell} pieces"
     result = IntervalMap.from_frame(scale, frame, name=f"permutation_map({label})")
     if not result.measure_preserving:
@@ -503,6 +512,12 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
     within tol of the component flow (the appended delta keeps the whole loop
     totally driftless, hence cyclically rankable).  Components are then glued
     by block sums weighted by their flow masses.
+
+    The glued map's exact distribution is checked against the flow in the
+    frame's lattice ints: a mass m of :func:`analysis.lattice_masses` on
+    scale S and the flow's weight q on its own scale must meet
+    |m scale - q S| tol_q <= tol_p S scale, for tol = tol_p / tol_q.  A miss
+    raises InvariantViolation with the gap, built only then.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -551,35 +566,49 @@ def realize_flow(mu: PatternDistribution, tol) -> IntervalMap:
         return block_sum(parts[0][1], glue(parts[1:]), t)
 
     result = glue(built)
-    from .analysis import exact_distribution  # deferred: analysis imports maps
+    from .analysis import lattice_masses  # deferred: analysis imports maps
 
-    achieved = exact_distribution(result, n).distribution
-    gap = max(abs(achieved(s) - flow(s)) for s in set(achieved.mass) | set(flow.mass))
-    if gap > tol:
-        raise InvariantViolation(f"realization missed tolerance: {float(gap)} > {tol}")
+    worst, den = _flow_gap(*lattice_masses(result, n), q, scale)
+    if worst * tol_q > tol_p * den:
+        raise InvariantViolation(f"realization missed tolerance: {float(from_lattice(worst, den))} > {tol}")
     return result
+
+
+def _flow_gap(one: int, masses: dict[tuple[int, ...], Exact], q: dict[Perm, int], scale: int) -> tuple[Exact, int]:
+    """The sup gap between masses m / one by order and a flow q / scale, as (worst, den): worst / den.
+
+    Each pattern's gap |m / one - q / scale| is |m scale - q one| / (one
+    scale), read in the lattice values of :func:`analysis.lattice_masses`,
+    so no pattern and no Fraction is built.
+    """
+    unmatched = dict(masses)
+    gaps = [abs(unmatched.pop(tuple(_value_order(e)), 0) * scale - w * one) for e, w in q.items()]
+    gaps += (m * scale for m in unmatched.values())
+    return max(gaps), one * scale
 
 
 # -- serialization -------------------------------------------------------------
 
 
 def map_to_json(f: IntervalMap) -> str:
-    """The map's name, measure flag and pieces, each value written from the frame as its Q(sqrt2) text."""
+    """The map's name, measure flag and pieces, each value written from the frame as its Q(sqrt2) text.
+
+    The text is that of ``json.dumps(..., sort_keys=True)``, written
+    directly: every value but the name is the ASCII text of a number, which
+    JSON writes as it is.
+    """
     one, frame = f.frame
     # The frame tiles [0, S): a piece's high end is the next one's low end, and the last is S.
     ends = [lattice_str(p.lo, one) for p in frame] + ["1"]
+    # Pieces share few slopes and intercepts: each is written once.
+    slopes = {a: exact_str(a) for a in {p.a for p in frame}}
+    shifts = {b: lattice_str(b, one) for b in {p.b for p in frame}}
     pieces = []
     for p, lo, hi in zip(frame, ends, ends[1:]):
-        rec = {"lo": lo, "hi": hi, "a": exact_str(p.a), "b": lattice_str(p.b, one)}
-        if p.c:
-            rec["c"] = exact_str(p.c * one)
-        pieces.append(rec)
-    payload = {
-        "name": f.name,
-        "measure_preserving": f.measure_preserving,
-        "pieces": pieces,
-    }
-    return json.dumps(payload, sort_keys=True)
+        c = f'"c": "{exact_str(p.c * one)}", ' if p.c else ""
+        pieces.append(f'{{"a": "{slopes[p.a]}", "b": "{shifts[p.b]}", {c}"hi": "{hi}", "lo": "{lo}"}}')
+    flag = "true" if f.measure_preserving else "false"
+    return f'{{"measure_preserving": {flag}, "name": {json.dumps(f.name)}, "pieces": [{", ".join(pieces)}]}}'
 
 
 def map_from_json(text: str) -> IntervalMap:

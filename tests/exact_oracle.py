@@ -6,13 +6,19 @@ pairwise crossings of its n affine iterates, then evaluate the iterates at
 each cell's midpoint and read its order pattern.  It tests all n(n-1)/2
 pairs per segment and evaluates n values per cell, so the package computes
 the same cells in one pass instead; tests compare the two exactly.
+
+``generator_translation_route`` is the translation route as it was written
+before it became one loop: a generator of children per cell, walked by
+``analysis._final_cells``.  Tests compare the two routes' cell streams,
+errors and error texts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+from orderflow.analysis import _escape, _final_cells
 from orderflow.errors import CapExceeded, DegenerateTie, NotPiecewiseAffine
 from orderflow.maps import IntervalMap
 from orderflow.perms import PatternDistribution, Perm, order_pattern
@@ -76,3 +82,29 @@ def oracle_distribution(f: IntervalMap, n: int, cap: int = 500_000) -> PatternDi
             sigma = order_pattern([a * mid + b for a, b in comps])
             masses[sigma] = masses.get(sigma, Fraction(0)) + (right - left)
     return PatternDistribution(n, masses)
+
+
+def generator_translation_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept."""
+    bounds = [p.lo for p in pieces]
+    shifts = [p.b for p in pieces]
+
+    def children(cell, k):
+        # Cut where iterate k - 1 meets a piece bound; each part gets iterate k's intercept.
+        lo, hi, bs = cell
+        b = bs[-1]
+        ylo, yhi = lo + b, hi + b
+        if ylo < 0 or yhi > one:
+            raise _escape(k - 1, lo, hi, ylo, yhi, show)
+        last = bisect_left(bounds, yhi)
+        left = lo
+        for j in range(bisect_right(bounds, ylo) - 1, last):
+            right = hi if j == last - 1 else bounds[j + 1] - b
+            new = b + shifts[j]
+            if new in bs:
+                raise DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(left)}, {show(right)})")
+            yield left, right, bs + (new,)
+            left = right
+
+    cells = _final_cells((0, one, (0,)), children, n)
+    return ((lo, hi, bs, tuple(sorted(range(n), key=bs.__getitem__))) for lo, hi, bs in cells)

@@ -2,16 +2,17 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from hashlib import blake2b
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drift_oracle import reach_partially_driftless_in
-from exact_oracle import oracle_distribution
+from exact_oracle import generator_translation_route, oracle_distribution
 from isometries import interval_exchanges, lattice_maps, unit_points
 from poset_oracle import growth_check, linear_extensions
 from sample_oracle import oracle_sampled, oracle_unit_samples
@@ -33,7 +34,7 @@ from orderflow.errors import (
     CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine, NotRealizable, OrderflowError,
     SamplesDiscarded,
 )
-from orderflow.exactnum import exact
+from orderflow.exactnum import exact, from_lattice
 from orderflow.flows import flow_residual
 from orderflow.maps import (
     CyclicRanking,
@@ -290,7 +291,7 @@ translations = st.one_of(
 
 def _via(route):
     """The distribution that ``route`` subdivides for a map's frame, no switch between routes."""
-    return lambda f, n: analysis._subdivided(f, n, route)
+    return lambda f, n: analysis._report(n, *analysis._subdivided(f, n, route))
 
 
 ESCAPING_TRANSLATION = (
@@ -299,8 +300,38 @@ ESCAPING_TRANSLATION = (
 )
 
 
+@st.composite
+def slope_one_maps(draw):
+    """Slope-1 maps with any intercepts, so that iterates escape [0, 1) or tie at any depth."""
+    cuts = set(draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3))) - {0, 1}
+    ends = [Fraction(0), *sorted(cuts), Fraction(1)]
+    shifts = st.fractions(-1, 1, max_denominator=12)
+    return IntervalMap(tuple(Piece(lo, hi, Fraction(1), draw(shifts)) for lo, hi in zip(ends, ends[1:])))
+
+
+def _stream(route, f, n):
+    """Every cell (lo, hi, intercepts, order) ``route`` streams for f's frame, in x order, and its error."""
+    one, pieces = f.frame
+    cells = []
+    try:
+        for cell in route(pieces, n, one, partial(from_lattice, scale=one)):
+            cells.append(cell)
+    except OrderflowError as exc:
+        return cells, type(exc), str(exc)
+    return cells, None, None
+
+
 class TestTranslationRoute:
     """Slope-1 maps skip the crossing search: same masses, same error texts, no _insert."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(translations | slope_one_maps(), st.integers(1, 6), st.none() | st.integers(0, 150))
+    @example(map_from_json(ESCAPING_TRANSLATION), 3, None)
+    @example(builtin("rotation", Fraction(1, 3)), 6, 40)
+    def test_one_loop_streams_the_generator_route(self, f, n, cap):
+        # The same cells in the same order, then the same error with the same text, under small caps too.
+        with mock.patch.object(analysis, "SUBDIVISION_MAX", analysis.SUBDIVISION_MAX if cap is None else cap):
+            assert _stream(analysis._translation_route, f, n) == _stream(generator_translation_route, f, n)
 
     @settings(max_examples=60, deadline=None)
     @given(translations)

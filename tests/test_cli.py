@@ -438,6 +438,28 @@ class TestBoundary:
         assert code == 1 and err == {"error": "CapExceeded", "detail": detail}
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("realize", "--flow", "in.json", "--out", "m.json"),
+            ("exact", "--map", "in.json", "--n", "3", "--out", "x.csv"),
+            ("drift", "subgraph", "--edges", "in.json"),
+            ("poset", "--path", "in.json"),
+            ("lifts", "--path", "in.json"),
+            ("cantor", "build", "--dists", "in.json", "--out", "c.json"),
+            ("validate", "--kind", "flow", "in.json"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_input_not_utf8(self, argv, tmp_path, monkeypatch, capsys):
+        # Every reader decodes its file as UTF-8; other bytes are a FormatError naming the file, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        Path("in.json").write_bytes(b'\xff\xfe{"n": 3}')
+        code, err = run_error(capsys, *argv)
+        detail = "input file in.json is not UTF-8 text: invalid start byte at byte 0"
+        assert code == 1 and err == {"error": "FormatError", "detail": detail}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
     def test_distribution_csv_without_rows(self, tmp_path, capsys):
         dist = tmp_path / "d.csv"
         dist.write_text("perm,mass\n")
@@ -1066,33 +1088,45 @@ class TestExactMapFuzz:
         assert payload.get("command") == "exact" if code == 0 else "error" in payload
 
 
+def _put(f: Path, content: str | bytes) -> None:
+    """Write text as UTF-8, or raw bytes as they are."""
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    else:
+        f.write_text(content, encoding="utf-8")
+
+
+# Raw bytes, most of them not UTF-8.
+raw_bytes = st.binary(max_size=40) | st.just(b'\xff\xfe{"n": 3}')
+
+
 class TestLoaderFuzz:
     """Each command that loads a flow, a subgraph or distribution CSVs prints one JSON line on any file content."""
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.text(max_size=40) | artifacts)
+    @given(text=st.text(max_size=40) | artifacts | raw_bytes)
     def test_realize_flow(self, tmp_path_factory, text):
         tmp = tmp_path_factory.mktemp("fuzz")
-        (tmp / "flow.json").write_text(text)
+        _put(tmp / "flow.json", text)
         code, payload = one_json_line(["realize", "--flow", str(tmp / "flow.json"), "--out", str(tmp / "m.json")])
         assert payload.get("command") == "realize" if code == 0 else "error" in payload
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.text(max_size=40) | artifacts)
+    @given(text=st.text(max_size=40) | artifacts | raw_bytes)
     def test_drift_subgraph_edges(self, tmp_path_factory, text):
         f = tmp_path_factory.mktemp("fuzz") / "sub.json"
-        f.write_text(text)
+        _put(f, text)
         code, payload = one_json_line(["drift", "subgraph", "--edges", str(f)])
         assert payload.get("command") == "drift" if code == 0 else "error" in payload
 
     @settings(max_examples=150, deadline=None)
-    @given(texts=st.lists(st.text(max_size=40) | csv_text, min_size=1, max_size=3))
+    @given(texts=st.lists(st.text(max_size=40) | csv_text | raw_bytes, min_size=1, max_size=3))
     def test_cantor_verify_dists(self, tmp_path_factory, texts):
         tmp = tmp_path_factory.mktemp("fuzz")
         files = []
         for k, text in enumerate(texts):
             files.append(str(tmp / f"d{k}.csv"))
-            Path(files[-1]).write_text(text)
+            _put(Path(files[-1]), text)
         argv = ["cantor", "verify", "--dists", *files, "--scale-depth", "4", "--samples", "200", "--seed", "1"]
         code, payload = one_json_line(argv)
         assert payload.get("command") == "cantor" if code == 0 else "error" in payload

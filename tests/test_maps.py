@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_paths
@@ -33,11 +34,14 @@ from orderflow.errors import (
     NotRealizable,
     UnknownBuiltin,
 )
-from orderflow.exactnum import Sqrt2, exact, exact_div, exact_str, from_lattice, lattice_str, parse_exact
-from orderflow.flows import flow_residual
+from orderflow.exactnum import (
+    Sqrt2, exact, exact_div, exact_str, from_lattice, lattice_scale, lattice_str, parse_exact, to_lattice,
+)
+from orderflow.flows import face_realizable, flow_residual, support_face
 from orderflow.maps import (
     CyclicRanking,
     _euler_circuit,
+    _flow_gap,
     _image_span,
     IntervalMap,
     Piece,
@@ -536,6 +540,15 @@ class TestOnePassRanking:
                 verdicts.append(verdict)
         assert verdicts.count(True) > 600 and verdicts.count(False) > 1200
 
+    @pytest.mark.parametrize(
+        "n, edges", [(2, ["123"]), (2, ["321"]), (2, ["231", "312"]), (3, ["1234"]), (3, ["2341", "3412", "4123"])]
+    )
+    def test_loops_shorter_than_a_window(self, n, edges):
+        # Every window of a loop no longer than n repeats a rank, whatever the ranking.
+        g = path(n, edges)
+        for rank in itertools.permutations(range(1, len(edges) + 1)):
+            assert ranking_realizes(CyclicRanking(rank), g) is oracle_ranking_realizes(CyclicRanking(rank), g) is False
+
     def test_drift_refused_before_a_lower_cap(self, cases, monkeypatch):
         # Over a cap of 4 edges a drifting loop is still refused by its drift class, a driftless one by the cap.
         monkeypatch.setattr("orderflow.maps.CYCLIC_LIFT_MAX", 4)
@@ -788,11 +801,11 @@ class TestRealizeFlow:
             realize_flow(PatternDistribution.uniform(3), tol)
 
     def test_realization_is_checked_exactly(self, doubling):
-        # The self-check reads the realized map's exact distribution; doubling's misses uniform(3) by 1/6.
+        # The self-check reads the realized map's exact masses on its lattice; doubling's miss uniform(3) by 1/12.
         from orderflow import analysis
 
-        exact = analysis.exact_distribution
-        with mock.patch.object(analysis, "exact_distribution", lambda f, n: exact(doubling, n)):
+        masses = analysis.lattice_masses
+        with mock.patch.object(analysis, "lattice_masses", lambda f, n: masses(doubling, n)):
             with pytest.raises(InvariantViolation, match="realization missed tolerance"):
                 realize_flow(PatternDistribution.uniform(3), 0.05)
 
@@ -810,6 +823,77 @@ class TestRealizeFlow:
         gap = max(abs(got(s) - mu(s)) for s in all_perms(3))
         assert gap <= Fraction(1, 50)
         assert got.support() == mu.support()
+
+
+EMBEDDED_LOOPS = {n: embedded_loops(PermDigraph(n).full_subgraph()) for n in (2, 3)}
+
+
+@st.composite
+def realizable_flows(draw):
+    """Flows on faces of G_2 and G_3: positive mixes of one to three embedded loops whose support does not drift."""
+    n = draw(st.sampled_from([2, 3]))
+    counts = {}
+    for loop in draw(st.lists(st.sampled_from(EMBEDDED_LOOPS[n]), min_size=1, max_size=3, unique=True)):
+        w = draw(st.integers(1, 3))
+        for e in loop:
+            counts[e] = counts.get(e, 0) + w
+    total = sum(counts.values())
+    mu = PatternDistribution(n + 1, {e: Fraction(c, total) for e, c in counts.items()})
+    assume(face_realizable(support_face(mu)))
+    return mu
+
+
+TOLERANCES = [Fraction(1, 50), Fraction(1, 20), Fraction(1, 5)]
+
+
+def _field_gap(f: IntervalMap, mu: PatternDistribution):
+    """The second route: the sup gap in Q(sqrt2) between f's exact distribution and mu."""
+    from orderflow.analysis import exact_distribution
+
+    achieved = exact_distribution(f, mu.n).distribution
+    return max(abs(achieved(s) - mu(s)) for s in set(achieved.mass) | set(mu.mass))
+
+
+def _lattice_gap(masses, mu: PatternDistribution):
+    """The gap ``_flow_gap`` reads off lattice masses and mu's integer weights, back in Q(sqrt2)."""
+    scale = lattice_scale(mu.mass.values())
+    return from_lattice(*_flow_gap(*masses, {e: to_lattice(m, scale) for e, m in mu.mass.items()}, scale))
+
+
+class TestLatticeSelfCheck:
+    """realize checks its map in lattice ints; the gap in Q(sqrt2), from the exact distribution, is the second route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(realizable_flows(), st.sampled_from(TOLERANCES), st.sampled_from(TOLERANCES))
+    def test_verdict_and_gap_match_the_field_route(self, mu, built_at, tol):
+        from orderflow import analysis
+
+        f = realize_flow(mu, built_at)
+        gap = _field_gap(f, mu)
+        masses = analysis.lattice_masses(f, mu.n)
+        assert gap <= built_at and _lattice_gap(masses, mu) == gap
+        # The map built at one tolerance, checked against another.
+        with mock.patch.object(analysis, "lattice_masses", lambda g, n: masses):
+            if gap > tol:
+                with pytest.raises(InvariantViolation) as missed:
+                    realize_flow(mu, tol)
+                assert str(missed.value) == f"realization missed tolerance: {float(gap)} > {tol}"
+            else:
+                assert realize_flow(mu, tol).frame[0] > 1
+
+    @pytest.mark.parametrize(
+        "mu",
+        [PatternDistribution.uniform(n) for n in (2, 3, 4)]
+        + [PatternDistribution(3, {perm(e): Fraction(1, 3) for e in ("132", "321", "213")})],
+    )
+    def test_irrational_masses(self, mu):
+        # The rotation by sqrt2 - 1 has Sqrt2 masses, so its gap to these flows is irrational too;
+        # it realizes none of the loop 132 321 213, so there every mass is off the flow's support.
+        from orderflow.analysis import lattice_masses
+
+        f = builtin("rotation", exact(-1, 1))
+        gap = _field_gap(f, mu)
+        assert type(gap) is Sqrt2 and _lattice_gap(lattice_masses(f, mu.n), mu) == gap
 
 
 def _uniform_and_triple(lam: Fraction) -> PatternDistribution:

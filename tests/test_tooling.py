@@ -114,6 +114,21 @@ def test_imports_inside_functions_only_defer_layers(module):
     assert inner == set(), f"{module}: {sorted(inner)}; move these imports to module top"
 
 
+def test_files_are_read_only_by_the_input_helper():
+    # Every input file is decoded by cli._input_text, which turns bytes that
+    # are not UTF-8 into a FormatError; cli._write writes the artifacts.
+    reads = []
+    for module in MODULES:
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("open", "read_text", "read_bytes"):
+                    reads.append((module, _enclosing(tree, node.lineno)))
+    assert [r for r in reads if r != ("cli.py", "_write")] == [("cli.py", "_input_text")]
+
+
 def test_permutations_only_in_all_perms():
     # A scan of all of S_m goes through perms.all_perms, which checks the
     # pattern-length cap; lifts grow window by window, and exclusion preimages are counted.
