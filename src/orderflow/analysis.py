@@ -16,9 +16,9 @@ cell is cut only where its last iterate meets a piece bound and carries
 just its intercepts; a final cell's order is one sort of its n intercepts,
 with no crossing search.  Both routes stream the same cells and raise the
 same errors with the same texts at the same cells, and only their work, the
-``SUBDIVISION_MAX`` cell entries, bounds a length.  ``_final_cells`` drives
-only the crossing route, whose time is its Fraction arithmetic; the
-translation route walks its cells in one loop over a stack of cells.
+``SUBDIVISION_MAX`` cell entries, bounds a length.  Each route walks its
+cells in one loop over a stack of cells; the crossing route's time is its
+Fraction arithmetic.
 
 The subdivision runs in the map's frame (S, pieces), ``IntervalMap.frame``,
 on the interval (0, S), and reads the affine test there too.  A map is held
@@ -104,12 +104,11 @@ class PatternReport(_Record):
 
 # A cell is an open interval (lo, hi) of [0, one) with the affine maps (a, b)
 # of iterates 0..k on it and ``order``, the iterate indices sorted by their
-# values there; no two iterates meet inside a cell.  ``_final_cells`` walks the
-# crossing route's cells depth first, one iterator per iterate, so no level is
-# held whole and no depth nests a call.  On the translation route a cell (lo,
-# hi, intercepts) holds only the b of each iterate x -> x + b, and one loop
-# walks a stack of such cells.  ``one`` is the frame's scale S, and ``show``
-# gives a value's Q(sqrt2) form for error texts.
+# values there; no two iterates meet inside a cell.  On the translation route
+# a cell (lo, hi, intercepts) holds only the b of each iterate x -> x + b.
+# Each route walks its cells depth first in one loop over a stack of cells,
+# so no level is held whole and no depth nests a call.  ``one`` is the
+# frame's scale S, and ``show`` gives a value's Q(sqrt2) form for error texts.
 
 
 def _require_least_entries(n: int) -> None:
@@ -123,30 +122,6 @@ def _entries_reached(entries: int, k: int) -> CapExceeded:
     return CapExceeded(f"exact subdivision reached {entries} entries at iterate {k}, cap {SUBDIVISION_MAX}")
 
 
-def _final_cells(root, children, n: int):
-    """The cells at iterate n - 1 inside ``root``, the cell at iterate 0, in x order.
-
-    ``children(cell, k)`` streams the cells at iterate k inside a cell at
-    iterate k - 1.  Each cell adds the iterates it carries to the entries,
-    checked as each cell's children end, and first for n (n + 1) / 2.
-    """
-    _require_least_entries(n)
-    entries, stack = 0, [iter((root,))]
-    while stack:
-        k = len(stack) - 1
-        cell = next(stack[-1], None)
-        if cell is None:
-            stack.pop()
-            if entries > SUBDIVISION_MAX:
-                raise _entries_reached(entries, k)
-        elif k == n - 1:
-            entries += n
-            yield cell
-        else:
-            entries += k + 1
-            stack.append(children(cell, k + 1))
-
-
 def _escape(k: int, lo, hi, ylo, yhi, show) -> EscapesInterval:
     """The error for iterate k mapping (lo, hi) onto (ylo, yhi), which leaves [0, one)."""
     return EscapesInterval(
@@ -154,31 +129,9 @@ def _escape(k: int, lo, hi, ylo, yhi, show) -> EscapesInterval:
     )
 
 
-def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int, one, show):
-    """Split (lo, hi) where iterate k, x -> a x + b, crosses a piece bound.
-
-    Yields (left, right, piece index) in x order; the iterate's values on
-    (lo, hi) must stay in [0, one), where the map is defined.
-    """
-    if a == 0:
-        if not 0 <= b < one:
-            raise EscapesInterval(
-                f"iterate {k} takes the value {show(b)} outside [0, 1) on ({show(lo)}, {show(hi)})"
-            )
-        yield lo, hi, bisect_right(bounds, b) - 1
-        return
-    ylo, yhi = _image_span(a, b, lo, hi)
-    if ylo < 0 or yhi > one:
-        raise _escape(k, lo, hi, ylo, yhi, show)
-    first = bisect_right(bounds, ylo) - 1
-    last = bisect_left(bounds, yhi)
-    xs = [exact_div(c - b, a) for c in bounds[first + 1 : last]]
-    indices = range(first, last)
-    if a < 0:
-        xs.reverse()
-        indices = indices[::-1]
-    points = [lo, *xs, hi]
-    yield from zip(points, points[1:], indices)
+def _tie(i: int, k: int, lo, hi, show) -> DegenerateTie:
+    """The error for iterates i and k coinciding on (lo, hi)."""
+    return DegenerateTie(f"iterates {i} and {k} coincide on ({show(lo)}, {show(hi)})")
 
 
 def _rank(comps, order: tuple[int, ...], a: Exact, b: Exact, x: Exact, right: bool) -> int:
@@ -205,59 +158,90 @@ def _rank(comps, order: tuple[int, ...], a: Exact, b: Exact, x: Exact, right: bo
     return lo
 
 
-def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Exact, show):
-    """Split (lo, hi) where x -> a x + b crosses the iterates of ``order``.
-
-    Yields (left, right, rank of the new iterate) in x order.  Only the
-    iterates ranked between its ranks at the two ends cross it, each once,
-    and consecutive ranks cross in x order.  An old iterate identical to the
-    new one would sit just above it at either end.
-    """
-    start = _rank(comps, order, a, b, lo, right=True)
-    end = _rank(comps, order, a, b, hi, right=False)
-    for rank in (start, end):
-        if rank < len(order) and comps[order[rank]] == (a, b):
-            raise DegenerateTie(f"iterates {order[rank]} and {len(comps)} coincide on ({show(lo)}, {show(hi)})")
-    step = 1 if end > start else -1
-    left = lo
-    for rank in range(start, end, step):
-        ai, bi = comps[order[rank if step > 0 else rank - 1]]
-        cross = exact_div(bi - b, a - ai)
-        yield left, cross, rank
-        left = cross
-    yield left, hi, end
-
-
 def _crossing_route(pieces, n: int, one, show):
-    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search."""
+    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search.
+
+    One loop walks a stack of cells, as ``_translation_route`` does.  A cell
+    is cut where its last iterate, which must stay in [0, one), crosses a
+    piece bound.  Each part is split where the next iterate crosses the
+    iterates ranked between its ranks just inside the part's ends, each
+    once and in x order; an old iterate identical to it would sit just
+    above it at either end, and that child is stacked as its error.
+    """
+    _require_least_entries(n)
+    if n == 1:
+        yield 0, one, ((1, 0),), (0,)
+        return
     bounds = [p.lo for p in pieces]
-
-    def children(cell, k):
-        # Cut where iterate k - 1 crosses a piece bound, then where iterate k crosses the others.
-        lo, hi, comps, order = cell
+    last = n - 1
+    entries, stack = 0, [(0, one, ((1, 0),), (0,))]
+    while stack:
+        lo, hi, comps, order = stack.pop()
+        if comps is None:
+            raise hi  # a child that ties, stacked as its error
+        k = len(comps)  # the iterate this cell's children add
+        entries += k
         a, b = comps[-1]
-        for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1, one, show):
+        if a == 0:
+            if not 0 <= b < one:
+                raise EscapesInterval(
+                    f"iterate {k - 1} takes the value {show(b)} outside [0, 1) on ({show(lo)}, {show(hi)})"
+                )
+            parts = [(lo, hi, bisect_right(bounds, b) - 1)]
+        else:
+            ylo, yhi = _image_span(a, b, lo, hi)
+            if ylo < 0 or yhi > one:
+                raise _escape(k - 1, lo, hi, ylo, yhi, show)
+            first, end = bisect_right(bounds, ylo) - 1, bisect_left(bounds, yhi)
+            xs = [exact_div(c - b, a) for c in bounds[first + 1 : end]]
+            indices = range(first, end)
+            if a < 0:
+                xs.reverse()
+                indices = indices[::-1]
+            points = [lo, *xs, hi]
+            parts = zip(points, points[1:], indices)
+        children = []
+        for left, right, j in parts:
             p = pieces[j]
-            new = (p.a * a, p.a * b + p.b)
+            new = na, nb = p.a * a, p.a * b + p.b
+            start = _rank(comps, order, na, nb, left, right=True)
+            stop = _rank(comps, order, na, nb, right, right=False)
+            tied = [order[rank] for rank in (start, stop) if rank < k and comps[order[rank]] == new]
+            if tied:
+                children.append((None, _tie(tied[0], k, left, right, show), None, None))
+                break
             grown = comps + (new,)
-            for x0, x1, rank in _insert(comps, order, *new, left, right, show):
-                yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
-
-    return _final_cells((0, one, ((1, 0),), (0,)), children, n)
+            step = 1 if stop > start else -1
+            for rank in range(start, stop, step):
+                ai, bi = comps[order[rank if step > 0 else rank - 1]]
+                cross = exact_div(bi - nb, na - ai)
+                children.append((left, cross, grown, order[:rank] + (k,) + order[rank:]))
+                left = cross
+            children.append((left, right, grown, order[:stop] + (k,) + order[stop:]))
+        if k == last:
+            for cell in children:
+                if cell[2] is None:
+                    raise cell[1]
+                entries += n
+                yield cell
+            if entries > SUBDIVISION_MAX:
+                raise _entries_reached(entries, last)
+        else:
+            children.reverse()
+            stack += children
 
 
 def _translation_route(pieces, n: int, one, show):
     """The final cells (lo, hi, intercepts, order) of a frame whose every slope is 1, ordered by intercept.
 
-    One loop streams the cells, and counts the entries and raises the
-    errors at the same cells, that ``_final_cells`` would with a generator
-    of each cell's children.  A cell taken from the stack adds its iterates
-    to the entries and is cut where its last iterate meets a piece bound.  A
-    cell that stays in one piece has one child, taken at once; a cell at
-    iterate n - 2 streams its final cells at once and then checks the
-    entries, as ``_final_cells`` does when they end; any other stacks its
-    children in reverse x order.  A child that ties is stacked as its
-    error, raised when the walk reaches it.
+    One loop streams the cells, counts the entries and raises the errors at
+    the same cells as ``_crossing_route``.  A cell taken from the stack adds
+    its iterates to the entries and is cut where its last iterate meets a
+    piece bound.  A cell that stays in one piece has one child, taken at
+    once; a cell at iterate n - 2 streams its final cells at once and then
+    checks the entries; any other stacks its children in reverse x order.
+    A child that ties is stacked as its error, raised when the walk reaches
+    it.
     """
     _require_least_entries(n)
     if n == 1:
@@ -283,14 +267,14 @@ def _translation_route(pieces, n: int, one, show):
                 break
             new = b + shifts[start]
             if new in bs:
-                raise _tie(bs, new, k, lo, hi, show)
+                raise _tie(bs.index(new), k, lo, hi, show)
             bs += (new,)
         left, children = lo, []
         for j in range(start, end):
             right = hi if j == end - 1 else bounds[j + 1] - b
             new = b + shifts[j]
             if new in bs:
-                tie = _tie(bs, new, k, left, right, show)
+                tie = _tie(bs.index(new), k, left, right, show)
                 if k == last:
                     raise tie
                 children.append((None, tie, None))
@@ -308,11 +292,6 @@ def _translation_route(pieces, n: int, one, show):
         else:
             children.reverse()
             stack += children
-
-
-def _tie(bs: tuple, new, k: int, lo, hi, show) -> DegenerateTie:
-    """The error for iterate k, x -> x + new, meeting an earlier iterate of intercepts ``bs`` on (lo, hi)."""
-    return DegenerateTie(f"iterates {bs.index(new)} and {k} coincide on ({show(lo)}, {show(hi)})")
 
 
 def exact_distribution(f: IntervalMap, n: int) -> PatternReport:

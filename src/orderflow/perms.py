@@ -24,6 +24,8 @@ import io
 import itertools
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -341,12 +343,22 @@ def distribution_to_csv(mu: PatternDistribution) -> str:
     return buf.getvalue()
 
 
+def _digit_limit() -> int:
+    """Python's limit on the digits of integer text, 0 for none (as before it had one)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def load_json(text: str, what: str, required: set[str]) -> dict:
     """The JSON object in ``text``, which must carry the required keys; else FormatError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply to parse") from exc
+    except ValueError as exc:  # the one other ValueError: int() refusing a number token's digits
+        limit = _digit_limit()
+        raise FormatError(f"invalid JSON: an integer has more than {limit} digits, Python's limit") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{what} JSON must be an object")
     missing = required - set(payload)
@@ -375,6 +387,9 @@ def parse_mass(raw, where: str) -> Exact | float:
             raise TypeError("a boolean is not a mass")
         value = float(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
+        limit = _digit_limit()
+        if limit and isinstance(raw, str) and re.search(r"\d{%d}" % (limit + 1), raw):
+            raise FormatError(f"{where}: mass has more than {limit} digits in a row, Python's limit") from exc
         raise FormatError(f"{where}: mass {raw!r} is not a number") from exc
     if not math.isfinite(value):
         raise FormatError(f"{where}: mass {raw!r} is not finite")

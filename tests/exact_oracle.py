@@ -7,10 +7,11 @@ each cell's midpoint and read its order pattern.  It tests all n(n-1)/2
 pairs per segment and evaluates n values per cell, so the package computes
 the same cells in one pass instead; tests compare the two exactly.
 
-``generator_translation_route`` is the translation route as it was written
-before it became one loop: a generator of children per cell, walked by
-``analysis._final_cells``.  Tests compare the two routes' cell streams,
-errors and error texts.
+``generator_crossing_route`` and ``generator_translation_route`` are the two
+exact routes as they were written before each became one loop: a generator
+of children per cell, walked by ``_final_cells``, which counts the entries as
+the package does.  Tests compare each one-loop route's cell stream, errors
+and error texts with its generator route.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from orderflow.analysis import _escape, _final_cells
-from orderflow.errors import CapExceeded, DegenerateTie, NotPiecewiseAffine
-from orderflow.maps import IntervalMap
+from orderflow import analysis
+from orderflow.analysis import _entries_reached, _escape, _rank, _require_least_entries
+from orderflow.errors import CapExceeded, DegenerateTie, EscapesInterval, NotPiecewiseAffine
+from orderflow.exactnum import Exact, exact_div
+from orderflow.maps import IntervalMap, _image_span
 from orderflow.perms import PatternDistribution, Perm, order_pattern
 
 
@@ -82,6 +85,98 @@ def oracle_distribution(f: IntervalMap, n: int, cap: int = 500_000) -> PatternDi
             sigma = order_pattern([a * mid + b for a, b in comps])
             masses[sigma] = masses.get(sigma, Fraction(0)) + (right - left)
     return PatternDistribution(n, masses)
+
+
+def _final_cells(root, children, n: int):
+    """The cells at iterate n - 1 inside ``root``, the cell at iterate 0, in x order.
+
+    ``children(cell, k)`` streams the cells at iterate k inside a cell at
+    iterate k - 1.  Each cell adds the iterates it carries to the entries,
+    checked as each cell's children end, and first for n (n + 1) / 2.
+    """
+    _require_least_entries(n)
+    entries, stack = 0, [iter((root,))]
+    while stack:
+        k = len(stack) - 1
+        cell = next(stack[-1], None)
+        if cell is None:
+            stack.pop()
+            if entries > analysis.SUBDIVISION_MAX:
+                raise _entries_reached(entries, k)
+        elif k == n - 1:
+            entries += n
+            yield cell
+        else:
+            entries += k + 1
+            stack.append(children(cell, k + 1))
+
+
+def _piece_cells(bounds: list[Exact], a: Exact, b: Exact, lo: Exact, hi: Exact, k: int, one, show):
+    """Split (lo, hi) where iterate k, x -> a x + b, crosses a piece bound.
+
+    Yields (left, right, piece index) in x order; the iterate's values on
+    (lo, hi) must stay in [0, one), where the map is defined.
+    """
+    if a == 0:
+        if not 0 <= b < one:
+            raise EscapesInterval(
+                f"iterate {k} takes the value {show(b)} outside [0, 1) on ({show(lo)}, {show(hi)})"
+            )
+        yield lo, hi, bisect_right(bounds, b) - 1
+        return
+    ylo, yhi = _image_span(a, b, lo, hi)
+    if ylo < 0 or yhi > one:
+        raise _escape(k, lo, hi, ylo, yhi, show)
+    first = bisect_right(bounds, ylo) - 1
+    last = bisect_left(bounds, yhi)
+    xs = [exact_div(c - b, a) for c in bounds[first + 1 : last]]
+    indices = range(first, last)
+    if a < 0:
+        xs.reverse()
+        indices = indices[::-1]
+    points = [lo, *xs, hi]
+    yield from zip(points, points[1:], indices)
+
+
+def _insert(comps, order: tuple[int, ...], a: Exact, b: Exact, lo: Exact, hi: Exact, show):
+    """Split (lo, hi) where x -> a x + b crosses the iterates of ``order``.
+
+    Yields (left, right, rank of the new iterate) in x order.  Only the
+    iterates ranked between its ranks at the two ends cross it, each once,
+    and consecutive ranks cross in x order.  An old iterate identical to the
+    new one would sit just above it at either end.
+    """
+    start = _rank(comps, order, a, b, lo, right=True)
+    end = _rank(comps, order, a, b, hi, right=False)
+    for rank in (start, end):
+        if rank < len(order) and comps[order[rank]] == (a, b):
+            raise DegenerateTie(f"iterates {order[rank]} and {len(comps)} coincide on ({show(lo)}, {show(hi)})")
+    step = 1 if end > start else -1
+    left = lo
+    for rank in range(start, end, step):
+        ai, bi = comps[order[rank if step > 0 else rank - 1]]
+        cross = exact_div(bi - b, a - ai)
+        yield left, cross, rank
+        left = cross
+    yield left, hi, end
+
+
+def generator_crossing_route(pieces, n: int, one, show):
+    """The final cells (lo, hi, maps, order) of any affine frame, each iterate inserted by crossing search."""
+    bounds = [p.lo for p in pieces]
+
+    def children(cell, k):
+        # Cut where iterate k - 1 crosses a piece bound, then where iterate k crosses the others.
+        lo, hi, comps, order = cell
+        a, b = comps[-1]
+        for left, right, j in _piece_cells(bounds, a, b, lo, hi, k - 1, one, show):
+            p = pieces[j]
+            new = (p.a * a, p.a * b + p.b)
+            grown = comps + (new,)
+            for x0, x1, rank in _insert(comps, order, *new, left, right, show):
+                yield x0, x1, grown, order[:rank] + (k,) + order[rank:]
+
+    return _final_cells((0, one, ((1, 0),), (0,)), children, n)
 
 
 def generator_translation_route(pieces, n: int, one, show):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drift_oracle import reach_partially_driftless_in
-from exact_oracle import generator_translation_route, oracle_distribution
+from exact_oracle import generator_crossing_route, generator_translation_route, oracle_distribution
 from isometries import interval_exchanges, lattice_maps, unit_points
 from poset_oracle import growth_check, linear_extensions
 from sample_oracle import oracle_sampled, oracle_unit_samples
@@ -110,17 +110,18 @@ class TestExactDistribution:
         monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 60)
         with pytest.raises(CapExceeded, match=r"^exact subdivision reached 92 entries at iterate 7, cap 60$"):
             exact_distribution(doubling, 8)
-        # One cell per iterate already takes n (n + 1) / 2 = 36 entries: refused before any cell is cut.
+        # One cell per iterate already takes n (n + 1) / 2 = 36 entries: refused before any cell is cut,
+        # so no cell's image is spanned to find the piece bounds inside it.
         monkeypatch.setattr("orderflow.analysis.SUBDIVISION_MAX", 35)
-        with mock.patch.object(analysis, "_piece_cells", wraps=analysis._piece_cells) as cut:
+        with mock.patch.object(analysis, "_image_span", wraps=analysis._image_span) as cut:
             with pytest.raises(CapExceeded, match=r"^exact subdivision of length 8 needs at least 36 entries, cap 35$"):
                 exact_distribution(doubling, 8)
             assert cut.call_count == 0
 
     def test_length_is_bounded_by_entries_alone(self):
         # The rotation by sqrt2 - 1 has n patterns of length n.  The walk holds
-        # one iterator per iterate, so a depth far past the recursion limit is
-        # refused by its entries, not by a RecursionError.
+        # a stack of cells, so a depth far past the recursion limit is refused
+        # by its entries, not by a RecursionError.
         rotation = builtin("rotation", exact(-1, 1))
         assert len(exact_distribution(rotation, 60).realized) == 60
         assert sys.getrecursionlimit() < 2000
@@ -310,7 +311,7 @@ def slope_one_maps(draw):
 
 
 def _stream(route, f, n):
-    """Every cell (lo, hi, intercepts, order) ``route`` streams for f's frame, in x order, and its error."""
+    """Every cell (lo, hi, maps or intercepts, order) ``route`` streams for f's frame, in x order, and its error."""
     one, pieces = f.frame
     cells = []
     try:
@@ -322,7 +323,7 @@ def _stream(route, f, n):
 
 
 class TestTranslationRoute:
-    """Slope-1 maps skip the crossing search: same masses, same error texts, no _insert."""
+    """Slope-1 maps skip the crossing search: same masses, same error texts, no crossing route."""
 
     @settings(max_examples=150, deadline=None)
     @given(translations | slope_one_maps(), st.integers(1, 6), st.none() | st.integers(0, 150))
@@ -374,12 +375,46 @@ class TestTranslationRoute:
             assert _outcome(compute, f, n) == (error, text)
 
     def test_only_other_slopes_search_crossings(self, doubling, loop_132_321_213):
-        with mock.patch.object(analysis, "_insert", wraps=analysis._insert) as insert:
+        with mock.patch.object(analysis, "_crossing_route", wraps=analysis._crossing_route) as crossing:
             for f in (permutation_map(cyclic_lift(loop_132_321_213)), builtin("rotation", exact(-1, 1))):
                 exact_distribution(f, 6)
-            assert insert.call_count == 0
+            assert crossing.call_count == 0
             exact_distribution(doubling, 3)
-            assert insert.call_count > 0
+            assert crossing.call_count > 0
+
+
+_SLOPES = [Fraction(a) for a in (0, 1, -1, 2, -2, Fraction(1, 2), 3)]
+
+
+@st.composite
+def affine_maps(draw):
+    """Affine maps with slopes 0, +-1, +-2, 1/2 and 3, so that iterates escape [0, 1) or tie at any depth.
+
+    A piece whose image is short enough often gets an intercept that keeps
+    it inside [0, 1], and otherwise any intercept.
+    """
+    cuts = set(draw(st.lists(st.fractions(0, 1, max_denominator=12), max_size=3))) - {0, 1}
+    ends = [Fraction(0), *sorted(cuts), Fraction(1)]
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        a = draw(st.sampled_from(_SLOPES))
+        ylo, yhi = sorted((a * lo, a * hi))
+        inside = yhi - ylo <= 1 and draw(st.booleans())
+        b = draw(st.fractions(-ylo, 1 - yhi, max_denominator=24) if inside else st.fractions(-2, 2, max_denominator=12))
+        pieces.append(Piece(lo, hi, a, b))
+    return IntervalMap(tuple(pieces))
+
+
+class TestCrossingRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(affine_maps() | lattice_maps, st.integers(1, 7), st.none() | st.integers(0, 200))
+    # The identity on the right half ties at the last iterate, after the left half's final cells.
+    @example(IntervalMap((Piece(0, Fraction(1, 2), Fraction(2), 0), Piece(Fraction(1, 2), 1, Fraction(1), 0))), 2, None)
+    @example(builtin("doubling"), 6, 120)
+    def test_one_loop_streams_the_generator_route(self, f, n, cap):
+        # The same cells in the same order, then the same error with the same text, under small caps too.
+        with mock.patch.object(analysis, "SUBDIVISION_MAX", analysis.SUBDIVISION_MAX if cap is None else cap):
+            assert _stream(analysis._crossing_route, f, n) == _stream(generator_crossing_route, f, n)
 
 
 class TestExactOracleProperty:

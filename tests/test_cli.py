@@ -460,6 +460,52 @@ class TestBoundary:
         assert code == 1 and err == {"error": "FormatError", "detail": detail}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
+    # Every JSON reader goes through perms.load_json, which refuses text nested past the parser's recursion limit.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("realize", "--flow", "in.json", "--out", "m.json"),
+            ("drift", "subgraph", "--edges", "in.json"),
+            ("lifts", "--path", "in.json"),
+            ("exact", "--map", "in.json", "--n", "3", "--out", "x.csv"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_deeply_nested_json(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("in.json").write_text("[" * 2000)
+        code, err = run_error(capsys, *argv)
+        assert code == 1 and err == {"error": "FormatError", "detail": "invalid JSON: nested too deeply to parse"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+    @pytest.mark.parametrize("kind", ["flow", "path", "subgraph", "map"])
+    def test_validate_deeply_nested_json(self, kind, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text('{"n": ' + "[" * 2000)
+        code, stdout, _ = run(capsys, "validate", "--kind", kind, str(f))
+        assert code == 0 and json.loads(stdout)["diagnostics"] == ["invalid JSON: nested too deeply to parse"]
+
+    def test_json_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads reads a number token with int(), which refuses more digits than Python's limit.
+        f = tmp_path / "sub.json"
+        f.write_text('{"n": 3, "edges": [' + "1" * 5000 + "]}")
+        detail = f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits, Python's limit"
+        code, err = run_error(capsys, "drift", "subgraph", "--edges", str(f))
+        assert code == 1 and err == {"error": "FormatError", "detail": detail}
+        code, stdout, _ = run(capsys, "validate", "--kind", "subgraph", str(f))
+        assert code == 0 and json.loads(stdout)["diagnostics"] == [detail]
+
+    def test_weight_past_the_digit_limit(self, tmp_path, capsys):
+        # Not "mass '111...' is not a number": the weight is a number, too long to read.
+        flow = tmp_path / "flow.json"
+        flow.write_text(json.dumps({"n": 3, "weights": {"123": "1" * 5000}}))
+        limit = sys.get_int_max_str_digits()
+        detail = f"weight of 123: mass has more than {limit} digits in a row, Python's limit"
+        code, err = run_error(capsys, "realize", "--flow", str(flow), "--out", str(tmp_path / "m.json"))
+        assert code == 1 and err == {"error": "FormatError", "detail": detail}
+        code, stdout, _ = run(capsys, "validate", "--kind", "flow", str(flow))
+        assert code == 0 and json.loads(stdout)["diagnostics"] == [detail]
+
     def test_distribution_csv_without_rows(self, tmp_path, capsys):
         dist = tmp_path / "d.csv"
         dist.write_text("perm,mass\n")
@@ -1098,13 +1144,23 @@ def _put(f: Path, content: str | bytes) -> None:
 
 # Raw bytes, most of them not UTF-8.
 raw_bytes = st.binary(max_size=40) | st.just(b'\xff\xfe{"n": 3}')
+# JSON nested past the parser's recursion limit, alone or as a value inside an artifact's object.
+deep_json = st.builds(
+    lambda depth, opener, prefix: prefix + opener * depth,
+    st.integers(1_000, 5_000),
+    st.sampled_from(["[", '{"a": ']),
+    st.sampled_from(["", '{"n": 3, "weights": ', '{"n": ']),
+)
 
 
 class TestLoaderFuzz:
-    """Each command that loads a flow, a subgraph or distribution CSVs prints one JSON line on any file content."""
+    """Each command that loads a flow, a subgraph or distribution CSVs prints one JSON line on any file content.
+
+    The content includes bytes that are not UTF-8 and JSON nested past the parser's recursion limit.
+    """
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.text(max_size=40) | artifacts | raw_bytes)
+    @given(text=st.text(max_size=40) | artifacts | raw_bytes | deep_json)
     def test_realize_flow(self, tmp_path_factory, text):
         tmp = tmp_path_factory.mktemp("fuzz")
         _put(tmp / "flow.json", text)
@@ -1112,7 +1168,7 @@ class TestLoaderFuzz:
         assert payload.get("command") == "realize" if code == 0 else "error" in payload
 
     @settings(max_examples=150, deadline=None)
-    @given(text=st.text(max_size=40) | artifacts | raw_bytes)
+    @given(text=st.text(max_size=40) | artifacts | raw_bytes | deep_json)
     def test_drift_subgraph_edges(self, tmp_path_factory, text):
         f = tmp_path_factory.mktemp("fuzz") / "sub.json"
         _put(f, text)

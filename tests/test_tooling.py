@@ -129,6 +129,22 @@ def test_files_are_read_only_by_the_input_helper():
     assert [r for r in reads if r != ("cli.py", "_write")] == [("cli.py", "_input_text")]
 
 
+def test_json_is_parsed_only_by_the_loader():
+    # perms.load_json turns every way JSON text can fail to parse (malformed,
+    # nested past the recursion limit, an integer past the digit limit) into
+    # a FormatError, so every JSON reader must parse through it.
+    parses = []
+    for module in MODULES:
+        tree = _tree(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("loads", "load", "JSONDecoder", "raw_decode"):
+                    parses.append((module, _enclosing(tree, node.lineno)))
+    assert parses == [("perms.py", "load_json")]
+
+
 def test_permutations_only_in_all_perms():
     # A scan of all of S_m goes through perms.all_perms, which checks the
     # pattern-length cap; lifts grow window by window, and exclusion preimages are counted.
