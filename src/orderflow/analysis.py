@@ -328,7 +328,8 @@ def _subdivided(f: IntervalMap, n: int, route) -> tuple[int, dict[tuple[int, ...
     show = partial(from_lattice, scale=one)
     by_order: dict[tuple[int, ...], Exact] = {}
     for lo, hi, _, order in route(pieces, n, one, show):
-        by_order[order] = by_order.get(order, 0) + (hi - lo)
+        m = by_order.get(order)
+        by_order[order] = hi - lo if m is None else m + (hi - lo)
     total = sum(by_order.values())
     if total != one:
         raise InvariantViolation(f"exact subdivision of {f.name or 'map'} covers {show(total)}, not 1")
@@ -336,14 +337,25 @@ def _subdivided(f: IntervalMap, n: int, route) -> tuple[int, dict[tuple[int, ...
 
 
 def _report(n: int, one: int, by_order: dict[tuple[int, ...], Exact]) -> PatternReport:
-    """The exact report of masses by order on a lattice of scale ``one``."""
-    dist = PatternDistribution(n, {_pattern(order): from_lattice(m, one) for order, m in by_order.items()})
-    return PatternReport(dist, samples=None)
+    """The exact report of masses by order on a lattice of scale ``one``.
+
+    At scale 1 the masses are already values in Q(sqrt2) and pass through as
+    they are; on a finer lattice each is divided back by ``from_lattice``.
+    """
+    mass = {_pattern(order): m if one == 1 else from_lattice(m, one) for order, m in by_order.items()}
+    return PatternReport(PatternDistribution(n, mass), samples=None)
 
 
 def _pattern(order: tuple[int, ...]) -> Perm:
-    """The pattern whose entries, sorted by value, are at positions ``order``."""
-    return _trusted(tuple(place + 1 for place in sorted(range(len(order)), key=order.__getitem__)))
+    """The pattern whose entries, sorted by value, are at positions ``order``.
+
+    ``order[r]`` is the position of rank r + 1, so one pass over ``order``
+    writes each rank at its position: the inverse permutation, with no sort.
+    """
+    ranks = [0] * len(order)
+    for rank, place in enumerate(order, 1):
+        ranks[place] = rank
+    return _trusted(tuple(ranks))
 
 
 # -- deterministic sampling ----------------------------------------------------

@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, NoReturn
 # handlers (see the module docstring).
 from . import digraph, drift, paths, perms
 from .errors import FormatError, OrderflowError
-from .exactnum import exact_str
 
 if TYPE_CHECKING:
     import argparse
@@ -80,7 +79,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    # Flushed here, so that a stdout closed by its reader fails inside ``main``, not at exit.
+    print(json.dumps(payload, sort_keys=True), flush=True)
 
 
 def _error(kind: str, detail: str) -> None:
@@ -132,8 +132,7 @@ def _dimensions(text: str) -> list[int]:
 def _load_map(spec: str) -> IntervalMap:
     from . import maps
 
-    p = Path(spec)
-    if p.suffix == ".json" and p.exists():
+    if Path(spec).suffix == ".json":
         return maps.map_from_json(_input_text(spec))
     return maps.parse_map_spec(spec)
 
@@ -146,15 +145,28 @@ def _load_subgraph(file: str) -> digraph.Subgraph:
     return digraph.subgraph_from_json(_input_text(file))
 
 
-def _dist_payload(report: PatternReport, as_float: bool) -> dict:
+def _readout(report: PatternReport, as_float: bool) -> tuple[str, dict]:
+    """A report's distribution CSV and JSON payload, both from one list of rows in pattern-word order.
+
+    The JSON ``mass`` object holds each row's mass text, or the mass as a
+    float when ``as_float`` or the table is a float one.  It needs no order
+    of its own: ``_emit`` sorts keys.
+    """
     dist = report.distribution
-    if as_float or not dist.exact:
-        masses = {str(s): float(m) for s, m in sorted(dist.mass.items())}
+    rows = perms.distribution_rows(dist)
+    if not dist.exact:  # a float's repr reads back as the same float
+        mass = {p: float(t) for p, t in rows}
+    elif as_float:
+        mass = {str(s): float(m) for s, m in dist.mass.items()}
     else:
-        masses = {str(s): exact_str(m) for s, m in sorted(dist.mass.items())}
-    out = {"n": report.n, "mass": masses, "discards": report.discards}
-    out["samples"] = "exact" if report.exact else report.samples
-    return out
+        mass = dict(rows)
+    payload = {
+        "n": report.n,
+        "mass": mass,
+        "discards": report.discards,
+        "samples": "exact" if report.exact else report.samples,
+    }
+    return perms.rows_to_csv(rows), payload
 
 
 def cmd_digraph(args) -> dict:
@@ -250,8 +262,9 @@ def cmd_simulate(args) -> dict:
 
     f = _load_map(args.map)
     report = analysis.empirical_distribution(f, args.n, args.samples, args.seed)
-    _write(args.out, perms.distribution_to_csv(report.distribution))
-    return {"command": "simulate", **_dist_payload(report, as_float=True)}
+    text, payload = _readout(report, as_float=True)
+    _write(args.out, text)
+    return {"command": "simulate", **payload}
 
 
 def cmd_exact(args) -> dict:
@@ -259,8 +272,9 @@ def cmd_exact(args) -> dict:
 
     f = _load_map(args.map)
     report = analysis.exact_distribution(f, args.n)
-    _write(args.out, perms.distribution_to_csv(report.distribution))
-    return {"command": "exact", **_dist_payload(report, args.float)}
+    text, payload = _readout(report, args.float)
+    _write(args.out, text)
+    return {"command": "exact", **payload}
 
 
 def cmd_entropy(args) -> dict:
@@ -589,15 +603,33 @@ def main(argv=None) -> int:
     if args.command == "exclusion" and args.m_max <= args.n:
         _usage_error(f"exclusion needs --m-max greater than --n, got {args.m_max} <= {args.n}")
     try:
-        payload = args.func(args)
+        _emit(args.func(args))
     except OrderflowError as exc:
         _error(type(exc).__name__, str(exc))
+        return 1
+    except BrokenPipeError as exc:  # stdout closed by its reader (``| head``)
+        _error("BrokenPipe", f"stdout was closed before all output was written: {exc}")
+        _drop_stdout()
         return 1
     except OSError as exc:  # a missing file, a directory, no permission
         _error("FileNotFound", str(exc))
         return 1
-    _emit(payload)
     return 0
+
+
+def _drop_stdout() -> None:
+    """Close a stdout whose reader has gone, dropping the output it still buffers, so that exit does not flush it again.
+
+    An in-process caller's stdout without a file descriptor (a ``StringIO``) is left alone.
+    """
+    try:
+        sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    try:
+        sys.stdout.close()
+    except BrokenPipeError:  # the close flushes first; the stream is closed all the same
+        pass
 
 
 if __name__ == "__main__":

@@ -316,8 +316,8 @@ def build_poset(p: DiPath) -> PathPoset:
     """Close the edge-window total orders of a path into its poset.
 
     Each edge e_b totally orders the window of elements b..b+n; the vertex
-    windows are implied whenever the path has an edge.  ``PathPoset`` checks
-    the closure's antisymmetry on every build.
+    windows are implied whenever the path has an edge.  Every build checks
+    the closure's antisymmetry, but does not close the closed rows again.
     """
     n = p.n
     if p.length == 0:
@@ -328,7 +328,7 @@ def build_poset(p: DiPath) -> PathPoset:
             for j in range(m):
                 if word[i] <= word[j]:
                     rows[i] |= 1 << j
-        return PathPoset(tuple(rows))
+        return _closed_poset(tuple(rows))
     m = p.length + n
     rows = [1 << i for i in range(m)]
     for b, e in enumerate(p.edges):
@@ -337,7 +337,19 @@ def build_poset(p: DiPath) -> PathPoset:
             for d in range(n + 1):
                 if word[c] <= word[d]:
                     rows[b + c] |= 1 << (b + d)
-    return PathPoset(tuple(_transitive_closure(rows)))
+    return _closed_poset(tuple(_transitive_closure(rows)))
+
+
+def _closed_poset(leq: tuple[int, ...]) -> PathPoset:
+    """The poset of reflexive, transitively closed rows the package built itself.
+
+    Skips the second closure that ``PathPoset`` computes to check a caller's
+    rows, but keeps the antisymmetry check, the one check such rows can fail.
+    """
+    _check_antisymmetry(leq)
+    poset = object.__new__(PathPoset)
+    object.__setattr__(poset, "leq", leq)
+    return poset
 
 
 def comparability(p: DiPath, i: int, j: int, oracle: bool = False) -> str:

@@ -27,7 +27,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .caps import PERM_CAP
 from .errors import CapExceeded, DuplicateValue, FormatError, LengthMismatch, LengthTooSmall
@@ -333,14 +333,28 @@ def is_compatible(mu: PatternDistribution, mu_next: PatternDistribution) -> bool
 # 'p/q' rational or 'a+b*sqrt2' strings (exact) or decimal strings (float).
 
 
-def distribution_to_csv(mu: PatternDistribution) -> str:
+def distribution_rows(mu: PatternDistribution) -> list[tuple[str, str]]:
+    """mu's CSV rows, each pattern and its mass as text, in pattern-word order.
+
+    An exact mass is written by ``exact_str``, a float one (a float table
+    holds floats) by ``repr``.  The rows sort on the words themselves, not
+    through ``Perm.__lt__``, a Python call per comparison.
+    """
+    show = exact_str if mu.exact else repr
+    return [(str(s), show(m)) for s, m in sorted(mu.mass.items(), key=lambda item: item[0].word)]
+
+
+def rows_to_csv(rows: Iterable[tuple[str, str]]) -> str:
+    """The distribution CSV of (pattern text, mass text) rows, in the order given."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["perm", "mass"])
-    for sigma in sorted(mu.mass):
-        m = mu.mass[sigma]
-        w.writerow([str(sigma), exact_str(m) if mu.exact else repr(float(m))])
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def distribution_to_csv(mu: PatternDistribution) -> str:
+    return rows_to_csv(distribution_rows(mu))
 
 
 def _digit_limit() -> int:

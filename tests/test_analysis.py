@@ -137,6 +137,14 @@ class TestExactDistribution:
             exact_distribution(f, 3)
 
 
+class TestPatternOfOrder:
+    @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+    def test_one_pass_inverse_is_the_sorted_one(self, order):
+        # The positions sorted by the value at them: the inverse read by a sort, as the readout once did.
+        by_sort = tuple(place + 1 for place in sorted(range(len(order)), key=order.__getitem__))
+        assert analysis._pattern(tuple(order)) == perm(by_sort)
+
+
 def _same_as_oracle(f, n):
     assert exact_distribution(f, n).distribution.mass == oracle_distribution(f, n).mass
 

@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 from conftest import random_path
 from flow_oracle import flow_to_json, interior_flow
 from isometries import lattice_maps
-from orderflow import cli, maps
+import readout_oracle
+from orderflow import analysis, cli, maps
+from orderflow.analysis import PatternReport
 from orderflow.cli import build_parser, main
 from orderflow.digraph import build, subgraph, subgraph_from_json, subgraph_to_json
 from orderflow.maps import builtin, map_from_json, map_to_json
 from orderflow.paths import path, path_to_json
 from orderflow.exactnum import exact
-from orderflow.perms import PatternDistribution, distribution_from_csv, perm
+from orderflow.perms import PatternDistribution, distribution_from_csv, distribution_to_csv, perm
 
 
 def run(capsys, *argv):
@@ -703,6 +705,46 @@ class TestBoundary:
         code, err = run_error(capsys, *argv)
         assert code == 1 and err["error"] == "FileNotFound" and "Is a directory" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--n", "3", "--out", "o.csv"],
+            ["simulate", "--n", "3", "--seed", "1", "--out", "o.csv"],
+            ["entropy", "--out", "o.txt"],
+            ["forbidden", "--n", "3"],
+            ["exclusion", "--n", "2", "--m-max", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_map_file(self, argv, tmp_path, monkeypatch, capsys):
+        # A .json map spec is a file to read, present or not; it is never looked up as a builtin name.
+        monkeypatch.chdir(tmp_path)
+        code, err = run_error(capsys, *argv, "--map", "missing.json")
+        detail = "[Errno 2] No such file or directory: 'missing.json'"
+        assert code == 1 and err == {"error": "FileNotFound", "detail": detail}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["o.csv", "-"], ids=["artifact-to-file", "artifact-to-stdout"])
+    def test_closed_stdout(self, out, tmp_path):
+        # A reader that closes stdout early, as ``| head -c 300`` does, gets one JSON error line and exit 1.
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orderflow.cli", "exact", "--map", "doubling", "--n", "10", "--out", out],
+                cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "BrokenPipe",
+            "detail": "stdout was closed before all output was written: [Errno 32] Broken pipe",
+        }
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
     def test_full_digraph_cap(self, tmp_path, capsys):
         code, err = run_error(capsys, "digraph", "--n", "8", "--out", str(tmp_path / "g.dot"))
         assert code == 1 and err == {"error": "CapExceeded", "detail": "full digraph reached n = 8, cap 7"}
@@ -755,6 +797,92 @@ class TestSqrt2Masses:
         assert code in (0, 1)
         payload = json.loads(out.out if code == 0 else out.err)
         assert payload.get("command") == "cantor" or "error" in payload
+
+
+@st.composite
+def pattern_reports(draw):
+    """A report of a drawn table on S_n, n in 1..11: Fraction, Q(sqrt2) or float masses, and the readout flags.
+
+    Returns (report, command, as_float): an exact table as ``exact`` reads it out with or without
+    ``--float``, a float one as ``simulate`` does.  Weights from 1 to 10^9 give float masses whose
+    ``repr`` takes an exponent.
+    """
+    n = draw(st.integers(1, 11))
+    words = draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=24, unique=True))
+    weights = draw(st.lists(st.integers(1, 10**9), min_size=len(words), max_size=len(words)))
+    total = sum(weights)
+    kind = draw(st.sampled_from(["fraction", "sqrt2", "float"]))
+    if kind == "float":
+        counts = {perm(w): c for w, c in zip(words, weights)}
+        samples = total + draw(st.integers(0, 50))
+        dist = PatternDistribution(n, {s: c / total for s, c in counts.items()})
+        return PatternReport(dist, samples, counts), "simulate", True
+    masses = [Fraction(w, total) for w in weights]
+    if kind == "sqrt2" and len(masses) > 1:
+        # Move eps * (sqrt2 - 1) of mass from the last pattern to the first; both stay positive.
+        eps = min(masses) / 4
+        masses[0] += exact(-eps, eps)
+        masses[-1] -= exact(-eps, eps)
+    dist = PatternDistribution(n, {perm(w): m for w, m in zip(words, masses)})
+    return PatternReport(dist, None), "exact", draw(st.booleans())
+
+
+class TestReadout:
+    """``exact`` and ``simulate`` read a table out once; the two-pass readout of ``readout_oracle`` is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pattern_reports())
+    def test_same_bytes_as_the_two_pass_readout(self, drawn):
+        report, command, as_float = drawn
+        text, payload = cli._readout(report, as_float)
+        line = json.dumps({"command": command, **payload}, sort_keys=True)
+        assert (text, line) == readout_oracle.readout(report, command, as_float)
+        assert text == distribution_to_csv(report.distribution)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(["doubling", "tent"]), st.integers(1, 7)),
+            st.tuples(st.just("rotation:-1+1*sqrt2"), st.integers(1, 11)),
+            st.tuples(st.just("rotation:3/10"), st.integers(1, 10)),
+        ),
+        st.booleans(),
+    )
+    def test_exact_command_output(self, tmp_path_factory, case, as_float):
+        spec, n = case
+        out = tmp_path_factory.mktemp("exact") / "out.csv"
+        argv = ["exact", "--map", spec, "--n", str(n), "--out", str(out)] + ["--float"] * as_float
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        report = analysis.exact_distribution(maps.parse_map_spec(spec), n)
+        text, line = readout_oracle.readout(report, "exact", as_float)
+        assert (out.read_text(), stdout.getvalue()) == (text, line + "\n")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["doubling", "tent", "logistic", "rotation:3/10"]), st.integers(1, 11), st.integers(0, 99))
+    def test_simulate_command_output(self, tmp_path_factory, spec, n, seed):
+        out = tmp_path_factory.mktemp("simulate") / "out.csv"
+        argv = ["simulate", "--map", spec, "--n", str(n), "--samples", "300", "--seed", str(seed), "--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if code == 1:  # every orbit of a periodic rotation repeats within its period
+            assert json.loads(stderr.getvalue())["error"] == "SamplesDiscarded"
+            return
+        report = analysis.empirical_distribution(maps.parse_map_spec(spec), n, 300, seed)
+        text, line = readout_oracle.readout(report, "simulate", True)
+        assert (out.read_text(), stdout.getvalue()) == (text, line + "\n")
+
+    def test_long_patterns_are_quoted_in_word_order(self, tmp_path, capsys):
+        # Past length 9 a pattern is written with commas, so the CSV quotes it; rows follow the words, not the text.
+        out = tmp_path / "r.csv"
+        code, stdout, _ = run(capsys, "exact", "--map", "rotation:-1+1*sqrt2", "--n", "10", "--out", str(out))
+        rows = out.read_text().splitlines()
+        assert code == 0 and rows[0] == "perm,mass" and len(rows) == 11
+        words = [tuple(map(int, row.split('"')[1].split(","))) for row in rows[1:]]
+        assert words == sorted(words) and all(row.startswith('"') for row in rows[1:])
+        assert list(json.loads(stdout)["mass"]) == sorted(",".join(map(str, w)) for w in words)
 
 
 COMMANDS = [

@@ -265,6 +265,13 @@ class TestPoset:
         assert P.comparability(3, 1) == "leq"
         assert P.comparability(1, 2) == "leq"
 
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_paths(levels=(1, 2, 3, 4), min_length=0))
+    def test_closed_rows_pass_every_check(self, p):
+        # build_poset skips the second closure; the public constructor's three checks accept its rows unchanged.
+        P = build_poset(p)
+        assert P == PathPoset(P.leq)
+
 
 class TestLiftingProperties:
     def test_lift_extension_equality_small(self):
